@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .adversary import AttackConfigError
-from .grid import divide_regions, load_grid_file, partition_substations, \
-    select_control_centers
+from .grid import TopologyError, divide_regions, load_grid_file, \
+    partition_substations, select_control_centers
 from .metrics import emit_csv, render_line_chart
 from .scenario import ConfigError, SimulationFault, load_config, run_scenario, sweep
 
@@ -96,6 +96,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_topo(args) -> int:
+    if args.radius <= 0:
+        raise ConfigError(f"--radius must be positive, got {args.radius:g}")
     try:
         topology = load_grid_file(args.grid_file)
     except OSError as exc:
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, AttackConfigError) as exc:
+    except (ConfigError, AttackConfigError, TopologyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationFault, OSError, RuntimeError) as exc:

@@ -386,7 +386,9 @@ def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, r
     return encode_point(ephemeral.public, curve) + body + hmac_tag(key, body)
 
 
-def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams) -> bytes:
+def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *,
+                verify_tag: bool = True) -> bytes:
+    """verify_tag=False decrypts without checking the tag (the undefended baseline)."""
     header = 2 * curve.coord_bytes
     if len(ciphertext) < header + RC5_BLOCK + TAG_LEN:
         raise CipherFormatError("ciphertext too short for header + block + tag")
@@ -394,6 +396,6 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams) -
     body = ciphertext[header:-TAG_LEN]
     tag = ciphertext[-TAG_LEN:]
     key = cipher_key(derive_shared_secret(recipient_private, ephemeral_public, curve))
-    if not tags_equal(hmac_tag(key, body), tag):
+    if verify_tag and not tags_equal(hmac_tag(key, body), tag):
         raise AuthenticationError("ciphertext tag mismatch")
     return rc5_decrypt(key, body)

@@ -8,9 +8,10 @@ nodes, trust/energy-weighted shortest-path routing to the control-center
 gateways, and PDC stand-in election when a concentrator fails.
 
 A `defense=False` engine runs the undefended baseline: no trust rounds or
-probes (trust pinned at 100), no MAC or chain-key verification, plain
-distance-weighted routing, but the same selection cadence and traffic
-pattern, so paired runs differ only in protocol behavior.
+probes (trust pinned at 100), no MAC, chain-key or ciphertext-tag
+verification, plain distance-weighted routing, but the same selection
+cadence and traffic pattern, so paired runs differ only in protocol
+behavior.
 """
 
 from __future__ import annotations
@@ -406,14 +407,18 @@ class ProtocolEngine:
 
     # -- trust rounds --------------------------------------------------------
 
-    def _trust_round_event(self) -> None:
+    def _round_and_reselect(self) -> None:
         t = self.queue.now
         initiator_id = (self.network.main_server if self.round_index % 2 == 0
                         else self.network.backup_server)
         self.run_trust_round(self.network.nodes[initiator_id])
         self.last_round_start = t
         self._reselect()
-        self.queue.schedule(t + self.config.trust_round_interval, self._trust_round_event)
+
+    def _trust_round_event(self) -> None:
+        self._round_and_reselect()
+        self.queue.schedule(self.queue.now + self.config.trust_round_interval,
+                            self._trust_round_event)
 
     def _audit_tick(self, sent_before: int, delivered_before: int) -> None:
         """Servers expect every reading each cadence; a shortfall means some
@@ -431,15 +436,10 @@ class ProtocolEngine:
         # out-of-cadence re-evaluation; the periodic chain is untouched, and
         # fruitless triggers back off so a starved network cannot thrash
         self._trigger_pending = False
-        t = self.queue.now
-        if t - self.last_round_start < self._trigger_backoff:
+        if self.queue.now - self.last_round_start < self._trigger_backoff:
             return
         threats_before = len(self.current_table().threat_list)
-        initiator_id = (self.network.main_server if self.round_index % 2 == 0
-                        else self.network.backup_server)
-        self.run_trust_round(self.network.nodes[initiator_id])
-        self.last_round_start = t
-        self._reselect()
+        self._round_and_reselect()
         if len(self.current_table().threat_list) > threats_before:
             self._trigger_backoff = self.config.round_trigger_holdoff
         else:
@@ -468,20 +468,16 @@ class ProtocolEngine:
                 visited.add(adjacent)
                 evaluator, probed = (None, {}) if relay is None else \
                     self._handoff(relay, adjacent, table, initiator)
-                if evaluator is None:
-                    table.stale_regions.add(adjacent)
-                    self.delivery.stale_regions += 1
-                    self.trace.log(t, "round", f"region:{adjacent}", "stale")
-                    continue
-                sweep = self._evaluate_region(evaluator, adjacent,
-                                              set(probed) | {evaluator.id})
-                if self._report_blocked_list(evaluator, initiator, sweep):
-                    table.records.update(sweep)
-                    frontier.append(adjacent)
-                else:
-                    table.stale_regions.add(adjacent)
-                    self.delivery.stale_regions += 1
-                    self.trace.log(t, "round", f"region:{adjacent}", "stale")
+                if evaluator is not None:
+                    sweep = self._evaluate_region(evaluator, adjacent,
+                                                  set(probed) | {evaluator.id})
+                    if self._report_blocked_list(evaluator, initiator, sweep):
+                        table.records.update(sweep)
+                        frontier.append(adjacent)
+                        continue
+                table.stale_regions.add(adjacent)
+                self.delivery.stale_regions += 1
+                self.trace.log(t, "round", f"region:{adjacent}", "stale")
 
         # stale regions keep their last-known scores
         for region_id in table.stale_regions:
@@ -566,12 +562,22 @@ class ProtocolEngine:
             self.trace.log(self.queue.now, "round", f"sync:{initiator.id}->{peer_id}",
                            "failed")
 
+    def _control_broadcast(self, server: NodeState, msg_type: MsgType, payload: bytes,
+                           kinds: tuple[str, ...] | None = None) -> list[NodeState]:
+        """Broadcast a frame carrying the server's next chain key; returns the
+        receivers that authenticated it. Callers update each receiver after all
+        the checks, which is equivalent: an update touches only its receiver."""
+        frame = make_frame(msg_type, server.id, payload, gbk=self.gbk,
+                           chain_key=self._next_chain_key(server.id))
+        receivers = [self.network.nodes[node_id] for node_id
+                     in self.channel.broadcast(server, frame, control=True, kinds=kinds)]
+        return [node for node in receivers
+                if self._accept_control(node, server.id, frame)]
+
     def _push_gateway_tables(self, initiator: NodeState, table: TrustTable) -> None:
-        frame = make_frame(MsgType.BLOCKED_LIST, initiator.id, table.serialize(),
-                           gbk=self.gbk, chain_key=self._next_chain_key(initiator.id))
-        for gw_id in self.channel.broadcast(initiator, frame, control=True, kinds=("GW",)):
-            if self._accept_control(self.network.nodes[gw_id], initiator.id, frame):
-                self.gateway_tables[gw_id] = table
+        for gw in self._control_broadcast(initiator, MsgType.BLOCKED_LIST,
+                                          table.serialize(), kinds=("GW",)):
+            self.gateway_tables[gw.id] = table
 
     def _regenerate_server_keys(self) -> None:
         for server_id in (self.network.main_server, self.network.backup_server):
@@ -580,12 +586,8 @@ class ProtocolEngine:
             self.server_key_history[server_id].append(server.keypair)
             server.server_pubkeys[server_id] = server.keypair.public
             payload = encode_point(server.keypair.public, SIM_CURVE)
-            frame = make_frame(MsgType.PUBKEY, server_id, payload, gbk=self.gbk,
-                               chain_key=self._next_chain_key(server_id))
-            for node_id in self.channel.broadcast(server, frame, control=True):
-                node = self.network.nodes[node_id]
-                if self._accept_control(node, server_id, frame):
-                    node.server_pubkeys[server_id] = decode_point(payload, SIM_CURVE)
+            for node in self._control_broadcast(server, MsgType.PUBKEY, payload):
+                node.server_pubkeys[server_id] = decode_point(payload, SIM_CURVE)
             self._maybe_rotate_chain(server)
 
     def _maybe_rotate_chain(self, server: NodeState) -> None:
@@ -593,12 +595,8 @@ class ProtocolEngine:
         if chain.remaining > self.config.chain_low_water:
             return
         fresh = HashChain(self.rng.randbytes(20), self.config.chain_length)
-        frame = make_frame(MsgType.ANCHOR_BCAST, server.id, fresh.anchor,
-                           gbk=self.gbk, chain_key=self._next_chain_key(server.id))
-        for node_id in self.channel.broadcast(server, frame, control=True):
-            node = self.network.nodes[node_id]
-            if self._accept_control(node, server.id, frame):
-                node.chain_state[server.id] = ChainAnchorState(fresh.anchor)
+        for node in self._control_broadcast(server, MsgType.ANCHOR_BCAST, fresh.anchor):
+            node.chain_state[server.id] = ChainAnchorState(fresh.anchor)
         server.chain_state[server.id] = ChainAnchorState(fresh.anchor)
         self.server_chains[server.id] = fresh
 
@@ -795,6 +793,25 @@ class ProtocolEngine:
                     return None
         return frame
 
+    def _sealed_leg(self, hops: tuple[int, ...], msg_type: MsgType, origin: NodeState,
+                    key: bytes, records: list[tuple[int, bytes]]
+                    ) -> list[tuple[int, bytes]] | None:
+        """Carry records RC5-sealed under a session key along `hops` and
+        open them at the far end. Returns None if the frame was lost or
+        failed its MAC, and [] if it arrived but would not decrypt."""
+        payload = rc5_encrypt(key, pack_records(records))
+        arrived = self._relay_chain(hops, msg_type, payload, origin, session_key=key)
+        if arrived is None:
+            return None
+        if self.defense and not verify_frame(arrived, gbk=self.gbk, session_key=key):
+            self.delivery.auth_rejects += 1
+            return None
+        try:
+            return unpack_records(rc5_decrypt(key, arrived.payload))
+        except (CipherFormatError, ValueError, struct.error):
+            self.delivery.tamper_detected += 1
+            return []
+
     # -- gateway-local ES selection --------------------------------------------
 
     def _gw_probe_event(self) -> None:
@@ -855,10 +872,8 @@ class ProtocolEngine:
         plain = None
         for keypair in reversed(self.server_key_history[server.id]):
             try:
-                if self.defense:
-                    plain = ecc_decrypt(keypair.private, blob, SIM_CURVE)
-                else:
-                    plain = _lenient_ecc_decrypt(keypair.private, blob)
+                plain = ecc_decrypt(keypair.private, blob, SIM_CURVE,
+                                    verify_tag=self.defense)
                 break
             except (AuthenticationError, CipherFormatError, InvalidKeyError,
                     ValueError):
@@ -920,25 +935,15 @@ class ProtocolEngine:
                                f"{gw.id}->{forwarder_id}:EMD", "dropped(phantom)", joules)
             queue.clear()
             return
-        forwarder = self.network.nodes[forwarder_id]
-        key = self._ensure_session(gw, forwarder)
+        key = self._ensure_session(gw, self.network.nodes[forwarder_id])
         if key is None:
             self.delivery.isolation_alarms += 1
             return
-        for source_id, reading in queue:
-            payload = rc5_encrypt(key, pack_records([(source_id, reading)]))
-            frame = self._gbk_frame(MsgType.EMD, gw, payload, session_key=key)
-            if self.channel.transmit(gw, forwarder, frame) != DELIVERED:
-                continue
-            if self.defense and not verify_frame(frame, gbk=self.gbk, session_key=key):
-                self.delivery.auth_rejects += 1
-                continue
-            try:
-                records = unpack_records(rc5_decrypt(key, frame.payload))
-            except (CipherFormatError, ValueError, struct.error):
-                self.delivery.tamper_detected += 1
-                continue
-            carry.setdefault(forwarder_id, []).extend(records)
+        for record in queue:
+            opened = self._sealed_leg((gw.id, forwarder_id), MsgType.EMD, gw, key,
+                                      [record])
+            if opened:
+                carry.setdefault(forwarder_id, []).extend(opened)
         queue.clear()
 
     def _flush_clusters(self, carry: dict[int, list[tuple[int, bytes]]]) -> None:
@@ -958,20 +963,10 @@ class ProtocolEngine:
                 key = self._ensure_session(member, head)
                 if key is None:
                     continue
-                payload = rc5_encrypt(key, pack_records(records))
-                arrived = self._relay_chain((member_id, head_id), MsgType.DATA,
-                                            payload, member, session_key=key)
-                if arrived is None:
-                    continue
-                if self.defense and not verify_frame(arrived, gbk=self.gbk,
-                                                     session_key=key):
-                    self.delivery.auth_rejects += 1
-                    continue
-                try:
-                    routed_by_head.setdefault(head_id, []).extend(
-                        unpack_records(rc5_decrypt(key, arrived.payload)))
-                except (CipherFormatError, ValueError, struct.error):
-                    self.delivery.tamper_detected += 1
+                opened = self._sealed_leg((member_id, head_id), MsgType.DATA,
+                                          member, key, records)
+                if opened is not None:
+                    routed_by_head.setdefault(head_id, []).extend(opened)
         # forwarders outside any cluster still deliver what they carry
         for node_id in sorted(carry):
             if carry[node_id]:
@@ -1067,19 +1062,9 @@ class ProtocolEngine:
             if key is None:
                 self.delivery.isolation_alarms += 1
                 continue
-            payload = rc5_encrypt(key, pack_records(readings))
-            frame = self._gbk_frame(MsgType.EMD, gw, payload, session_key=key)
-            if self.channel.transmit(gw, es, frame) != DELIVERED:
-                continue
-            if self.defense and not verify_frame(frame, gbk=self.gbk, session_key=key):
-                self.delivery.auth_rejects += 1
-                continue
-            try:
-                records = unpack_records(rc5_decrypt(key, frame.payload))
-            except (CipherFormatError, ValueError, struct.error):
-                self.delivery.tamper_detected += 1
-                continue
-            self._es_to_pdc(es, records, pdc_inbox)
+            opened = self._sealed_leg((gw.id, es.id), MsgType.EMD, gw, key, readings)
+            if opened:
+                self._es_to_pdc(es, opened, pdc_inbox)
 
         for pdc_id in sorted(pdc_inbox):
             self._pdc_dispatch(net.nodes[pdc_id], pdc_inbox[pdc_id])
@@ -1109,30 +1094,19 @@ class ProtocolEngine:
         else:
             relays = [n for n in net.members(kind="ES")
                       if self._trusted(n.id) or n.id == es.id]
-            adjacency = build_adjacency(
-                relays + ([pdc] if pdc.id not in {r.id for r in relays} else []),
-                reach=lambda u: self.channel.radio.range_of(u.kind),
-                weight_of=self._link_weight)
-            found = dijkstra(adjacency, es.id, {pdc.id})
-            path = tuple(found[1]) if found else None
+            if pdc.id not in {r.id for r in relays}:
+                relays.append(pdc)
+            path = self._graph_path(relays, es.id, pdc.id)
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
         key = self._ensure_session(es, pdc, path)
         if key is None:
             return
-        payload = rc5_encrypt(key, pack_records(records))
-        arrived = self._relay_chain(path, MsgType.DATA, payload, es, session_key=key)
-        if arrived is None:
-            return
-        if self.defense and not verify_frame(arrived, gbk=self.gbk, session_key=key):
-            self.delivery.auth_rejects += 1
-            return
-        try:
-            pdc_inbox.setdefault(pdc.id, []).extend(
-                unpack_records(rc5_decrypt(key, arrived.payload)))
-        except (CipherFormatError, ValueError, struct.error):
-            self.delivery.tamper_detected += 1
+        opened = self._sealed_leg(path, MsgType.DATA, es, key, records)
+        if opened is not None:
+            # a concentrator that got only garbage still reports, emptily
+            pdc_inbox.setdefault(pdc.id, []).extend(opened)
 
     def _pdc_dispatch(self, pdc: NodeState, records: list[tuple[int, bytes]]) -> None:
         """Aggregate and deliver to both control centers over the static
@@ -1158,20 +1132,11 @@ class ProtocolEngine:
         cc_gw = net.cc_gateway(main)
         overlay = [node for rid in sorted(net.regions)
                    if (node := self._region_pdc(rid)) is not None and node.alive]
-        adjacency = build_adjacency(
-            overlay + [cc_gw],
-            reach=lambda u: self.channel.radio.range_of(u.kind),
-            weight_of=self._link_weight)
-        found = dijkstra(adjacency, pdc.id, {cc_gw.id})
-        if found is None:
+        path = self._graph_path(overlay + [cc_gw], pdc.id, cc_gw.id)
+        if path is None:
             # concentrators too sparse: fall back to the trusted relay tier
             relays = [n for n in net.members(kind="ES") if self._trusted(n.id)]
-            adjacency = build_adjacency(
-                [pdc] + relays + [cc_gw],
-                reach=lambda u: self.channel.radio.range_of(u.kind),
-                weight_of=self._link_weight)
-            found = dijkstra(adjacency, pdc.id, {cc_gw.id})
-        path = tuple(found[1]) if found else None
+            path = self._graph_path([pdc] + relays + [cc_gw], pdc.id, cc_gw.id)
         self.pdc_routes[key] = path
         return path
 
@@ -1218,15 +1183,3 @@ class ProtocolEngine:
             self.network.nodes[previous].acting_pdc_for = None
         self.pdc_routes.clear()
         self.trace.log(self.queue.now, "failover", f"region:{region_id}", "restored")
-
-
-def _lenient_ecc_decrypt(private: int, blob: bytes) -> bytes:
-    """Baseline decryption: parses and decrypts but never checks the tag."""
-    coord = SIM_CURVE.coord_bytes
-    header = 2 * coord
-    if len(blob) < header + 20:
-        raise CipherFormatError("short ciphertext")
-    ephemeral = decode_point(blob[:header], SIM_CURVE)
-    body = blob[header:-20]
-    key = cipher_key(derive_shared_secret(private, ephemeral, SIM_CURVE))
-    return rc5_decrypt(key, body)

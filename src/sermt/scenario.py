@@ -57,6 +57,8 @@ class ScenarioConfig:
             raise ConfigError("duration must be positive")
         if self.n_nodes < 0 or self.es_nodes < 0:
             raise ConfigError("node counts must be non-negative")
+        if self.radius_threshold <= 0:
+            raise ConfigError("radius_threshold must be positive")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -260,7 +262,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     channel.finalize(config.duration)
     errors = channel.conservation_errors()
     if errors:
-        raise SimulationFault("energy ledger check failed: " + "; ".join(errors[:3]))
+        raise SimulationFault("energy ledger check failed: "
+                              + "; ".join(map(str, errors[:3])))
     exposures = confidentiality_scan(channel, engine, attack_logs)
     metrics = collect_metrics(network, channel, engine, attack_logs,
                               config.duration, exposures)

@@ -241,3 +241,10 @@ def test_ecc_tamper_detected():
     ct[2 * curve.coord_bytes] ^= 0x80  # flip a bit inside the RC5 body
     with pytest.raises(AuthenticationError):
         crypto.ecc_decrypt(kp.private, bytes(ct), curve)
+    # a forged tag over an intact body: only the tag check can catch it
+    forged = bytearray(crypto.ecc_encrypt(kp.public, b"payload", curve, rng))
+    forged[-1] ^= 0x01
+    with pytest.raises(AuthenticationError):
+        crypto.ecc_decrypt(kp.private, bytes(forged), curve)
+    assert crypto.ecc_decrypt(kp.private, bytes(forged), curve,
+                              verify_tag=False) == b"payload"

@@ -10,6 +10,7 @@ from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
 from sermt.scenario import (
     ConfigError,
     ScenarioConfig,
+    SimulationFault,
     _sweep_attacks,
     load_config,
     run_scenario,
@@ -105,6 +106,8 @@ def test_malformed_configs_rejected(tmp_path):
         BASE + "[attack:x]\nkind = DROP\nvolume = 11\n",     # unknown key
         BASE + "[attack:x]\nkind = EAVESDROP\nposition = 1\n",
         BASE.replace("topology = ieee14.grid", "topology = nope.grid"),
+        BASE.replace("radius_threshold = 400", "radius_threshold = -5"),
+        BASE.replace("radius_threshold = 400", "radius_threshold = 0"),
     ]
     for text in bad:
         with pytest.raises(ConfigError):
@@ -265,6 +268,26 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = write_config(tmp_path, BASE.replace("seed = 3\n", ""), name="bad.conf")
     assert cli.main(["run", str(bad)]) == cli.EXIT_CONFIG
     assert cli.main(["topo", str(tmp_path / "missing.grid")]) == cli.EXIT_CONFIG
+    (tmp_path / "broken.grid").write_text("BUS x 1 1\n", encoding="utf-8")
+    broken = write_config(tmp_path, BASE.replace("topology = ieee14.grid",
+                                                 "topology = broken.grid"),
+                          name="broken.conf")
+    assert cli.main(["run", str(broken)]) == cli.EXIT_CONFIG
+    negative = write_config(tmp_path, BASE.replace("radius_threshold = 400",
+                                                   "radius_threshold = -5"),
+                            name="negative.conf")
+    assert cli.main(["run", str(negative)]) == cli.EXIT_CONFIG
+    grid_path = str(scenario.DATA_DIR / "ieee14.grid")
+    assert cli.main(["topo", grid_path, "--radius", "-5"]) == cli.EXIT_CONFIG
+    capsys.readouterr()
+
+
+def test_ledger_fault_is_a_simulation_fault(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(scenario.Channel, "conservation_errors", lambda self: [5, 9])
+    config_path = write_config(tmp_path, BASE.replace("duration = 60", "duration = 20"))
+    with pytest.raises(SimulationFault, match="5; 9"):
+        run_scenario(load_config(config_path))
+    assert cli.main(["run", str(config_path)]) == cli.EXIT_RUNTIME
     capsys.readouterr()
 
 
