@@ -276,8 +276,7 @@ def _spawn_foreign(network: Network, channel: Channel,
     node = NodeState(id=network.allocate_id(), kind="N", position=position,
                      region_id=nearest_gw.region_id, has_gbk=False)
     node.keypair = generate_keypair(SIM_CURVE, rng)
-    network.nodes[node.id] = node
-    channel.initial_battery[node.id] = node.battery_mah
+    channel.add_node(node)
     return node
 
 

@@ -9,11 +9,10 @@ protocol needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .crypto import ChainAnchorState, KeyPair
-from .grid import Deployment, GridTopology, Region, Substation
+from .grid import Deployment, GridTopology, Region, Substation, distance  # re-exported
 
 KINDS = ("N", "ES", "PDC", "MU", "PMU", "GW", "SERVER")
 MAINS_POWERED = frozenset({"MU", "PMU", "GW", "SERVER"})   # never battery-limited
@@ -50,10 +49,6 @@ class NodeState:
     @property
     def rechargeable(self) -> bool:
         return self.kind in RECHARGEABLE
-
-
-def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 class Network:
@@ -113,9 +108,6 @@ class Network:
                 continue
             out.append(node)
         return out
-
-    def distance(self, a: int, b: int) -> float:
-        return distance(self.nodes[a].position, self.nodes[b].position)
 
     def allocate_id(self) -> int:
         """IDs for synthetic entities (e.g. Sybil personas)."""

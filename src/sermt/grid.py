@@ -169,7 +169,9 @@ def partition_substations(topology: GridTopology) -> list[Substation]:
     return substations
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Euclidean distance; hypot is sign-symmetric, so the argument order
+    never changes the float."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
@@ -213,7 +215,7 @@ def divide_regions(substations: list[Substation], radius_threshold: float) -> li
         seed = by_id[seed_id]
         members = sorted(
             sid for sid in unassigned
-            if _distance(by_id[sid].position, seed.position) <= radius_threshold
+            if distance(by_id[sid].position, seed.position) <= radius_threshold
         )
         # the seed is always within radius 0 of itself
         unassigned.difference_update(members)
@@ -228,7 +230,7 @@ def divide_regions(substations: list[Substation], radius_threshold: float) -> li
         if unassigned:
             seed_id = min(
                 unassigned,
-                key=lambda sid: (_distance(by_id[sid].position, seed.position), sid),
+                key=lambda sid: (distance(by_id[sid].position, seed.position), sid),
             )
     return regions
 

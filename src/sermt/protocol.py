@@ -41,7 +41,7 @@ from .crypto import (
 )
 from .entities import Network, NodeState, distance
 from .routing import build_adjacency, dijkstra, route_weight
-from .simcore import Channel, DELIVERED, EventQueue, Trace, connectivity_counts
+from .simcore import Channel, DELIVERED, EventQueue, Trace
 from .wire import Frame, MsgType, make_frame, verify_frame
 
 TRUST_THRESHOLD = 40.0          # trusted means strictly above
@@ -340,13 +340,6 @@ class ProtocolEngine:
         return (self.defense and self.last_round_start <= t
                 < self.last_round_start + self.config.round_active_window)
 
-    def _alive_population(self) -> list[NodeState]:
-        return [self.network.nodes[i] for i in sorted(self.network.nodes)
-                if self.network.nodes[i].alive]
-
-    def _connectivity(self, node: NodeState) -> tuple[int, int]:
-        return connectivity_counts(node, self._alive_population(), self.channel.radio)
-
     def _accept_control(self, receiver: NodeState, claimed_server: int,
                         frame: Frame) -> bool:
         state = receiver.chain_state.get(claimed_server)
@@ -387,13 +380,10 @@ class ProtocolEngine:
 
     def _probe_phantom(self, prober: NodeState, persona_id: int) -> float:
         """A fake identity never answers; the prober still pays to ask."""
+        _host, fake_pos = self.known_personas[persona_id]
         for i in range(self.config.test_messages):
             test = self._gbk_frame(MsgType.TEST, prober, struct.pack(">HH", 0, i))
-            joules = self.channel.energy.energy_tx(
-                test.wire_bits, self.channel.radio.range_of(prober.kind))
-            self.channel.debit(prober, joules)
-            self.trace.log(self.queue.now, "tx",
-                           f"{prober.id}->{persona_id}:TEST", "dropped(phantom)", joules)
+            self.channel.transmit_phantom(prober, persona_id, fake_pos, test, control=True)
         return 0.0
 
     def _personas_in_region(self, region_id: int) -> list[int]:
@@ -631,7 +621,7 @@ class ProtocolEngine:
             node = net.nodes[node_id]
             closest = min(heard[node_id],
                           key=lambda g: (distance(node.position, g.position), g.id))
-            bp, c = node.battery_mah, self._connectivity(node)[0]
+            bp, c = node.battery_mah, channel.connectivity_counts(node)[0]
             fake = getattr(node.behavior, "fake_ack", None)
             if fake is not None:
                 bp, c = fake(node)
@@ -727,7 +717,7 @@ class ProtocolEngine:
             head_id = max(
                 cluster,
                 key=lambda i: (candidate_score(net.nodes[i].battery_mah, self._tv(i),
-                                               self._connectivity(net.nodes[i])[1]),
+                                               channel.connectivity_counts(net.nodes[i])[1]),
                                -i))
             self.clusters[solicitor_id] = cluster
             self.cluster_head[solicitor_id] = head_id
@@ -833,9 +823,8 @@ class ProtocolEngine:
             if substation_id in (net.main_cc, net.backup_cc):
                 continue                      # monitored locally, no WSN leg
             gw = net.nodes[net.gateway_of_substation[substation_id]]
-            reach = self.channel.radio.range_of(gw.kind)
-            candidates = [es for es in net.members(kind="ES")
-                          if distance(gw.position, es.position) <= reach]
+            heard = self.channel.hears(gw)
+            candidates = [es for es in net.members(kind="ES") if es.id in heard]
             scored = []
             for es in candidates:
                 tv = self._probe(gw, es) if probe else self._tv(es.id)
@@ -924,15 +913,10 @@ class ProtocolEngine:
         if forwarder_id not in self.network.nodes:
             # a phantom: frames vanish toward the advertised location
             _host, fake_pos = self.known_personas[forwarder_id]
-            reach = self.channel.radio.range_of(gw.kind)
             for source_id, reading in queue:
                 husk = Frame(MsgType.EMD, gw.id,
                              rc5_encrypt(bytes(16), pack_records([(source_id, reading)])))
-                joules = self.channel.energy.energy_tx(
-                    husk.wire_bits, min(distance(gw.position, fake_pos), reach))
-                self.channel.debit(gw, joules)
-                self.trace.log(self.queue.now, "tx",
-                               f"{gw.id}->{forwarder_id}:EMD", "dropped(phantom)", joules)
+                self.channel.transmit_phantom(gw, forwarder_id, fake_pos, husk)
             queue.clear()
             return
         key = self._ensure_session(gw, self.network.nodes[forwarder_id])
@@ -997,9 +981,8 @@ class ProtocolEngine:
             return self.route_cache[key]
         net = self.network
         cc_gw = net.cc_gateway(main)
-        reach = self.channel.radio.range_of(source.kind)
         if (source.region_id == cc_gw.region_id
-                and distance(source.position, cc_gw.position) <= reach):
+                and cc_gw.id in self.channel.hears(source)):
             path: tuple[int, ...] | None = (source.id, cc_gw.id)
         else:
             relays = [n for n in net.members(kind="N")
@@ -1020,10 +1003,7 @@ class ProtocolEngine:
 
     def _graph_path(self, pool: list[NodeState], src_id: int,
                     dst_id: int) -> tuple[int, ...] | None:
-        adjacency = build_adjacency(
-            pool,
-            reach=lambda u: self.channel.radio.range_of(u.kind),
-            weight_of=self._link_weight)
+        adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
         found = dijkstra(adjacency, src_id, {dst_id})
         return tuple(found[1]) if found else None
 
@@ -1088,8 +1068,7 @@ class ProtocolEngine:
         if pdc.id == es.id:
             pdc_inbox.setdefault(pdc.id, []).extend(records)
             return
-        reach = self.channel.radio.range_of(es.kind)
-        if distance(es.position, pdc.position) <= reach:
+        if pdc.id in self.channel.hears(es):
             path: tuple[int, ...] | None = (es.id, pdc.id)
         else:
             relays = [n for n in net.members(kind="ES")

@@ -49,17 +49,13 @@ def dijkstra(adjacency: Adjacency, source: int, targets: set[int]) -> tuple[floa
     return None
 
 
-def build_adjacency(nodes, reach, weight_of) -> Adjacency:
-    """Radio graph over `nodes`: an edge u->v exists when v is inside u's
-    reach; its weight comes from weight_of(u, v, distance)."""
+def build_adjacency(nodes, hears, weight_of) -> Adjacency:
+    """Radio graph over `nodes`: an edge u->v exists when v is in hears(u),
+    a map of heard ID -> distance; its weight comes from
+    weight_of(u, v, distance)."""
     adjacency: Adjacency = {}
     for u in nodes:
-        links = []
-        for v in nodes:
-            if v.id == u.id:
-                continue
-            dist = math.hypot(u.position[0] - v.position[0], u.position[1] - v.position[1])
-            if dist <= reach(u):
-                links.append((v.id, weight_of(u, v, dist)))
-        adjacency[u.id] = sorted(links)
+        heard = hears(u)
+        adjacency[u.id] = sorted((v.id, weight_of(u, v, heard[v.id]))
+                                 for v in nodes if v.id in heard)
     return adjacency

@@ -4,6 +4,11 @@ The Channel is the only place energy moves and frames travel.  Every
 battery change goes through one accumulation point and is recorded in an
 in-memory ledger, so the conservation check can re-fold the same floats
 in the same order and demand bit-exact equality.
+
+The Channel also owns the radio geometry: `hears` is the one answer to
+"who is in whose range".  Positions are fixed after deployment, so each
+node's neighbourhood is computed once; an entity deployed later enters
+through `add_node`, which is the only way in.
 """
 
 from __future__ import annotations
@@ -142,6 +147,33 @@ class Channel:
         self.eavesdroppers: list[int] = []              # sorted on registration
         self.wormholes: list[tuple[int, int]] = []
         self.drop_counts: dict[str, int] = {}
+        self._hears: dict[int, dict[int, float]] = {}
+
+    # -- radio geometry ---------------------------------------------------
+
+    def add_node(self, node: NodeState) -> None:
+        """Admit an entity deployed after the channel was built."""
+        self.network.nodes[node.id] = node
+        self.initial_battery[node.id] = node.battery_mah
+        self._hears.clear()
+
+    def hears(self, node: NodeState) -> dict[int, float]:
+        """ID -> distance of every other entity inside `node`'s own radio
+        range (a closed ball), dead ones included, in ID order.  The map is
+        shared between callers: read it, never change it."""
+        heard = self._hears.get(node.id)
+        if heard is None:
+            reach, nodes = self.radio.range_of(node.kind), self.network.nodes
+            dists = ((other_id, distance(node.position, nodes[other_id].position))
+                     for other_id in sorted(nodes) if other_id != node.id)
+            heard = self._hears[node.id] = {i: d for i, d in dists if d <= reach}
+        return heard
+
+    def connectivity_counts(self, node: NodeState) -> tuple[int, int]:
+        """(same-region count C, other-region count Cn) over alive neighbours."""
+        alive = [self.network.nodes[i] for i in self.hears(node) if self.network.nodes[i].alive]
+        same = sum(other.region_id == node.region_id for other in alive)
+        return same, len(alive) - same
 
     # -- energy -----------------------------------------------------------
 
@@ -176,10 +208,12 @@ class Channel:
         self.apply_energy(node, -self.energy.to_mah(joules))
 
     def finalize(self, t_end: float) -> None:
-        """Bring all harvesting batteries up to date at the end of a run."""
+        """Bring all harvesting batteries up to date at the end of a run, and
+        drop the neighbourhood maps (finished results are kept around)."""
         assert self.queue.now == t_end
         for node_id in sorted(self.network.nodes):
             self._recharge_to_now(self.network.nodes[node_id])
+        self._hears.clear()
 
     # -- frame movement ----------------------------------------------------
 
@@ -190,7 +224,7 @@ class Channel:
             behavior.on_overhear(observer, sender_id, frame)
 
     def _eavesdrop_sweep(self, sender: NodeState, receiver_id: int, frame: Frame,
-                         screened: tuple[str, ...] | None = None) -> None:
+                         type_name: str, screened: tuple[str, ...] | None = None) -> None:
         """`screened`: a broadcast's kind filter — spies matching it already
         hear the frame as ordinary receivers, not here."""
         for node_id in self.eavesdroppers:
@@ -199,11 +233,10 @@ class Channel:
                 continue
             if screened is not None and spy.kind in screened:
                 continue
-            if distance(spy.position, sender.position) <= self.radio.range_of(sender.kind):
+            if spy.id in self.hears(sender):
                 rx_joules = self.energy.energy_rx(frame.wire_bits)
                 self.debit(spy, rx_joules)
-                self.trace.log(self.queue.now, "rx",
-                               f"{spy.id}<-{sender.id}:{MsgType(frame.msg_type).name}",
+                self.trace.log(self.queue.now, "rx", f"{spy.id}<-{sender.id}:{type_name}",
                                "overheard", rx_joules)
                 self._observe(spy, sender.id, frame)
 
@@ -212,35 +245,51 @@ class Channel:
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
-        ids = f"{sender.id}->{receiver.id}:{MsgType(frame.msg_type).name}"
+        type_name = MsgType(frame.msg_type).name
+        ids = f"{sender.id}->{receiver.id}:{type_name}"
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, dropped("dead_sender"))
             self._count_drop("dead_sender")
             return dropped("dead_sender")
-        sender_range = self.radio.range_of(sender.kind)
-        dist = distance(sender.position, receiver.position)
+        dist = self.hears(sender).get(receiver.id)     # None: out of range
         tx_joules = self.energy.energy_tx(
-            frame.wire_bits, sender_range if control else min(dist, sender_range))
+            frame.wire_bits,
+            self.radio.range_of(sender.kind) if control or dist is None else dist)
         self.debit(sender, tx_joules)
-        self._eavesdrop_sweep(sender, receiver.id, frame)
-        outcome = self._receive_leg(sender, receiver, frame, dist, sender_range, control)
+        self._eavesdrop_sweep(sender, receiver.id, frame, type_name)
+        if control or dist is not None:
+            outcome = self._receive_leg(sender, receiver, frame, type_name)
+        else:
+            outcome = dropped("range")
         self.trace.log(self.queue.now, "tx", ids, outcome, tx_joules)
         if outcome != DELIVERED:
             self._count_drop(outcome[len("dropped("):-1])
         return outcome
 
+    def transmit_phantom(self, sender: NodeState, persona_id: int,
+                         position: tuple[float, float], frame: Frame,
+                         control: bool = False) -> None:
+        """A send toward a fake identity advertised at `position`: no radio
+        answers, but the sender still pays to transmit."""
+        reach = self.radio.range_of(sender.kind)
+        tx_joules = self.energy.energy_tx(
+            frame.wire_bits,
+            reach if control else min(distance(sender.position, position), reach))
+        self.debit(sender, tx_joules)
+        self.trace.log(self.queue.now, "tx",
+                       f"{sender.id}->{persona_id}:{MsgType(frame.msg_type).name}",
+                       dropped("phantom"), tx_joules)
+
     def _receive_leg(self, sender: NodeState, receiver: NodeState, frame: Frame,
-                     dist: float, sender_range: float, control: bool) -> str:
-        if not control and dist > sender_range:
-            return dropped("range")
+                     type_name: str) -> str:
+        """Delivery to a receiver already known to be within reach."""
         if not receiver.alive:
             return dropped("dead_receiver")
         if self.loss_rng.random() < self.radio.loss_probability:
             return dropped("loss")
         rx_joules = self.energy.energy_rx(frame.wire_bits)
         self.debit(receiver, rx_joules)
-        self.trace.log(self.queue.now, "rx",
-                       f"{receiver.id}<-{sender.id}:{MsgType(frame.msg_type).name}",
+        self.trace.log(self.queue.now, "rx", f"{receiver.id}<-{sender.id}:{type_name}",
                        "received", rx_joules)
         self._observe(receiver, sender.id, frame)
         behavior = receiver.behavior
@@ -251,41 +300,38 @@ class Channel:
     def broadcast(self, sender: NodeState, frame: Frame, control: bool = False,
                   kinds: tuple[str, ...] | None = None, _tunneled: bool = False) -> list[int]:
         """One transmit burst to every in-range listener; returns delivered IDs."""
-        ids = f"{sender.id}->*:{MsgType(frame.msg_type).name}"
+        type_name = MsgType(frame.msg_type).name
+        ids = f"{sender.id}->*:{type_name}"
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, dropped("dead_sender"))
             self._count_drop("dead_sender")
             return []
-        sender_range = self.radio.range_of(sender.kind)
-        tx_joules = self.energy.energy_tx(frame.wire_bits, sender_range)
+        tx_joules = self.energy.energy_tx(frame.wire_bits, self.radio.range_of(sender.kind))
         self.debit(sender, tx_joules)
         self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
         if kinds is not None:
-            self._eavesdrop_sweep(sender, -1, frame, screened=kinds)
+            self._eavesdrop_sweep(sender, -1, frame, type_name, screened=kinds)
         delivered = []
-        for node_id in sorted(self.network.nodes):
+        for node_id in sorted(self.network.nodes) if control else self.hears(sender):
             receiver = self.network.nodes[node_id]
             if receiver.id == sender.id:
                 continue
             if kinds is not None and receiver.kind not in kinds:
                 continue
-            dist = distance(sender.position, receiver.position)
-            if not control and dist > sender_range:
-                continue
-            outcome = self._receive_leg(sender, receiver, frame, dist, sender_range, control)
+            outcome = self._receive_leg(sender, receiver, frame, type_name)
             if outcome == DELIVERED:
                 delivered.append(receiver.id)
             else:
                 self._count_drop(outcome[len("dropped("):-1])
                 self.trace.log(self.queue.now, "drop",
-                               f"{sender.id}->{receiver.id}:{MsgType(frame.msg_type).name}",
-                               outcome)
+                               f"{sender.id}->{receiver.id}:{type_name}", outcome)
         if not _tunneled:
-            delivered.extend(self._wormhole_relay(sender, frame, control, kinds, delivered))
+            delivered.extend(self._wormhole_relay(sender, frame, type_name, control,
+                                                  kinds, delivered))
         return delivered
 
-    def _wormhole_relay(self, sender: NodeState, frame: Frame, control: bool,
-                        kinds, already: list[int]) -> list[int]:
+    def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,
+                        control: bool, kinds, already: list[int]) -> list[int]:
         """Re-emit an overheard broadcast at the far end of each wormhole."""
         extra: list[int] = []
         for end_a, end_b in self.wormholes:
@@ -294,25 +340,20 @@ class Channel:
                 far_node = self.network.nodes[far]
                 if sender.id in (near, far) or not near_node.alive or not far_node.alive:
                     continue
-                in_range = distance(near_node.position, sender.position) <= self.radio.range_of(sender.kind)
-                if not (control or in_range):
+                if not (control or near in self.hears(sender)):
                     continue
-                far_range = self.radio.range_of(far_node.kind)
-                far_tx = self.energy.energy_tx(frame.wire_bits, far_range)
+                far_tx = self.energy.energy_tx(frame.wire_bits,
+                                               self.radio.range_of(far_node.kind))
                 self.debit(far_node, far_tx)
-                self.trace.log(self.queue.now, "wormhole",
-                               f"{near}=>{far}:{MsgType(frame.msg_type).name}",
+                self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
-                for node_id in sorted(self.network.nodes):
+                for node_id in self.hears(far_node):
                     receiver = self.network.nodes[node_id]
-                    if receiver.id in (sender.id, near, far) or node_id in already:
+                    if receiver.id in (sender.id, near) or node_id in already:
                         continue
                     if kinds is not None and receiver.kind not in kinds:
                         continue
-                    if distance(far_node.position, receiver.position) > far_range:
-                        continue
-                    outcome = self._receive_leg(far_node, receiver, frame,
-                                                0.0, far_range, control)
+                    outcome = self._receive_leg(far_node, receiver, frame, type_name)
                     # frames appear to come from the original sender
                     if outcome == DELIVERED:
                         extra.append(receiver.id)
@@ -330,25 +371,3 @@ class Channel:
             if folded[node_id] != node.battery_mah:
                 bad.append(node_id)
         return sorted(bad)
-
-
-def neighbors(node: NodeState, population: list[NodeState], radio: RadioModel) -> list[NodeState]:
-    """Alive nodes within the closed ball of the node's own kind range."""
-    reach = radio.range_of(node.kind)
-    return [
-        other for other in population
-        if other.id != node.id and other.alive
-        and distance(node.position, other.position) <= reach
-    ]
-
-
-def connectivity_counts(node: NodeState, population: list[NodeState],
-                        radio: RadioModel) -> tuple[int, int]:
-    """(same-region count C, other-region count Cn) over radio neighbours."""
-    same = adj = 0
-    for other in neighbors(node, population, radio):
-        if other.region_id == node.region_id:
-            same += 1
-        else:
-            adj += 1
-    return same, adj

@@ -29,6 +29,24 @@ CASES = {
     "malicious35": ("scaled_ieee14.conf", _sweep_attacks("malicious", 35), 7,
                     "fd90ea341c395f02e7174e72b0d0c9290fa1b675",
                     "47efd624f6b9b6fa3798c5a1f4df619a37e68b9f"),
+    # tunnelled broadcasts: 28 (on) / 22 (off) `wormhole` trace lines
+    "wormhole": ("scaled_ieee14.conf",
+                 (AttackSpec(kind="WORMHOLE", name="wh", count=2),), 7,
+                 "b269ee76cca39f4e6f0149285e3fec65e53eed4e",
+                 "0b32240f4c971d7f31bea4ffa8f6327b768dfa5c"),
+    # compromised nodes overhearing in-range traffic
+    "insider_spy": ("scaled_ieee14.conf",
+                    (AttackSpec(kind="EAVESDROP", name="spy", count=3),), 7,
+                    "f45de89641fd8f60f8ee22a271c521f2b0e1acc6",
+                    "1be387b597226812c6581cc2bb02f7af44079040"),
+    # seed 3 gets a persona selected as forwarder: 60 `dropped(phantom)` lines
+    "sybil": ("scaled_ieee14.conf",
+              (AttackSpec(kind="SYBIL", name="sy", count=4),), 3,
+              "6b36f66e569dff40910b3df7ef1b9754735af430",
+              "d3a64c3416791c3b374df81e505c1f13d793445a"),
+    "flood1": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
+               "2949fead5698191416c5afad45b999f27b96a24a",
+               "9a8851422e8314db0ea179f650025aaec611ea52"),
 }
 
 

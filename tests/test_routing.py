@@ -105,17 +105,17 @@ def test_dijkstra_multiple_targets_takes_nearest():
     assert dijkstra(adjacency, 1, {2, 3}) == (1.0, [1, 2])
 
 
-def test_build_adjacency_uses_reach_and_weights():
+def test_build_adjacency_uses_hears_and_weights():
     class Stub:
-        def __init__(self, nid, pos):
-            self.id, self.position = nid, pos
+        def __init__(self, nid):
+            self.id = nid
 
-    nodes = [Stub(1, (0.0, 0.0)), Stub(2, (100.0, 0.0)), Stub(3, (300.0, 0.0))]
+    nodes = [Stub(1), Stub(2), Stub(3)]
+    # 4 is heard by 1 but is not in the pool, so it gets no edge
+    heard = {1: {2: 100.0, 4: 50.0}, 2: {1: 100.0, 3: 200.0}, 3: {}}
     adjacency = routing.build_adjacency(
-        nodes,
-        reach=lambda u: 250.0 if u.id == 2 else 150.0,
-        weight_of=lambda u, v, d: d)
-    assert adjacency[1] == [(2, 100.0)]
+        nodes, lambda u: heard[u.id], weight_of=lambda u, v, d: 2 * d)
+    assert adjacency[1] == [(2, 200.0)]
     # asymmetric reach: 2 hears 3 at 200 m but not vice versa
-    assert adjacency[2] == [(1, 100.0), (3, 200.0)]
+    assert adjacency[2] == [(1, 200.0), (3, 400.0)]
     assert adjacency[3] == []

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import make_world
-from sermt import simcore
+from sermt.entities import NodeState
 from sermt.simcore import (
     Channel, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
 )
@@ -227,22 +227,42 @@ def test_eavesdropper_observes_in_range_traffic():
     assert network.node(8).debited_mah == 0.0
 
 
-def test_neighbors_closed_ball_excludes_dead():
+def test_hears_closed_ball_includes_dead():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (250, 0), 1), ("N", (251, 0), 1), ("N", (100, 0), 1)])
-    population = network.members(kind="N", alive_only=False)
     network.node(8).alive = False
     me = network.node(5)
-    got = [n.id for n in simcore.neighbors(me, population, channel.radio)]
-    assert got == [6]  # 7 just out of range, 8 dead
+    # co-located GW 1 and SERVER 3 at 0 m; 250 m is on the ball, 251 m is not
+    assert channel.hears(me) == {1: 0.0, 3: 0.0, 6: 250.0, 8: 100.0}
+    # connectivity counts only the alive neighbours: 1, 3 and 6
+    assert channel.connectivity_counts(me) == (3, 0)
 
 
 def test_connectivity_counts_split_by_region():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (10, 0), 1), ("N", (20, 0), 2), ("N", (30, 0), 2)])
-    population = network.members(kind="N")
-    same, adj = simcore.connectivity_counts(network.node(5), population, channel.radio)
-    assert (same, adj) == (1, 2)
+    same, adj = channel.connectivity_counts(network.node(5))
+    # same region: GW 1, SERVER 3 (both at 0 m) and N 6; other region: 7, 8
+    assert (same, adj) == (3, 2)
+
+
+def test_hears_uses_each_nodes_own_range():
+    network, channel, _, _ = make_world([("ES", (300, 300), 1), ("N", (300, 0), 1)])
+    es, n = network.node(5), network.node(6)
+    assert channel.hears(es)[6] == 300.0     # ES range 350 m
+    assert 5 not in channel.hears(n)         # N range 250 m
+
+
+def test_add_node_joins_built_neighbourhoods():
+    network, channel, _, _ = make_world([("N", (1000, 0), 1)])
+    me = network.node(5)
+    assert channel.hears(me) == {}
+    late = NodeState(id=9, kind="N", position=(1100.0, 0.0), region_id=1,
+                     battery_mah=42.0)
+    channel.add_node(late)
+    assert channel.hears(me) == {9: 100.0}
+    assert channel.hears(late) == {5: 100.0}
+    assert network.node(9) is late and channel.initial_battery[9] == 42.0
 
 
 def test_trace_digest_deterministic():
