@@ -19,7 +19,7 @@ from . import rng as rngmod
 from .crypto import CipherFormatError, generate_keypair, rc5_decrypt
 from .entities import Network, NodeState, distance
 from .protocol import SIM_CURVE, ProtocolEngine, unpack_records
-from .simcore import Channel, EventQueue
+from .simcore import Channel
 from .wire import MsgType, make_frame
 
 ATTACK_KINDS = ("DROP", "FLOOD", "SYBIL", "SINKHOLE", "WORMHOLE",
@@ -205,17 +205,16 @@ class FloodAttack:
     Receivers spend receive energy and reject each frame (no valid chain
     key), so the only lasting effect is battery drain."""
 
-    def __init__(self, node: NodeState, spec: AttackSpec, channel: Channel,
-                 engine: ProtocolEngine, log: AttackOutcomeLog):
+    def __init__(self, node: NodeState, spec: AttackSpec, engine: ProtocolEngine,
+                 log: AttackOutcomeLog):
         self.node = node
         self.spec = spec
-        self.channel = channel
         self.engine = engine
         self.log = log
         self._seq = 0
 
-    def start(self, queue: EventQueue) -> None:
-        queue.schedule(self.spec.start_time, self._burst)
+    def start(self) -> None:
+        self.engine.queue.schedule(self.spec.start_time, self._burst)
 
     def _burst(self) -> None:
         queue = self.engine.queue
@@ -226,7 +225,7 @@ class FloodAttack:
             gbk = self.engine.gbk if self.node.has_gbk else bytes(16)
             frame = make_frame(MsgType.BLOCKED_LIST, impersonated, payload, gbk=gbk)
             self.log.bogus_frames_sent += 1
-            for victim_id in self.channel.broadcast(self.node, frame):
+            for victim_id in self.engine.channel.broadcast(self.node, frame):
                 victim = self.engine.network.nodes[victim_id]
                 self.engine._accept_control(victim, impersonated, frame)
         if self.node.alive:    # flooding drains the attacker too; dead means done
@@ -238,17 +237,16 @@ class ForgedAnchorAttack:
     server's name. Receivers reject them (candidate key never hashes onto
     their anchor), which is exactly what the hash chain is for."""
 
-    def __init__(self, node: NodeState, spec: AttackSpec, channel: Channel,
-                 engine: ProtocolEngine, log: AttackOutcomeLog, rng):
+    def __init__(self, node: NodeState, spec: AttackSpec, engine: ProtocolEngine,
+                 log: AttackOutcomeLog, rng):
         self.node = node
         self.spec = spec
-        self.channel = channel
         self.engine = engine
         self.log = log
         self.rng = rng
 
-    def start(self, queue: EventQueue) -> None:
-        queue.schedule(self.spec.start_time, self._forge)
+    def start(self) -> None:
+        self.engine.queue.schedule(self.spec.start_time, self._forge)
 
     def _forge(self) -> None:
         queue = self.engine.queue
@@ -257,7 +255,7 @@ class ForgedAnchorAttack:
         frame = make_frame(MsgType.ANCHOR_BCAST, server_id, self.rng.randbytes(20),
                            gbk=gbk, chain_key=self.rng.randbytes(20))
         self.log.bogus_frames_sent += 1
-        for victim_id in self.channel.broadcast(self.node, frame):
+        for victim_id in self.engine.channel.broadcast(self.node, frame):
             victim = self.engine.network.nodes[victim_id]
             self.engine._accept_control(victim, server_id, frame)
         if self.node.alive:
@@ -266,11 +264,11 @@ class ForgedAnchorAttack:
 
 # -- wiring ---------------------------------------------------------------------
 
-def _spawn_foreign(network: Network, channel: Channel,
-                   position: tuple[float, float], rng) -> NodeState:
+def _spawn_foreign(channel: Channel, position: tuple[float, float], rng) -> NodeState:
     """A planted device: real radio and its own keypair, but no group key,
     no pre-shared anchors, no server public keys. Joins the region of the
     nearest gateway so trust rounds will probe (and expose) it."""
+    network = channel.network
     nearest_gw = min(network.members(kind="GW"),
                      key=lambda g: (distance(position, g.position), g.id))
     node = NodeState(id=network.allocate_id(), kind="N", position=position,
@@ -299,13 +297,13 @@ def resolve_targets(spec: AttackSpec, network: Network, rng) -> tuple[int, ...]:
     return tuple(sorted(rng.sample(pool, spec.count)))
 
 
-def apply_attacks(specs: list[AttackSpec], network: Network, channel: Channel,
-                  engine: ProtocolEngine, queue: EventQueue,
+def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
                   seed: int) -> list[AttackOutcomeLog]:
-    """Install every attack; call after engine.start() so attack events at
-    equal times queue behind the protocol's bootstrap events. Returns one
-    outcome log per spec; raises AttackConfigError on any threat-model
-    violation."""
+    """Install every attack in the engine's world; call after engine.start()
+    so attack events at equal times queue behind the protocol's bootstrap
+    events. Returns one outcome log per spec; raises AttackConfigError on
+    any threat-model violation."""
+    network, channel = engine.network, engine.channel
     logs: list[AttackOutcomeLog] = []
     max_initial_bp = max((n.battery_mah for n in network.nodes.values()), default=150.0)
 
@@ -313,7 +311,7 @@ def apply_attacks(specs: list[AttackSpec], network: Network, channel: Channel,
         label = spec.name or f"{spec.kind.lower()}-{index}"
         rng = rngmod.substream(seed, f"attack:{label}")
         if spec.foreign:
-            targets = (_spawn_foreign(network, channel, spec.position, rng).id,)
+            targets = (_spawn_foreign(channel, spec.position, rng).id,)
         else:
             targets = resolve_targets(spec, network, rng)
         log = AttackOutcomeLog(name=label, kind=spec.kind, targets=targets)
@@ -330,9 +328,9 @@ def apply_attacks(specs: list[AttackSpec], network: Network, channel: Channel,
                 node.behavior = DropBehavior(spec.drop_fraction, log)
             elif spec.kind == "SINKHOLE":
                 node.behavior = SinkholeBehavior(log, inflated_bp=10 * max_initial_bp)
-                ForgedAnchorAttack(node, spec, channel, engine, log, rng).start(queue)
+                ForgedAnchorAttack(node, spec, engine, log, rng).start()
             elif spec.kind == "FLOOD":
-                FloodAttack(node, spec, channel, engine, log).start(queue)
+                FloodAttack(node, spec, engine, log).start()
             elif spec.kind == "SYBIL":
                 personas = tuple(
                     (network.allocate_id(),
@@ -352,8 +350,7 @@ def apply_attacks(specs: list[AttackSpec], network: Network, channel: Channel,
     return logs
 
 
-def confidentiality_scan(channel: Channel, engine: ProtocolEngine,
-                         logs: list[AttackOutcomeLog]) -> int:
+def confidentiality_scan(engine: ProtocolEngine, logs: list[AttackOutcomeLog]) -> int:
     """Post-run audit. Counts, per attack, the observed data payloads the
     attacker could actually decrypt with keys it holds (never assumed zero),
     and returns the number of plaintext exposures: raw reading markers seen
@@ -370,7 +367,7 @@ def confidentiality_scan(channel: Channel, engine: ProtocolEngine,
 
     markers = set(engine.delivery._marker_bytes.values())
     exposures = 0
-    for obs in channel.observations:
+    for obs in engine.channel.observations:
         log = attacker_of.get(obs.observer_id)
         if log is None:
             continue

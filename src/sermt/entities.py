@@ -4,7 +4,8 @@ A NodeState is one ICT entity: sensor node (N), energy-harvesting relay
 (ES), phasor data concentrator (PDC), measuring units (MU/PMU), substation
 gateway (GW) or control-center server (SERVER).  The Network holds all of
 them plus the layout indices (regions, substations, adjacency) the
-protocol needs.
+protocol needs.  What the protocol decides about a node (trust, cluster,
+acting concentrator, session keys) is kept by the protocol engine alone.
 """
 
 from __future__ import annotations
@@ -28,16 +29,11 @@ class NodeState:
     substation_id: int | None = None
     bus_id: int | None = None
     battery_mah: float = 150.0
-    trust: float = 100.0        # servers' view, percent
     alive: bool = True
     has_gbk: bool = True        # foreign attacker hardware lacks it
     keypair: KeyPair | None = None
-    session_keys: dict[int, bytes] = field(default_factory=dict)   # peer id -> key
     server_pubkeys: dict[int, tuple] = field(default_factory=dict)
     chain_state: dict[int, ChainAnchorState] = field(default_factory=dict)
-    cluster_key: bytes | None = None      # serialized ClusterId this node belongs to
-    is_cluster_head: bool = False
-    acting_pdc_for: int | None = None     # region id when an ES stands in for a PDC
     behavior: object | None = None        # adversarial override, see adversary module
     debited_mah: float = 0.0
     recharged_mah: float = 0.0

@@ -1,6 +1,6 @@
 """Run metrics: delivery counts, throughput, and battery consumption.
 
-Metrics are collected live from the engine and channel, but every headline
+Metrics are collected live from the engine's world, but every headline
 number can also be recomputed by replaying the text trace against the static
 scenario facts (node kinds, initial batteries, energy constants) — see
 `replay_trace`. `emit_csv`/`render_line_chart` produce the sweep artifacts.
@@ -12,8 +12,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .entities import MAINS_POWERED, RECHARGEABLE, Network
-from .simcore import Channel, EnergyModel
+from .entities import MAINS_POWERED, RECHARGEABLE
+from .simcore import EnergyModel
 from .protocol import ProtocolEngine
 
 SENSOR_KINDS = ("N", "ES")   # the averaging population for battery figures
@@ -51,10 +51,6 @@ class Metrics:
     attack_counters: dict[str, dict[str, int]] = field(default_factory=dict)
     node_ledger: tuple[NodeEnergyRow, ...] = ()
 
-    @property
-    def total_consumed_mah(self) -> float:
-        return sum(row.consumed_mah for row in self.node_ledger)
-
 
 def _avg_bp_per_hour(consumed: dict[int, float], kinds: dict[int, str],
                      duration: float) -> float:
@@ -65,9 +61,9 @@ def _avg_bp_per_hour(consumed: dict[int, float], kinds: dict[int, str],
     return sum(consumed.get(nid, 0.0) for nid in sensors) / len(sensors) / hours
 
 
-def collect_metrics(network: Network, channel: Channel, engine: ProtocolEngine,
-                    attack_logs, duration: float, exposures: int) -> Metrics:
-    delivery = engine.delivery
+def collect_metrics(engine: ProtocolEngine, attack_logs, duration: float,
+                    exposures: int) -> Metrics:
+    network, delivery = engine.network, engine.delivery
     ledger = tuple(
         NodeEnergyRow(node.id, node.kind, node.debited_mah, node.recharged_mah,
                       node.battery_mah, node.alive)

@@ -39,9 +39,9 @@ from .crypto import (
     rc5_decrypt,
     rc5_encrypt,
 )
-from .entities import Network, NodeState, distance
+from .entities import NodeState, distance
 from .routing import build_adjacency, dijkstra, route_weight
-from .simcore import Channel, DELIVERED, EventQueue, Trace
+from .simcore import Channel, DELIVERED
 from .wire import Frame, MsgType, make_frame, verify_frame
 
 TRUST_THRESHOLD = 40.0          # trusted means strictly above
@@ -209,7 +209,18 @@ class ProtocolConfig:
     pmu_reading_bytes: int = 128
     chain_length: int = 1024
     chain_low_water: int = 4
-    defense: bool = True
+
+    def __post_init__(self):
+        for name in ("trust_round_interval", "gw_probe_interval", "mu_interval",
+                     "pmu_interval"):
+            if not getattr(self, name) > 0:         # NaN too: it would stall the queue
+                raise ValueError(f"{name} must be positive")
+        for name in ("test_messages", "chain_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("mu_reading_bytes", "pmu_reading_bytes"):
+            if getattr(self, name) < MARKER_LEN:
+                raise ValueError(f"{name} must be at least {MARKER_LEN} (the marker)")
 
 
 @dataclass
@@ -222,7 +233,6 @@ class DeliveryLog:
     auth_rejects: int = 0            # failed MAC / chain-key checks
     tamper_detected: int = 0         # ciphertext rejected at decryption
     forged_accepts: int = 0          # accepted control key never issued (must stay 0)
-    stale_regions: int = 0
     _marker_bits: dict[int, int] = field(default_factory=dict)
     _marker_bytes: dict[int, bytes] = field(default_factory=dict)
     _delivered_ids: set[int] = field(default_factory=set)
@@ -248,16 +258,20 @@ DATA_TYPES = (MsgType.EMD, MsgType.DATA, MsgType.AGG_DATA)
 
 
 class ProtocolEngine:
-    """Event-driven protocol state machine bound to one simulation world."""
+    """Event-driven protocol state machine bound to one simulation world.
 
-    def __init__(self, network: Network, channel: Channel, queue: EventQueue,
-                 trace: Trace, config: ProtocolConfig, seed: int):
-        self.network = network
+    The engine takes its world (network, event queue, trace) from the
+    channel it is bound to; attacks and metrics in turn read it from the
+    engine."""
+
+    def __init__(self, channel: Channel, config: ProtocolConfig, seed: int, *,
+                 defense: bool):
         self.channel = channel
-        self.queue = queue
-        self.trace = trace
+        self.network = channel.network
+        self.queue = channel.queue
+        self.trace = channel.trace
         self.config = config
-        self.defense = config.defense
+        self.defense = defense
         self.rng = rngmod.substream(seed, "protocol")
         self.delivery = DeliveryLog()
 
@@ -466,7 +480,6 @@ class ProtocolEngine:
                         frontier.append(adjacent)
                         continue
                 table.stale_regions.add(adjacent)
-                self.delivery.stale_regions += 1
                 self.trace.log(t, "round", f"region:{adjacent}", "stale")
 
         # stale regions keep their last-known scores
@@ -476,9 +489,6 @@ class ProtocolEngine:
                     table.record(node.id, previous.records[node.id])
 
         self.tables[initiator.id] = table
-        for entity_id, tv in table.records.items():
-            if entity_id in net.nodes:
-                net.nodes[entity_id].trust = tv
         self._sync_peer_server(initiator, table)
         self._push_gateway_tables(initiator, table)
         self._regenerate_server_keys()
@@ -673,9 +683,6 @@ class ProtocolEngine:
 
     def _form_clusters(self) -> None:
         net, channel = self.network, self.channel
-        for node in net.nodes.values():
-            node.is_cluster_head = False
-            node.cluster_key = None
         self.clusters, self.cluster_head = {}, {}
         carriers = sorted({f for f in self.forwarder_of.values()
                            if f is not None and f in net.nodes})
@@ -722,16 +729,11 @@ class ProtocolEngine:
             self.clusters[solicitor_id] = cluster
             self.cluster_head[solicitor_id] = head_id
             head = net.nodes[head_id]
-            head.is_cluster_head = True
             for member_id in cluster:
-                net.nodes[member_id].cluster_key = cluster_id.encode()
                 if member_id != head_id and member_id in set(carriers):
                     self._ensure_session(net.nodes[member_id], head)
 
     # -- sessions ------------------------------------------------------------
-
-    def session_key(self, a_id: int, b_id: int) -> bytes | None:
-        return self.sessions.get((min(a_id, b_id), max(a_id, b_id)))
 
     def _ensure_session(self, a: NodeState, b: NodeState,
                         path: tuple[int, ...] | None = None) -> bytes | None:
@@ -840,14 +842,14 @@ class ProtocolEngine:
 
     # -- readings ---------------------------------------------------------------
 
-    def _new_reading(self, size: int) -> tuple[int, bytes]:
+    def _new_reading(self, size: int) -> bytes:
         counter = next(self._marker_seq)
         marker = MARKER_MAGIC + struct.pack(">I", counter) + self.rng.randbytes(8)
         reading = marker + self.rng.randbytes(size - MARKER_LEN)
         self.delivery.emit(counter, marker, len(reading) * 8)
         self.trace.log(self.queue.now, "emit", f"reading:{counter}",
                        f"bits:{len(reading) * 8}")
-        return counter, reading
+        return reading
 
     def ingest_reading(self, reading: bytes) -> None:
         if reading[:4] != MARKER_MAGIC or len(reading) < MARKER_LEN:
@@ -891,7 +893,7 @@ class ProtocolEngine:
             for mu in net.members(kind="MU"):
                 if mu.substation_id != gw.substation_id:
                     continue
-                counter, reading = self._new_reading(self.config.mu_reading_bytes)
+                reading = self._new_reading(self.config.mu_reading_bytes)
                 if gw.substation_id in (net.main_cc, net.backup_cc):
                     self.ingest_reading(reading)   # same site as the server
                 else:
@@ -1026,7 +1028,7 @@ class ProtocolEngine:
                     if n.substation_id == substation_id]
             readings = []
             for pmu in pmus:
-                counter, reading = self._new_reading(self.config.pmu_reading_bytes)
+                reading = self._new_reading(self.config.pmu_reading_bytes)
                 if substation_id in (net.main_cc, net.backup_cc):
                     self.ingest_reading(reading)
                 else:
@@ -1134,14 +1136,10 @@ class ProtocolEngine:
 
     def pdc_failover(self, region_id: int) -> int | None:
         """Promote the most trusted ES of the region to acting concentrator."""
-        net = self.network
         table = self.current_table()
         old = self._region_pdc(region_id)
-        candidates = [es for es in net.members(kind="ES", region=region_id)
+        candidates = [es for es in self.network.members(kind="ES", region=region_id)
                       if table.trusted(es.id) and (old is None or es.id != old.id)]
-        previous = self.acting_pdc.get(region_id)
-        if previous is not None:
-            net.nodes[previous].acting_pdc_for = None
         if not candidates:
             self.acting_pdc.pop(region_id, None)
             self.delivery.undeliverable_alarms += 1
@@ -1149,7 +1147,6 @@ class ProtocolEngine:
             return None
         chosen = max(candidates, key=lambda es: (table.tv(es.id), -es.id))
         self.acting_pdc[region_id] = chosen.id
-        chosen.acting_pdc_for = region_id
         self.pdc_routes.clear()
         self.trace.log(self.queue.now, "failover", f"region:{region_id}",
                        f"acting_pdc:{chosen.id}")
@@ -1157,8 +1154,6 @@ class ProtocolEngine:
 
     def restore_pdc(self, region_id: int) -> None:
         """Operator action: the original concentrator is back in service."""
-        previous = self.acting_pdc.pop(region_id, None)
-        if previous is not None:
-            self.network.nodes[previous].acting_pdc_for = None
+        self.acting_pdc.pop(region_id, None)
         self.pdc_routes.clear()
         self.trace.log(self.queue.now, "failover", f"region:{region_id}", "restored")

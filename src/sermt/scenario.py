@@ -95,7 +95,10 @@ def _build_model(cls, section, label: str):
                 values[key] = raw
         except ValueError as exc:
             raise ConfigError(f"[{label}] bad value for {key}: {exc}") from exc
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{label}] {exc}") from exc
 
 
 _ATTACK_KEYS = ("kind", "targets", "count", "start_time", "attack_interval",
@@ -129,9 +132,9 @@ def _parse_attack(label: str, section) -> AttackSpec:
             if len(coords) != 2:
                 raise ValueError("position needs exactly two coordinates")
             kwargs["position"] = (coords[0], coords[1])
-    except ValueError as exc:
+        return AttackSpec(**kwargs)
+    except ValueError as exc:       # AttackConfigError included
         raise ConfigError(f"[attack:{label}] {exc}") from exc
-    return AttackSpec(**kwargs)
 
 
 def _resolve_topology(raw: str, config_dir: Path) -> Path:
@@ -196,12 +199,8 @@ def load_config(path: Path | str, *, seed_override: int | None = None) -> Scenar
              if "radio" in parser else RadioModel())
     energy = (_build_model(EnergyModel, parser["energy"], "energy")
               if "energy" in parser else EnergyModel())
-    if "protocol" in parser:
-        if "defense" in parser["protocol"]:
-            raise ConfigError("defense belongs in [scenario], not [protocol]")
-        protocol = _build_model(ProtocolConfig, parser["protocol"], "protocol")
-    else:
-        protocol = ProtocolConfig()
+    protocol = (_build_model(ProtocolConfig, parser["protocol"], "protocol")
+                if "protocol" in parser else ProtocolConfig())
 
     attacks = []
     for name in parser.sections():
@@ -252,21 +251,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     queue, trace = EventQueue(), Trace()
     channel = Channel(network, config.radio, config.energy, trace, queue,
                       rngmod.substream(config.seed, "loss"))
-    engine = ProtocolEngine(network, channel, queue, trace,
-                            replace(config.protocol, defense=config.defense),
-                            config.seed)
+    engine = ProtocolEngine(channel, config.protocol, config.seed, defense=config.defense)
     engine.start()
-    attack_logs = apply_attacks(list(config.attacks), network, channel, engine,
-                                queue, config.seed)
+    attack_logs = apply_attacks(list(config.attacks), engine, config.seed)
     queue.run_until(config.duration)
     channel.finalize(config.duration)
     errors = channel.conservation_errors()
     if errors:
         raise SimulationFault("energy ledger check failed: "
                               + "; ".join(map(str, errors[:3])))
-    exposures = confidentiality_scan(channel, engine, attack_logs)
-    metrics = collect_metrics(network, channel, engine, attack_logs,
-                              config.duration, exposures)
+    exposures = confidentiality_scan(engine, attack_logs)
+    metrics = collect_metrics(engine, attack_logs, config.duration, exposures)
     return ScenarioResult(config=config, metrics=metrics, trace=trace,
                           attack_logs=attack_logs, network=network,
                           channel=channel, engine=engine)

@@ -1,9 +1,10 @@
 """Deterministic discrete-event engine: clock, radio, energy, trace.
 
 The Channel is the only place energy moves and frames travel.  Every
-battery change goes through one accumulation point and is recorded in an
-in-memory ledger, so the conservation check can re-fold the same floats
-in the same order and demand bit-exact equality.
+battery change goes through one accumulation point, which also adds it to
+the node's balance in the ledger: one folded balance per node, built from
+the same floats in the same order as the battery, so the conservation
+check can demand bit-exact equality in O(nodes) memory.
 
 The Channel also owns the radio geometry: `hears` is the one answer to
 "who is in whose range".  Positions are fixed after deployment, so each
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .entities import Network, NodeState, distance
 from .wire import Frame, MsgType
@@ -54,6 +55,10 @@ class EnergyModel:
     recharge_rate: float = 0.01   # mAh/s for harvesting kinds
     battery_capacity_es: float = 2000.0
     initial_battery: float = 150.0
+
+    def __post_init__(self):
+        if not self.volts > 0:
+            raise ValueError("volts must be positive")
 
     def energy_tx(self, bits: int, dist: float) -> float:
         return bits * (self.e_amp * dist * dist + self.e_baseband + self.e_frontend)
@@ -138,7 +143,7 @@ class Channel:
         self.trace = trace
         self.queue = queue
         self.loss_rng = loss_rng
-        self.ledger: list[tuple[int, float]] = []       # (node_id, effective mAh delta)
+        self.ledger: dict[int, float] = {}              # node_id -> folded balance, mAh
         self.initial_battery: dict[int, float] = {
             n.id: n.battery_mah for n in network.nodes.values()
         }
@@ -178,7 +183,7 @@ class Channel:
     # -- energy -----------------------------------------------------------
 
     def apply_energy(self, node: NodeState, delta_mah: float) -> None:
-        """The single battery accumulation point (ledger replay relies on it)."""
+        """The single battery accumulation point (the ledger relies on it)."""
         if node.mains_powered or delta_mah == 0.0:
             return
         if delta_mah < 0:
@@ -189,7 +194,7 @@ class Channel:
             effective = min(delta_mah, cap - node.battery_mah)
             node.recharged_mah += effective
         node.battery_mah += effective
-        self.ledger.append((node.id, effective))
+        self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + effective
         if node.kind == "N" and node.battery_mah == 0.0 and node.alive:
             node.alive = False
             self.trace.log(self.queue.now, "death", str(node.id), "battery_exhausted")
@@ -362,12 +367,10 @@ class Channel:
     # -- checks ------------------------------------------------------------
 
     def conservation_errors(self) -> list[int]:
-        """Node IDs whose ledger replay does not reproduce the final battery."""
-        folded = dict(self.initial_battery)
-        for node_id, delta in self.ledger:
-            folded[node_id] += delta
+        """Node IDs whose ledger balance is not their final battery."""
         bad = []
         for node_id, node in self.network.nodes.items():
-            if folded[node_id] != node.battery_mah:
+            balance = self.ledger.get(node_id, self.initial_battery[node_id])
+            if balance != node.battery_mah:
                 bad.append(node_id)
         return sorted(bad)

@@ -14,10 +14,7 @@ from sermt.adversary import (
     cyclic_pass_pattern,
     resolve_targets,
 )
-from sermt.entities import Network
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
-from sermt.protocol import ProtocolConfig, ProtocolEngine
-from sermt.simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
 
 from test_protocol import make_sim, mini_world
 
@@ -26,7 +23,7 @@ def attacked_sim(world, specs, *, defense=True, seed=11, **overrides):
     net, chan, queue, trace, eng = make_sim(world, defense=defense, seed=seed,
                                             **overrides)
     eng.start()
-    logs = apply_attacks(specs, net, chan, eng, queue, seed)
+    logs = apply_attacks(specs, eng, seed)
     return net, chan, queue, trace, eng, logs
 
 
@@ -72,10 +69,9 @@ def test_specs_rejected_outside_threat_model():
     for protected in (23, 26, 16, 22):
         spec = AttackSpec(kind="DROP", target_ids=(protected,))
         with pytest.raises(AttackConfigError):
-            apply_attacks([spec], net, chan, eng, queue, seed=1)
+            apply_attacks([spec], eng, seed=1)
     with pytest.raises(AttackConfigError):
-        apply_attacks([AttackSpec(kind="DROP", target_ids=(999,))],
-                      net, chan, eng, queue, seed=1)
+        apply_attacks([AttackSpec(kind="DROP", target_ids=(999,))], eng, seed=1)
 
 
 def test_random_target_selection_is_seeded_and_bounded():
@@ -95,7 +91,7 @@ def test_random_target_selection_is_seeded_and_bounded():
     with pytest.raises(AttackConfigError):
         apply_attacks([AttackSpec(kind="DROP", target_ids=(7,)),
                        AttackSpec(kind="SINKHOLE", target_ids=(7,))],
-                      net2, chan2, eng2, queue2, seed=1)
+                      eng2, seed=1)
 
 
 def test_empty_spec_list_matches_clean_trace():
@@ -252,7 +248,7 @@ def test_foreign_eavesdropper_hears_everything_decrypts_nothing():
     spec = AttackSpec(kind="EAVESDROP", foreign=True, position=(810.0, 30.0))
     net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [spec])
     queue.run_until(121.0)
-    exposures = confidentiality_scan(chan, eng, logs)
+    exposures = confidentiality_scan(eng, logs)
     assert logs[0].frames_overheard > 100
     assert logs[0].payloads_decrypted == 0
     assert exposures == 0
@@ -267,7 +263,7 @@ def test_insider_eavesdropper_decrypts_only_its_own_sessions():
     spec = AttackSpec(kind="EAVESDROP", target_ids=(9,))    # the chosen ES
     net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [spec])
     queue.run_until(121.0)
-    exposures = confidentiality_scan(chan, eng, logs)
+    exposures = confidentiality_scan(eng, logs)
     assert exposures == 0                  # everything on the air is encrypted
     assert logs[0].payloads_decrypted > 0  # but its own session traffic opens
     own_keys = {key for pair, key in eng.sessions.items() if 9 in pair}

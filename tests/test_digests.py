@@ -47,6 +47,11 @@ CASES = {
     "flood1": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
                "2949fead5698191416c5afad45b999f27b96a24a",
                "9a8851422e8314db0ea179f650025aaec611ea52"),
+    # both region concentrators dropping: 2 `failover` lines with defense on
+    "pdc_drop": ("scaled_ieee14.conf",
+                 (AttackSpec(kind="DROP", name="pdc", target_ids=(91, 92)),), 7,
+                 "98e8fd9da937563d38ec5d956a01aa24e98d7f2b",
+                 "6c3851421fc0f93854bf56d1a260f7b4b3b72074"),
 }
 
 

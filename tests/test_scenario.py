@@ -108,7 +108,17 @@ def test_malformed_configs_rejected(tmp_path):
         BASE.replace("topology = ieee14.grid", "topology = nope.grid"),
         BASE.replace("radius_threshold = 400", "radius_threshold = -5"),
         BASE.replace("radius_threshold = 400", "radius_threshold = 0"),
+        BASE + "[attack:x]\nkind = BOGUS\ncount = 1\n",
+        BASE + "[attack:x]\nkind = DROP\n",                # no count or targets
+        BASE + "[energy]\nvolts = 0\n",
     ]
+    # out-of-range model values; loading never starts a run, so none can hang
+    for key, value in (("test_messages", 0), ("chain_length", 0),
+                       ("mu_reading_bytes", 8), ("pmu_reading_bytes", 15),
+                       ("mu_interval", 0), ("pmu_interval", 0),
+                       ("gw_probe_interval", 0), ("trust_round_interval", -5),
+                       ("mu_interval", "nan")):
+        bad.append(BASE + f"[protocol]\n{key} = {value}\n")
     for text in bad:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, text))
@@ -277,6 +287,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                                                    "radius_threshold = -5"),
                             name="negative.conf")
     assert cli.main(["run", str(negative)]) == cli.EXIT_CONFIG
+    for key, value in (("trust_round_interval", -5), ("test_messages", 0)):
+        out_of_range = write_config(tmp_path, BASE + f"[protocol]\n{key} = {value}\n",
+                                    name=f"{key}.conf")
+        assert cli.main(["run", str(out_of_range)]) == cli.EXIT_CONFIG
     grid_path = str(scenario.DATA_DIR / "ieee14.grid")
     assert cli.main(["topo", grid_path, "--radius", "-5"]) == cli.EXIT_CONFIG
     capsys.readouterr()

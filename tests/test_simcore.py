@@ -174,7 +174,7 @@ def test_mains_powered_nodes_never_drain():
     gw = network.node(1)
     channel.debit(gw, 1e6)
     assert gw.battery_mah == 150.0 and gw.debited_mah == 0.0
-    assert channel.ledger == []
+    assert channel.ledger == {}
 
 
 def test_energy_conservation_ledger():
@@ -189,6 +189,7 @@ def test_energy_conservation_ledger():
             network.node(s), network.node(d), frame_of(s)))
     queue.run_until(t)
     channel.finalize(t)
+    assert len(channel.ledger) == 3       # one folded balance per charged node
     assert channel.conservation_errors() == []
     network.node(5).battery_mah += 1e-9   # corrupt: the check must notice
     assert channel.conservation_errors() == [5]
