@@ -8,6 +8,7 @@ protocol behaviour, not real-world security margins.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import struct
@@ -44,7 +45,8 @@ def sha1_digest(data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian ladder)
+# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian ladder,
+# fixed-base generator table)
 
 Point = tuple[int, int] | None  # None is the point at infinity
 
@@ -107,8 +109,17 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
     return (x3, y3)
 
 
-# scalar_mult runs in Jacobian coordinates so the whole ladder costs a single
-# modular inversion; point_add above stays affine as the independent oracle.
+# scalar_mult runs in Jacobian coordinates so each multiply costs a single
+# modular inversion; point_add above stays affine as the independent oracle
+# the tests compare both paths against.
+#
+# k*G on the one fixed generator (every key pair and every ECC ephemeral) reads
+# a fixed-base table instead (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
+# 1992): row[i][d] = d * 16**i * G, one row per 4-bit window of n, so k*G is one
+# mixed add per non-zero base-16 digit of k and no doubling.  The table is
+# built with point_add on first use, not at import, so a run that multiplies G
+# pays for it inside its own measured time.  Any other point takes the
+# double-and-add ladder.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -145,17 +156,38 @@ def _jac_add_affine(q: tuple[int, int, int] | None, pt: tuple[int, int],
     return (x3, y3, z1 * h % p)
 
 
+@functools.cache
+def _generator_table(curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
+    """row[i][d] = d * 16**i * G for d in 0..15 (row[i][0] is infinity)."""
+    rows = []
+    base = curve.g
+    for _ in range((curve.n.bit_length() + 3) // 4):
+        row = [None, base]
+        for _ in range(14):
+            row.append(point_add(row[-1], base, curve))
+        rows.append(tuple(row))
+        base = point_add(row[-1], base, curve)
+    return tuple(rows)
+
+
 def scalar_mult(k: int, point: Point, curve: CurveParams) -> Point:
     if point is None or k % curve.n == 0:
         return None
     k %= curve.n
     p, a = curve.p, curve.a
     acc: tuple[int, int, int] | None = None
-    for bit in bin(k)[2:]:
-        if acc is not None:
-            acc = _jac_double(acc, p, a)
-        if bit == "1":
-            acc = _jac_add_affine(acc, point, p, a)
+    if point == curve.g:
+        # 0 < d * 16**i <= k < n, so no table entry read here is infinity.
+        for row in _generator_table(curve):
+            if k & 15:
+                acc = _jac_add_affine(acc, row[k & 15], p, a)
+            k >>= 4
+    else:
+        for bit in bin(k)[2:]:
+            if acc is not None:
+                acc = _jac_double(acc, p, a)
+            if bit == "1":
+                acc = _jac_add_affine(acc, point, p, a)
     if acc is None:
         return None
     zinv = pow(acc[2], -1, p)

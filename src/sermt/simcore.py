@@ -37,6 +37,14 @@ class RadioModel:
     range_server: float = 300.0
     loss_probability: float = 0.0
 
+    def __post_init__(self):
+        for name in ("range_n", "range_es", "range_pdc", "range_mu", "range_gw",
+                     "range_server"):
+            if not getattr(self, name) > 0:         # NaN too: nobody would hear anyone
+                raise ValueError(f"{name} must be positive")
+        if not 0 <= self.loss_probability <= 1:
+            raise ValueError("loss_probability must be in [0, 1]")
+
     def range_of(self, kind: str) -> float:
         return {
             "N": self.range_n, "ES": self.range_es, "PDC": self.range_pdc,
@@ -57,8 +65,13 @@ class EnergyModel:
     initial_battery: float = 150.0
 
     def __post_init__(self):
-        if not self.volts > 0:
-            raise ValueError("volts must be positive")
+        for name in ("volts", "battery_capacity_es"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("e_amp", "e_baseband", "e_frontend", "e_lna", "recharge_rate",
+                     "initial_battery"):
+            if not getattr(self, name) >= 0:        # NaN too
+                raise ValueError(f"{name} must not be negative")
 
     def energy_tx(self, bits: int, dist: float) -> float:
         return bits * (self.e_amp * dist * dist + self.e_baseband + self.e_frontend)

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sermt import crypto
 from sermt.crypto import (
@@ -93,6 +98,57 @@ def test_scalar_two_matches_hand_doubling():
     x2 = (s * s - 2 * x) % curve.p
     y2 = (s * (x - x2) - y) % curve.p
     assert crypto.scalar_mult(2, curve.g, curve) == (x2, y2)
+
+
+def affine_oracle(k, point, curve):
+    """k * point by double-and-add on the affine point_add alone."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = crypto.point_add(acc, acc, curve)
+        if bit == "1":
+            acc = crypto.point_add(acc, point, curve)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 * crypto.SIM_CURVE.n))
+def test_generator_path_matches_affine_oracle(k):
+    curve = crypto.SIM_CURVE
+    assert crypto.scalar_mult(k, curve.g, curve) == affine_oracle(k, curve.g, curve)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 * crypto.SIM_CURVE.n), st.integers(1, crypto.SIM_CURVE.n - 1))
+def test_ladder_agrees_with_generator_path(k, m):
+    # k * (m * G) takes the double-and-add ladder; (k * m) * G takes the table.
+    curve = crypto.SIM_CURVE
+    point = crypto.scalar_mult(m, curve.g, curve)
+    assert crypto.scalar_mult(k, point, curve) == crypto.scalar_mult(k * m % curve.n, curve.g, curve)
+
+
+def test_generator_path_window_edges():
+    curve = crypto.SIM_CURVE
+    for k in (1, 15, 16, 17, 2 ** 124, curve.n - 1, curve.n, curve.n + 1):
+        assert crypto.scalar_mult(k, curve.g, curve) == affine_oracle(k, curve.g, curve), k
+    assert crypto.scalar_mult(curve.n - 1, curve.g, curve) == (curve.gx, curve.p - curve.gy)
+
+
+def test_both_paths_exhaustive_on_toy_curve():
+    # n = 7 fits one 4-bit window, so the generator table is a single row.
+    points = [crypto.scalar_mult(m, TOY.g, TOY) for m in range(1, TOY.n)]
+    for k in range(2 * TOY.n + 1):
+        for point in points:
+            assert crypto.scalar_mult(k, point, TOY) == affine_oracle(k, point, TOY), (k, point)
+
+
+def test_generator_table_not_built_at_import():
+    # A run that multiplies G pays for the table itself, inside its own time.
+    code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
+            "print(c._generator_table.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "0"
 
 
 def test_keypair_deterministic_and_distinct():

@@ -113,6 +113,13 @@ def test_malformed_configs_rejected(tmp_path):
         BASE + "[energy]\nvolts = 0\n",
     ]
     # out-of-range model values; loading never starts a run, so none can hang
+    for key, value in (("range_n", -5), ("range_es", 0), ("range_server", "nan"),
+                       ("loss_probability", 2), ("loss_probability", -0.1),
+                       ("loss_probability", "nan")):
+        bad.append(BASE + f"[radio]\n{key} = {value}\n")
+    for key, value in (("e_amp", -1e-12), ("e_lna", "nan"), ("recharge_rate", -1),
+                       ("battery_capacity_es", 0), ("initial_battery", -1)):
+        bad.append(BASE + f"[energy]\n{key} = {value}\n")
     for key, value in (("test_messages", 0), ("chain_length", 0),
                        ("mu_reading_bytes", 8), ("pmu_reading_bytes", 15),
                        ("mu_interval", 0), ("pmu_interval", 0),
@@ -287,8 +294,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                                                    "radius_threshold = -5"),
                             name="negative.conf")
     assert cli.main(["run", str(negative)]) == cli.EXIT_CONFIG
-    for key, value in (("trust_round_interval", -5), ("test_messages", 0)):
-        out_of_range = write_config(tmp_path, BASE + f"[protocol]\n{key} = {value}\n",
+    for section, key, value in (("protocol", "trust_round_interval", -5),
+                                ("protocol", "test_messages", 0),
+                                ("radio", "loss_probability", 2), ("radio", "range_n", -5),
+                                ("energy", "initial_battery", -1),
+                                ("energy", "recharge_rate", -1)):
+        out_of_range = write_config(tmp_path, BASE + f"[{section}]\n{key} = {value}\n",
                                     name=f"{key}.conf")
         assert cli.main(["run", str(out_of_range)]) == cli.EXIT_CONFIG
     grid_path = str(scenario.DATA_DIR / "ieee14.grid")
