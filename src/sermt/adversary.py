@@ -11,6 +11,7 @@ the simulation queue. Every attack appends its effects to an
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,9 +53,9 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise AttackConfigError(f"unknown attack kind {self.kind!r}")
-        if self.start_time < 0:
+        if not self.start_time >= 0:            # NaN too
             raise AttackConfigError("start_time must be >= 0")
-        if self.attack_interval <= 0:
+        if not self.attack_interval > 0:        # NaN too: bursts would stop after one
             raise AttackConfigError("attack_interval must be positive")
         if not 0 < self.drop_fraction <= 1:
             raise AttackConfigError("drop_fraction must be in (0, 1]")
@@ -66,6 +67,8 @@ class AttackSpec:
             raise AttackConfigError("a wormhole needs exactly two endpoint ids")
         if self.foreign and self.position is None:
             raise AttackConfigError("a foreign attacker needs a position")
+        if self.position is not None and not all(map(math.isfinite, self.position)):
+            raise AttackConfigError("position must be finite")
         if not self.foreign and not self.target_ids and self.count < 1:
             raise AttackConfigError("give target_ids or a positive count")
 

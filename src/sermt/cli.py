@@ -96,7 +96,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_topo(args) -> int:
-    if args.radius <= 0:
+    if not args.radius > 0:                     # NaN too
         raise ConfigError(f"--radius must be positive, got {args.radius:g}")
     try:
         topology = load_grid_file(args.grid_file)

@@ -384,11 +384,29 @@ def verify_chain_key(candidate: bytes, anchor: bytes, max_steps: int) -> tuple[b
     return False, 0
 
 
+@functools.lru_cache(maxsize=32)
+def _chain_walk(candidate: bytes, max_steps: int) -> frozenset[bytes]:
+    """{sha1^1(candidate), ..., sha1^max_steps(candidate)}."""
+    walk = []
+    current = candidate
+    for _ in range(max_steps):
+        current = sha1_digest(current)
+        walk.append(current)
+    return frozenset(walk)
+
+
 class ChainAnchorState:
     """Receiver-side chain head: accepts only strictly-earlier keys, once.
 
+    A key is accepted iff hashing it 1..max_steps times reaches the head.
     Advancing the head to each accepted key rejects replays — a key at or
     after the head can never hash to it in one or more steps.
+
+    The next key costs one hash. Any other candidate is looked up in its
+    walk, which `_chain_walk` computes once per distinct (candidate,
+    max_steps) and keeps in a small LRU cache: a broadcast key is checked
+    by every receiver in turn, so they share one walk instead of each
+    hashing it up to max_steps times. Decisions are the same as walking it.
     """
 
     def __init__(self, anchor: bytes, max_steps: int = 64):
@@ -398,12 +416,10 @@ class ChainAnchorState:
         self.max_steps = max_steps
 
     def accept(self, candidate: bytes) -> bool:
-        current = sha1_digest(candidate)
-        for _ in range(self.max_steps):
-            if current == self.head:
-                self.head = candidate
-                return True
-            current = sha1_digest(current)
+        if (sha1_digest(candidate) == self.head
+                or self.head in _chain_walk(candidate, self.max_steps)):
+            self.head = candidate
+            return True
         return False
 
 

@@ -12,6 +12,7 @@ attack-interval series with the defense both on and off.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -53,11 +54,11 @@ class ScenarioConfig:
     attacks: tuple[AttackSpec, ...] = ()
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.duration < math.inf:    # NaN and inf too
+            raise ConfigError("duration must be positive and finite")
         if self.n_nodes < 0 or self.es_nodes < 0:
             raise ConfigError("node counts must be non-negative")
-        if self.radius_threshold <= 0:
+        if not self.radius_threshold > 0:       # NaN too
             raise ConfigError("radius_threshold must be positive")
 
 

@@ -266,6 +266,68 @@ def test_anchor_state_accepts_exactly_the_unconsumed_suffix():
             assert not state.accept(candidate)  # replay
 
 
+def offer_all(state, candidates):
+    """Offer each candidate to state and check it against the reference walk:
+    accept iff verify_chain_key reaches the head in one or more steps."""
+    head = state.head
+    for candidate in candidates:
+        accepted, steps = verify_chain_key(candidate, head, state.max_steps)
+        expected = candidate if accepted and steps >= 1 else head
+        assert state.accept(candidate) == (expected != head)
+        assert state.head == expected
+        head = expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(min_size=1, max_size=8), st.integers(1, 150), st.integers(1, 80), st.data())
+def test_cached_accept_matches_reference_walk(seed, length, max_steps, data):
+    keys = HashChain(seed, length)._keys  # K_1..K_n
+    state = ChainAnchorState(data.draw(st.sampled_from(keys)), max_steps)
+    key_or_forgery = st.one_of(st.sampled_from(keys), st.binary(min_size=20, max_size=20))
+    candidates = data.draw(st.lists(key_or_forgery, max_size=40))
+    offer_all(state, [c for c in candidates for _ in range(2)])  # each one then its replay
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.binary(min_size=1, max_size=8), st.integers(1, 80), st.data())
+def test_cached_accept_matches_reference_walk_past_eviction(seed, max_steps, data):
+    capacity = crypto._chain_walk.cache_info().maxsize
+    keys = HashChain(seed, 150)._keys
+    forgeries = data.draw(st.lists(st.binary(min_size=20, max_size=20),
+                                   min_size=capacity + 1, max_size=2 * capacity, unique=True))
+    genuine = data.draw(st.lists(st.sampled_from(keys), max_size=capacity))
+    order = data.draw(st.permutations(forgeries + genuine))
+    # the second pass finds the first pass's earliest walks evicted
+    offer_all(ChainAnchorState(keys[-1], max_steps), order + order)
+    assert crypto._chain_walk.cache_info().currsize == capacity
+
+
+def counted_sha1(monkeypatch):
+    calls = []
+    real = crypto.sha1_digest
+    monkeypatch.setattr(crypto, "sha1_digest", lambda data: calls.append(data) or real(data))
+    return calls
+
+
+def test_genuine_next_key_costs_one_hash(monkeypatch):
+    keys = HashChain(b"one-hash", 8)._keys
+    state = ChainAnchorState(keys[-1])
+    calls = counted_sha1(monkeypatch)
+    assert state.accept(keys[-2])
+    assert calls == [keys[-2]]
+
+
+def test_forged_key_is_walked_once_for_all_receivers(monkeypatch):
+    anchor = HashChain(b"shared-walk", 8).anchor
+    receivers = [ChainAnchorState(anchor, max_steps=64) for _ in range(5)]
+    forged = random.Random(3).randbytes(20)
+    crypto._chain_walk.cache_clear()
+    calls = counted_sha1(monkeypatch)
+    assert not any(state.accept(forged) for state in receivers)
+    # one step-1 check per receiver, plus one 64-step walk shared by all
+    assert len(calls) == 5 + 64
+
+
 def test_ecc_round_trip_and_wrong_key():
     curve = crypto.SIM_CURVE
     rng = random.Random(31)

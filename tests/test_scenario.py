@@ -111,6 +111,14 @@ def test_malformed_configs_rejected(tmp_path):
         BASE + "[attack:x]\nkind = BOGUS\ncount = 1\n",
         BASE + "[attack:x]\nkind = DROP\n",                # no count or targets
         BASE + "[energy]\nvolts = 0\n",
+        # non-finite values: NaN gets past a plain `<= 0` test
+        BASE.replace("duration = 60", "duration = nan"),
+        BASE.replace("duration = 60", "duration = inf"),
+        BASE.replace("radius_threshold = 400", "radius_threshold = nan"),
+        BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nattack_interval = nan\n",
+        BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = nan\n",
+        BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\nposition = nan 0\n",
+        BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\nposition = 0 inf\n",
     ]
     # out-of-range model values; loading never starts a run, so none can hang
     for key, value in (("range_n", -5), ("range_es", 0), ("range_server", "nan"),
@@ -302,8 +310,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         out_of_range = write_config(tmp_path, BASE + f"[{section}]\n{key} = {value}\n",
                                     name=f"{key}.conf")
         assert cli.main(["run", str(out_of_range)]) == cli.EXIT_CONFIG
+    # an infinite duration is left to test_malformed_configs_rejected: at a
+    # commit that accepts it, the run would never end
+    for name, text in (
+            ("duration_nan", BASE.replace("duration = 60", "duration = nan")),
+            ("radius_nan", BASE.replace("radius_threshold = 400", "radius_threshold = nan")),
+            ("interval_nan", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\n"
+                                    "attack_interval = nan\n"),
+            ("start_nan", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = nan\n"),
+            ("position_nan", BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\n"
+                                    "position = nan nan\n")):
+        assert cli.main(["run", str(write_config(tmp_path, text, name=f"{name}.conf"))]) \
+            == cli.EXIT_CONFIG, name
     grid_path = str(scenario.DATA_DIR / "ieee14.grid")
     assert cli.main(["topo", grid_path, "--radius", "-5"]) == cli.EXIT_CONFIG
+    assert cli.main(["topo", grid_path, "--radius", "nan"]) == cli.EXIT_CONFIG
     capsys.readouterr()
 
 
