@@ -45,8 +45,8 @@ def sha1_digest(data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian ladder,
-# fixed-base generator table)
+# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian NAF
+# ladder, fixed-base generator table)
 
 Point = tuple[int, int] | None  # None is the point at infinity
 
@@ -109,17 +109,26 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
     return (x3, y3)
 
 
-# scalar_mult runs in Jacobian coordinates so each multiply costs a single
-# modular inversion; point_add above stays affine as the independent oracle
-# the tests compare both paths against.
+# scalar_mult returns an affine point but works in Jacobian coordinates, so
+# each multiply costs one modular inversion at the end; point_add above stays
+# affine as the independent oracle the tests compare both paths against.
+# Which path serves a point:
 #
-# k*G on the one fixed generator (every key pair and every ECC ephemeral) reads
-# a fixed-base table instead (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
-# 1992): row[i][d] = d * 16**i * G, one row per 4-bit window of n, so k*G is one
-# mixed add per non-zero base-16 digit of k and no doubling.  The table is
-# built with point_add on first use, not at import, so a run that multiplies G
-# pays for it inside its own measured time.  Any other point takes the
-# double-and-add ladder.
+# - k*G on the one fixed generator (every key pair and every ECC ephemeral)
+#   reads a fixed-base table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
+#   1992): row[i][d] = d * 16**i * G, one row per 4-bit window of n, so k*G is
+#   one mixed add per non-zero base-16 digit of k and no doubling.  The table
+#   is built with point_add on first use, not at import, so a run that
+#   multiplies G pays for it inside its own measured time.
+# - k*P on any other point (the ECDH in derive_shared_secret) runs a
+#   left-to-right width-4 NAF ladder (Hankerson, Menezes and Vanstone, Guide
+#   to Elliptic Curve Cryptography, Alg. 3.35 for the digits and Alg. 3.36 for
+#   the ladder): k is written with odd digits in -7..7, any two non-zero
+#   digits at least four places apart, so a 128-bit k needs about 26 mixed
+#   adds of the affine odd multiples +-P, +-3P, +-5P, +-7P instead of the ~64
+#   adds of plain double-and-add.  The doublings are inlined in the ladder;
+#   on a curve with a = -3 (SIM_CURVE) they use 3(x - z^2)(x + z^2) for the
+#   slope numerator, which the TOY test curve (a = 0) must not take.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -170,6 +179,63 @@ def _generator_table(curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
     return tuple(rows)
 
 
+def _naf4(k: int) -> list[int]:
+    """Width-4 NAF digits of k > 0, least significant first; the last is > 0."""
+    digits: list[int] = []
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        digits += [0] * zeros
+        k >>= zeros
+        d = k & 15
+        if d >= 8:
+            d -= 16
+        digits.append(d)
+        k = (k - d) >> 1
+    return digits
+
+
+def _odd_multiples(point: tuple[int, int], curve: CurveParams) -> dict[int, tuple[int, int]]:
+    """{d: d * point} for d in +-1, +-3, +-5, +-7, affine.  A digit +-d needs
+    d <= k < n, so an entry that is infinity (7P on a curve of order 7) is
+    never read."""
+    twice = point_add(point, point, curve)
+    table = {1: point}
+    for d in (3, 5, 7):
+        table[d] = point_add(table[d - 2], twice, curve)
+    for d in (1, 3, 5, 7):
+        if table[d] is not None:
+            x, y = table[d]
+            table[-d] = (x, -y % curve.p)
+    return table
+
+
+def _naf_ladder(k: int, point: tuple[int, int], curve: CurveParams) -> tuple[int, int, int]:
+    """k * point for 0 < k < n, in Jacobian coordinates.  Each partial sum is
+    m * point with 0 < m < n, so it is never infinity (nor of order 2, which a
+    group of odd order n lacks); only the last add can meet its own operand
+    (k = n - 2|d|), and _jac_add_affine doubles that."""
+    p, a = curve.p, curve.a
+    a_is_minus_3 = a == p - 3
+    table = _odd_multiples(point, curve)
+    digits = _naf4(k)
+    x, y = table[digits.pop()]
+    z = 1
+    for d in reversed(digits):
+        ysq = y * y % p
+        s = 4 * x * ysq % p
+        zsq = z * z % p
+        if a_is_minus_3:
+            m = 3 * (x - zsq) * (x + zsq) % p
+        else:
+            m = (3 * x * x + a * zsq * zsq) % p
+        z = 2 * y * z % p
+        x = (m * m - 2 * s) % p
+        y = (m * (s - x) - 8 * ysq * ysq) % p
+        if d:
+            x, y, z = _jac_add_affine((x, y, z), table[d], p, a)
+    return (x, y, z)
+
+
 def scalar_mult(k: int, point: Point, curve: CurveParams) -> Point:
     if point is None or k % curve.n == 0:
         return None
@@ -183,11 +249,7 @@ def scalar_mult(k: int, point: Point, curve: CurveParams) -> Point:
                 acc = _jac_add_affine(acc, row[k & 15], p, a)
             k >>= 4
     else:
-        for bit in bin(k)[2:]:
-            if acc is not None:
-                acc = _jac_double(acc, p, a)
-            if bit == "1":
-                acc = _jac_add_affine(acc, point, p, a)
+        acc = _naf_ladder(k, point, curve)
     if acc is None:
         return None
     zinv = pow(acc[2], -1, p)
@@ -239,19 +301,26 @@ def cipher_key(secret: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# RC5-32/12/16
+# RC5-32/12/16 (Rivest, "The RC5 Encryption Algorithm", FSE 1994)
+#
+# A run uses far fewer distinct keys than it runs the cipher (a link's session
+# key serves every reading on the link, and each ECC message key encrypts and
+# then decrypts), so rc5_key_schedule keeps the last 64 schedules (~80 KB) in
+# an LRU cache keyed by the key bytes; a schedule is a tuple, so no caller can
+# change a cached one.  A message is enciphered as one vector of little-endian
+# words: x * 0x100000001 holds x twice, so a 32-bit window of it is x rotated.
+# rc5_*_block run the same word loops on a single block.
+
+_TWICE32 = 0x100000001
+
 
 def _rotl32(x: int, s: int) -> int:
     s &= 31
     return ((x << s) | (x >> (32 - s))) & _MASK32
 
 
-def _rotr32(x: int, s: int) -> int:
-    s &= 31
-    return ((x >> s) | (x << (32 - s))) & _MASK32
-
-
-def rc5_key_schedule(key: bytes) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
     c = max(1, (len(key) + 3) // 4)
     lwords = [0] * c
     for i, byte in enumerate(key):  # little-endian byte packing
@@ -266,48 +335,60 @@ def rc5_key_schedule(key: bytes) -> list[int]:
         b = lwords[j] = _rotl32((lwords[j] + a + b) & _MASK32, a + b)
         i = (i + 1) % t
         j = (j + 1) % c
-    return s
+    return tuple(s)
 
 
-def rc5_encrypt_block(schedule: list[int], block: bytes) -> bytes:
-    a, b = struct.unpack("<2L", block)
-    a = (a + schedule[0]) & _MASK32
-    b = (b + schedule[1]) & _MASK32
-    for r in range(1, RC5_ROUNDS + 1):
-        a = (_rotl32(a ^ b, b) + schedule[2 * r]) & _MASK32
-        b = (_rotl32(b ^ a, a) + schedule[2 * r + 1]) & _MASK32
-    return struct.pack("<2L", a, b)
+def _rc5_encrypt_words(schedule: tuple[int, ...], words: tuple[int, ...]) -> list[int]:
+    s0, s1 = schedule[0], schedule[1]
+    rounds = tuple(zip(schedule[2::2], schedule[3::2]))
+    out: list[int] = []
+    pairs = iter(words)
+    for a, b in zip(pairs, pairs):
+        a = (a + s0) & _MASK32
+        b = (b + s1) & _MASK32
+        for ka, kb in rounds:
+            a = (((a ^ b) * _TWICE32 >> (32 - (b & 31))) + ka) & _MASK32
+            b = (((b ^ a) * _TWICE32 >> (32 - (a & 31))) + kb) & _MASK32
+        out += (a, b)
+    return out
 
 
-def rc5_decrypt_block(schedule: list[int], block: bytes) -> bytes:
-    a, b = struct.unpack("<2L", block)
-    for r in range(RC5_ROUNDS, 0, -1):
-        b = _rotr32((b - schedule[2 * r + 1]) & _MASK32, a) ^ a
-        a = _rotr32((a - schedule[2 * r]) & _MASK32, b) ^ b
-    b = (b - schedule[1]) & _MASK32
-    a = (a - schedule[0]) & _MASK32
-    return struct.pack("<2L", a, b)
+def _rc5_decrypt_words(schedule: tuple[int, ...], words: tuple[int, ...]) -> list[int]:
+    s0, s1 = schedule[0], schedule[1]
+    rounds = tuple(zip(schedule[-2:1:-2], schedule[-1:1:-2]))
+    out: list[int] = []
+    pairs = iter(words)
+    for a, b in zip(pairs, pairs):
+        for ka, kb in rounds:
+            b = (((b - kb) & _MASK32) * _TWICE32 >> (a & 31) & _MASK32) ^ a
+            a = (((a - ka) & _MASK32) * _TWICE32 >> (b & 31) & _MASK32) ^ b
+        out += ((a - s0) & _MASK32, (b - s1) & _MASK32)
+    return out
+
+
+def rc5_encrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
+    return struct.pack("<2L", *_rc5_encrypt_words(schedule, struct.unpack("<2L", block)))
+
+
+def rc5_decrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
+    return struct.pack("<2L", *_rc5_decrypt_words(schedule, struct.unpack("<2L", block)))
 
 
 def rc5_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Length-prefixed, zero-padded to the block size, ECB across blocks."""
-    schedule = rc5_key_schedule(key)
     framed = struct.pack(">I", len(plaintext)) + plaintext
     framed += b"\x00" * (-len(framed) % RC5_BLOCK)
-    return b"".join(
-        rc5_encrypt_block(schedule, framed[i:i + RC5_BLOCK])
-        for i in range(0, len(framed), RC5_BLOCK)
-    )
+    words = f"<{len(framed) // 4}L"
+    return struct.pack(words, *_rc5_encrypt_words(rc5_key_schedule(key),
+                                                  struct.unpack(words, framed)))
 
 
 def rc5_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if not ciphertext or len(ciphertext) % RC5_BLOCK:
         raise CipherFormatError(f"ciphertext length {len(ciphertext)} is not a positive block multiple")
-    schedule = rc5_key_schedule(key)
-    framed = b"".join(
-        rc5_decrypt_block(schedule, ciphertext[i:i + RC5_BLOCK])
-        for i in range(0, len(ciphertext), RC5_BLOCK)
-    )
+    words = f"<{len(ciphertext) // 4}L"
+    framed = struct.pack(words, *_rc5_decrypt_words(rc5_key_schedule(key),
+                                                    struct.unpack(words, ciphertext)))
     (n,) = struct.unpack(">I", framed[:4])
     if 4 + n > len(framed) or any(framed[4 + n:]):
         raise CipherFormatError("bad padding (wrong key?)")

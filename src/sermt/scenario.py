@@ -60,6 +60,10 @@ class ScenarioConfig:
             raise ConfigError("node counts must be non-negative")
         if not self.radius_threshold > 0:       # NaN too
             raise ConfigError("radius_threshold must be positive")
+        for attack in self.attacks:
+            if attack.start_time > self.duration:
+                raise ConfigError(f"[attack:{attack.name}] start_time {attack.start_time:g} "
+                                  f"is after the run ends (duration {self.duration:g})")
 
 
 def _parse_bool(raw: str) -> bool:

@@ -1,11 +1,14 @@
+import hashlib
+import hmac
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sermt import crypto
 from sermt.crypto import (
@@ -79,6 +82,108 @@ def test_rc5_wrong_key_fails_loudly():
         assert out != b"some payload bytes"
 
 
+# Reference RC5 as Rivest states it: one block at a time, explicit rotations,
+# its own key schedule and framing.  An independent oracle for crypto's
+# cached schedules and word-vector rounds.
+M32 = 0xFFFFFFFF
+
+
+def ref_rotl32(x, s):
+    s &= 31
+    return ((x << s) | (x >> (32 - s))) & M32
+
+
+def ref_rotr32(x, s):
+    s &= 31
+    return ((x >> s) | (x << (32 - s))) & M32
+
+
+def ref_key_schedule(key):
+    c = max(1, (len(key) + 3) // 4)
+    lwords = [0] * c
+    for i, byte in enumerate(key):
+        lwords[i // 4] |= byte << (8 * (i % 4))
+    t = 2 * (crypto.RC5_ROUNDS + 1)
+    s = [0xB7E15163]
+    for _ in range(t - 1):
+        s.append((s[-1] + 0x9E3779B9) & M32)
+    a = b = i = j = 0
+    for _ in range(3 * max(t, c)):
+        a = s[i] = ref_rotl32((s[i] + a + b) & M32, 3)
+        b = lwords[j] = ref_rotl32((lwords[j] + a + b) & M32, a + b)
+        i = (i + 1) % t
+        j = (j + 1) % c
+    return s
+
+
+def ref_encrypt_block(s, block):
+    a, b = struct.unpack("<2L", block)
+    a = (a + s[0]) & M32
+    b = (b + s[1]) & M32
+    for r in range(1, crypto.RC5_ROUNDS + 1):
+        a = (ref_rotl32(a ^ b, b) + s[2 * r]) & M32
+        b = (ref_rotl32(b ^ a, a) + s[2 * r + 1]) & M32
+    return struct.pack("<2L", a, b)
+
+
+def ref_decrypt_block(s, block):
+    a, b = struct.unpack("<2L", block)
+    for r in range(crypto.RC5_ROUNDS, 0, -1):
+        b = ref_rotr32((b - s[2 * r + 1]) & M32, a) ^ a
+        a = ref_rotr32((a - s[2 * r]) & M32, b) ^ b
+    b = (b - s[1]) & M32
+    a = (a - s[0]) & M32
+    return struct.pack("<2L", a, b)
+
+
+def ref_rc5_encrypt(key, plaintext):
+    s = ref_key_schedule(key)
+    framed = struct.pack(">I", len(plaintext)) + plaintext
+    framed += b"\x00" * (-len(framed) % 8)
+    return b"".join(ref_encrypt_block(s, framed[i:i + 8]) for i in range(0, len(framed), 8))
+
+
+def ref_rc5_decrypt_blocks(key, ciphertext):
+    s = ref_key_schedule(key)
+    return b"".join(ref_decrypt_block(s, ciphertext[i:i + 8])
+                    for i in range(0, len(ciphertext), 8))
+
+
+def test_reference_rc5_meets_the_vectors():
+    for key_hex, pt_hex, ct_hex in RC5_VECTORS:
+        s = ref_key_schedule(bytes.fromhex(key_hex))
+        assert ref_encrypt_block(s, bytes.fromhex(pt_hex)) == bytes.fromhex(ct_hex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=40), st.binary(max_size=600), st.binary(min_size=8, max_size=600))
+def test_rc5_matches_per_block_reference(key, payload, noise):
+    ct = crypto.rc5_encrypt(key, payload)
+    assert ct == ref_rc5_encrypt(key, payload)
+    assert crypto.rc5_decrypt(key, ct) == payload
+    # any block-multiple input decrypts word for word like the oracle
+    noise = noise[:len(noise) // 8 * 8]
+    framed = ref_rc5_decrypt_blocks(key, noise)
+    schedule = crypto.rc5_key_schedule(key)
+    assert b"".join(crypto.rc5_decrypt_block(schedule, noise[i:i + 8])
+                    for i in range(0, len(noise), 8)) == framed
+    (n,) = struct.unpack(">I", framed[:4])
+    if 4 + n > len(framed) or any(framed[4 + n:]):
+        with pytest.raises(CipherFormatError):
+            crypto.rc5_decrypt(key, noise)
+    else:
+        assert crypto.rc5_decrypt(key, noise) == framed[4:4 + n]
+
+
+def test_rc5_schedule_is_a_cached_tuple():
+    key = b"cached-schedule!"
+    schedule = crypto.rc5_key_schedule(key)
+    assert isinstance(schedule, tuple)
+    assert list(schedule) == ref_key_schedule(key)
+    assert crypto.rc5_key_schedule(bytes(key)) is schedule
+    assert crypto.rc5_key_schedule.cache_info().maxsize is not None  # bounded
+
+
 def test_generator_on_both_curves():
     assert crypto.SIM_CURVE.contains(crypto.SIM_CURVE.g)
     assert TOY.contains(TOY.g)
@@ -126,6 +231,49 @@ def test_ladder_agrees_with_generator_path(k, m):
     assert crypto.scalar_mult(k, point, curve) == crypto.scalar_mult(k * m % curve.n, curve.g, curve)
 
 
+def curve_point(x, curve):
+    """The point with this x and the smaller y, or None when x is not on the curve."""
+    rhs = (x * x * x + curve.a * x + curve.b) % curve.p
+    y = pow(rhs, (curve.p + 1) // 4, curve.p)   # p = 3 (mod 4)
+    if y * y % curve.p != rhs:
+        return None
+    return (x, min(y, curve.p - y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, crypto.SIM_CURVE.p - 1), st.booleans(),
+       st.integers(0, 2 * crypto.SIM_CURVE.n))
+def test_naf_ladder_matches_affine_oracle(x, negate, k):
+    curve = crypto.SIM_CURVE
+    point = curve_point(x, curve)
+    assume(point is not None and point != curve.g)
+    if negate:
+        point = (point[0], curve.p - point[1])
+    assert crypto.scalar_mult(k, point, curve) == affine_oracle(k, point, curve)
+
+
+def test_naf_ladder_edge_scalars():
+    curve = crypto.SIM_CURVE
+    n = curve.n
+    point = affine_oracle(0xC0FFEE, curve.g, curve)
+    edges = [7, 8, 9, 15, 16, 17, n - 1, n + 1, 2 ** 127, 2 ** 127 - 1,
+             (1 << 100) - 1, int("8" * 32, 16), int("8" * 31, 16)]
+    # k = n - 2|d|: the last add meets its own operand (d = -5 on SIM_CURVE)
+    edges += [n - 2 * d for d in (1, 3, 5, 7)]
+    for k in edges:
+        assert crypto.scalar_mult(k, point, curve) == affine_oracle(k, point, curve), hex(k)
+
+
+def test_naf_digits():
+    for k in list(range(1, 300)) + [crypto.SIM_CURVE.n - 10, 2 ** 127 - 1]:
+        digits = crypto._naf4(k)
+        assert sum(d << i for i, d in enumerate(digits)) == k
+        assert digits[-1] > 0
+        nonzero = [i for i, d in enumerate(digits) if d]
+        assert all(d % 2 and -8 < d < 8 for d in digits if d)
+        assert all(j - i >= 4 for i, j in zip(nonzero, nonzero[1:]))
+
+
 def test_generator_path_window_edges():
     curve = crypto.SIM_CURVE
     for k in (1, 15, 16, 17, 2 ** 124, curve.n - 1, curve.n, curve.n + 1):
@@ -141,14 +289,22 @@ def test_both_paths_exhaustive_on_toy_curve():
             assert crypto.scalar_mult(k, point, TOY) == affine_oracle(k, point, TOY), (k, point)
 
 
-def test_generator_table_not_built_at_import():
-    # A run that multiplies G pays for the table itself, inside its own time.
+def cache_sizes_after_import(*names):
     code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
-            "print(c._generator_table.cache_info().currsize)")
+            f"print(*(getattr(c, name).cache_info().currsize for name in {names!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "0"
+    return [int(size) for size in out.stdout.split()]
+
+
+def test_generator_table_not_built_at_import():
+    # A run that multiplies G pays for the table itself, inside its own time.
+    assert cache_sizes_after_import("_generator_table") == [0]
+
+
+def test_import_fills_no_crypto_cache():
+    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk") == [0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -206,6 +362,26 @@ def test_hmac_deterministic_and_sensitive():
         pos = rng.randrange(len(msg) * 8)
         msg[pos // 8] ^= 1 << (pos % 8)
         assert crypto.hmac_tag(b"key", bytes(msg)) != base
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=100), st.binary(max_size=300))
+def test_hmac_tag_matches_hmac_module(key, message):
+    # keys over the 64-byte SHA-1 block are hashed first; empty messages are fine
+    assert crypto.hmac_tag(key, message) == hmac.new(key, message, hashlib.sha1).digest()
+
+
+def test_hmac_tag_rfc2202_vectors():
+    # HMAC-SHA1 test cases 1, 2, 6 and 7 of RFC 2202 (6 and 7: an 80-byte key)
+    for key, message, tag in (
+            (b"\x0b" * 20, b"Hi There", "b617318655057264e28bc0b6fb378c8ef146be00"),
+            (b"Jefe", b"what do ya want for nothing?",
+             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"),
+            (b"\xaa" * 80, b"Test Using Larger Than Block-Size Key - Hash Key First",
+             "aa4ae5e15272d00e95705637ce8a3b55ed402112"),
+            (b"\xaa" * 80, b"Test Using Larger Than Block-Size Key and Larger Than One "
+                           b"Block-Size Data", "e8e99d0f45237d786d6bbaa7965c7808bbff1a91")):
+        assert crypto.hmac_tag(key, message) == bytes.fromhex(tag)
 
 
 def test_nested_hmac_matches_manual_composition():

@@ -2,6 +2,7 @@
 artifacts, and the command-line front end."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -119,6 +120,9 @@ def test_malformed_configs_rejected(tmp_path):
         BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = nan\n",
         BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\nposition = nan 0\n",
         BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\nposition = 0 inf\n",
+        # an attack that would start after the run ends never runs
+        BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 1e9\n",
+        BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 60.5\n",
     ]
     # out-of-range model values; loading never starts a run, so none can hang
     for key, value in (("range_n", -5), ("range_es", 0), ("range_server", "nan"),
@@ -137,6 +141,19 @@ def test_malformed_configs_rejected(tmp_path):
     for text in bad:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, text))
+    # the check lives on ScenarioConfig, so a replaced config is checked too
+    config = load_config(write_config(tmp_path, BASE + "[attack:x]\nkind = FLOOD\n"
+                                                     "count = 1\nstart_time = 60\n"))
+    with pytest.raises(ConfigError, match="start_time"):
+        replace(config, duration=59.0)
+
+
+def test_attack_starting_as_the_run_ends_still_runs(tmp_path):
+    # the queue runs events at t == duration, so start_time = duration is a burst
+    text = BASE.replace("duration = 60", "duration = 20") + \
+        "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 20\n"
+    (log,) = run_scenario(load_config(write_config(tmp_path, text))).attack_logs
+    assert log.bogus_frames_sent > 0
 
 
 def test_config_dir_topology_wins_over_packaged(tmp_path):
@@ -318,6 +335,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("interval_nan", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\n"
                                     "attack_interval = nan\n"),
             ("start_nan", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = nan\n"),
+            ("start_late", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 1e9\n"),
             ("position_nan", BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\n"
                                     "position = nan nan\n")):
         assert cli.main(["run", str(write_config(tmp_path, text, name=f"{name}.conf"))]) \
