@@ -21,14 +21,14 @@ from .crypto import CipherFormatError, generate_keypair, rc5_decrypt
 from .entities import Network, NodeState, distance
 from .protocol import SIM_CURVE, ProtocolEngine, unpack_records
 from .simcore import Channel
-from .wire import MsgType, make_frame
+from .wire import DATA_TYPES, MsgType, make_frame
 
 ATTACK_KINDS = ("DROP", "FLOOD", "SYBIL", "SINKHOLE", "WORMHOLE",
                 "EAVESDROP", "FALSE_DATA")
 COMPROMISABLE_KINDS = ("N", "ES", "PDC")
 
 # frames an interceptor can profitably refuse to carry
-INTERCEPTED_TYPES = (MsgType.TEST, MsgType.EMD, MsgType.DATA, MsgType.AGG_DATA)
+INTERCEPTED_TYPES = DATA_TYPES | {MsgType.TEST}
 
 
 class AttackConfigError(ValueError):
@@ -144,7 +144,7 @@ class SinkholeBehavior:
     def accept_frame(self, receiver, sender_id, frame) -> bool:
         kind = MsgType(frame.msg_type)
         if not self.engaged:
-            if kind in (MsgType.EMD, MsgType.DATA, MsgType.AGG_DATA):
+            if kind in DATA_TYPES:
                 self.engaged = True
             else:
                 return True
@@ -368,13 +368,13 @@ def confidentiality_scan(engine: ProtocolEngine, logs: list[AttackOutcomeLog]) -
         keyring.setdefault(a, []).append(key)
         keyring.setdefault(b, []).append(key)
 
-    markers = set(engine.delivery._marker_bytes.values())
+    markers = engine.delivery.issued_markers()
     exposures = 0
     for obs in engine.channel.observations:
         log = attacker_of.get(obs.observer_id)
         if log is None:
             continue
-        if obs.frame.msg_type not in (MsgType.EMD, MsgType.DATA, MsgType.AGG_DATA):
+        if obs.frame.msg_type not in DATA_TYPES:
             continue
         payload = obs.frame.payload
         if any(marker in payload for marker in markers):

@@ -7,11 +7,22 @@ connectivity, cluster formation and head election around data-carrying
 nodes, trust/energy-weighted shortest-path routing to the control-center
 gateways, and PDC stand-in election when a concentrator fails.
 
-A `defense=False` engine runs the undefended baseline: no trust rounds or
-probes (trust pinned at 100), no MAC, chain-key or ciphertext-tag
-verification, plain distance-weighted routing, but the same selection
-cadence and traffic pattern, so paired runs differ only in protocol
-behavior.
+A `defense=False` engine runs the undefended baseline with the same
+selection cadence and traffic pattern, so paired runs differ only in
+protocol behavior. It never runs a trust round, so the main server's table
+stays the empty one from `install_keys` and reads TV 100 (trusted) for
+every entity. (Attack broadcasts in a server's name go through
+`_accept_control` in both modes, where they only move counters.) Each
+remaining baseline decision reads the switch in one place:
+
+- cadence: `start` schedules trust rounds and gateway probes, or a plain
+  reselect timer;
+- PDC failover: `_reselect`;
+- audit trigger: `_audit_tick`;
+- MAC gate: `_authentic`;
+- ciphertext tag: `_server_ingest`;
+- ES probing: `_select_es`;
+- link weight: `_link_weight` (plain distance).
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .crypto import (
 from .entities import NodeState, distance
 from .routing import build_adjacency, dijkstra, route_weight
 from .simcore import Channel, DELIVERED
-from .wire import Frame, MsgType, make_frame, verify_frame
+from .wire import DATA_TYPES, NESTED_MAC_TYPES, Frame, MsgType, make_frame, verify_frame
 
 TRUST_THRESHOLD = 40.0          # trusted means strictly above
 MARKER_MAGIC = b"\xa5\x3c\x96\x5a"
@@ -233,28 +244,25 @@ class DeliveryLog:
     auth_rejects: int = 0            # failed MAC / chain-key checks
     tamper_detected: int = 0         # ciphertext rejected at decryption
     forged_accepts: int = 0          # accepted control key never issued (must stay 0)
-    _marker_bits: dict[int, int] = field(default_factory=dict)
-    _marker_bytes: dict[int, bytes] = field(default_factory=dict)
+    _issued: dict[int, tuple[bytes, int]] = field(default_factory=dict)
     _delivered_ids: set[int] = field(default_factory=set)
 
     def emit(self, counter: int, marker: bytes, bits: int) -> None:
         self.sent += 1
-        self._marker_bits[counter] = bits
-        self._marker_bytes[counter] = marker
+        self._issued[counter] = (marker, bits)
 
-    def deliver(self, counter: int) -> bool:
-        if counter in self._marker_bits and counter not in self._delivered_ids:
-            self._delivered_ids.add(counter)
-            self.delivered += 1
-            self.payload_bits_delivered += self._marker_bits[counter]
-            return True
-        return False
+    def deliver(self, counter: int, marker: bytes) -> bool:
+        """Count a reading once, and only if this exact marker was issued."""
+        issued = self._issued.get(counter)
+        if issued is None or issued[0] != marker or counter in self._delivered_ids:
+            return False
+        self._delivered_ids.add(counter)
+        self.delivered += 1
+        self.payload_bits_delivered += issued[1]
+        return True
 
-    def marker_issued(self, counter: int, marker: bytes) -> bool:
-        return self._marker_bytes.get(counter) == marker
-
-
-DATA_TYPES = (MsgType.EMD, MsgType.DATA, MsgType.AGG_DATA)
+    def issued_markers(self) -> set[bytes]:
+        return {marker for marker, _bits in self._issued.values()}
 
 
 class ProtocolEngine:
@@ -338,21 +346,16 @@ class ProtocolEngine:
                           session_key=session_key, chain_key=chain_key)
 
     def current_table(self) -> TrustTable:
-        if not self.defense:
-            return TrustTable()
         return self.tables[self.network.main_server]
 
-    def _tv(self, entity_id: int) -> float:
-        if not self.defense:
-            return 100.0
-        return self.current_table().tv(entity_id)
-
-    def _trusted(self, entity_id: int) -> bool:
-        return (not self.defense) or is_trusted(self._tv(entity_id))
-
     def round_active(self, t: float) -> bool:
-        return (self.defense and self.last_round_start <= t
+        return (self.last_round_start <= t
                 < self.last_round_start + self.config.round_active_window)
+
+    def _authentic(self, frame: Frame, session_key: bytes | None = None) -> bool:
+        """The MAC gate: the baseline accepts every frame unchecked."""
+        return not self.defense or verify_frame(frame, gbk=self.gbk,
+                                                session_key=session_key)
 
     def _accept_control(self, receiver: NodeState, claimed_server: int,
                         frame: Frame) -> bool:
@@ -387,7 +390,7 @@ class ProtocolEngine:
             echo = self._gbk_frame(MsgType.ACK, target, test.payload)
             if self.channel.transmit(target, prober, echo, control=True) != DELIVERED:
                 continue
-            if self.defense and not verify_frame(echo, gbk=self.gbk):
+            if not self._authentic(echo):
                 continue
             got += 1
         return compute_trust(got, sent)
@@ -547,7 +550,7 @@ class ProtocolEngine:
         frame = self._gbk_frame(MsgType.BLOCKED_LIST, reporter, slice_table.serialize())
         for _attempt in range(2):
             if self.channel.transmit(reporter, server, frame, control=True) == DELIVERED:
-                return (not self.defense) or verify_frame(frame, gbk=self.gbk)
+                return self._authentic(frame)
         return False
 
     def _sync_peer_server(self, initiator: NodeState, table: TrustTable) -> None:
@@ -605,8 +608,7 @@ class ProtocolEngine:
     def _reselect_event(self) -> None:
         t = self.queue.now
         self._reselect()
-        if not self.defense:
-            self._select_es()
+        self._select_es()
         self.queue.schedule(t + self.config.trust_round_interval, self._reselect_event)
 
     def _reselect(self) -> None:
@@ -639,22 +641,20 @@ class ProtocolEngine:
                                   struct.pack(">dHdd", bp, c, *node.position))
             if channel.transmit(node, closest, ack) != DELIVERED:
                 continue
-            if self.defense and not verify_frame(ack, gbk=self.gbk):
+            if not self._authentic(ack):
                 continue
             acks.setdefault(closest.id, []).append((node_id, bp, c, node.position))
             self._advertise_personas(node, gateways, acks)
 
         table = self.current_table()
         for gw in gateways:
-            candidates = acks.get(gw.id, [])
-            if self.defense:
-                candidates = [c for c in candidates if table.trusted(c[0])]
+            candidates = [c for c in acks.get(gw.id, []) if table.trusted(c[0])]
             if not candidates:
                 self.forwarder_of[gw.id] = None
                 self.delivery.isolation_alarms += 1
                 continue
             best = max(candidates,
-                       key=lambda c: (compute_forwarding_score(c[1], self._tv(c[0]), c[2]),
+                       key=lambda c: (compute_forwarding_score(c[1], table.tv(c[0]), c[2]),
                                       -c[0]))
             self.forwarder_of[gw.id] = best[0]
             if best[0] in net.nodes:
@@ -676,7 +676,7 @@ class ProtocolEngine:
                 log.fake_locations_advertised += 1
             if outcome != DELIVERED:
                 continue
-            if self.defense and not self.current_table().trusted(persona_id):
+            if not self.current_table().trusted(persona_id):
                 continue
             acks.setdefault(closest.id, []).append(
                 (persona_id, host.battery_mah, 8, fake_pos))
@@ -706,9 +706,9 @@ class ProtocolEngine:
             join = self._gbk_frame(MsgType.ACK, node, struct.pack(">I", solicitor_id))
             if channel.transmit(node, net.nodes[solicitor_id], join) != DELIVERED:
                 continue
-            if self.defense and not verify_frame(join, gbk=self.gbk):
+            if not self._authentic(join):
                 continue                            # no group key, cannot join
-            if self.defense and not table.trusted(node_id):
+            if not table.trusted(node_id):
                 continue
             members[solicitor_id].append(node_id)
 
@@ -723,7 +723,7 @@ class ProtocolEngine:
             channel.broadcast(solicitor, announce, kinds=("N",))
             head_id = max(
                 cluster,
-                key=lambda i: (candidate_score(net.nodes[i].battery_mah, self._tv(i),
+                key=lambda i: (candidate_score(net.nodes[i].battery_mah, table.tv(i),
                                                channel.connectivity_counts(net.nodes[i])[1]),
                                -i))
             self.clusters[solicitor_id] = cluster
@@ -749,9 +749,6 @@ class ProtocolEngine:
                                  encode_point(b.keypair.public, SIM_CURVE), b)
         if back is None:
             return None
-        if self.defense and not (a.has_gbk and b.has_gbk):
-            self.delivery.auth_rejects += 1
-            return None
         secret = derive_shared_secret(a.keypair.private, b.keypair.public, SIM_CURVE)
         self.sessions[pair] = cipher_key(secret)
         return self.sessions[pair]
@@ -770,7 +767,7 @@ class ProtocolEngine:
                 if corrupt is not None:
                     tampered = corrupt(frame.payload)
                     if tampered is not None:
-                        if msg_type in (MsgType.EMD, MsgType.DATA):
+                        if msg_type in NESTED_MAC_TYPES:
                             # cannot recompute the end-to-end MAC without x_k
                             frame = Frame(frame.msg_type, frame.sender_id, tampered,
                                           frame.chain_key, frame.mac)
@@ -779,10 +776,9 @@ class ProtocolEngine:
                                                gbk=self.gbk)
             if self.channel.transmit(u, v, frame) != DELIVERED:
                 return None
-            if self.defense and msg_type not in (MsgType.EMD, MsgType.DATA):
-                if not verify_frame(frame, gbk=self.gbk):
-                    self.delivery.auth_rejects += 1
-                    return None
+            if msg_type not in NESTED_MAC_TYPES and not self._authentic(frame):
+                self.delivery.auth_rejects += 1
+                return None
         return frame
 
     def _sealed_leg(self, hops: tuple[int, ...], msg_type: MsgType, origin: NodeState,
@@ -795,7 +791,7 @@ class ProtocolEngine:
         arrived = self._relay_chain(hops, msg_type, payload, origin, session_key=key)
         if arrived is None:
             return None
-        if self.defense and not verify_frame(arrived, gbk=self.gbk, session_key=key):
+        if not self._authentic(arrived, key):
             self.delivery.auth_rejects += 1
             return None
         try:
@@ -812,14 +808,14 @@ class ProtocolEngine:
             self.queue.schedule(self.last_round_start + self.config.round_active_window,
                                 self._gw_probe_event)
             return
-        self._select_es(probe=True)
+        self._select_es()
         self.queue.schedule(t + self.config.gw_probe_interval, self._gw_probe_event)
 
     def _pmu_substations(self) -> list[int]:
         return sorted({n.substation_id for n in self.network.members(kind="PMU",
                                                                      alive_only=False)})
 
-    def _select_es(self, probe: bool = False) -> None:
+    def _select_es(self) -> None:
         net = self.network
         for substation_id in self._pmu_substations():
             if substation_id in (net.main_cc, net.backup_cc):
@@ -829,7 +825,7 @@ class ProtocolEngine:
             candidates = [es for es in net.members(kind="ES") if es.id in heard]
             scored = []
             for es in candidates:
-                tv = self._probe(gw, es) if probe else self._tv(es.id)
+                tv = self._probe(gw, es) if self.defense else self.current_table().tv(es.id)
                 if is_trusted(tv):
                     scored.append((tv, -es.id, es))
             if not scored:
@@ -855,9 +851,8 @@ class ProtocolEngine:
         if reading[:4] != MARKER_MAGIC or len(reading) < MARKER_LEN:
             return
         (counter,) = struct.unpack_from(">I", reading, 4)
-        if self.delivery.marker_issued(counter, reading[:MARKER_LEN]):
-            if self.delivery.deliver(counter):
-                self.trace.log(self.queue.now, "deliver", f"reading:{counter}", "ok")
+        if self.delivery.deliver(counter, reading[:MARKER_LEN]):
+            self.trace.log(self.queue.now, "deliver", f"reading:{counter}", "ok")
 
     def _server_ingest(self, server: NodeState, blob: bytes) -> None:
         plain = None
@@ -981,38 +976,37 @@ class ProtocolEngine:
         key = (source.id, main)
         if key in self.route_cache:
             return self.route_cache[key]
-        net = self.network
+        net, table = self.network, self.current_table()
         cc_gw = net.cc_gateway(main)
         if (source.region_id == cc_gw.region_id
                 and cc_gw.id in self.channel.hears(source)):
             path: tuple[int, ...] | None = (source.id, cc_gw.id)
         else:
             relays = [n for n in net.members(kind="N")
-                      if self._trusted(n.id) or n.id == source.id]
-            path = self._graph_path(relays + [cc_gw], source.id, cc_gw.id)
-            if path is None:
-                # threat exclusions can sever the sensor tier; storage nodes
-                # and concentrators then relay as a last resort
-                extended = relays + [
-                    n for n in net.members(kind="ES") if self._trusted(n.id)
-                ] + [
-                    p for p in net.members(kind="PDC")
-                    if p.alive and self._trusted(p.id)
-                ]
-                path = self._graph_path(extended + [cc_gw], source.id, cc_gw.id)
+                      if table.trusted(n.id) or n.id == source.id]
+            # threat exclusions can sever the sensor tier; storage nodes
+            # and concentrators then relay as a last resort
+            reserve = [n for n in net.members(kind="ES") + net.members(kind="PDC")
+                       if table.trusted(n.id)]
+            path = self._route(source.id, cc_gw.id, relays + [cc_gw],
+                               relays + reserve + [cc_gw])
         self.route_cache[key] = path
         return path
 
-    def _graph_path(self, pool: list[NodeState], src_id: int,
-                    dst_id: int) -> tuple[int, ...] | None:
-        adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
-        found = dijkstra(adjacency, src_id, {dst_id})
-        return tuple(found[1]) if found else None
+    def _route(self, src_id: int, dst_id: int,
+               *pools: list[NodeState]) -> tuple[int, ...] | None:
+        """Cheapest path over the first pool that connects the two ends."""
+        for pool in pools:
+            adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
+            found = dijkstra(adjacency, src_id, {dst_id})
+            if found:
+                return tuple(found[1])
+        return None
 
     def _link_weight(self, u: NodeState, v: NodeState, dist: float) -> float:
         if not self.defense:
             return dist
-        return route_weight(dist, v.battery_mah, self._tv(v.id))
+        return route_weight(dist, v.battery_mah, self.current_table().tv(v.id))
 
     # -- PMU data path -------------------------------------------------------------
 
@@ -1073,11 +1067,10 @@ class ProtocolEngine:
         if pdc.id in self.channel.hears(es):
             path: tuple[int, ...] | None = (es.id, pdc.id)
         else:
+            table = self.current_table()
             relays = [n for n in net.members(kind="ES")
-                      if self._trusted(n.id) or n.id == es.id]
-            if pdc.id not in {r.id for r in relays}:
-                relays.append(pdc)
-            path = self._graph_path(relays, es.id, pdc.id)
+                      if (table.trusted(n.id) or n.id == es.id) and n.id != pdc.id]
+            path = self._route(es.id, pdc.id, relays + [pdc])
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
@@ -1109,15 +1102,14 @@ class ProtocolEngine:
         key = (pdc.id, main)
         if key in self.pdc_routes:
             return self.pdc_routes[key]
-        net = self.network
+        net, table = self.network, self.current_table()
         cc_gw = net.cc_gateway(main)
         overlay = [node for rid in sorted(net.regions)
                    if (node := self._region_pdc(rid)) is not None and node.alive]
-        path = self._graph_path(overlay + [cc_gw], pdc.id, cc_gw.id)
-        if path is None:
-            # concentrators too sparse: fall back to the trusted relay tier
-            relays = [n for n in net.members(kind="ES") if self._trusted(n.id)]
-            path = self._graph_path([pdc] + relays + [cc_gw], pdc.id, cc_gw.id)
+        # concentrators too sparse: fall back to the trusted relay tier
+        relays = [n for n in net.members(kind="ES") if table.trusted(n.id)]
+        path = self._route(pdc.id, cc_gw.id, overlay + [cc_gw],
+                           [pdc] + relays + [cc_gw])
         self.pdc_routes[key] = path
         return path
 

@@ -316,7 +316,7 @@ class Channel:
         return DELIVERED
 
     def broadcast(self, sender: NodeState, frame: Frame, control: bool = False,
-                  kinds: tuple[str, ...] | None = None, _tunneled: bool = False) -> list[int]:
+                  kinds: tuple[str, ...] | None = None) -> list[int]:
         """One transmit burst to every in-range listener; returns delivered IDs."""
         type_name = MsgType(frame.msg_type).name
         ids = f"{sender.id}->*:{type_name}"
@@ -343,9 +343,8 @@ class Channel:
                 self._count_drop(outcome[len("dropped("):-1])
                 self.trace.log(self.queue.now, "drop",
                                f"{sender.id}->{receiver.id}:{type_name}", outcome)
-        if not _tunneled:
-            delivered.extend(self._wormhole_relay(sender, frame, type_name, control,
-                                                  kinds, delivered))
+        delivered.extend(self._wormhole_relay(sender, frame, type_name, control,
+                                              kinds, delivered))
         return delivered
 
     def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,

@@ -41,6 +41,8 @@ class MsgType(IntEnum):
 
 # Frames whose MAC is nested under a pairwise session secret.
 NESTED_MAC_TYPES = frozenset({MsgType.EMD, MsgType.DATA})
+# Frames that carry readings.
+DATA_TYPES = NESTED_MAC_TYPES | {MsgType.AGG_DATA}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from sermt.entities import Network
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
     ClusterId,
+    DeliveryLog,
     ProtocolConfig,
     ProtocolEngine,
     TrustTable,
@@ -209,6 +210,19 @@ def test_cluster_id_and_record_packing_roundtrip():
         unpack_records(pack_records([(5, b"abcdef")]) + b"\x00")  # trailing bytes
 
 
+def test_delivery_counts_each_issued_marker_once():
+    log = DeliveryLog()
+    marker = b"\xa5\x3c\x96\x5a" + struct.pack(">I", 4) + b"nonce-04"
+    log.emit(4, marker, 512)
+    # a forged reading can reuse a live counter, but not its nonce
+    assert not log.deliver(4, marker[:-1] + b"!")
+    assert not log.deliver(5, marker)                  # never issued
+    assert log.deliver(4, marker)
+    assert not log.deliver(4, marker)                  # duplicates count once
+    assert (log.sent, log.delivered, log.payload_bits_delivered) == (1, 1, 512)
+    assert log.issued_markers() == {marker}
+
+
 # -- control-message authentication ------------------------------------------------
 
 def test_control_authentication_accept_replay_forge():
@@ -355,6 +369,23 @@ def test_foreign_node_cannot_join_cluster_under_defense():
     assert any(7 in members for members in eng_b.clusters.values())
 
 
+def test_session_with_foreign_node_fails_at_pubkey_hop_under_defense():
+    for defense in (True, False):
+        net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
+        eng.install_keys()
+        gw, foreign = net.nodes[25], net.nodes[8]
+        foreign.has_gbk = False
+        key = eng._ensure_session(gw, foreign)
+        if defense:
+            # the foreign node's PUBKEY reply fails its MAC on the one hop
+            assert key is None
+            assert eng.delivery.auth_rejects == 1
+            assert eng.sessions == {}
+        else:
+            assert key is not None and eng.sessions == {(8, 25): key}
+            assert eng.delivery.auth_rejects == 0
+
+
 # -- cadence -----------------------------------------------------------------------
 
 def test_gateway_probes_defer_while_round_active():
@@ -362,16 +393,29 @@ def test_gateway_probes_defer_while_round_active():
     calls = []
     orig = eng._select_es
 
-    def spy(probe=False):
-        calls.append((queue.now, probe))
-        return orig(probe)
+    def spy():
+        calls.append(queue.now)
+        return orig()
 
     eng._select_es = spy
     eng.start()
     queue.run_until(280.0)
     # the 204 s probe lands inside the 200-205 s round window and shifts to 205
-    assert [t for t, _ in calls] == [0.0, 68.0, 136.0, 205.0, 273.0]
-    assert all(probe for _, probe in calls)
+    assert calls == [0.0, 68.0, 136.0, 205.0, 273.0]
+    # each selection probes: gateway 25 (the PMU's) sends test messages then
+    gw_tests = [line.split(" | ") for line in trace.lines if " | tx | 25->" in line]
+    assert sorted({float(t) for t, _kind, ids, *_ in gw_tests
+                   if ids.endswith(":TEST")}) == calls
+
+
+def test_baseline_never_runs_a_round_so_every_entity_reads_trusted():
+    net, chan, queue, trace, eng = make_sim(mini_world, defense=False)
+    eng.start()
+    queue.run_until(121.0)
+    table = eng.current_table()
+    assert table is eng.tables[net.main_server]
+    assert table.records == {} and eng.round_index == 0
+    assert all(table.trusted(node_id) for node_id in net.nodes)
 
 
 def test_route_cache_cleared_by_round_but_overlay_persists():
