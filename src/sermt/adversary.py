@@ -63,8 +63,13 @@ class AttackSpec:
             raise AttackConfigError("corrupt_fraction must be in (0, 1]")
         if self.flood_rate < 1 or self.personas < 0:
             raise AttackConfigError("flood_rate/personas out of range")
-        if self.kind == "WORMHOLE" and self.count == 0 and len(self.target_ids) != 2:
-            raise AttackConfigError("a wormhole needs exactly two endpoint ids")
+        if len(set(self.target_ids)) != len(self.target_ids):
+            raise AttackConfigError("target ids must be distinct")
+        # a foreign plant is one node; target_ids, when given, override count
+        if self.kind == "WORMHOLE" and (self.foreign
+                                        or (len(self.target_ids) or self.count) != 2):
+            raise AttackConfigError("a wormhole has exactly two compromised ends: "
+                                    "two target ids, or count = 2")
         if self.foreign and self.position is None:
             raise AttackConfigError("a foreign attacker needs a position")
         if self.position is not None and not all(map(math.isfinite, self.position)):

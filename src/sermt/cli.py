@@ -98,12 +98,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_topo(args) -> int:
     if not args.radius > 0:                     # NaN too
         raise ConfigError(f"--radius must be positive, got {args.radius:g}")
-    try:
-        topology = load_grid_file(args.grid_file)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.grid_file}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{args.grid_file}: {exc}") from exc
+    topology = load_grid_file(args.grid_file)
     substations = partition_substations(topology)
     main_cc, backup_cc = select_control_centers(substations)
     regions = divide_regions(substations, args.radius)

@@ -11,9 +11,9 @@ All tie-breaks resolve to the lower ID so layouts replay identically.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 from .rng import substream
 
@@ -75,8 +75,13 @@ class Deployment:
         return [e for e in self.entities if e.kind == kind]
 
 
+# Bound on |x| and |y| of a bus: keeps every distance, box and area finite.
+MAX_COORD_M = 1e9
+
+
 def load_topology(text: str) -> GridTopology:
-    """Parse a `BUS id x y` / `BRANCH from to T|L` document."""
+    """Parse a `BUS id x y` / `BRANCH from to T|L` document. Coordinates are
+    in meters, finite, and at most MAX_COORD_M (1e9 m) in magnitude."""
     positions: dict[int, tuple[float, float]] = {}
     branches: list[Branch] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,8 +97,9 @@ def load_topology(text: str) -> GridTopology:
                 bus_id, x, y = int(fields[1]), float(fields[2]), float(fields[3])
             except ValueError:
                 raise TopologyError(f"line {lineno}: bad BUS fields {fields[1:]}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise TopologyError(f"line {lineno}: bus {bus_id} has non-finite position")
+            if not (abs(x) <= MAX_COORD_M and abs(y) <= MAX_COORD_M):   # NaN too
+                raise TopologyError(f"line {lineno}: bus {bus_id} position is non-finite "
+                                    f"or beyond {MAX_COORD_M:g} m")
             if bus_id in positions:
                 raise TopologyError(f"line {lineno}: duplicate bus {bus_id}")
             positions[bus_id] = (x, y)
@@ -119,14 +125,22 @@ def load_topology(text: str) -> GridTopology:
 
 
 def load_grid_file(path: str) -> GridTopology:
-    """Load a topology file, falling back to the shipped data directory."""
-    if not os.path.exists(path):
-        candidate = resources.files("sermt").joinpath("data", os.path.basename(path))
-        if candidate.is_file():
-            return load_topology(candidate.read_text())
-        raise TopologyError(f"no such grid file: {path}")
-    with open(path, encoding="utf-8") as handle:
-        return load_topology(handle.read())
+    """Load a topology file, falling back to the shipped data directory.
+    Every failure, a file that cannot be read or is not UTF-8 included, is a
+    TopologyError that names the file."""
+    try:
+        source = Path(path)
+        if not source.exists():
+            source = resources.files("sermt").joinpath("data", source.name)
+        text = source.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise TopologyError(f"no such grid file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TopologyError(f"cannot read {path}: {exc}") from exc
+    try:
+        return load_topology(text)
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc
 
 
 def partition_substations(topology: GridTopology) -> list[Substation]:

@@ -226,9 +226,17 @@ class ProtocolConfig:
                      "pmu_interval"):
             if not getattr(self, name) > 0:         # NaN too: it would stall the queue
                 raise ValueError(f"{name} must be positive")
-        for name in ("test_messages", "chain_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("round_active_window", "round_trigger_holdoff"):
+            if not 0 <= getattr(self, name) < math.inf:     # NaN too
+                raise ValueError(f"{name} must be finite and at least 0")
+        if self.test_messages < 1:
+            raise ValueError("test_messages must be at least 1")
+        # A round spends up to two keys of the initiator's chain before
+        # _maybe_rotate_chain looks at it, and the anchor broadcast needs one
+        # more: 3 keys must be left after each check, and a new chain of
+        # length L holds L - 1 keys, or the run dies with the chain exhausted.
+        if self.chain_low_water < 2 or self.chain_length < 4:
+            raise ValueError("chain_low_water must be at least 2 and chain_length at least 4")
         for name in ("mu_reading_bytes", "pmu_reading_bytes"):
             if getattr(self, name) < MARKER_LEN:
                 raise ValueError(f"{name} must be at least {MARKER_LEN} (the marker)")
@@ -1107,7 +1115,8 @@ class ProtocolEngine:
         overlay = [node for rid in sorted(net.regions)
                    if (node := self._region_pdc(rid)) is not None and node.alive]
         # concentrators too sparse: fall back to the trusted relay tier
-        relays = [n for n in net.members(kind="ES") if table.trusted(n.id)]
+        relays = [n for n in net.members(kind="ES")
+                  if table.trusted(n.id) and n.id != pdc.id]
         path = self._route(pdc.id, cc_gw.id, overlay + [cc_gw],
                            [pdc] + relays + [cc_gw])
         self.pdc_routes[key] = path

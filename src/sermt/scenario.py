@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -75,71 +76,67 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_defense(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered not in ("sermt", "baseline"):
+        raise ValueError("must be 'sermt' or 'baseline'")
+    return lowered == "sermt"
+
+
 def _number_list(raw: str) -> list[str]:
     return [part for part in raw.replace(",", " ").split() if part]
 
 
-def _build_model(cls, section, label: str):
-    """Instantiate a defaults-complete dataclass from a config section,
-    casting each value to the type of the field's default."""
-    defaults = cls()
-    known = {f.name: getattr(defaults, f.name) for f in dataclass_fields(cls)}
+def _parse_position(raw: str) -> tuple[float, float]:
+    coords = [float(x) for x in _number_list(raw)]
+    if len(coords) != 2:
+        raise ValueError("position needs exactly two coordinates")
+    return coords[0], coords[1]
+
+
+# One table per section kind: config key -> parser of its raw text.
+_SCENARIO_PARSERS = {"topology": str, "radius_threshold": float, "n_nodes": int,
+                     "es_nodes": int, "duration": float, "seed": int,
+                     "defense": _parse_defense}
+_SCENARIO_REQUIRED = ("topology", "radius_threshold", "n_nodes", "es_nodes", "duration")
+
+_ATTACK_PARSERS = {"kind": lambda raw: raw.strip().upper(),
+                   "targets": lambda raw: tuple(int(x) for x in _number_list(raw)),
+                   "count": int, "start_time": float, "attack_interval": float,
+                   "flood_rate": int, "personas": int, "drop_fraction": float,
+                   "corrupt_fraction": float, "foreign": _parse_bool,
+                   "position": _parse_position}
+
+_MODELS = {"radio": RadioModel, "energy": EnergyModel, "protocol": ProtocolConfig}
+
+
+def _model_parsers(cls) -> dict:
+    """A model section's table: each field parses like its default's type."""
+    return {f.name: _parse_bool if isinstance(f.default, bool) else type(f.default)
+            for f in dataclass_fields(cls)}
+
+
+def _read_section(section, label: str, parsers: dict, required=()) -> dict:
+    """Check the required keys, reject unknown ones, and cast each value."""
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"[{label}] missing required key {key!r}")
     values = {}
     for key, raw in section.items():
-        if key not in known:
+        if key not in parsers:
             raise ConfigError(f"[{label}] unknown key {key!r}")
-        default = known[key]
         try:
-            if isinstance(default, bool):
-                values[key] = _parse_bool(raw)
-            elif isinstance(default, int):
-                values[key] = int(raw)
-            elif isinstance(default, float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            values[key] = parsers[key](raw)
         except ValueError as exc:
             raise ConfigError(f"[{label}] bad value for {key}: {exc}") from exc
+    return values
+
+
+def _build(cls, label: str, **values):
     try:
         return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{label}] {exc}") from exc
-
-
-_ATTACK_KEYS = ("kind", "targets", "count", "start_time", "attack_interval",
-                "flood_rate", "personas", "drop_fraction", "corrupt_fraction",
-                "foreign", "position")
-
-
-def _parse_attack(label: str, section) -> AttackSpec:
-    for key in section:
-        if key not in _ATTACK_KEYS:
-            raise ConfigError(f"[attack:{label}] unknown key {key!r}")
-    if "kind" not in section:
-        raise ConfigError(f"[attack:{label}] needs a kind")
-    kwargs: dict = {"kind": section["kind"].strip().upper(), "name": label}
-    try:
-        if "targets" in section:
-            kwargs["target_ids"] = tuple(int(x) for x in _number_list(section["targets"]))
-        if "count" in section:
-            kwargs["count"] = int(section["count"])
-        for key in ("start_time", "attack_interval", "drop_fraction",
-                    "corrupt_fraction"):
-            if key in section:
-                kwargs[key] = float(section[key])
-        for key in ("flood_rate", "personas"):
-            if key in section:
-                kwargs[key] = int(section[key])
-        if "foreign" in section:
-            kwargs["foreign"] = _parse_bool(section["foreign"])
-        if "position" in section:
-            coords = [float(x) for x in _number_list(section["position"])]
-            if len(coords) != 2:
-                raise ValueError("position needs exactly two coordinates")
-            kwargs["position"] = (coords[0], coords[1])
-        return AttackSpec(**kwargs)
     except ValueError as exc:       # AttackConfigError included
-        raise ConfigError(f"[attack:{label}] {exc}") from exc
+        raise ConfigError(f"[{label}] {exc}") from exc
 
 
 def _resolve_topology(raw: str, config_dir: Path) -> Path:
@@ -147,7 +144,7 @@ def _resolve_topology(raw: str, config_dir: Path) -> Path:
     if not Path(raw).is_absolute():
         candidates = [config_dir / raw, DATA_DIR / raw]
     for candidate in candidates:
-        if candidate.is_file():
+        if os.path.isfile(candidate):   # False, not OSError, for a name too long
             return candidate
     raise ConfigError(f"topology file {raw!r} not found "
                       f"(searched {', '.join(str(c) for c in candidates)})")
@@ -160,66 +157,35 @@ def load_config(path: Path | str, *, seed_override: int | None = None) -> Scenar
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     if "scenario" not in parser:
         raise ConfigError(f"{path}: missing [scenario] section")
-    sect = parser["scenario"]
-    for key in ("topology", "radius_threshold", "n_nodes", "es_nodes", "duration"):
-        if key not in sect:
-            raise ConfigError(f"[scenario] missing required key {key!r}")
+    values = _read_section(parser["scenario"], "scenario", _SCENARIO_PARSERS,
+                           _SCENARIO_REQUIRED)
     if seed_override is not None:
-        seed = seed_override
-    elif "seed" in sect:
-        try:
-            seed = int(sect["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"[scenario] bad seed: {exc}") from exc
-    else:
+        values["seed"] = seed_override
+    elif "seed" not in values:
         raise ConfigError("[scenario] seed is required (runs must be reproducible)")
-
-    defense_raw = sect.get("defense", "sermt").strip().lower()
-    if defense_raw not in ("sermt", "baseline"):
-        raise ConfigError("[scenario] defense must be 'sermt' or 'baseline'")
-    defense = defense_raw == "sermt"
-
-    known = {"topology", "radius_threshold", "n_nodes", "es_nodes", "duration",
-             "seed", "defense"}
-    for key in sect:
-        if key not in known:
-            raise ConfigError(f"[scenario] unknown key {key!r}")
-
-    try:
-        radius = float(sect["radius_threshold"])
-        n_nodes = int(sect["n_nodes"])
-        es_nodes = int(sect["es_nodes"])
-        duration = float(sect["duration"])
-    except ValueError as exc:
-        raise ConfigError(f"[scenario] {exc}") from exc
-
-    radio = (_build_model(RadioModel, parser["radio"], "radio")
-             if "radio" in parser else RadioModel())
-    energy = (_build_model(EnergyModel, parser["energy"], "energy")
-              if "energy" in parser else EnergyModel())
-    protocol = (_build_model(ProtocolConfig, parser["protocol"], "protocol")
-                if "protocol" in parser else ProtocolConfig())
+    values["topology_path"] = _resolve_topology(values.pop("topology"), path.parent)
 
     attacks = []
     for name in parser.sections():
-        if name in ("scenario", "radio", "energy", "protocol"):
-            continue
-        if not name.startswith("attack:"):
+        if name.startswith("attack:"):
+            spec = _read_section(parser[name], name, _ATTACK_PARSERS, required=("kind",))
+            if "targets" in spec:
+                spec["target_ids"] = spec.pop("targets")
+            attacks.append(_build(AttackSpec, name, name=name[len("attack:"):], **spec))
+        elif name in _MODELS:
+            cls = _MODELS[name]
+            values[name] = _build(cls, name, **_read_section(parser[name], name,
+                                                             _model_parsers(cls)))
+        elif name != "scenario":
             raise ConfigError(f"unknown section [{name}]")
-        attacks.append(_parse_attack(name[len("attack:"):], parser[name]))
-
-    return ScenarioConfig(
-        topology_path=_resolve_topology(sect["topology"], path.parent),
-        radius_threshold=radius, n_nodes=n_nodes, es_nodes=es_nodes,
-        duration=duration, seed=seed, defense=defense,
-        radio=radio, energy=energy, protocol=protocol, attacks=tuple(attacks))
+    return ScenarioConfig(**values, attacks=tuple(attacks))
 
 
 # -- execution --------------------------------------------------------------------

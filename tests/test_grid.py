@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sermt import grid
 from sermt.grid import TopologyError
@@ -57,10 +58,48 @@ def test_load_accepts_comments_and_blanks():
     ("WIRE 1 2", "unknown keyword"),
     ("", "no buses"),
     ("BUS 1 nan 0", "non-finite"),
+    # finite, but distances and box areas past it overflow the layout
+    ("BUS 1 0 0\nBUS 2 1e308 -1e308", "beyond"),
+    ("BUS 1 -1.0000001e9 0", "beyond"),
 ])
 def test_load_rejects_malformed(doc, fragment):
     with pytest.raises(TopologyError, match=fragment.replace("(", "").replace(")", "")):
         grid.load_topology(doc)
+
+
+_coords = (st.sampled_from(["0", "-0", "1e9", "-1e9", "1.0000001e9", "1e308", "-1e308",
+                            "1e-320", "5e-324", "nan", "-inf", "0x1p3", "1_0", "x"])
+           | st.floats().map(repr) | st.integers(-10**12, 10**12).map(str))
+_bus_maps = st.dictionaries(st.integers(1, 12), st.tuples(_coords, _coords),
+                            min_size=1, max_size=8)
+_branches = st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13),
+                               st.sampled_from("TLtlX")), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bus_maps, _branches, st.lists(st.text(max_size=10), max_size=2),
+       st.floats(1.0, 1e7), st.integers(0, 20))
+def test_random_documents_raise_only_topology_error(buses, branches, junk, radius, nodes):
+    doc = "\n".join([f"BUS {bus} {x} {y}" for bus, (x, y) in buses.items()]
+                    + [f"BRANCH {a} {b} {kind}" for a, b, kind in branches] + junk)
+    try:
+        topology = grid.load_topology(doc)
+        grid.build_layout(topology, radius, {"n_nodes": nodes, "es_nodes": nodes // 2}, 1)
+    except TopologyError:
+        pass
+
+
+def test_grid_file_errors_name_the_file(tmp_path):
+    latin1 = tmp_path / "latin1.grid"
+    latin1.write_bytes(b"BUS 1 0 0\nBUS 2 5 5  # caf\xe9\n")
+    bad = tmp_path / "bad.grid"
+    bad.write_text("BUS 1 0 0\nBUS 1 1 1\n", encoding="utf-8")
+    for path, fragment in ((latin1, "cannot read"), (tmp_path, "cannot read"),
+                           (tmp_path / ("x" * 5000), "cannot read"),   # name too long
+                           (bad, "duplicate bus 1")):
+        with pytest.raises(TopologyError, match=fragment) as info:
+            grid.load_grid_file(path)
+        assert str(path) in str(info.value)
 
 
 def test_partition_fixture_gives_11_substations():

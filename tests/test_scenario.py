@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sermt import cli, scenario
 from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
@@ -107,6 +108,7 @@ def test_malformed_configs_rejected(tmp_path):
         BASE + "[attack:x]\nkind = DROP\nvolume = 11\n",     # unknown key
         BASE + "[attack:x]\nkind = EAVESDROP\nposition = 1\n",
         BASE.replace("topology = ieee14.grid", "topology = nope.grid"),
+        BASE.replace("topology = ieee14.grid", "topology = " + "x" * 5000),  # too long
         BASE.replace("radius_threshold = 400", "radius_threshold = -5"),
         BASE.replace("radius_threshold = 400", "radius_threshold = 0"),
         BASE + "[attack:x]\nkind = BOGUS\ncount = 1\n",
@@ -123,6 +125,17 @@ def test_malformed_configs_rejected(tmp_path):
         # an attack that would start after the run ends never runs
         BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 1e9\n",
         BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 60.5\n",
+        # a wormhole has exactly two ends: one would crash the install, a
+        # third would be compromised and logged but never tunnel
+        BASE + "[attack:w]\nkind = WORMHOLE\ncount = 1\n",
+        BASE + "[attack:w]\nkind = WORMHOLE\ncount = 3\n",
+        BASE + "[attack:w]\nkind = WORMHOLE\ntargets = 4 6 8\n",
+        BASE + "[attack:w]\nkind = WORMHOLE\ntargets = 4 4\n",
+        BASE + "[attack:f]\nkind = FLOOD\ntargets = 4 4\n",    # one node, two floods
+        BASE + "[attack:w]\nkind = WORMHOLE\ncount = 2\nforeign = yes\nposition = 0 0\n",
+        # a chain this short, or rotated this late, can run dry mid-run
+        BASE + "[protocol]\nchain_low_water = 0\nchain_length = 8\n",
+        BASE + "[protocol]\nchain_low_water = 1\n",
     ]
     # out-of-range model values; loading never starts a run, so none can hang
     for key, value in (("range_n", -5), ("range_es", 0), ("range_server", "nan"),
@@ -136,7 +149,10 @@ def test_malformed_configs_rejected(tmp_path):
                        ("mu_reading_bytes", 8), ("pmu_reading_bytes", 15),
                        ("mu_interval", 0), ("pmu_interval", 0),
                        ("gw_probe_interval", 0), ("trust_round_interval", -5),
-                       ("mu_interval", "nan")):
+                       ("mu_interval", "nan"), ("chain_length", 1), ("chain_length", 3),
+                       ("round_active_window", "inf"), ("round_active_window", "nan"),
+                       ("round_active_window", -1), ("round_trigger_holdoff", "nan"),
+                       ("round_trigger_holdoff", "inf")):
         bad.append(BASE + f"[protocol]\n{key} = {value}\n")
     for text in bad:
         with pytest.raises(ConfigError):
@@ -146,6 +162,84 @@ def test_malformed_configs_rejected(tmp_path):
                                                      "count = 1\nstart_time = 60\n"))
     with pytest.raises(ConfigError, match="start_time"):
         replace(config, duration=59.0)
+
+
+_VALUE_TEXTS = ("0", "1", "2", "4", "-1", "3.5", "1e308", "-1e308", "1e-320", "nan",
+                "inf", "-inf", "1" * 5000, "ieee14.grid", "no.grid", "yes", "off",
+                "sermt", "baseline", "drop", "WORMHOLE", "EAVESDROP", "4 6", "1, 2, 3", "")
+_line_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\r\n\x0b\x0c\x1c\x1d\x1e"
+                                                        "\x85\u2028\u2029"),
+                     max_size=12)
+
+
+def _mostly(choices, rare):
+    """Draw from `choices` nine times in ten, else from the strategy `rare`."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else st.sampled_from(choices))
+
+
+_SECTION_KEYS = {
+    "scenario": ("topology", "radius_threshold", "n_nodes", "es_nodes", "duration",
+                 "seed", "defense"),
+    "attack": ("kind", "targets", "count", "start_time", "attack_interval", "flood_rate",
+               "personas", "drop_fraction", "corrupt_fraction", "foreign", "position"),
+    "radio": ("range_n", "range_es", "range_pdc", "range_mu", "range_gw", "range_server",
+              "loss_probability"),
+    "energy": ("e_amp", "e_baseband", "e_frontend", "e_lna", "volts", "recharge_rate",
+               "battery_capacity_es", "initial_battery"),
+    "protocol": ("trust_round_interval", "test_messages", "round_active_window",
+                 "round_trigger_holdoff", "gw_probe_interval", "mu_interval",
+                 "pmu_interval", "mu_reading_bytes", "pmu_reading_bytes", "chain_length",
+                 "chain_low_water"),
+}
+
+
+def _section_keys(name):
+    return _SECTION_KEYS.get(name.split(":")[0], _SECTION_KEYS["scenario"])
+
+
+_values = _mostly(_VALUE_TEXTS, _line_text)
+_sections = st.dictionaries(
+    _mostly(("radio", "energy", "protocol", "attack:a", "attack:b", "DEFAULT"), _line_text),
+    st.just(None), max_size=3).flatmap(lambda names: st.tuples(*(
+        st.tuples(st.just(name), st.dictionaries(_mostly(_section_keys(name), _line_text),
+                                                 _values, max_size=4))
+        for name in names)))
+
+
+@pytest.fixture(scope="module")
+def random_conf(tmp_path_factory):
+    return tmp_path_factory.mktemp("random") / "random.conf"
+
+
+@settings(max_examples=200, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(_SECTION_KEYS["scenario"]),
+                               st.none() | _values, max_size=2),
+       extra=_sections)
+def test_load_config_returns_or_raises_config_error(random_conf, changes, extra):
+    # the valid BASE with a key or two changed (None: taken out), then random sections
+    scenario_items = dict(line.split(" = ") for line in BASE.splitlines()[1:])
+    scenario_items.update(changes)
+    lines = ["[scenario]"] + [f"{key} = {value}" for key, value in scenario_items.items()
+                              if value is not None]
+    for name, items in extra:
+        lines.append(f"[{name}]")
+        lines.extend(f"{key} = {value}" for key, value in items.items())
+    random_conf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_config(random_conf)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+def test_load_config_on_random_bytes_raises_only_config_error(random_conf, data):
+    random_conf.write_bytes(BASE.encode() + data)
+    try:
+        load_config(random_conf)
+    except ConfigError:
+        pass
 
 
 def test_attack_starting_as_the_run_ends_still_runs(tmp_path):
@@ -340,6 +434,22 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                                     "position = nan nan\n")):
         assert cli.main(["run", str(write_config(tmp_path, text, name=f"{name}.conf"))]) \
             == cli.EXIT_CONFIG, name
+    # unreadable bytes in either file, a grid whose layout would overflow,
+    # and a one-ended wormhole: each is a config error, never a traceback
+    grid_text = (scenario.DATA_DIR / "ieee14.grid").read_bytes()
+    (tmp_path / "latin1.grid").write_bytes(grid_text + b"# caf\xe9\n")
+    (tmp_path / "huge.grid").write_bytes(grid_text + b"BUS 99 1e308 -1e308\n")
+    for name, body in (
+            ("latin1_config", BASE.encode() + b"# caf\xe9\n"),
+            ("latin1_grid", BASE.replace("ieee14.grid", "latin1.grid").encode()),
+            ("huge_grid", BASE.replace("ieee14.grid", "huge.grid").encode()),
+            ("wormhole_one_end", (BASE + "[attack:w]\nkind = WORMHOLE\ncount = 1\n").encode())):
+        (tmp_path / f"{name}.conf").write_bytes(body)
+        capsys.readouterr()
+        assert cli.main(["run", str(tmp_path / f"{name}.conf")]) == cli.EXIT_CONFIG, name
+        assert capsys.readouterr().err.startswith("config error: "), name
+    for name in ("latin1.grid", "huge.grid"):
+        assert cli.main(["topo", str(tmp_path / name)]) == cli.EXIT_CONFIG, name
     grid_path = str(scenario.DATA_DIR / "ieee14.grid")
     assert cli.main(["topo", grid_path, "--radius", "-5"]) == cli.EXIT_CONFIG
     assert cli.main(["topo", grid_path, "--radius", "nan"]) == cli.EXIT_CONFIG

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sermt import crypto, wire
 from sermt.wire import Frame, FrameFormatError, MsgType
@@ -91,3 +92,27 @@ def test_forged_random_macs_rejected():
     for _ in range(100):
         forged = Frame(MsgType.ANCHOR_BCAST, 1, b"new anchor", b"", rng.randbytes(20))
         assert not wire.verify_frame(forged, gbk=GBK)
+
+
+_frames = st.builds(Frame, st.sampled_from(MsgType), st.integers(0, 0xFFFFFFFF),
+                    st.binary(max_size=300), st.binary(max_size=wire.MAX_CHAIN_KEY),
+                    st.binary(min_size=crypto.TAG_LEN, max_size=crypto.TAG_LEN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frames)
+def test_codec_round_trips_random_frames(frame):
+    assert wire.decode_frame(wire.encode_frame(frame)) == frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=80) | _frames.map(wire.encode_frame).flatmap(
+    lambda buf: st.integers(0, len(buf)).map(lambda cut: buf[:cut])))
+def test_random_bytes_decode_or_raise_only_frame_format_error(buf):
+    # whole frames, their truncations and plain noise: a buffer either parses
+    # into a frame that encodes back to it, or raises FrameFormatError
+    try:
+        frame = wire.decode_frame(buf)
+    except FrameFormatError:
+        return
+    assert wire.encode_frame(frame) == buf
