@@ -110,8 +110,8 @@ def cyclic_pass_pattern(fraction: float) -> tuple[bool, ...]:
 
 
 # -- behaviors -------------------------------------------------------------------
-# Attached to NodeState.behavior; the channel consults accept_frame/on_overhear,
-# the protocol engine consults fake_ack/personas/corrupt_payload.
+# Attached to NodeState.behavior; the channel consults accept_frame, the
+# protocol engine consults fake_ack/personas/corrupt_payload.
 
 class DropBehavior:
     """Swallows a deterministic cyclic fraction of probe and data frames."""
@@ -172,16 +172,13 @@ class SybilBehavior:
 
 
 class EavesdropBehavior:
-    """Passive: records every frame its radio overhears."""
+    """Passive: `confidentiality_scan` counts every frame its radio heard."""
 
     def __init__(self, log: AttackOutcomeLog):
         self.log = log
 
     def accept_frame(self, receiver, sender_id, frame) -> bool:
         return True
-
-    def on_overhear(self, observer, sender_id, frame) -> None:
-        self.log.frames_overheard += 1
 
 
 class FalseDataBehavior:
@@ -286,7 +283,8 @@ def _spawn_foreign(channel: Channel, position: tuple[float, float], rng) -> Node
     return node
 
 
-def resolve_targets(spec: AttackSpec, network: Network, rng) -> tuple[int, ...]:
+def resolve_targets(spec: AttackSpec, network: Network, rng, taken=()) -> tuple[int, ...]:
+    """A node belongs to one attack at most: `taken` holds earlier attacks' nodes."""
     if spec.target_ids:
         for node_id in spec.target_ids:
             node = network.nodes.get(node_id)
@@ -296,9 +294,11 @@ def resolve_targets(spec: AttackSpec, network: Network, rng) -> tuple[int, ...]:
                 raise AttackConfigError(
                     f"target {node_id} is a {node.kind}: substation gateways, "
                     "servers, and metering units cannot be compromised")
+            if node_id in taken:
+                raise AttackConfigError(f"node {node_id} already compromised")
         return tuple(spec.target_ids)
     pool = [n.id for n in network.members(kind=None)
-            if n.kind in ("N", "ES") and n.behavior is None]
+            if n.kind in ("N", "ES") and n.id not in taken]
     if spec.count > len(pool):
         raise AttackConfigError(
             f"cannot compromise {spec.count} nodes: only {len(pool)} eligible")
@@ -313,6 +313,7 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
     any threat-model violation."""
     network, channel = engine.network, engine.channel
     logs: list[AttackOutcomeLog] = []
+    taken: set[int] = set()
     max_initial_bp = max((n.battery_mah for n in network.nodes.values()), default=150.0)
 
     for index, spec in enumerate(specs):
@@ -321,7 +322,8 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
         if spec.foreign:
             targets = (_spawn_foreign(channel, spec.position, rng).id,)
         else:
-            targets = resolve_targets(spec, network, rng)
+            targets = resolve_targets(spec, network, rng, taken)
+        taken.update(targets)
         log = AttackOutcomeLog(name=label, kind=spec.kind, targets=targets)
         logs.append(log)
 
@@ -329,8 +331,6 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
             node = network.nodes[node_id]
             # assumption guard, re-checked at install time
             assert node.kind in COMPROMISABLE_KINDS, node.kind
-            if node.behavior is not None:
-                raise AttackConfigError(f"node {node_id} already compromised")
 
             if spec.kind == "DROP":
                 node.behavior = DropBehavior(spec.drop_fraction, log)
@@ -359,10 +359,11 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
 
 
 def confidentiality_scan(engine: ProtocolEngine, logs: list[AttackOutcomeLog]) -> int:
-    """Post-run audit. Counts, per attack, the observed data payloads the
-    attacker could actually decrypt with keys it holds (never assumed zero),
-    and returns the number of plaintext exposures: raw reading markers seen
-    over the air by key-less observers."""
+    """Post-run audit. Fills each EAVESDROP log's `frames_overheard` (one per
+    frame its nodes received or overheard), counts, per attack, the observed
+    data payloads the attacker could actually decrypt with keys it holds
+    (never assumed zero), and returns the number of plaintext exposures: raw
+    reading markers seen over the air by key-less observers."""
     attacker_of: dict[int, AttackOutcomeLog] = {}
     for log in logs:
         for node_id in log.targets:
@@ -379,6 +380,8 @@ def confidentiality_scan(engine: ProtocolEngine, logs: list[AttackOutcomeLog]) -
         log = attacker_of.get(obs.observer_id)
         if log is None:
             continue
+        if log.kind == "EAVESDROP":
+            log.frames_overheard += 1
         if obs.frame.msg_type not in DATA_TYPES:
             continue
         payload = obs.frame.payload

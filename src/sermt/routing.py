@@ -1,7 +1,8 @@
 """Trust- and energy-aware shortest-path routing.
 
 Link weight is distance divided by the next hop's battery x trust product;
-a hop with zero battery or zero trust is unusable (infinite weight).
+a hop with zero battery or zero trust is unusable (infinite weight), and a
+usable co-located hop (0 m, a PDC on its gateway, say) costs nothing.
 Equal-cost paths resolve to the lexicographically smaller node-ID
 sequence so routes replay deterministically.
 """
@@ -17,8 +18,8 @@ Adjacency = dict[int, list[tuple[int, float]]]   # node -> [(neighbor, weight)]
 
 
 def route_weight(dist: float, bp: float, tv: float) -> float:
-    if dist <= 0:
-        raise ValueError("link distance must be positive")
+    if not dist >= 0:                   # NaN too
+        raise ValueError("link distance must not be negative")
     denom = bp * tv
     if denom <= 0:
         return INFINITE

@@ -1,6 +1,7 @@
 """Deterministic discrete-event engine: clock, radio, energy, trace.
 
-The Channel is the only place energy moves and frames travel.  Every
+The Channel is the only place energy moves and frames travel, and the one
+place a lost frame is counted, by reason, in `drop_counts`.  Every
 battery change goes through one accumulation point, which also adds it to
 the node's balance in the ledger: one folded balance per node, built from
 the same floats in the same order as the battery, so the conservation
@@ -135,10 +136,6 @@ class Observation:
 DELIVERED = "delivered"
 
 
-def dropped(reason: str) -> str:
-    return f"dropped({reason})"
-
-
 class Channel:
     """Unit-disk radio with Bernoulli loss and first-order energy accounting.
 
@@ -234,15 +231,35 @@ class Channel:
         self._hears.clear()
 
     # -- frame movement ----------------------------------------------------
+    # A frame's life has three steps, each written once: the sender pays
+    # (`_pay_tx`), a listener takes it in (`_take_in`), or it is lost
+    # (`_lose`, the one place a loss is counted).
 
-    def _observe(self, observer: NodeState, sender_id: int, frame: Frame) -> None:
-        self.observations.append(Observation(self.queue.now, observer.id, sender_id, frame))
-        behavior = observer.behavior
-        if behavior is not None and hasattr(behavior, "on_overhear"):
-            behavior.on_overhear(observer, sender_id, frame)
+    def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
+        """Debit one emission of `frame`: over `dist` to an in-range
+        receiver, or else over the sender's full range."""
+        reach = self.radio.range_of(sender.kind)
+        tx_joules = self.energy.energy_tx(
+            frame.wire_bits, dist if dist is not None and dist <= reach else reach)
+        self.debit(sender, tx_joules)
+        return tx_joules
+
+    def _take_in(self, listener: NodeState, sender_id: int, frame: Frame, type_name: str,
+                 rx_joules: float, how: str) -> None:
+        """A listener receives or overhears `frame`: it pays, and it is seen."""
+        self.debit(listener, rx_joules)
+        self.trace.log(self.queue.now, "rx", f"{listener.id}<-{sender_id}:{type_name}",
+                       how, rx_joules)
+        self.observations.append(Observation(self.queue.now, listener.id, sender_id, frame))
+
+    def _lose(self, reason: str) -> str:
+        """Count one lost frame under `reason`; returns its trace outcome."""
+        self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
+        return f"dropped({reason})"
 
     def _eavesdrop_sweep(self, sender: NodeState, receiver_id: int, frame: Frame,
-                         type_name: str, screened: tuple[str, ...] | None = None) -> None:
+                         type_name: str, rx_joules: float,
+                         screened: tuple[str, ...] | None = None) -> None:
         """`screened`: a broadcast's kind filter — spies matching it already
         hear the frame as ordinary receivers, not here."""
         for node_id in self.eavesdroppers:
@@ -252,36 +269,25 @@ class Channel:
             if screened is not None and spy.kind in screened:
                 continue
             if spy.id in self.hears(sender):
-                rx_joules = self.energy.energy_rx(frame.wire_bits)
-                self.debit(spy, rx_joules)
-                self.trace.log(self.queue.now, "rx", f"{spy.id}<-{sender.id}:{type_name}",
-                               "overheard", rx_joules)
-                self._observe(spy, sender.id, frame)
-
-    def _count_drop(self, reason: str) -> None:
-        self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
+                self._take_in(spy, sender.id, frame, type_name, rx_joules, "overheard")
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
         type_name = MsgType(frame.msg_type).name
         ids = f"{sender.id}->{receiver.id}:{type_name}"
         if not sender.alive:
-            self.trace.log(self.queue.now, "drop", ids, dropped("dead_sender"))
-            self._count_drop("dead_sender")
-            return dropped("dead_sender")
+            outcome = self._lose("dead_sender")
+            self.trace.log(self.queue.now, "drop", ids, outcome)
+            return outcome
         dist = self.hears(sender).get(receiver.id)     # None: out of range
-        tx_joules = self.energy.energy_tx(
-            frame.wire_bits,
-            self.radio.range_of(sender.kind) if control or dist is None else dist)
-        self.debit(sender, tx_joules)
-        self._eavesdrop_sweep(sender, receiver.id, frame, type_name)
+        tx_joules = self._pay_tx(sender, frame, None if control else dist)
+        rx_joules = self.energy.energy_rx(frame.wire_bits)
+        self._eavesdrop_sweep(sender, receiver.id, frame, type_name, rx_joules)
         if control or dist is not None:
-            outcome = self._receive_leg(sender, receiver, frame, type_name)
+            outcome = self._receive_leg(sender, receiver, frame, type_name, rx_joules)
         else:
-            outcome = dropped("range")
+            outcome = self._lose("range")
         self.trace.log(self.queue.now, "tx", ids, outcome, tx_joules)
-        if outcome != DELIVERED:
-            self._count_drop(outcome[len("dropped("):-1])
         return outcome
 
     def transmit_phantom(self, sender: NodeState, persona_id: int,
@@ -289,30 +295,23 @@ class Channel:
                          control: bool = False) -> None:
         """A send toward a fake identity advertised at `position`: no radio
         answers, but the sender still pays to transmit."""
-        reach = self.radio.range_of(sender.kind)
-        tx_joules = self.energy.energy_tx(
-            frame.wire_bits,
-            reach if control else min(distance(sender.position, position), reach))
-        self.debit(sender, tx_joules)
+        tx_joules = self._pay_tx(sender, frame,
+                                 None if control else distance(sender.position, position))
         self.trace.log(self.queue.now, "tx",
                        f"{sender.id}->{persona_id}:{MsgType(frame.msg_type).name}",
-                       dropped("phantom"), tx_joules)
+                       self._lose("phantom"), tx_joules)
 
     def _receive_leg(self, sender: NodeState, receiver: NodeState, frame: Frame,
-                     type_name: str) -> str:
+                     type_name: str, rx_joules: float) -> str:
         """Delivery to a receiver already known to be within reach."""
         if not receiver.alive:
-            return dropped("dead_receiver")
+            return self._lose("dead_receiver")
         if self.loss_rng.random() < self.radio.loss_probability:
-            return dropped("loss")
-        rx_joules = self.energy.energy_rx(frame.wire_bits)
-        self.debit(receiver, rx_joules)
-        self.trace.log(self.queue.now, "rx", f"{receiver.id}<-{sender.id}:{type_name}",
-                       "received", rx_joules)
-        self._observe(receiver, sender.id, frame)
+            return self._lose("loss")
+        self._take_in(receiver, sender.id, frame, type_name, rx_joules, "received")
         behavior = receiver.behavior
         if behavior is not None and not behavior.accept_frame(receiver, sender.id, frame):
-            return dropped("adversarial")
+            return self._lose("adversarial")
         return DELIVERED
 
     def broadcast(self, sender: NodeState, frame: Frame, control: bool = False,
@@ -321,47 +320,42 @@ class Channel:
         type_name = MsgType(frame.msg_type).name
         ids = f"{sender.id}->*:{type_name}"
         if not sender.alive:
-            self.trace.log(self.queue.now, "drop", ids, dropped("dead_sender"))
-            self._count_drop("dead_sender")
+            self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
             return []
-        tx_joules = self.energy.energy_tx(frame.wire_bits, self.radio.range_of(sender.kind))
-        self.debit(sender, tx_joules)
+        tx_joules = self._pay_tx(sender, frame)
+        rx_joules = self.energy.energy_rx(frame.wire_bits)
         self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
         if kinds is not None:
-            self._eavesdrop_sweep(sender, -1, frame, type_name, screened=kinds)
+            self._eavesdrop_sweep(sender, -1, frame, type_name, rx_joules, screened=kinds)
         delivered = []
         for node_id in sorted(self.network.nodes) if control else self.hears(sender):
             receiver = self.network.nodes[node_id]
-            if receiver.id == sender.id:
+            if receiver.id == sender.id or (kinds is not None and receiver.kind not in kinds):
                 continue
-            if kinds is not None and receiver.kind not in kinds:
-                continue
-            outcome = self._receive_leg(sender, receiver, frame, type_name)
+            outcome = self._receive_leg(sender, receiver, frame, type_name, rx_joules)
             if outcome == DELIVERED:
                 delivered.append(receiver.id)
             else:
-                self._count_drop(outcome[len("dropped("):-1])
                 self.trace.log(self.queue.now, "drop",
                                f"{sender.id}->{receiver.id}:{type_name}", outcome)
-        delivered.extend(self._wormhole_relay(sender, frame, type_name, control,
+        delivered.extend(self._wormhole_relay(sender, frame, type_name, rx_joules, control,
                                               kinds, delivered))
         return delivered
 
     def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,
-                        control: bool, kinds, already: list[int]) -> list[int]:
-        """Re-emit an overheard broadcast at the far end of each wormhole."""
+                        rx_joules: float, control: bool, kinds,
+                        already: list[int]) -> list[int]:
+        """Re-emit an overheard broadcast at the far end of each wormhole.
+        A tunnelled leg that fails is counted but writes no trace line."""
         extra: list[int] = []
         for end_a, end_b in self.wormholes:
             for near, far in ((end_a, end_b), (end_b, end_a)):
-                near_node = self.network.nodes[near]
-                far_node = self.network.nodes[far]
+                near_node, far_node = self.network.nodes[near], self.network.nodes[far]
                 if sender.id in (near, far) or not near_node.alive or not far_node.alive:
                     continue
                 if not (control or near in self.hears(sender)):
                     continue
-                far_tx = self.energy.energy_tx(frame.wire_bits,
-                                               self.radio.range_of(far_node.kind))
-                self.debit(far_node, far_tx)
+                far_tx = self._pay_tx(far_node, frame)
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
                 for node_id in self.hears(far_node):
@@ -370,9 +364,9 @@ class Channel:
                         continue
                     if kinds is not None and receiver.kind not in kinds:
                         continue
-                    outcome = self._receive_leg(far_node, receiver, frame, type_name)
                     # frames appear to come from the original sender
-                    if outcome == DELIVERED:
+                    if self._receive_leg(far_node, receiver, frame, type_name,
+                                         rx_joules) == DELIVERED:
                         extra.append(receiver.id)
         return extra
 

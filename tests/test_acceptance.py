@@ -192,6 +192,7 @@ def test_criterion_5_routing_oracle(capsys):
                 f"mismatches={mismatches}/500 elapsed={elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_defense_efficacy(capsys):
     config = load_config(DATA_DIR / "scaled_ieee14.conf")
     assert (config.n_nodes, config.es_nodes, config.duration) == (60, 30, 600.0)
@@ -211,6 +212,7 @@ def test_criterion_6_defense_efficacy(capsys):
                 f" elapsed={elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_energy_trend(capsys):
     config = load_config(DATA_DIR / "scaled_ieee14.conf")
     rows, _results = sweep(config, "interval")

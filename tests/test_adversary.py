@@ -2,6 +2,7 @@
 confidentiality audit."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from sermt.adversary import (
     resolve_targets,
 )
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
+from sermt.scenario import DATA_DIR, load_config, run_scenario
 
 from test_protocol import make_sim, mini_world
 
@@ -92,6 +94,33 @@ def test_random_target_selection_is_seeded_and_bounded():
         apply_attacks([AttackSpec(kind="DROP", target_ids=(7,)),
                        AttackSpec(kind="SINKHOLE", target_ids=(7,))],
                       eng2, seed=1)
+
+
+@pytest.mark.parametrize("specs", [
+    (AttackSpec(kind="FLOOD", target_ids=(7,)), AttackSpec(kind="DROP", target_ids=(7,))),
+    (AttackSpec(kind="WORMHOLE", target_ids=(7, 8)),
+     AttackSpec(kind="SINKHOLE", target_ids=(7,))),
+    (AttackSpec(kind="FLOOD", target_ids=(7,)), AttackSpec(kind="FLOOD", target_ids=(7,))),
+    (AttackSpec(kind="WORMHOLE", target_ids=(7, 8)),
+     AttackSpec(kind="WORMHOLE", target_ids=(8, 9))),
+], ids=["flood-drop", "wormhole-sinkhole", "flood-flood", "wormhole-wormhole"])
+def test_one_attack_per_node_whatever_its_kind(specs):
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    with pytest.raises(AttackConfigError, match="already compromised"):
+        apply_attacks(list(specs), eng, seed=1)
+
+
+def test_count_draw_skips_nodes_of_earlier_attacks():
+    """FLOOD sets no behaviour, so a DROP draw after it once could land on
+    a flooder (8 of these 10 seeds did)."""
+    base = load_config(DATA_DIR / "scaled_ieee14.conf")
+    specs = (AttackSpec(kind="FLOOD", name="f", count=3),
+             AttackSpec(kind="DROP", name="d", count=40))
+    for seed in range(1, 11):
+        result = run_scenario(replace(base, duration=1.0, seed=seed, attacks=specs))
+        flooders, droppers = (set(log.targets) for log in result.attack_logs)
+        assert len(flooders) == 3 and len(droppers) == 40
+        assert not flooders & droppers, seed
 
 
 def test_empty_spec_list_matches_clean_trace():
@@ -268,6 +297,9 @@ def test_insider_eavesdropper_decrypts_only_its_own_sessions():
     assert logs[0].payloads_decrypted > 0  # but its own session traffic opens
     own_keys = {key for pair, key in eng.sessions.items() if 9 in pair}
     assert own_keys                        # sanity: it really holds keys
+    # the scan counts every frame the spy received or overheard
+    assert logs[0].frames_overheard == sum(obs.observer_id == 9
+                                           for obs in chan.observations) > 0
 
 
 # -- false data --------------------------------------------------------------------

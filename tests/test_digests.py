@@ -6,6 +6,7 @@ pin here and says why in CHANGES.md. Each case shortens the shipped config
 to 60 simulated seconds.
 """
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -47,6 +48,13 @@ CASES = {
     "flood1": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
                "2949fead5698191416c5afad45b999f27b96a24a",
                "9a8851422e8314db0ea179f650025aaec611ea52"),
+    # a count draw listed after a WORMHOLE skips the tunnel ends 58 and 79:
+    # the spies are 40 and 85 (40 and 83 when the pool still held the ends)
+    "wormhole_spy": ("scaled_ieee14.conf",
+                     (AttackSpec(kind="WORMHOLE", name="wh", count=2),
+                      AttackSpec(kind="EAVESDROP", name="spy", count=2)), 5,
+                     "2ec235028064a7d21bd66777699adefe5baa1b00",
+                     "353ee4de578a555146942a5bf631af95aaacf958"),
     # both region concentrators dropping: 2 `failover` lines with defense on
     "pdc_drop": ("scaled_ieee14.conf",
                  (AttackSpec(kind="DROP", name="pdc", target_ids=(91, 92)),), 7,
@@ -55,13 +63,32 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_digest_pinned(case, defense):
-    conf, attacks, seed, on_digest, off_digest = CASES[case]
+@functools.cache
+def pinned_run(case, defense):
+    """(digest, counted losses, `dropped(...)` trace outcomes) of one case;
+    only this summary is kept between the tests that read it."""
+    conf, attacks, seed, _, _ = CASES[case]
     config = load_config(DATA_DIR / conf)
     # None keeps the attacks the config file declares
     config = replace(config, duration=DURATION, seed=seed, defense=defense,
                      attacks=config.attacks if attacks is None else attacks)
-    expected = on_digest if defense else off_digest
-    assert run_scenario(config).trace.digest() == expected
+    result = run_scenario(config)
+    dropped = sum(line.split(" | ")[3].startswith("dropped(") for line in result.trace.lines)
+    return result.trace.digest(), sum(result.channel.drop_counts.values()), dropped
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_digest_pinned(case, defense):
+    _, _, _, on_digest, off_digest = CASES[case]
+    assert pinned_run(case, defense)[0] == (on_digest if defense else off_digest)
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_traced_loss_is_counted(case, defense):
+    """Channel.drop_counts holds one count per `dropped(...)` outcome in the
+    trace (a tunnelled leg that fails is counted and writes no line; none
+    of these runs has one)."""
+    _, counted, traced = pinned_run(case, defense)
+    assert counted == traced

@@ -14,8 +14,11 @@ def test_route_weight_direct_values():
     assert route_weight(1.0, 150.0, 0.0) == INFINITE
     # halving battery doubles the weight
     assert route_weight(50.0, 75.0, 80.0) == pytest.approx(2 * route_weight(50.0, 150.0, 80.0))
-    with pytest.raises(ValueError):
-        route_weight(0.0, 10.0, 10.0)
+    # a co-located hop (a PDC on its gateway) costs nothing
+    assert route_weight(0.0, 10.0, 10.0) == 0.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            route_weight(bad, 10.0, 10.0)
 
 
 def all_simple_paths_min(adjacency, source, targets):

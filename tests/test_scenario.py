@@ -388,6 +388,13 @@ def test_cli_run_prints_metrics_and_trace(tmp_path, capsys):
     assert "packet_drop_pct = " in out and "trace_digest = " in out
     assert trace_path.is_file()
     assert trace_path.read_text(encoding="utf-8").count(" | ") >= 4
+    # at radius 50 every region is one substation, so each PDC sits on its
+    # gateway and a defended route crosses a 0 m link
+    co_located = write_config(tmp_path, BASE.replace("radius_threshold = 400",
+                                                     "radius_threshold = 50"),
+                              name="co_located.conf")
+    assert cli.main(["run", str(co_located)]) == 0
+    assert "trace_digest = " in capsys.readouterr().out
 
 
 def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -431,7 +438,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             ("start_nan", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = nan\n"),
             ("start_late", BASE + "[attack:x]\nkind = FLOOD\ncount = 1\nstart_time = 1e9\n"),
             ("position_nan", BASE + "[attack:x]\nkind = EAVESDROP\nforeign = true\n"
-                                    "position = nan nan\n")):
+                                    "position = nan nan\n"),
+            # one attack per node, whatever its kind
+            ("overlap", BASE + "[attack:f]\nkind = FLOOD\ntargets = 7\n"
+                               "[attack:d]\nkind = DROP\ntargets = 7\n")):
         assert cli.main(["run", str(write_config(tmp_path, text, name=f"{name}.conf"))]) \
             == cli.EXIT_CONFIG, name
     # unreadable bytes in either file, a grid whose layout would overflow,

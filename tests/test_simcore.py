@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_world
 from sermt.entities import NodeState
@@ -226,6 +227,77 @@ def test_eavesdropper_observes_in_range_traffic():
     assert observers == [7, 6]   # spy 7 in range of sender; spy 8 too far
     assert network.node(7).debited_mah > 0
     assert network.node(8).debited_mah == 0.0
+
+
+def dropped_lines(trace):
+    return sum(line.split(" | ")[3].startswith("dropped(") for line in trace.lines)
+
+
+def tunnel_world(radio=None):
+    """Sender 5 next to wormhole end 6; the far end 7 has one N neighbour, 8."""
+    network, channel, _, trace = make_world(
+        [("N", (2000, 0), 1), ("N", (2100, 0), 1), ("N", (5000, 0), 2),
+         ("N", (5100, 0), 2)], radio=radio)
+    channel.wormholes = [(6, 7)]
+    return network, channel, trace
+
+
+def test_failed_tunnelled_leg_is_counted_without_a_trace_line():
+    network, channel, trace = tunnel_world()
+    network.node(8).alive = False
+    assert channel.broadcast(network.node(5), frame_of(5), kinds=("N",)) == [6]
+    assert channel.drop_counts == {"dead_receiver": 1}
+    assert not any("8<-" in line or "->8" in line for line in trace.lines)
+
+    network, channel, trace = tunnel_world(RadioModel(loss_probability=1.0))
+    assert channel.broadcast(network.node(5), frame_of(5), kinds=("N",)) == []
+    # the ordinary leg to 6 logs its drop; the tunnelled leg to 8 only counts
+    assert channel.drop_counts == {"loss": 2}
+    assert dropped_lines(trace) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(positions=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 300)),
+                          min_size=2, max_size=6),
+       loss=st.sampled_from([0.0, 0.3, 1.0]),
+       data=st.data())
+def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data):
+    """No wormholes: a failed tunnelled leg writes no trace line by design."""
+    extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
+             for i, pos in enumerate(positions)]
+    network, channel, _, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
+    ids = list(range(5, 5 + len(extra)))
+    for node_id in data.draw(st.sets(st.sampled_from(ids)), label="dead"):
+        network.node(node_id).alive = False
+    channel.eavesdroppers = sorted(data.draw(st.sets(st.sampled_from(ids)), label="spies"))
+    debits = []
+
+    def recording_debit(node, joules):
+        debits.append((node.id, joules))
+        Channel.debit(channel, node, joules)
+    channel.debit = recording_debit
+
+    em = channel.energy
+    calls = st.tuples(st.sampled_from(["transmit", "broadcast", "phantom"]),
+                      st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True),
+                      st.booleans(), st.sampled_from([None, ("N",), ("ES", "GW")]),
+                      st.integers(0, 40))
+    for call, (src, dst), control, kinds, size in data.draw(st.lists(calls, max_size=12)):
+        sender, frame = network.node(src), frame_of(src, b"p" * size)
+        before, debits[:] = len(trace.lines), []
+        if call == "transmit":
+            channel.transmit(sender, network.node(dst), frame, control=control)
+        elif call == "broadcast":
+            channel.broadcast(sender, frame, control=control, kinds=kinds)
+        else:
+            channel.transmit_phantom(sender, 99, network.node(dst).position, frame,
+                                     control=control)
+        rx_lines = [line.split(" | ")[2] for line in trace.lines[before:]
+                    if line.split(" | ")[1] == "rx"]
+        rx_debits = [(node_id, joules) for node_id, joules in debits if node_id != src]
+        assert [int(who.split("<-")[0]) for who in rx_lines] == [n for n, _ in rx_debits]
+        assert all(joules == em.energy_rx(frame.wire_bits) for _, joules in rx_debits)
+    assert sum(channel.drop_counts.values()) == dropped_lines(trace)
 
 
 def test_hears_closed_ball_includes_dead():
