@@ -2,11 +2,16 @@
 
 Each attack is declared as an `AttackSpec`, validated against the threat
 model (substation gateways, servers, and metering units are out of reach),
-and wired into a running simulation by `apply_attacks`. Behaviors hang off
-`NodeState.behavior` and are consulted by the channel and the protocol
-engine; scheduled attacks (flooding, forged broadcasts) are plain events in
-the simulation queue. Every attack appends its effects to an
-`AttackOutcomeLog` so runs can report per-attack outcome counters.
+and wired into a running simulation by `apply_attacks`. A compromised
+node's `NodeState.behavior` is a `Behavior` subclass that overrides the
+hooks its attack subverts; the channel and the protocol engine call those
+hooks on every node. An eavesdropper keeps the honest behaviour and is
+listed in `Channel.eavesdroppers`; a wormhole is a pair in
+`Channel.wormholes`. Scheduled attacks (flooding, forged broadcasts) are
+plain events in the simulation queue that broadcast through
+`ProtocolEngine.broadcast_claimed`. Each attack's behaviours and events
+write its effects to its own `AttackOutcomeLog`, so runs can report
+per-attack outcome counters.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from . import rng as rngmod
 from .crypto import CipherFormatError, generate_keypair, rc5_decrypt
-from .entities import Network, NodeState, distance
+from .entities import Behavior, Network, NodeState, distance
 from .protocol import SIM_CURVE, ProtocolEngine, unpack_records
 from .simcore import Channel
 from .wire import DATA_TYPES, MsgType, make_frame
@@ -110,10 +115,11 @@ def cyclic_pass_pattern(fraction: float) -> tuple[bool, ...]:
 
 
 # -- behaviors -------------------------------------------------------------------
-# Attached to NodeState.behavior; the channel consults accept_frame, the
-# protocol engine consults fake_ack/personas/corrupt_payload.
+# Each overrides only the `Behavior` hooks its attack subverts: the channel
+# calls accept_frame, the protocol engine advertised, advertised_personas
+# and corrupt_payload.
 
-class DropBehavior:
+class DropBehavior(Behavior):
     """Swallows a deterministic cyclic fraction of probe and data frames."""
 
     def __init__(self, fraction: float, log: AttackOutcomeLog):
@@ -122,7 +128,7 @@ class DropBehavior:
         self._i = 0
 
     def accept_frame(self, receiver, sender_id, frame) -> bool:
-        if MsgType(frame.msg_type) not in INTERCEPTED_TYPES:
+        if frame.msg_type not in INTERCEPTED_TYPES:
             return True
         ok = self.pattern[self._i % len(self.pattern)]
         self._i += 1
@@ -131,7 +137,7 @@ class DropBehavior:
         return ok
 
 
-class SinkholeBehavior:
+class SinkholeBehavior(Behavior):
     """Advertises an unbeatable forwarding score; behaves honestly until the
     lure lands (first data frame arrives), then swallows everything —
     including the next round's probes, which is how it gets caught."""
@@ -143,11 +149,11 @@ class SinkholeBehavior:
         self.inflated_connectivity = inflated_connectivity
         self.engaged = False
 
-    def fake_ack(self, node: NodeState) -> tuple[float, int]:
+    def advertised(self, node: NodeState, bp: float, c: int) -> tuple[float, int]:
         return self.inflated_bp, self.inflated_connectivity
 
     def accept_frame(self, receiver, sender_id, frame) -> bool:
-        kind = MsgType(frame.msg_type)
+        kind = frame.msg_type
         if not self.engaged:
             if kind in DATA_TYPES:
                 self.engaged = True
@@ -159,7 +165,7 @@ class SinkholeBehavior:
         return True
 
 
-class SybilBehavior:
+class SybilBehavior(Behavior):
     """Carries a set of fake identities advertised during selection."""
 
     def __init__(self, personas: tuple[tuple[int, tuple[float, float]], ...],
@@ -167,30 +173,19 @@ class SybilBehavior:
         self.personas = personas
         self.log = log
 
-    def accept_frame(self, receiver, sender_id, frame) -> bool:
-        return True
+    def advertised_personas(self) -> tuple[tuple[int, tuple[float, float]], ...]:
+        # the engine sends one fake ACK per persona each time it asks
+        self.log.fake_locations_advertised += len(self.personas)
+        return self.personas
 
 
-class EavesdropBehavior:
-    """Passive: `confidentiality_scan` counts every frame its radio heard."""
-
-    def __init__(self, log: AttackOutcomeLog):
-        self.log = log
-
-    def accept_frame(self, receiver, sender_id, frame) -> bool:
-        return True
-
-
-class FalseDataBehavior:
+class FalseDataBehavior(Behavior):
     """Corrupts a cyclic fraction of the data payloads it relays."""
 
     def __init__(self, fraction: float, log: AttackOutcomeLog):
         self.pattern = cyclic_pass_pattern(fraction)
         self.log = log
         self._i = 0
-
-    def accept_frame(self, receiver, sender_id, frame) -> bool:
-        return True
 
     def corrupt_payload(self, payload: bytes) -> bytes | None:
         # pattern says "pass" -> leave alone; "drop" slots corrupt instead
@@ -204,43 +199,10 @@ class FalseDataBehavior:
 
 # -- scheduled attacks --------------------------------------------------------------
 
-class FloodAttack:
-    """Periodic bursts of bogus control frames claiming a CC-gateway identity.
-
-    Receivers spend receive energy and reject each frame (no valid chain
-    key), so the only lasting effect is battery drain."""
-
-    def __init__(self, node: NodeState, spec: AttackSpec, engine: ProtocolEngine,
-                 log: AttackOutcomeLog):
-        self.node = node
-        self.spec = spec
-        self.engine = engine
-        self.log = log
-        self._seq = 0
-
-    def start(self) -> None:
-        self.engine.queue.schedule(self.spec.start_time, self._burst)
-
-    def _burst(self) -> None:
-        queue = self.engine.queue
-        impersonated = self.engine.network.cc_gateway(main=True).id
-        for _ in range(self.spec.flood_rate):
-            payload = struct.pack(">IH", self._seq, self.node.id & 0xFFFF)
-            self._seq += 1
-            gbk = self.engine.gbk if self.node.has_gbk else bytes(16)
-            frame = make_frame(MsgType.BLOCKED_LIST, impersonated, payload, gbk=gbk)
-            self.log.bogus_frames_sent += 1
-            for victim_id in self.engine.channel.broadcast(self.node, frame):
-                victim = self.engine.network.nodes[victim_id]
-                self.engine._accept_control(victim, impersonated, frame)
-        if self.node.alive:    # flooding drains the attacker too; dead means done
-            queue.schedule(queue.now + self.spec.attack_interval, self._burst)
-
-
-class ForgedAnchorAttack:
-    """Sinkhole side-channel: periodic fake key-chain anchors in the main
-    server's name. Receivers reject them (candidate key never hashes onto
-    their anchor), which is exactly what the hash chain is for."""
+class PeriodicAttack:
+    """Bogus broadcasts from one attacker node every `attack_interval`
+    from `start_time`, for as long as the node lives (sending drains it
+    too). A subclass defines its event handler and names it `_fire`."""
 
     def __init__(self, node: NodeState, spec: AttackSpec, engine: ProtocolEngine,
                  log: AttackOutcomeLog, rng):
@@ -251,20 +213,52 @@ class ForgedAnchorAttack:
         self.rng = rng
 
     def start(self) -> None:
-        self.engine.queue.schedule(self.spec.start_time, self._forge)
+        self.engine.queue.schedule(self.spec.start_time, self._fire)
+
+    def _send(self, claimed_server: int, frame) -> None:
+        self.log.bogus_frames_sent += 1
+        self.engine.broadcast_claimed(self.node, claimed_server, frame)
+
+    def _reschedule(self) -> None:
+        if self.node.alive:
+            queue = self.engine.queue
+            queue.schedule(queue.now + self.spec.attack_interval, self._fire)
+
+
+class FloodAttack(PeriodicAttack):
+    """Periodic bursts of bogus control frames claiming a CC-gateway identity.
+
+    Receivers spend receive energy and reject each frame (no valid chain
+    key), so the only lasting effect is battery drain."""
+
+    _seq = 0
+
+    def _burst(self) -> None:
+        impersonated = self.engine.network.cc_gateway(main=True).id
+        gbk = self.engine.group_key(self.node)
+        for _ in range(self.spec.flood_rate):
+            payload = struct.pack(">IH", self._seq, self.node.id & 0xFFFF)
+            self._seq += 1
+            self._send(impersonated, make_frame(MsgType.BLOCKED_LIST, impersonated,
+                                                payload, gbk=gbk))
+        self._reschedule()
+
+    _fire = _burst      # perfbench names handler metrics by this qualname
+
+
+class ForgedAnchorAttack(PeriodicAttack):
+    """Sinkhole side-channel: periodic fake key-chain anchors in the main
+    server's name. Receivers reject them (candidate key never hashes onto
+    their anchor), which is exactly what the hash chain is for."""
 
     def _forge(self) -> None:
-        queue = self.engine.queue
         server_id = self.engine.network.main_server
-        gbk = self.engine.gbk if self.node.has_gbk else bytes(16)
-        frame = make_frame(MsgType.ANCHOR_BCAST, server_id, self.rng.randbytes(20),
-                           gbk=gbk, chain_key=self.rng.randbytes(20))
-        self.log.bogus_frames_sent += 1
-        for victim_id in self.engine.channel.broadcast(self.node, frame):
-            victim = self.engine.network.nodes[victim_id]
-            self.engine._accept_control(victim, server_id, frame)
-        if self.node.alive:
-            queue.schedule(queue.now + self.spec.attack_interval, self._forge)
+        self._send(server_id, make_frame(
+            MsgType.ANCHOR_BCAST, server_id, self.rng.randbytes(20),
+            gbk=self.engine.group_key(self.node), chain_key=self.rng.randbytes(20)))
+        self._reschedule()
+
+    _fire = _forge      # perfbench names handler metrics by this qualname
 
 
 # -- wiring ---------------------------------------------------------------------
@@ -338,7 +332,7 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
                 node.behavior = SinkholeBehavior(log, inflated_bp=10 * max_initial_bp)
                 ForgedAnchorAttack(node, spec, engine, log, rng).start()
             elif spec.kind == "FLOOD":
-                FloodAttack(node, spec, engine, log).start()
+                FloodAttack(node, spec, engine, log, rng).start()
             elif spec.kind == "SYBIL":
                 personas = tuple(
                     (network.allocate_id(),
@@ -347,7 +341,6 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
                     for _ in range(spec.personas))
                 node.behavior = SybilBehavior(personas, log)
             elif spec.kind == "EAVESDROP":
-                node.behavior = EavesdropBehavior(log)
                 channel.eavesdroppers = sorted(set(channel.eavesdroppers) | {node_id})
             elif spec.kind == "FALSE_DATA":
                 node.behavior = FalseDataBehavior(spec.corrupt_fraction, log)

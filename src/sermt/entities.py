@@ -6,6 +6,10 @@ gateway (GW) or control-center server (SERVER).  The Network holds all of
 them plus the layout indices (regions, substations, adjacency) the
 protocol needs.  What the protocol decides about a node (trust, cluster,
 acting concentrator, session keys) is kept by the protocol engine alone.
+
+What a node does with the frames it carries and the figures it advertises
+is its `Behavior`: honest by default, subverted by an attack (see the
+adversary module).  The channel and the engine call its hooks directly.
 """
 
 from __future__ import annotations
@@ -14,10 +18,34 @@ from dataclasses import dataclass, field
 
 from .crypto import ChainAnchorState, KeyPair
 from .grid import Deployment, GridTopology, Region, Substation, distance  # re-exported
+from .wire import Frame
 
 KINDS = ("N", "ES", "PDC", "MU", "PMU", "GW", "SERVER")
 MAINS_POWERED = frozenset({"MU", "PMU", "GW", "SERVER"})   # never battery-limited
 RECHARGEABLE = frozenset({"ES", "PDC"})                     # harvest energy
+
+
+class Behavior:
+    """The honest answer to each hook; an attack overrides what it subverts."""
+
+    def accept_frame(self, receiver: NodeState, sender_id: int, frame: Frame) -> bool:
+        """Keep (and pass on) a frame the radio delivered, or swallow it."""
+        return True
+
+    def advertised(self, node: NodeState, bp: float, c: int) -> tuple[float, int]:
+        """The (battery, connectivity) a forwarder-selection ACK claims."""
+        return bp, c
+
+    def advertised_personas(self) -> tuple[tuple[int, tuple[float, float]], ...]:
+        """Fake (identity, position) pairs announced next to the node's own ACK."""
+        return ()
+
+    def corrupt_payload(self, payload: bytes) -> bytes | None:
+        """A relayed data payload's replacement, or None to carry it as is."""
+        return None
+
+
+HONEST = Behavior()
 
 
 @dataclass
@@ -34,27 +62,22 @@ class NodeState:
     keypair: KeyPair | None = None
     server_pubkeys: dict[int, tuple] = field(default_factory=dict)
     chain_state: dict[int, ChainAnchorState] = field(default_factory=dict)
-    behavior: object | None = None        # adversarial override, see adversary module
+    behavior: Behavior = HONEST
     debited_mah: float = 0.0
     recharged_mah: float = 0.0
 
-    @property
-    def mains_powered(self) -> bool:
-        return self.kind in MAINS_POWERED
-
-    @property
-    def rechargeable(self) -> bool:
-        return self.kind in RECHARGEABLE
-
 
 class Network:
-    """Registry of entities plus layout lookups, all iteration ID-ordered."""
+    """Registry of entities plus layout lookups.
+
+    `nodes` is kept in ID order, so iterating it needs no sort: the seeds
+    go in sorted, and `add` admits only an ID above every one present."""
 
     def __init__(self, deployment: Deployment, substations: list[Substation],
                  regions: list[Region], topology: GridTopology,
                  initial_battery: float = 150.0):
         self.nodes: dict[int, NodeState] = {}
-        for seed in deployment.entities:
+        for seed in sorted(deployment.entities, key=lambda e: e.id):
             self.nodes[seed.id] = NodeState(
                 id=seed.id, kind=seed.kind, position=seed.position,
                 region_id=seed.region_id, substation_id=seed.substation_id,
@@ -94,8 +117,7 @@ class Network:
     def members(self, kind: str | None = None, region: int | None = None,
                 alive_only: bool = True) -> list[NodeState]:
         out = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if kind is not None and node.kind != kind:
                 continue
             if region is not None and node.region_id != region:
@@ -106,10 +128,18 @@ class Network:
         return out
 
     def allocate_id(self) -> int:
-        """IDs for synthetic entities (e.g. Sybil personas)."""
+        """IDs for synthetic entities (e.g. Sybil personas), each above
+        every ID in use or handed out before."""
         nid = self._next_synthetic_id
         self._next_synthetic_id += 1
         return nid
+
+    def add(self, node: NodeState) -> None:
+        """Admit an entity after deployment, keeping `nodes` in ID order."""
+        if node.id <= next(reversed(self.nodes)):
+            raise ValueError(f"node id {node.id} is not above every id in the network")
+        self.nodes[node.id] = node
+        self._next_synthetic_id = max(self._next_synthetic_id, node.id + 1)
 
     def cc_gateway(self, main: bool = True) -> NodeState:
         sub = self.main_cc if main else self.backup_cc

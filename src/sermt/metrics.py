@@ -67,7 +67,7 @@ def collect_metrics(engine: ProtocolEngine, attack_logs, duration: float,
     ledger = tuple(
         NodeEnergyRow(node.id, node.kind, node.debited_mah, node.recharged_mah,
                       node.battery_mah, node.alive)
-        for node in (network.nodes[i] for i in sorted(network.nodes)))
+        for node in network.nodes.values())
     consumed = {row.node_id: row.consumed_mah for row in ledger}
     kinds = {row.node_id: row.kind for row in ledger}
     return Metrics(

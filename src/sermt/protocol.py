@@ -11,8 +11,9 @@ A `defense=False` engine runs the undefended baseline with the same
 selection cadence and traffic pattern, so paired runs differ only in
 protocol behavior. It never runs a trust round, so the main server's table
 stays the empty one from `install_keys` and reads TV 100 (trusted) for
-every entity. (Attack broadcasts in a server's name go through
-`_accept_control` in both modes, where they only move counters.) Each
+every entity. (Every broadcast in a server's name, the servers' own and
+the attacks' forgeries, goes through `broadcast_claimed` and its chain
+check in both modes; a forgery only moves counters.) Each
 remaining baseline decision reads the switch in one place:
 
 - cadence: `start` schedules trust rounds and gateway probes, or a plain
@@ -321,8 +322,7 @@ class ProtocolEngine:
         """Pre-deployment provisioning: everyone gets a keypair and, unless
         foreign, the group key; servers get hash chains whose anchors and
         public keys are preloaded on every node."""
-        for node_id in sorted(self.network.nodes):
-            node = self.network.nodes[node_id]
+        for node in self.network.nodes.values():
             node.keypair = generate_keypair(SIM_CURVE, self.rng)
         for server_id in (self.network.main_server, self.network.backup_server):
             server = self.network.nodes[server_id]
@@ -346,11 +346,14 @@ class ProtocolEngine:
 
     # -- small helpers -----------------------------------------------------
 
+    def group_key(self, node: NodeState) -> bytes:
+        """The group key `node` MACs with: foreign hardware does not know it
+        and signs with zeros, so its MACs cannot verify."""
+        return self.gbk if node.has_gbk else bytes(16)
+
     def _gbk_frame(self, msg_type: MsgType, sender: NodeState, payload: bytes,
                    session_key: bytes | None = None, chain_key: bytes = b"") -> Frame:
-        # foreign hardware does not know the group key; its MACs cannot verify
-        key = self.gbk if sender.has_gbk else bytes(16)
-        return make_frame(msg_type, sender.id, payload, gbk=key,
+        return make_frame(msg_type, sender.id, payload, gbk=self.group_key(sender),
                           session_key=session_key, chain_key=chain_key)
 
     def current_table(self) -> TrustTable:
@@ -580,10 +583,17 @@ class ProtocolEngine:
         the checks, which is equivalent: an update touches only its receiver."""
         frame = make_frame(msg_type, server.id, payload, gbk=self.gbk,
                            chain_key=self._next_chain_key(server.id))
+        return self.broadcast_claimed(server, server.id, frame, control=True, kinds=kinds)
+
+    def broadcast_claimed(self, sender: NodeState, claimed_server: int, frame: Frame,
+                          control: bool = False,
+                          kinds: tuple[str, ...] | None = None) -> list[NodeState]:
+        """Broadcast `frame` from `sender` in `claimed_server`'s name; returns
+        the receivers whose chain check accepted it."""
         receivers = [self.network.nodes[node_id] for node_id
-                     in self.channel.broadcast(server, frame, control=True, kinds=kinds)]
+                     in self.channel.broadcast(sender, frame, control=control, kinds=kinds)]
         return [node for node in receivers
-                if self._accept_control(node, server.id, frame)]
+                if self._accept_control(node, claimed_server, frame)]
 
     def _push_gateway_tables(self, initiator: NodeState, table: TrustTable) -> None:
         for gw in self._control_broadcast(initiator, MsgType.BLOCKED_LIST,
@@ -641,10 +651,8 @@ class ProtocolEngine:
             node = net.nodes[node_id]
             closest = min(heard[node_id],
                           key=lambda g: (distance(node.position, g.position), g.id))
-            bp, c = node.battery_mah, channel.connectivity_counts(node)[0]
-            fake = getattr(node.behavior, "fake_ack", None)
-            if fake is not None:
-                bp, c = fake(node)
+            bp, c = node.behavior.advertised(
+                node, node.battery_mah, channel.connectivity_counts(node)[0])
             ack = self._gbk_frame(MsgType.ACK, node,
                                   struct.pack(">dHdd", bp, c, *node.position))
             if channel.transmit(node, closest, ack) != DELIVERED:
@@ -670,19 +678,14 @@ class ProtocolEngine:
 
     def _advertise_personas(self, host: NodeState, gateways: list[NodeState],
                             acks: dict) -> None:
-        personas = getattr(host.behavior, "personas", ())
-        for persona_id, fake_pos in personas:
+        for persona_id, fake_pos in host.behavior.advertised_personas():
             self.known_personas[persona_id] = (host.id, fake_pos)
             closest = min(gateways,
                           key=lambda g: (distance(fake_pos, g.position), g.id))
             payload = struct.pack(">dHdd", host.battery_mah, 8, *fake_pos)
             # the host's radio carries the lie; the MAC is valid (it has GBK)
             fake_ack = make_frame(MsgType.ACK, persona_id, payload, gbk=self.gbk)
-            outcome = self.channel.transmit(host, closest, fake_ack)
-            log = getattr(host.behavior, "log", None)
-            if log is not None:
-                log.fake_locations_advertised += 1
-            if outcome != DELIVERED:
+            if self.channel.transmit(host, closest, fake_ack) != DELIVERED:
                 continue
             if not self.current_table().trusted(persona_id):
                 continue
@@ -771,17 +774,15 @@ class ProtocolEngine:
         for u_id, v_id in zip(hops, hops[1:]):
             u, v = self.network.nodes[u_id], self.network.nodes[v_id]
             if u_id != origin.id and msg_type in DATA_TYPES:
-                corrupt = getattr(u.behavior, "corrupt_payload", None)
-                if corrupt is not None:
-                    tampered = corrupt(frame.payload)
-                    if tampered is not None:
-                        if msg_type in NESTED_MAC_TYPES:
-                            # cannot recompute the end-to-end MAC without x_k
-                            frame = Frame(frame.msg_type, frame.sender_id, tampered,
-                                          frame.chain_key, frame.mac)
-                        else:
-                            frame = make_frame(msg_type, frame.sender_id, tampered,
-                                               gbk=self.gbk)
+                tampered = u.behavior.corrupt_payload(frame.payload)
+                if tampered is not None:
+                    if msg_type in NESTED_MAC_TYPES:
+                        # cannot recompute the end-to-end MAC without x_k
+                        frame = Frame(frame.msg_type, frame.sender_id, tampered,
+                                      frame.chain_key, frame.mac)
+                    else:
+                        frame = make_frame(msg_type, frame.sender_id, tampered,
+                                           gbk=self.gbk)
             if self.channel.transmit(u, v, frame) != DELIVERED:
                 return None
             if msg_type not in NESTED_MAC_TYPES and not self._authentic(frame):

@@ -1,16 +1,18 @@
 """Deterministic discrete-event engine: clock, radio, energy, trace.
 
 The Channel is the only place energy moves and frames travel, and the one
-place a lost frame is counted, by reason, in `drop_counts`.  Every
-battery change goes through one accumulation point, which also adds it to
-the node's balance in the ledger: one folded balance per node, built from
-the same floats in the same order as the battery, so the conservation
-check can demand bit-exact equality in O(nodes) memory.
+place a lost frame is counted, by reason, in `drop_counts`.  A battery
+moves in one step, `debit`: it first brings a harvester's charge up to
+now, then spends, and adds each change to the node's balance in the
+ledger: one folded balance per node, built from the same floats in the
+same order as the battery, so the conservation check can demand
+bit-exact equality in O(nodes) memory.
 
 The Channel also owns the radio geometry: `hears` is the one answer to
 "who is in whose range".  Positions are fixed after deployment, so each
 node's neighbourhood is computed once; an entity deployed later enters
-through `add_node`, which is the only way in.
+through `add_node`, which is the only way in.  `network.nodes` is in ID
+order, so every walk over it is too.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .entities import Network, NodeState, distance
-from .wire import Frame, MsgType
+from .entities import MAINS_POWERED, RECHARGEABLE, Network, NodeState, distance
+from .wire import Frame
 
 
 class SchedulingFault(RuntimeError):
@@ -168,7 +170,7 @@ class Channel:
 
     def add_node(self, node: NodeState) -> None:
         """Admit an entity deployed after the channel was built."""
-        self.network.nodes[node.id] = node
+        self.network.add(node)
         self.initial_battery[node.id] = node.battery_mah
         self._hears.clear()
 
@@ -178,9 +180,10 @@ class Channel:
         shared between callers: read it, never change it."""
         heard = self._hears.get(node.id)
         if heard is None:
-            reach, nodes = self.radio.range_of(node.kind), self.network.nodes
-            dists = ((other_id, distance(node.position, nodes[other_id].position))
-                     for other_id in sorted(nodes) if other_id != node.id)
+            reach = self.radio.range_of(node.kind)
+            dists = ((other_id, distance(node.position, other.position))
+                     for other_id, other in self.network.nodes.items()
+                     if other_id != node.id)
             heard = self._hears[node.id] = {i: d for i, d in dists if d <= reach}
         return heard
 
@@ -192,42 +195,46 @@ class Channel:
 
     # -- energy -----------------------------------------------------------
 
-    def apply_energy(self, node: NodeState, delta_mah: float) -> None:
-        """The single battery accumulation point (the ledger relies on it)."""
-        if node.mains_powered or delta_mah == 0.0:
+    def debit(self, node: NodeState, joules: float) -> None:
+        """The one battery step: a harvester first takes in what it
+        gathered since its last step, then `node` spends `joules`, floored
+        at empty.  Mains-powered gear never moves; a zero spend moves
+        nothing either, but still brings a harvester up to date."""
+        kind = node.kind
+        if kind in RECHARGEABLE:
+            self._recharge_to_now(node)
+        elif kind in MAINS_POWERED:
             return
-        if delta_mah < 0:
-            effective = -min(-delta_mah, node.battery_mah)
-            node.debited_mah += -effective
-        else:
-            cap = self.energy.battery_capacity_es if node.rechargeable else self.energy.initial_battery
-            effective = min(delta_mah, cap - node.battery_mah)
-            node.recharged_mah += effective
-        node.battery_mah += effective
-        self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + effective
-        if node.kind == "N" and node.battery_mah == 0.0 and node.alive:
+        spent = joules / (self.energy.volts * 3.6)   # to_mah, inlined: runs per listener
+        if spent == 0.0:
+            return
+        spent = min(spent, node.battery_mah)
+        node.debited_mah += spent
+        node.battery_mah -= spent
+        self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) - spent
+        if kind == "N" and node.battery_mah == 0.0 and node.alive:
             node.alive = False
             self.trace.log(self.queue.now, "death", str(node.id), "battery_exhausted")
 
     def _recharge_to_now(self, node: NodeState) -> None:
-        if not node.rechargeable:
-            return
+        """Harvest into a rechargeable battery, capped, up to the clock."""
         last = self._last_recharge.get(node.id, 0.0)
         dt = self.queue.now - last
         self._last_recharge[node.id] = self.queue.now
-        if dt > 0:
-            self.apply_energy(node, self.energy.recharge_rate * dt)
-
-    def debit(self, node: NodeState, joules: float) -> None:
-        self._recharge_to_now(node)
-        self.apply_energy(node, -self.energy.to_mah(joules))
+        gain = self.energy.recharge_rate * dt if dt > 0 else 0.0
+        if gain != 0.0:
+            gain = min(gain, self.energy.battery_capacity_es - node.battery_mah)
+            node.recharged_mah += gain
+            node.battery_mah += gain
+            self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + gain
 
     def finalize(self, t_end: float) -> None:
         """Bring all harvesting batteries up to date at the end of a run, and
         drop the neighbourhood maps (finished results are kept around)."""
         assert self.queue.now == t_end
-        for node_id in sorted(self.network.nodes):
-            self._recharge_to_now(self.network.nodes[node_id])
+        for node in self.network.nodes.values():
+            if node.kind in RECHARGEABLE:
+                self._recharge_to_now(node)
         self._hears.clear()
 
     # -- frame movement ----------------------------------------------------
@@ -273,7 +280,7 @@ class Channel:
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
-        type_name = MsgType(frame.msg_type).name
+        type_name = frame.msg_type.name
         ids = f"{sender.id}->{receiver.id}:{type_name}"
         if not sender.alive:
             outcome = self._lose("dead_sender")
@@ -298,7 +305,7 @@ class Channel:
         tx_joules = self._pay_tx(sender, frame,
                                  None if control else distance(sender.position, position))
         self.trace.log(self.queue.now, "tx",
-                       f"{sender.id}->{persona_id}:{MsgType(frame.msg_type).name}",
+                       f"{sender.id}->{persona_id}:{frame.msg_type.name}",
                        self._lose("phantom"), tx_joules)
 
     def _receive_leg(self, sender: NodeState, receiver: NodeState, frame: Frame,
@@ -309,15 +316,14 @@ class Channel:
         if self.loss_rng.random() < self.radio.loss_probability:
             return self._lose("loss")
         self._take_in(receiver, sender.id, frame, type_name, rx_joules, "received")
-        behavior = receiver.behavior
-        if behavior is not None and not behavior.accept_frame(receiver, sender.id, frame):
+        if not receiver.behavior.accept_frame(receiver, sender.id, frame):
             return self._lose("adversarial")
         return DELIVERED
 
     def broadcast(self, sender: NodeState, frame: Frame, control: bool = False,
                   kinds: tuple[str, ...] | None = None) -> list[int]:
         """One transmit burst to every in-range listener; returns delivered IDs."""
-        type_name = MsgType(frame.msg_type).name
+        type_name = frame.msg_type.name
         ids = f"{sender.id}->*:{type_name}"
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
@@ -328,7 +334,7 @@ class Channel:
         if kinds is not None:
             self._eavesdrop_sweep(sender, -1, frame, type_name, rx_joules, screened=kinds)
         delivered = []
-        for node_id in sorted(self.network.nodes) if control else self.hears(sender):
+        for node_id in self.network.nodes if control else self.hears(sender):
             receiver = self.network.nodes[node_id]
             if receiver.id == sender.id or (kinds is not None and receiver.kind not in kinds):
                 continue

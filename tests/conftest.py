@@ -11,7 +11,7 @@ from sermt.simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
 TWO_SUB_DOC = "BUS 1 0 0\nBUS 2 600 0\nBRANCH 1 2 L"
 
 
-def make_world(extra_nodes=(), radio=None, energy=None, seed=1):
+def make_world(extra_nodes=(), radio=None, energy=None, seed=1, initial_battery=150.0):
     """Two substations 600 m apart (two regions), gateways and servers at the
     bus positions, plus caller-supplied (kind, position, region_id) nodes."""
     topo = grid.load_topology(TWO_SUB_DOC)
@@ -28,7 +28,7 @@ def make_world(extra_nodes=(), radio=None, energy=None, seed=1):
         seeds.append(EntitySeed(kind, next_id, (float(pos[0]), float(pos[1])), region))
         next_id += 1
     deployment = Deployment(tuple(seeds), main_cc=1, backup_cc=2)
-    network = Network(deployment, subs, regions, topo)
+    network = Network(deployment, subs, regions, topo, initial_battery)
     radio = radio or RadioModel()
     energy = energy or EnergyModel()
     queue, trace = EventQueue(), Trace()

@@ -8,7 +8,7 @@ import pytest
 
 from sermt import rng as rngmod
 from sermt.crypto import ChainAnchorState, HashChain
-from sermt.entities import Network
+from sermt.entities import Behavior, Network
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
     ClusterId,
@@ -128,7 +128,7 @@ def make_sim(world, *, defense=True, seed=11, **overrides):
     return net, chan, queue, trace, eng
 
 
-class DropSevenOfTen:
+class DropSevenOfTen(Behavior):
     """Swallows 7 of every 10 probe messages, in a fixed cyclic pattern."""
 
     def __init__(self):

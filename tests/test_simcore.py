@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_world
-from sermt.entities import NodeState
+from conftest import TWO_SUB_DOC, make_world
+from sermt import grid
+from sermt.entities import Behavior, Network, NodeState
+from sermt.grid import Deployment, EntitySeed
+from sermt.rng import substream
 from sermt.simcore import (
     Channel, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
 )
@@ -18,7 +21,7 @@ def frame_of(sender_id, payload=b"x" * 10):
     return make_frame(MsgType.TEST, sender_id, payload, gbk=GBK)
 
 
-class Swallower:
+class Swallower(Behavior):
     def accept_frame(self, node, sender_id, frame):
         return False
 
@@ -127,7 +130,7 @@ def test_loss_probability_extremes():
 def test_dead_receiver_and_dead_sender():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (50, 0), 1)])
     a, b = network.node(5), network.node(6)
-    channel.apply_energy(b, -b.battery_mah)
+    channel.debit(b, 1e6)   # over-debit clamps at zero
     assert not b.alive and b.battery_mah == 0.0
     assert channel.transmit(a, b, frame_of(5)) == "dropped(dead_receiver)"
     spent_a, spent_b = a.debited_mah, b.debited_mah
@@ -139,9 +142,10 @@ def test_dead_receiver_and_dead_sender():
 def test_n_node_dies_exactly_at_zero_and_stays_dead():
     network, channel, _, _ = make_world([("N", (0, 0), 1)])
     node = network.node(5)
-    channel.apply_energy(node, -(node.battery_mah - 1e-9))
+    em = channel.energy
+    channel.debit(node, (node.battery_mah - 1e-9) * em.volts * 3.6)
     assert node.alive
-    channel.apply_energy(node, -1.0)   # over-debit clamps at zero
+    channel.debit(node, em.volts * 3.6)   # 1 mAh: over-debit clamps at zero
     assert node.battery_mah == 0.0 and not node.alive
     assert any("death" in line for line in channel.trace.lines)
 
@@ -176,6 +180,101 @@ def test_mains_powered_nodes_never_drain():
     channel.debit(gw, 1e6)
     assert gw.battery_mah == 150.0 and gw.debited_mah == 0.0
     assert channel.ledger == {}
+
+
+class ReferenceBattery:
+    """The battery arithmetic of the three-call design (`debit` ->
+    `_recharge_to_now` -> `apply_energy`), kept here as the reference the
+    one-step `Channel.debit` must match bit for bit."""
+
+    def __init__(self, network, energy, queue, trace):
+        self.network, self.energy, self.queue, self.trace = network, energy, queue, trace
+        self.ledger = {}
+        self.initial_battery = {n.id: n.battery_mah for n in network.nodes.values()}
+        self._last_recharge = {}
+
+    def apply_energy(self, node, delta_mah):
+        if node.kind in ("MU", "PMU", "GW", "SERVER") or delta_mah == 0.0:
+            return
+        if delta_mah < 0:
+            effective = -min(-delta_mah, node.battery_mah)
+            node.debited_mah += -effective
+        else:
+            cap = (self.energy.battery_capacity_es if node.kind in ("ES", "PDC")
+                   else self.energy.initial_battery)
+            effective = min(delta_mah, cap - node.battery_mah)
+            node.recharged_mah += effective
+        node.battery_mah += effective
+        self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + effective
+        if node.kind == "N" and node.battery_mah == 0.0 and node.alive:
+            node.alive = False
+            self.trace.log(self.queue.now, "death", str(node.id), "battery_exhausted")
+
+    def _recharge_to_now(self, node):
+        if node.kind not in ("ES", "PDC"):
+            return
+        last = self._last_recharge.get(node.id, 0.0)
+        dt = self.queue.now - last
+        self._last_recharge[node.id] = self.queue.now
+        if dt > 0:
+            self.apply_energy(node, self.energy.recharge_rate * dt)
+
+    def debit(self, node, joules):
+        self._recharge_to_now(node)
+        self.apply_energy(node, -self.energy.to_mah(joules))
+
+    def finalize(self):
+        for node_id in sorted(self.network.nodes):
+            self._recharge_to_now(self.network.nodes[node_id])
+
+
+_spends = st.one_of(st.just(0.0), st.floats(0.0, 2000.0), st.just("drain"), st.just("over"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["N", "ES", "PDC", "GW"]), min_size=1, max_size=5),
+       recharge_rate=st.sampled_from([0.0, 0.01, 0.7]),
+       capacity=st.sampled_from([150.5, 2000.0]),
+       initial=st.sampled_from([150.0, 0.0]),
+       data=st.data())
+def test_debit_matches_the_three_call_battery_bit_for_bit(kinds, recharge_rate, capacity,
+                                                          initial, data):
+    energy = EnergyModel(recharge_rate=recharge_rate, battery_capacity_es=capacity)
+    extra = [(kind, (10.0 * i, 0.0), 1) for i, kind in enumerate(kinds) if kind != "GW"]
+    network, channel, queue, trace = make_world(extra, energy=energy, initial_battery=initial)
+    ref_network, _, ref_queue, ref_trace = make_world(extra, energy=energy,
+                                                      initial_battery=initial)
+    reference = ReferenceBattery(ref_network, energy, ref_queue, ref_trace)
+    ids = list(range(5, 5 + len(extra))) + ([1] if "GW" in kinds else [])   # 1: a gateway
+    steps = st.tuples(st.sampled_from(ids),
+                      st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.just(400.0)), _spends)
+    t = 0.0
+    for node_id, dt, spend in data.draw(st.lists(steps, max_size=25), label="steps"):
+        t += dt
+        queue.now = ref_queue.now = t
+        node, ref_node = network.node(node_id), ref_network.node(node_id)
+        if spend == "drain":            # exactly what is left
+            spend = ref_node.battery_mah * (energy.volts * 3.6)
+        elif spend == "over":
+            spend = 1e9
+        channel.debit(node, spend)
+        reference.debit(ref_node, spend)
+    t += 5.0
+    queue.now = ref_queue.now = t
+    channel.finalize(t)
+    reference.finalize()
+
+    for node_id, node in network.nodes.items():
+        ref_node = ref_network.node(node_id)
+        for name in ("battery_mah", "debited_mah", "recharged_mah"):
+            assert getattr(node, name).hex() == getattr(ref_node, name).hex(), name
+        assert node.alive == ref_node.alive
+    assert len(channel.ledger) == len(reference.ledger)
+    assert {k: v.hex() for k, v in channel.ledger.items()} == \
+        {k: v.hex() for k, v in reference.ledger.items()}
+    assert [line for line in trace.lines if " | death | " in line] == \
+        [line for line in ref_trace.lines if " | death | " in line]
+    assert channel.conservation_errors() == []
 
 
 def test_energy_conservation_ledger():
@@ -336,6 +435,46 @@ def test_add_node_joins_built_neighbourhoods():
     assert channel.hears(me) == {9: 100.0}
     assert channel.hears(late) == {5: 100.0}
     assert network.node(9) is late and channel.initial_battery[9] == 42.0
+    # a later entity comes in above every ID, so the walk stays in ID order
+    early = NodeState(id=7, kind="N", position=(1050.0, 0.0), region_id=1)
+    with pytest.raises(ValueError):
+        channel.add_node(early)
+    assert 7 not in network.nodes and 7 not in channel.initial_battery
+    channel.add_node(NodeState(id=network.allocate_id(), kind="N",
+                               position=(1050.0, 0.0), region_id=1))
+    assert list(network.nodes) == [1, 2, 3, 4, 5, 9, 10]
+    assert list(channel.hears(me)) == [9, 10]
+
+
+def test_network_add_refuses_ids_not_above_the_maximum():
+    network, _, _, _ = make_world([("N", (0, 0), 1)])
+    for taken_or_below in (5, 3, -1):
+        with pytest.raises(ValueError):
+            network.add(NodeState(id=taken_or_below, kind="N", position=(0.0, 0.0),
+                                  region_id=1))
+    assert list(network.nodes) == [1, 2, 3, 4, 5]
+    network.add(NodeState(id=20, kind="N", position=(0.0, 0.0), region_id=1))
+    assert network.allocate_id() == 21      # allocation stays above what was added
+
+
+def test_network_from_a_shuffled_deployment_walks_in_id_order():
+    topo = grid.load_topology(TWO_SUB_DOC)
+    subs = grid.partition_substations(topo)
+    regions = grid.divide_regions(subs, 200.0)
+    seeds = [EntitySeed("GW", 1, (0.0, 0.0), 1, 1), EntitySeed("GW", 2, (600.0, 0.0), 2, 2),
+             EntitySeed("SERVER", 3, (0.0, 0.0), 1, 1),
+             EntitySeed("SERVER", 4, (600.0, 0.0), 2, 2)]
+    seeds += [EntitySeed("N", i, (40.0 * i, 0.0), 1 + (i > 12)) for i in range(5, 17)]
+    random.Random(3).shuffle(seeds)
+    assert [seed.id for seed in seeds] != sorted(seed.id for seed in seeds)
+    network = Network(Deployment(tuple(seeds), main_cc=1, backup_cc=2), subs, regions, topo)
+    assert list(network.nodes) == list(range(1, 17))
+    assert [n.id for n in network.members(kind="N")] == list(range(5, 17))
+    assert [n.id for n in network.members(region=2)] == [2, 4, 13, 14, 15, 16]
+    channel = Channel(network, RadioModel(), EnergyModel(), Trace(), EventQueue(),
+                      substream(1, "loss"))
+    heard = list(channel.hears(network.node(8)))
+    assert heard == sorted(heard) and len(heard) > 5
 
 
 def test_trace_digest_deterministic():

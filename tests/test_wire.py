@@ -102,7 +102,9 @@ _frames = st.builds(Frame, st.sampled_from(MsgType), st.integers(0, 0xFFFFFFFF),
 @settings(max_examples=200, deadline=None)
 @given(_frames)
 def test_codec_round_trips_random_frames(frame):
-    assert wire.decode_frame(wire.encode_frame(frame)) == frame
+    decoded = wire.decode_frame(wire.encode_frame(frame))
+    assert decoded == frame
+    assert isinstance(decoded.msg_type, MsgType)
 
 
 @settings(max_examples=300, deadline=None)
