@@ -303,8 +303,10 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
                   seed: int) -> list[AttackOutcomeLog]:
     """Install every attack in the engine's world; call after engine.start()
     so attack events at equal times queue behind the protocol's bootstrap
-    events. Returns one outcome log per spec; raises AttackConfigError on
-    any threat-model violation."""
+    events, and before the queue runs, since the channel records what a
+    target sees only once it is listed in `Channel.audited`. Returns one
+    outcome log per spec; raises AttackConfigError on any threat-model
+    violation."""
     network, channel = engine.network, engine.channel
     logs: list[AttackOutcomeLog] = []
     taken: set[int] = set()
@@ -318,6 +320,7 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
         else:
             targets = resolve_targets(spec, network, rng, taken)
         taken.update(targets)
+        channel.audited.update(targets)
         log = AttackOutcomeLog(name=label, kind=spec.kind, targets=targets)
         logs.append(log)
 
@@ -352,11 +355,14 @@ def apply_attacks(specs: list[AttackSpec], engine: ProtocolEngine,
 
 
 def confidentiality_scan(engine: ProtocolEngine, logs: list[AttackOutcomeLog]) -> int:
-    """Post-run audit. Fills each EAVESDROP log's `frames_overheard` (one per
-    frame its nodes received or overheard), counts, per attack, the observed
-    data payloads the attacker could actually decrypt with keys it holds
-    (never assumed zero), and returns the number of plaintext exposures: raw
-    reading markers seen over the air by key-less observers."""
+    """Post-run audit over `Channel.observations`, which hold what attack
+    targets (foreign plants included) saw, and nothing else; `apply_attacks`
+    must have run before the first frame moved. Fills each EAVESDROP log's
+    `frames_overheard` (one per frame its nodes received or overheard),
+    counts, per attack, the observed data payloads the attacker could
+    actually decrypt with keys it holds (never assumed zero), and returns
+    the number of plaintext exposures: raw reading markers seen over the
+    air by key-less observers."""
     attacker_of: dict[int, AttackOutcomeLog] = {}
     for log in logs:
         for node_id in log.targets:

@@ -13,6 +13,11 @@ The Channel also owns the radio geometry: `hears` is the one answer to
 node's neighbourhood is computed once; an entity deployed later enters
 through `add_node`, which is the only way in.  `network.nodes` is in ID
 order, so every walk over it is too.
+
+`observations` is the attackers' view of the air, not a log of every
+reception (the trace is that log): a frame is recorded only when its
+listener is in `audited`, the attack targets that `apply_attacks` adds.
+So attacks must be installed before the first frame moves.
 """
 
 from __future__ import annotations
@@ -128,7 +133,8 @@ class Trace:
 
 @dataclass
 class Observation:
-    """One entity seeing one frame (receiver, broadcast listener, eavesdropper)."""
+    """One attack target seeing one frame, as receiver, broadcast listener
+    or eavesdropper; nodes outside `Channel.audited` are not recorded."""
     t: float
     observer_id: int
     sender_id: int
@@ -161,6 +167,7 @@ class Channel:
         }
         self._last_recharge: dict[int, float] = {}
         self.observations: list[Observation] = []
+        self.audited: set[int] = set()                  # observers kept in `observations`
         self.eavesdroppers: list[int] = []              # sorted on registration
         self.wormholes: list[tuple[int, int]] = []
         self.drop_counts: dict[str, int] = {}
@@ -253,11 +260,14 @@ class Channel:
 
     def _take_in(self, listener: NodeState, sender_id: int, frame: Frame, type_name: str,
                  rx_joules: float, how: str) -> None:
-        """A listener receives or overhears `frame`: it pays, and it is seen."""
+        """A listener receives or overhears `frame`: it pays, it is traced,
+        and an audited listener's view is recorded."""
         self.debit(listener, rx_joules)
         self.trace.log(self.queue.now, "rx", f"{listener.id}<-{sender_id}:{type_name}",
                        how, rx_joules)
-        self.observations.append(Observation(self.queue.now, listener.id, sender_id, frame))
+        if listener.id in self.audited:
+            self.observations.append(Observation(self.queue.now, listener.id, sender_id,
+                                                 frame))
 
     def _lose(self, reason: str) -> str:
         """Count one lost frame under `reason`; returns its trace outcome."""
@@ -379,10 +389,10 @@ class Channel:
     # -- checks ------------------------------------------------------------
 
     def conservation_errors(self) -> list[int]:
-        """Node IDs whose ledger balance is not their final battery."""
+        """Node IDs, in ID order, whose ledger balance is not their final battery."""
         bad = []
         for node_id, node in self.network.nodes.items():
             balance = self.ledger.get(node_id, self.initial_battery[node_id])
             if balance != node.battery_mah:
                 bad.append(node_id)
-        return sorted(bad)
+        return bad

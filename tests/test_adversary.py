@@ -302,6 +302,43 @@ def test_insider_eavesdropper_decrypts_only_its_own_sessions():
                                            for obs in chan.observations) > 0
 
 
+AUDIT_MIXES = {
+    "insider-foreign_flood-drop": (
+        AttackSpec(kind="EAVESDROP", target_ids=(9,)),
+        AttackSpec(kind="FLOOD", foreign=True, position=(400.0, 30.0), attack_interval=5.0),
+        AttackSpec(kind="DROP", target_ids=(7,))),
+    "spies-sybil-false_data": (
+        AttackSpec(kind="EAVESDROP", count=2),
+        AttackSpec(kind="SYBIL", target_ids=(8,)),
+        AttackSpec(kind="FALSE_DATA", target_ids=(6,))),
+    "spy-wormhole-drop": (
+        AttackSpec(kind="EAVESDROP", target_ids=(5,)),
+        AttackSpec(kind="WORMHOLE", target_ids=(3, 7)),
+        AttackSpec(kind="DROP", target_ids=(9,))),
+}
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("mix", sorted(AUDIT_MIXES))
+def test_audit_of_targets_only_matches_audit_of_every_node(mix, defense):
+    """Keeping only the attack targets' observations changes nothing the
+    audit reports: a second world that keeps every node's gives the same."""
+    reports, kept = [], []
+    for widen in (False, True):
+        net, chan, queue, trace, eng, logs = attacked_sim(
+            mini_world, list(AUDIT_MIXES[mix]), defense=defense)
+        if widen:
+            chan.audited.update(net.nodes)
+        queue.run_until(241.0)             # past the second trust round
+        exposures = confidentiality_scan(eng, logs)
+        reports.append((trace.digest(), exposures,
+                        [(log.frames_overheard, log.payloads_decrypted) for log in logs]))
+        kept.append(len(chan.observations))
+    assert reports[0] == reports[1]
+    assert kept[0] < kept[1]
+    assert any(overheard for overheard, _ in reports[0][2])
+
+
 # -- false data --------------------------------------------------------------------
 
 def test_false_data_detected_by_mac_at_decrypting_hop():

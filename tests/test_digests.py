@@ -63,9 +63,26 @@ CASES = {
 }
 
 
+# what the post-run audit reports: per attack log (frames_overheard,
+# payloads_decrypted), then plaintext_exposures; (defense on, defense off)
+AUDITS = {
+    "attacked": ((((0, 0), (0, 0), (791, 0)), 0), (((0, 4), (0, 0), (111, 0)), 0)),
+    "clean": (((), 0), ((), 0)),
+    "false_data": ((((0, 4),), 0), (((0, 4),), 0)),
+    "flood1": ((((0, 0),), 0), (((0, 0),), 0)),
+    "insider_spy": ((((4056, 4),), 0), (((386, 4),), 0)),
+    "malicious35": ((((0, 0), (0, 16)), 0), (((0, 16), (0, 28)), 0)),
+    "pdc_drop": ((((0, 0),), 0), (((0, 8),), 0)),
+    "sybil": ((((0, 0),), 0), (((0, 0),), 0)),
+    "wormhole": ((((0, 0),), 0), (((0, 0),), 0)),
+    "wormhole_spy": ((((0, 0), (1174, 0)), 0), (((0, 0), (82, 0)), 0)),
+}
+
+
 @functools.cache
 def pinned_run(case, defense):
-    """(digest, counted losses, `dropped(...)` trace outcomes) of one case;
+    """(digest, counted losses, `dropped(...)` trace outcomes, audit report,
+    kept observations, `rx` trace lines of attack targets) of one case;
     only this summary is kept between the tests that read it."""
     conf, attacks, seed, _, _ = CASES[case]
     config = load_config(DATA_DIR / conf)
@@ -73,8 +90,14 @@ def pinned_run(case, defense):
     config = replace(config, duration=DURATION, seed=seed, defense=defense,
                      attacks=config.attacks if attacks is None else attacks)
     result = run_scenario(config)
-    dropped = sum(line.split(" | ")[3].startswith("dropped(") for line in result.trace.lines)
-    return result.trace.digest(), sum(result.channel.drop_counts.values()), dropped
+    fields = [line.split(" | ") for line in result.trace.lines]
+    dropped = sum(f[3].startswith("dropped(") for f in fields)
+    targets = {node_id for log in result.attack_logs for node_id in log.targets}
+    target_rx = sum(f[1] == "rx" and int(f[2].split("<-")[0]) in targets for f in fields)
+    audit = (tuple((log.frames_overheard, log.payloads_decrypted)
+                   for log in result.attack_logs), result.metrics.plaintext_exposures)
+    return (result.trace.digest(), sum(result.channel.drop_counts.values()), dropped,
+            audit, len(result.channel.observations), target_rx)
 
 
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
@@ -90,5 +113,21 @@ def test_every_traced_loss_is_counted(case, defense):
     """Channel.drop_counts holds one count per `dropped(...)` outcome in the
     trace (a tunnelled leg that fails is counted and writes no line; none
     of these runs has one)."""
-    _, counted, traced = pinned_run(case, defense)
+    _, counted, traced, _, _, _ = pinned_run(case, defense)
     assert counted == traced
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_audit_report_pinned(case, defense):
+    on_audit, off_audit = AUDITS[case]
+    assert pinned_run(case, defense)[3] == (on_audit if defense else off_audit)
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_observations_are_the_rx_lines_of_attack_targets(case, defense):
+    """The channel keeps one observation per frame an attack target took in,
+    and no other: targets are all installed before the first frame moves."""
+    _, _, _, _, kept, target_rx = pinned_run(case, defense)
+    assert kept == target_rx

@@ -321,11 +321,26 @@ def test_eavesdropper_observes_in_range_traffic():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (50, 0), 1), ("N", (100, 0), 1), ("N", (2000, 0), 2)])
     channel.eavesdroppers = [7, 8]
+    channel.audited.update((6, 7, 8))
     channel.transmit(network.node(5), network.node(6), frame_of(5))
     observers = [o.observer_id for o in channel.observations]
     assert observers == [7, 6]   # spy 7 in range of sender; spy 8 too far
     assert network.node(7).debited_mah > 0
     assert network.node(8).debited_mah == 0.0
+
+
+def test_unaudited_receiver_pays_and_is_traced_but_not_observed():
+    network, channel, _, trace = make_world(
+        [("N", (0, 0), 1), ("N", (50, 0), 1), ("N", (100, 0), 1), ("N", (2000, 0), 2)])
+    channel.eavesdroppers = [7, 8]
+    channel.audited.update((7, 8))
+    frame = frame_of(5)
+    channel.transmit(network.node(5), network.node(6), frame)
+    assert [o.observer_id for o in channel.observations] == [7]
+    em = channel.energy
+    assert network.node(6).debited_mah == em.to_mah(em.energy_rx(frame.wire_bits))
+    rx_6 = [line for line in trace.lines if line.split(" | ")[1:3] == ["rx", "6<-5:TEST"]]
+    assert len(rx_6) == 1 and rx_6[0].split(" | ")[3] == "received"
 
 
 def dropped_lines(trace):
