@@ -145,6 +145,9 @@ class Network:
         sub = self.main_cc if main else self.backup_cc
         return self.nodes[self.gateway_of_substation[sub]]
 
+    def server(self, main: bool = True) -> NodeState:
+        return self.nodes[self.main_server if main else self.backup_server]
+
     def region_trust_targets(self, region_id: int) -> list[NodeState]:
         """Entities a trust round evaluates: N, ES, PDC (substation gear is
         trusted by assumption), plus any acting PDC already covered by kind."""

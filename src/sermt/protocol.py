@@ -12,9 +12,10 @@ selection cadence and traffic pattern, so paired runs differ only in
 protocol behavior. It never runs a trust round, so the main server's table
 stays the empty one from `install_keys` and reads TV 100 (trusted) for
 every entity. (Every broadcast in a server's name, the servers' own and
-the attacks' forgeries, goes through `broadcast_claimed` and its chain
-check in both modes; a forgery only moves counters.) Each
-remaining baseline decision reads the switch in one place:
+the attacks' forgeries, goes through `broadcast_claimed` in both modes: one
+HMAC check per broadcast, then one chain-key check per receiver against its
+own anchor; a forgery only moves counters.) Each remaining baseline
+decision reads the switch in one place:
 
 - cadence: `start` schedules trust rounds and gateway probes, or a plain
   reselect timer;
@@ -193,19 +194,6 @@ def unpack_records(blob: bytes) -> list[tuple[int, bytes]]:
     return records
 
 
-# -- control-message authentication ---------------------------------------------
-
-def authenticate_control_message(frame: Frame, anchor_state: ChainAnchorState,
-                                 gbk: bytes) -> bool:
-    """A control broadcast is genuine iff its HMAC verifies and its chain key
-    hashes onto the receiver's anchor; acceptance consumes the key."""
-    if not frame.chain_key:
-        return False
-    if not verify_frame(frame, gbk=gbk):
-        return False
-    return anchor_state.accept(frame.chain_key)
-
-
 # -- configuration / bookkeeping -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -295,7 +283,6 @@ class ProtocolEngine:
         self.gbk = self.rng.randbytes(16)
         self.sessions: dict[tuple[int, int], bytes] = {}
         self.tables: dict[int, TrustTable] = {}
-        self.gateway_tables: dict[int, TrustTable] = {}
         self.server_chains: dict[int, HashChain] = {}
         self.server_key_history: dict[int, list] = {}
         self.released_keys: set[bytes] = set()
@@ -368,20 +355,6 @@ class ProtocolEngine:
         return not self.defense or verify_frame(frame, gbk=self.gbk,
                                                 session_key=session_key)
 
-    def _accept_control(self, receiver: NodeState, claimed_server: int,
-                        frame: Frame) -> bool:
-        state = receiver.chain_state.get(claimed_server)
-        if state is None:
-            self.delivery.auth_rejects += 1
-            return False
-        ok = authenticate_control_message(frame, state, self.gbk)
-        if ok:
-            if frame.chain_key not in self.released_keys:
-                self.delivery.forged_accepts += 1    # ground-truth cross-check
-        else:
-            self.delivery.auth_rejects += 1
-        return ok
-
     def _next_chain_key(self, server_id: int) -> bytes:
         key = self.server_chains[server_id].next_key()
         self.released_keys.add(key)
@@ -427,9 +400,7 @@ class ProtocolEngine:
 
     def _round_and_reselect(self) -> None:
         t = self.queue.now
-        initiator_id = (self.network.main_server if self.round_index % 2 == 0
-                        else self.network.backup_server)
-        self.run_trust_round(self.network.nodes[initiator_id])
+        self.run_trust_round(self.network.server(main=self.round_index % 2 == 0))
         self.last_round_start = t
         self._reselect()
 
@@ -504,7 +475,9 @@ class ProtocolEngine:
 
         self.tables[initiator.id] = table
         self._sync_peer_server(initiator, table)
-        self._push_gateway_tables(initiator, table)
+        # gateways hear the new table; their decisions read current_table()
+        self._control_broadcast(initiator, MsgType.BLOCKED_LIST, table.serialize(),
+                                kinds=("GW",))
         self._regenerate_server_keys()
         self.round_index += 1
         self.trace.log(t, "round", f"server:{initiator.id}",
@@ -565,15 +538,12 @@ class ProtocolEngine:
         return False
 
     def _sync_peer_server(self, initiator: NodeState, table: TrustTable) -> None:
-        peer_id = (self.network.backup_server
-                   if initiator.id == self.network.main_server
-                   else self.network.main_server)
-        peer = self.network.nodes[peer_id]
+        peer = self.network.server(main=initiator.id != self.network.main_server)
         frame = self._gbk_frame(MsgType.BLOCKED_LIST, initiator, table.serialize())
         if self.channel.transmit(initiator, peer, frame, control=True) == DELIVERED:
-            self.tables[peer_id] = TrustTable.deserialize(frame.payload)
+            self.tables[peer.id] = TrustTable.deserialize(frame.payload)
         else:
-            self.trace.log(self.queue.now, "round", f"sync:{initiator.id}->{peer_id}",
+            self.trace.log(self.queue.now, "round", f"sync:{initiator.id}->{peer.id}",
                            "failed")
 
     def _control_broadcast(self, server: NodeState, msg_type: MsgType, payload: bytes,
@@ -589,16 +559,24 @@ class ProtocolEngine:
                           control: bool = False,
                           kinds: tuple[str, ...] | None = None) -> list[NodeState]:
         """Broadcast `frame` from `sender` in `claimed_server`'s name; returns
-        the receivers whose chain check accepted it."""
-        receivers = [self.network.nodes[node_id] for node_id
-                     in self.channel.broadcast(sender, frame, control=control, kinds=kinds)]
-        return [node for node in receivers
-                if self._accept_control(node, claimed_server, frame)]
-
-    def _push_gateway_tables(self, initiator: NodeState, table: TrustTable) -> None:
-        for gw in self._control_broadcast(initiator, MsgType.BLOCKED_LIST,
-                                          table.serialize(), kinds=("GW",)):
-            self.gateway_tables[gw.id] = table
+        the receivers that accepted it. A receiver accepts iff the frame
+        carries a chain key, its HMAC verifies, and the key hashes onto the
+        receiver's own anchor for that server; acceptance consumes the key.
+        The HMAC depends on the frame and the group key alone, so it is
+        checked once per broadcast, not once per receiver."""
+        receivers = self.channel.broadcast(sender, frame, control=control, kinds=kinds)
+        authentic = bool(frame.chain_key) and verify_frame(frame, gbk=self.gbk)
+        accepted = []
+        for node_id in receivers:
+            node = self.network.nodes[node_id]
+            state = node.chain_state.get(claimed_server)
+            if not (authentic and state is not None and state.accept(frame.chain_key)):
+                self.delivery.auth_rejects += 1
+                continue
+            if frame.chain_key not in self.released_keys:
+                self.delivery.forged_accepts += 1    # ground-truth cross-check
+            accepted.append(node)
+        return accepted
 
     def _regenerate_server_keys(self) -> None:
         for server_id in (self.network.main_server, self.network.backup_server):
@@ -856,6 +834,24 @@ class ProtocolEngine:
                        f"bits:{len(reading) * 8}")
         return reading
 
+    def _read_units(self, kind: str, substation_id: int,
+                    size: int) -> list[tuple[int, bytes]]:
+        """One reading from each live `kind` unit of the substation, in ID
+        order. At a control-center site the server takes them in directly;
+        elsewhere they are returned as (unit, reading) for the WSN leg."""
+        net = self.network
+        at_cc = substation_id in (net.main_cc, net.backup_cc)
+        readings = []
+        for unit in net.members(kind=kind):
+            if unit.substation_id != substation_id:
+                continue
+            reading = self._new_reading(size)
+            if at_cc:
+                self.ingest_reading(reading)
+            else:
+                readings.append((unit.id, reading))
+        return readings
+
     def ingest_reading(self, reading: bytes) -> None:
         if reading[:4] != MARKER_MAGIC or len(reading) < MARKER_LEN:
             return
@@ -894,14 +890,8 @@ class ProtocolEngine:
 
         for gw in net.members(kind="GW"):
             queue = self.gw_queue.setdefault(gw.id, [])
-            for mu in net.members(kind="MU"):
-                if mu.substation_id != gw.substation_id:
-                    continue
-                reading = self._new_reading(self.config.mu_reading_bytes)
-                if gw.substation_id in (net.main_cc, net.backup_cc):
-                    self.ingest_reading(reading)   # same site as the server
-                else:
-                    queue.append((mu.id, reading))
+            queue.extend(self._read_units("MU", gw.substation_id,
+                                          self.config.mu_reading_bytes))
             self._flush_gateway(gw, queue, carry)
 
         self._flush_clusters(carry)
@@ -967,19 +957,37 @@ class ProtocolEngine:
     def _send_aggregate(self, head: NodeState, records: list[tuple[int, bytes]]) -> None:
         # heads prefer the main control center; a severed relay graph falls
         # back to the backup center rather than stranding the whole cluster
-        net = self.network
         for main in (True, False):
             path = self._route_to_cc(head, main=main)
-            if path is None:
-                continue
-            server = net.nodes[net.main_server if main else net.backup_server]
-            blob = ecc_encrypt(head.server_pubkeys[server.id],
-                               pack_records(sorted(records)), SIM_CURVE, self.rng)
-            arrived = self._relay_chain(path, MsgType.AGG_DATA, blob, head)
-            if arrived is not None:
-                self._server_ingest(server, arrived.payload)
-            return
+            if path is not None:
+                self._seal_to_server(head, main, path, records)
+                return
         self.delivery.undeliverable_alarms += 1
+
+    def _seal_to_server(self, origin: NodeState, main: bool,
+                        path: tuple[int, ...] | None,
+                        records: list[tuple[int, bytes]]) -> None:
+        """ECC-seal the records to the main or backup server's current key and
+        relay them along `path` as AGG_DATA. The seal comes first, so a None
+        path still pays for it (RNG draws included) before its alarm.
+
+        An origin with no key for the server cannot seal, and its records stop
+        here: no frame, no RNG draw. Only a foreign plant lacks the keys, and
+        it heads a cluster only in the baseline. No alarm is counted: an alarm
+        is an honest node reporting that it found no route, and a plant
+        reports nothing; its loss shows in `packet_drop_pct`, as a
+        dropper's does."""
+        server = self.network.server(main)
+        pubkey = origin.server_pubkeys.get(server.id)
+        if pubkey is None:
+            return
+        blob = ecc_encrypt(pubkey, pack_records(sorted(records)), SIM_CURVE, self.rng)
+        if path is None:
+            self.delivery.undeliverable_alarms += 1
+            return
+        arrived = self._relay_chain(path, MsgType.AGG_DATA, blob, origin)
+        if arrived is not None:
+            self._server_ingest(server, arrived.payload)
 
     def _route_to_cc(self, source: NodeState, main: bool) -> tuple[int, ...] | None:
         key = (source.id, main)
@@ -1027,15 +1035,8 @@ class ProtocolEngine:
 
         for substation_id in self._pmu_substations():
             gw = net.nodes[net.gateway_of_substation[substation_id]]
-            pmus = [n for n in net.members(kind="PMU")
-                    if n.substation_id == substation_id]
-            readings = []
-            for pmu in pmus:
-                reading = self._new_reading(self.config.pmu_reading_bytes)
-                if substation_id in (net.main_cc, net.backup_cc):
-                    self.ingest_reading(reading)
-                else:
-                    readings.append((pmu.id, reading))
+            readings = self._read_units("PMU", substation_id,
+                                        self.config.pmu_reading_bytes)
             if not readings:
                 continue
             es_id = self.es_choice.get(gw.id)
@@ -1094,18 +1095,8 @@ class ProtocolEngine:
     def _pdc_dispatch(self, pdc: NodeState, records: list[tuple[int, bytes]]) -> None:
         """Aggregate and deliver to both control centers over the static
         concentrator overlay."""
-        net = self.network
         for main in (True, False):
-            server = net.nodes[net.main_server if main else net.backup_server]
-            blob = ecc_encrypt(pdc.server_pubkeys[server.id],
-                               pack_records(sorted(records)), SIM_CURVE, self.rng)
-            path = self._pdc_route(pdc, main)
-            if path is None:
-                self.delivery.undeliverable_alarms += 1
-                continue
-            arrived = self._relay_chain(path, MsgType.AGG_DATA, blob, pdc)
-            if arrived is not None:
-                self._server_ingest(server, arrived.payload)
+            self._seal_to_server(pdc, main, self._pdc_route(pdc, main), records)
 
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
         key = (pdc.id, main)

@@ -288,6 +288,20 @@ def test_foreign_eavesdropper_hears_everything_decrypts_nothing():
     assert spy.id in eng.tables[net.main_server].threat_list
 
 
+def test_foreign_cluster_head_cannot_seal_to_the_servers():
+    """With the defense off, a planted device can head a cluster. It holds no
+    server keys, so its cluster's records stop there: no AGG_DATA frame and
+    no alarm, only the two MU readings of substation 3 lost per cadence."""
+    spec = AttackSpec(kind="EAVESDROP", foreign=True, position=(810.0, 30.0))
+    net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [spec], defense=False)
+    spy = logs[0].targets[0]
+    queue.run_until(16.0)
+    assert spy in eng.cluster_head.values()
+    assert not any(f"| {spy}->" in ln and ":AGG_DATA |" in ln for ln in trace.lines)
+    assert eng.delivery.sent - eng.delivery.delivered == 2
+    assert eng.delivery.undeliverable_alarms == 0
+
+
 def test_insider_eavesdropper_decrypts_only_its_own_sessions():
     spec = AttackSpec(kind="EAVESDROP", target_ids=(9,))    # the chosen ES
     net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [spec])

@@ -55,6 +55,13 @@ CASES = {
                       AttackSpec(kind="EAVESDROP", name="spy", count=2)), 5,
                      "2ec235028064a7d21bd66777699adefe5baa1b00",
                      "353ee4de578a555146942a5bf631af95aaacf958"),
+    # a planted device heads a cluster in the baseline and, holding no server
+    # keys, cannot seal to the servers: its cluster's readings stop with it
+    "foreign_spy": ("scaled_ieee14.conf",
+                    (AttackSpec(kind="EAVESDROP", name="spy", foreign=True,
+                                position=(500.0, 300.0)),), 7,
+                    "099cbad5750717fd407d8cfe233d5c1573b13456",
+                    "3972861b4a13b81ae59b7f5ef6da8261259d9450"),
     # both region concentrators dropping: 2 `failover` lines with defense on
     "pdc_drop": ("scaled_ieee14.conf",
                  (AttackSpec(kind="DROP", name="pdc", target_ids=(91, 92)),), 7,
@@ -70,6 +77,7 @@ AUDITS = {
     "clean": (((), 0), ((), 0)),
     "false_data": ((((0, 4),), 0), (((0, 4),), 0)),
     "flood1": ((((0, 0),), 0), (((0, 0),), 0)),
+    "foreign_spy": ((((909, 0),), 0), (((130, 4),), 0)),
     "insider_spy": ((((4056, 4),), 0), (((386, 4),), 0)),
     "malicious35": ((((0, 0), (0, 16)), 0), (((0, 16), (0, 28)), 0)),
     "pdc_drop": ((((0, 0),), 0), (((0, 8),), 0)),

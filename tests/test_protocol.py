@@ -6,8 +6,7 @@ import struct
 
 import pytest
 
-from sermt import rng as rngmod
-from sermt.crypto import ChainAnchorState, HashChain
+from sermt import protocol, rng as rngmod
 from sermt.entities import Behavior, Network
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
@@ -17,7 +16,6 @@ from sermt.protocol import (
     ProtocolEngine,
     TrustTable,
     UndefinedTrustError,
-    authenticate_control_message,
     candidate_score,
     compute_forwarding_score,
     compute_trust,
@@ -224,57 +222,105 @@ def test_delivery_counts_each_issued_marker_once():
 
 
 # -- control-message authentication ------------------------------------------------
+# Control broadcasts are checked where they are received: `broadcast_claimed`
+# checks the frame's HMAC once, then each listener's chain head.
 
-def test_control_authentication_accept_replay_forge():
-    rng = random.Random(0xA11)
-    gbk = rng.randbytes(16)
-    chain = HashChain(rng.randbytes(20), 32)
-    state = ChainAnchorState(chain.anchor)
-
-    key = chain.next_key()
-    frame = make_frame(MsgType.BLOCKED_LIST, 9, b"payload", gbk=gbk, chain_key=key)
-    assert authenticate_control_message(frame, state, gbk)
-    # replaying the same frame fails: the anchor has advanced past its key
-    assert not authenticate_control_message(frame, state, gbk)
-
-    nxt = chain.next_key()
-    tampered = Frame(MsgType.BLOCKED_LIST, 9, b"other", nxt, frame.mac)
-    assert not authenticate_control_message(tampered, state, gbk)
-    bare = make_frame(MsgType.BLOCKED_LIST, 9, b"payload", gbk=gbk)
-    assert not authenticate_control_message(bare, state, gbk)   # no chain key
-
-    for _ in range(200):
-        forged = make_frame(MsgType.BLOCKED_LIST, 9, b"payload", gbk=gbk,
-                            chain_key=rng.randbytes(20))
-        assert not authenticate_control_message(forged, state, gbk)
+GATEWAYS = [23, 24, 25]
 
 
-def test_engine_rejects_forged_and_replayed_control():
+def control_sim():
+    """The mini world after its first trust round, and its main server."""
     net, chan, queue, trace, eng = make_sim(mini_world)
     eng.start()
     queue.run_until(1.0)
-    server_id = net.main_server
-    gw = net.nodes[24]
+    return net, eng, net.nodes[net.main_server]
+
+
+def claim(eng, server, frame):
+    """Broadcast `frame` to the gateways in `server`'s name; returns the IDs
+    that accepted it and the auth rejects it added."""
+    rejects = eng.delivery.auth_rejects
+    accepted = eng.broadcast_claimed(server, server.id, frame, control=True, kinds=("GW",))
+    return [node.id for node in accepted], eng.delivery.auth_rejects - rejects
+
+
+def test_control_authentication_accept_replay_forge():
+    net, eng, server = control_sim()
+    rng = random.Random(0xA11)
+
+    frame = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                       chain_key=eng._next_chain_key(server.id))
+    assert claim(eng, server, frame) == (GATEWAYS, 0)
+    # replaying the same frame fails: every anchor has advanced past its key
+    assert claim(eng, server, frame) == ([], 3)
+
+    nxt = eng._next_chain_key(server.id)
+    tampered = Frame(MsgType.BLOCKED_LIST, server.id, b"other", nxt, frame.mac)
+    assert claim(eng, server, tampered) == ([], 3)
+    bare = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk)
+    assert claim(eng, server, bare) == ([], 3)                  # no chain key
+
+    for _ in range(200):
+        forged = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                            chain_key=rng.randbytes(20))
+        assert claim(eng, server, forged) == ([], 3)
+    # none of the rejections consumed the genuine key
+    genuine = make_frame(MsgType.BLOCKED_LIST, server.id, b"other", gbk=eng.gbk,
+                         chain_key=nxt)
+    assert claim(eng, server, genuine) == (GATEWAYS, 0)
+    assert eng.delivery.forged_accepts == 0
+
+
+def test_engine_rejects_forged_and_replayed_control():
+    net, eng, server = control_sim()
     payload = TrustTable(timestamp=1.0).serialize()
 
-    rejects = eng.delivery.auth_rejects
-    bogus = make_frame(MsgType.BLOCKED_LIST, server_id, payload, gbk=eng.gbk,
+    bogus = make_frame(MsgType.BLOCKED_LIST, server.id, payload, gbk=eng.gbk,
                        chain_key=bytes(20))
-    assert not eng._accept_control(gw, server_id, bogus)
-    assert eng.delivery.auth_rejects == rejects + 1
+    assert claim(eng, server, bogus) == ([], 3)         # one reject per listener
 
-    legit = make_frame(MsgType.BLOCKED_LIST, server_id, payload, gbk=eng.gbk,
-                       chain_key=eng._next_chain_key(server_id))
-    assert eng._accept_control(gw, server_id, legit)
-    assert not eng._accept_control(gw, server_id, legit)        # replay
+    legit = make_frame(MsgType.BLOCKED_LIST, server.id, payload, gbk=eng.gbk,
+                       chain_key=eng._next_chain_key(server.id))
+    assert claim(eng, server, legit) == (GATEWAYS, 0)
+    assert claim(eng, server, legit) == ([], 3)         # replay
     assert eng.delivery.forged_accepts == 0
 
     # a key stolen straight off the chain authenticates, but the ground-truth
-    # ledger of released keys flags the acceptance
-    stolen = make_frame(MsgType.BLOCKED_LIST, server_id, payload, gbk=eng.gbk,
-                        chain_key=eng.server_chains[server_id].next_key())
-    assert eng._accept_control(gw, server_id, stolen)
-    assert eng.delivery.forged_accepts == 1
+    # ledger of released keys flags each acceptance
+    stolen = make_frame(MsgType.BLOCKED_LIST, server.id, payload, gbk=eng.gbk,
+                        chain_key=eng.server_chains[server.id].next_key())
+    assert claim(eng, server, stolen) == (GATEWAYS, 0)
+    assert eng.delivery.forged_accepts == 3
+
+
+def test_one_mac_check_per_control_broadcast(monkeypatch):
+    net, eng, server = control_sim()
+    checked, verify = [], protocol.verify_frame
+
+    def counted(frame, **keys):
+        checked.append(frame)
+        return verify(frame, **keys)
+    monkeypatch.setattr(protocol, "verify_frame", counted)
+    frame = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                       chain_key=eng._next_chain_key(server.id))
+    assert claim(eng, server, frame) == (GATEWAYS, 0)
+    assert checked == [frame]
+
+
+def test_control_acceptance_reads_each_listeners_own_head():
+    net, eng, server = control_sim()
+    key = eng._next_chain_key(server.id)
+    # gateway 23 already took this key: its head has moved past it
+    assert net.nodes[23].chain_state[server.id].accept(key)
+    frame = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                       chain_key=key)
+    assert claim(eng, server, frame) == ([24, 25], 1)
+    # a listener with no anchor for the server (a foreign plant) rejects too
+    del net.nodes[25].chain_state[server.id]
+    frame = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                       chain_key=eng._next_chain_key(server.id))
+    assert claim(eng, server, frame) == ([23, 24], 1)
+    assert eng.delivery.forged_accepts == 0
 
 
 # -- trust rounds ------------------------------------------------------------------
@@ -296,9 +342,11 @@ def test_clean_round_syncs_servers_and_selects():
     assert eng.delivery.isolation_alarms == 0
     assert eng.delivery.auth_rejects == 0
     assert eng.delivery.forged_accepts == 0
-    # gateways hold the pushed table, byte for byte
-    for gw_id in (23, 24, 25):
-        assert eng.gateway_tables[gw_id].serialize() == eng.tables[main].serialize()
+    # every gateway took in the pushed table, and its chain key checked out
+    pushed = {f[2] for f in (ln.split(" | ") for ln in trace.lines)
+              if f[1] == "rx" and f[3] == "received"}
+    for gw_id in GATEWAYS:
+        assert f"{gw_id}<-{main}:BLOCKED_LIST" in pushed
 
 
 def test_round_alternates_initiator_and_stays_synced():

@@ -397,6 +397,17 @@ def test_cli_run_prints_metrics_and_trace(tmp_path, capsys):
     assert "trace_digest = " in capsys.readouterr().out
 
 
+def test_cli_run_with_a_foreign_cluster_head(tmp_path, capsys):
+    """The baseline lets a planted device head a cluster; it cannot seal to
+    the servers, and the run still ends normally."""
+    text = (scenario.DATA_DIR / "scaled_ieee14.conf").read_text(encoding="utf-8")
+    text = text.replace("duration = 600", "duration = 60").replace("defense = sermt",
+                                                                   "defense = baseline")
+    text += "\n[attack:spy]\nkind = EAVESDROP\nforeign = yes\nposition = 500, 300\n"
+    assert cli.main(["run", str(write_config(tmp_path, text))]) == 0
+    assert "trace_digest = " in capsys.readouterr().out
+
+
 def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     config_path = write_config(tmp_path)
     monkeypatch.setenv("SERMT_SEED", "123")
