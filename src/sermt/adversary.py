@@ -16,6 +16,7 @@ per-attack outcome counters.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import rng as rngmod
 from .crypto import CipherFormatError, generate_keypair, rc5_decrypt
-from .entities import Behavior, Network, NodeState, distance
+from .entities import Behavior, Network, NodeState
 from .protocol import SIM_CURVE, ProtocolEngine, unpack_records
 from .simcore import Channel
 from .wire import DATA_TYPES, MsgType, make_frame
@@ -123,15 +124,13 @@ class DropBehavior(Behavior):
     """Swallows a deterministic cyclic fraction of probe and data frames."""
 
     def __init__(self, fraction: float, log: AttackOutcomeLog):
-        self.pattern = cyclic_pass_pattern(fraction)
+        self.passes = itertools.cycle(cyclic_pass_pattern(fraction))
         self.log = log
-        self._i = 0
 
     def accept_frame(self, receiver, sender_id, frame) -> bool:
         if frame.msg_type not in INTERCEPTED_TYPES:
             return True
-        ok = self.pattern[self._i % len(self.pattern)]
-        self._i += 1
+        ok = next(self.passes)
         if not ok:
             self.log.frames_swallowed += 1
         return ok
@@ -183,15 +182,12 @@ class FalseDataBehavior(Behavior):
     """Corrupts a cyclic fraction of the data payloads it relays."""
 
     def __init__(self, fraction: float, log: AttackOutcomeLog):
-        self.pattern = cyclic_pass_pattern(fraction)
+        self.passes = itertools.cycle(cyclic_pass_pattern(fraction))
         self.log = log
-        self._i = 0
 
     def corrupt_payload(self, payload: bytes) -> bytes | None:
         # pattern says "pass" -> leave alone; "drop" slots corrupt instead
-        ok = self.pattern[self._i % len(self.pattern)]
-        self._i += 1
-        if ok:
+        if next(self.passes):
             return None
         self.log.readings_corrupted += 1
         return bytes([payload[0] ^ 0xFF]) + payload[1:] if payload else payload
@@ -268,8 +264,7 @@ def _spawn_foreign(channel: Channel, position: tuple[float, float], rng) -> Node
     no pre-shared anchors, no server public keys. Joins the region of the
     nearest gateway so trust rounds will probe (and expose) it."""
     network = channel.network
-    nearest_gw = min(network.members(kind="GW"),
-                     key=lambda g: (distance(position, g.position), g.id))
+    nearest_gw = network.nearest(position, network.members(kind="GW"))
     node = NodeState(id=network.allocate_id(), kind="N", position=position,
                      region_id=nearest_gw.region_id, has_gbk=False)
     node.keypair = generate_keypair(SIM_CURVE, rng)

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .adversary import AttackConfigError
-from .grid import TopologyError, divide_regions, load_grid_file, \
+from .grid import TopologyError, divide_regions, find_grid_file, load_grid_file, \
     partition_substations, select_control_centers
 from .metrics import emit_csv, render_line_chart
 from .scenario import ConfigError, SimulationFault, load_config, run_scenario, sweep
@@ -98,7 +98,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_topo(args) -> int:
     if not args.radius > 0:                     # NaN too
         raise ConfigError(f"--radius must be positive, got {args.radius:g}")
-    topology = load_grid_file(args.grid_file)
+    topology = load_grid_file(find_grid_file(args.grid_file, Path.cwd()))
     substations = partition_substations(topology)
     main_cc, backup_cc = select_control_centers(substations)
     regions = divide_regions(substations, args.radius)
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     topo_p = sub.add_parser("topo", help="summarize a grid topology file")
-    topo_p.add_argument("grid_file", type=Path)
+    topo_p.add_argument("grid_file", help="a path, or a name in the shipped data directory")
     topo_p.add_argument("--report", action="store_true",
                         help="list every substation and region")
     topo_p.add_argument("--radius", type=float, default=DEFAULT_REGION_RADIUS,

@@ -83,13 +83,9 @@ class Network:
                 region_id=seed.region_id, substation_id=seed.substation_id,
                 bus_id=seed.bus_id, battery_mah=initial_battery,
             )
-        self.substations = {s.id: s for s in substations}
         self.regions = {r.id: r for r in regions}
         self.main_cc = deployment.main_cc
         self.backup_cc = deployment.backup_cc
-        self.region_of_substation = {
-            sid: r.id for r in regions for sid in r.substation_ids
-        }
         self.gateway_of_substation = {
             n.substation_id: n.id for n in self.nodes.values() if n.kind == "GW"
         }
@@ -101,11 +97,11 @@ class Network:
 
     def _region_adjacency(self, topology: GridTopology,
                           substations: list[Substation]) -> dict[int, tuple[int, ...]]:
-        sub_of_bus = {bus: s.id for s in substations for bus in s.bus_ids}
+        region_of_sub = {sid: r.id for r in self.regions.values() for sid in r.substation_ids}
+        region_of_bus = {bus: region_of_sub[s.id] for s in substations for bus in s.bus_ids}
         adjacency: dict[int, set[int]] = {rid: set() for rid in self.regions}
         for branch in topology.branches:
-            ra = self.region_of_substation[sub_of_bus[branch.from_bus]]
-            rb = self.region_of_substation[sub_of_bus[branch.to_bus]]
+            ra, rb = region_of_bus[branch.from_bus], region_of_bus[branch.to_bus]
             if ra != rb:
                 adjacency[ra].add(rb)
                 adjacency[rb].add(ra)
@@ -147,6 +143,11 @@ class Network:
 
     def server(self, main: bool = True) -> NodeState:
         return self.nodes[self.main_server if main else self.backup_server]
+
+    @staticmethod
+    def nearest(position: tuple[float, float], among: list[NodeState]) -> NodeState:
+        """The node of `among` closest to `position`, the lower ID on a tie."""
+        return min(among, key=lambda n: (distance(position, n.position), n.id))
 
     def region_trust_targets(self, region_id: int) -> list[NodeState]:
         """Entities a trust round evaluates: N, ES, PDC (substation gear is

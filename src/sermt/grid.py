@@ -5,17 +5,25 @@ substations, divides substations into monitoring regions, selects the
 main and backup control centers by connectivity, places PMUs with a
 greedy observability cover, and deploys the sensor population.
 
+A grid file is found by one rule, `find_grid_file`, for a config's
+`topology` key and for `sermt topo` alike: an absolute path as given, a
+relative one under a base directory (the config's, or the working
+directory), then under the shipped `DATA_DIR`. `load_grid_file` then
+loads exactly the path it is given.
+
 All tie-breaks resolve to the lower ID so layouts replay identically.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .rng import substream
+
+DATA_DIR = Path(__file__).with_name("data")     # the shipped grid files and scenarios
 
 
 class TopologyError(ValueError):
@@ -124,15 +132,24 @@ def load_topology(text: str) -> GridTopology:
     return GridTopology(positions, tuple(branches))
 
 
-def load_grid_file(path: str) -> GridTopology:
-    """Load a topology file, falling back to the shipped data directory.
-    Every failure, a file that cannot be read or is not UTF-8 included, is a
-    TopologyError that names the file."""
+def find_grid_file(raw: str, base_dir: Path) -> Path:
+    """The grid file `raw` names: an absolute path as given, a relative one
+    under `base_dir` and then under `DATA_DIR`. A TopologyError names every
+    place searched."""
+    candidates = [Path(raw)] if Path(raw).is_absolute() else [base_dir / raw, DATA_DIR / raw]
+    for candidate in candidates:
+        if os.path.isfile(candidate):   # False, not OSError, for a name too long
+            return candidate
+    raise TopologyError(f"grid file {raw!r} not found "
+                        f"(searched {', '.join(str(c) for c in candidates)})")
+
+
+def load_grid_file(path: str | Path) -> GridTopology:
+    """Load the topology file at `path`. Every failure, a file that is
+    missing, cannot be read or is not UTF-8 included, is a TopologyError
+    that names the file."""
     try:
-        source = Path(path)
-        if not source.exists():
-            source = resources.files("sermt").joinpath("data", source.name)
-        text = source.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise TopologyError(f"no such grid file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -218,8 +218,8 @@ class ProtocolConfig:
         for name in ("round_active_window", "round_trigger_holdoff"):
             if not 0 <= getattr(self, name) < math.inf:     # NaN too
                 raise ValueError(f"{name} must be finite and at least 0")
-        if self.test_messages < 1:
-            raise ValueError("test_messages must be at least 1")
+        if not 1 <= self.test_messages <= 0x10000:      # a probe's index is 16 bits
+            raise ValueError("test_messages must be between 1 and 65536")
         # A round spends up to two keys of the initiator's chain before
         # _maybe_rotate_chain looks at it, and the anchor broadcast needs one
         # more: 3 keys must be left after each check, and a new chain of
@@ -227,8 +227,8 @@ class ProtocolConfig:
         if self.chain_low_water < 2 or self.chain_length < 4:
             raise ValueError("chain_low_water must be at least 2 and chain_length at least 4")
         for name in ("mu_reading_bytes", "pmu_reading_bytes"):
-            if getattr(self, name) < MARKER_LEN:
-                raise ValueError(f"{name} must be at least {MARKER_LEN} (the marker)")
+            if not MARKER_LEN <= getattr(self, name) <= 0xFFFF:   # a record's size is 16 bits
+                raise ValueError(f"{name} must be between {MARKER_LEN} (the marker) and 65535")
 
 
 @dataclass
@@ -339,16 +339,12 @@ class ProtocolEngine:
         return self.gbk if node.has_gbk else bytes(16)
 
     def _gbk_frame(self, msg_type: MsgType, sender: NodeState, payload: bytes,
-                   session_key: bytes | None = None, chain_key: bytes = b"") -> Frame:
+                   session_key: bytes | None = None) -> Frame:
         return make_frame(msg_type, sender.id, payload, gbk=self.group_key(sender),
-                          session_key=session_key, chain_key=chain_key)
+                          session_key=session_key)
 
     def current_table(self) -> TrustTable:
         return self.tables[self.network.main_server]
-
-    def round_active(self, t: float) -> bool:
-        return (self.last_round_start <= t
-                < self.last_round_start + self.config.round_active_window)
 
     def _authentic(self, frame: Frame, session_key: bytes | None = None) -> bool:
         """The MAC gate: the baseline accepts every frame unchecked."""
@@ -360,6 +356,28 @@ class ProtocolEngine:
         self.released_keys.add(key)
         return key
 
+    # -- ask and answer ------------------------------------------------------
+
+    def _solicit(self, solicitors: list[NodeState], msg_type: MsgType, payload_of,
+                 skip=()) -> list[tuple[NodeState, list[NodeState]]]:
+        """Each solicitor, in turn, broadcasts `msg_type` to the N tier.
+        Returns every hearer not in `skip`, in ID order, with the solicitors
+        it heard, in the order they asked."""
+        heard: dict[int, list[NodeState]] = {}
+        for solicitor in solicitors:
+            frame = self._gbk_frame(msg_type, solicitor, payload_of(solicitor))
+            for node_id in self.channel.broadcast(solicitor, frame, kinds=("N",)):
+                if node_id not in skip:
+                    heard.setdefault(node_id, []).append(solicitor)
+        return [(self.network.nodes[node_id], heard[node_id]) for node_id in sorted(heard)]
+
+    def _answer(self, node: NodeState, asker: NodeState, payload: bytes,
+                control: bool = False) -> bool:
+        """`node` ACKs `asker`; True if the ACK arrived and passed the MAC gate."""
+        ack = self._gbk_frame(MsgType.ACK, node, payload)
+        return (self.channel.transmit(node, asker, ack, control=control) == DELIVERED
+                and self._authentic(ack))
+
     # -- probing -----------------------------------------------------------
 
     def _probe(self, prober: NodeState, target: NodeState) -> float:
@@ -369,14 +387,9 @@ class ProtocolEngine:
         for i in range(sent):
             test = self._gbk_frame(MsgType.TEST, prober,
                                    struct.pack(">HH", self.round_index & 0xFFFF, i))
-            if self.channel.transmit(prober, target, test, control=True) != DELIVERED:
-                continue
-            echo = self._gbk_frame(MsgType.ACK, target, test.payload)
-            if self.channel.transmit(target, prober, echo, control=True) != DELIVERED:
-                continue
-            if not self._authentic(echo):
-                continue
-            got += 1
+            if (self.channel.transmit(prober, target, test, control=True) == DELIVERED
+                    and self._answer(target, prober, test.payload, control=True)):
+                got += 1
         return compute_trust(got, sent)
 
     def _probe_phantom(self, prober: NodeState, persona_id: int) -> float:
@@ -440,7 +453,7 @@ class ProtocolEngine:
         net = self.network
         table = TrustTable(timestamp=t)
         previous = self.tables[initiator.id]
-        home_region = net.region_of_substation[initiator.substation_id]
+        home_region = initiator.region_id
         self.trace.log(t, "round", f"server:{initiator.id}", f"begin:{self.round_index}")
 
         # the initiating server sweeps its own region itself
@@ -585,8 +598,9 @@ class ProtocolEngine:
             self.server_key_history[server_id].append(server.keypair)
             server.server_pubkeys[server_id] = server.keypair.public
             payload = encode_point(server.keypair.public, SIM_CURVE)
+            public = decode_point(payload, SIM_CURVE)   # as every receiver reads it
             for node in self._control_broadcast(server, MsgType.PUBKEY, payload):
-                node.server_pubkeys[server_id] = decode_point(payload, SIM_CURVE)
+                node.server_pubkeys[server_id] = public
             self._maybe_rotate_chain(server)
 
     def _maybe_rotate_chain(self, server: NodeState) -> None:
@@ -615,29 +629,17 @@ class ProtocolEngine:
             self._check_pdc_failover()
 
     def _select_forwarders(self) -> None:
-        net, channel = self.network, self.channel
+        net = self.network
         gateways = net.members(kind="GW")
-        heard: dict[int, list[NodeState]] = {}
-        for gw in gateways:
-            solicit = self._gbk_frame(MsgType.FORW_RQM, gw, b"")
-            for node_id in channel.broadcast(gw, solicit, kinds=("N",)):
-                heard.setdefault(node_id, []).append(gw)
-
         # (node_id, bp, c, position) per gateway, from ACKs it can verify
         acks: dict[int, list[tuple[int, float, int, tuple[float, float]]]] = {}
-        for node_id in sorted(heard):
-            node = net.nodes[node_id]
-            closest = min(heard[node_id],
-                          key=lambda g: (distance(node.position, g.position), g.id))
+        for node, heard in self._solicit(gateways, MsgType.FORW_RQM, lambda gw: b""):
+            closest = net.nearest(node.position, heard)
             bp, c = node.behavior.advertised(
-                node, node.battery_mah, channel.connectivity_counts(node)[0])
-            ack = self._gbk_frame(MsgType.ACK, node,
-                                  struct.pack(">dHdd", bp, c, *node.position))
-            if channel.transmit(node, closest, ack) != DELIVERED:
+                node, node.battery_mah, self.channel.connectivity_counts(node)[0])
+            if not self._answer(node, closest, struct.pack(">dHdd", bp, c, *node.position)):
                 continue
-            if not self._authentic(ack):
-                continue
-            acks.setdefault(closest.id, []).append((node_id, bp, c, node.position))
+            acks.setdefault(closest.id, []).append((node.id, bp, c, node.position))
             self._advertise_personas(node, gateways, acks)
 
         table = self.current_table()
@@ -658,8 +660,7 @@ class ProtocolEngine:
                             acks: dict) -> None:
         for persona_id, fake_pos in host.behavior.advertised_personas():
             self.known_personas[persona_id] = (host.id, fake_pos)
-            closest = min(gateways,
-                          key=lambda g: (distance(fake_pos, g.position), g.id))
+            closest = self.network.nearest(fake_pos, gateways)
             payload = struct.pack(">dHdd", host.battery_mah, 8, *fake_pos)
             # the host's radio carries the lie; the MAC is valid (it has GBK)
             fake_ack = make_frame(MsgType.ACK, persona_id, payload, gbk=self.gbk)
@@ -671,39 +672,28 @@ class ProtocolEngine:
                 (persona_id, host.battery_mah, 8, fake_pos))
 
     def _form_clusters(self) -> None:
+        """Every real forwarder (a carrier) solicits a cluster of the N nodes
+        it reaches that carry nothing, so a cluster holds exactly one
+        carrier, its solicitor. Only the solicitor carries data, so it alone
+        keys a session to the elected head."""
         net, channel = self.network, self.channel
         self.clusters, self.cluster_head = {}, {}
-        carriers = sorted({f for f in self.forwarder_of.values()
-                           if f is not None and f in net.nodes})
-        if not carriers:
-            return
+        forwarders = set(self.forwarder_of.values())
+        carriers = [n for n in net.nodes.values() if n.id in forwarders]    # in ID order
         table = self.current_table()
 
-        heard: dict[int, list[int]] = {}
-        for carrier_id in carriers:
-            carrier = net.nodes[carrier_id]
-            solicit = self._gbk_frame(MsgType.JOIN_RQM, carrier,
-                                      struct.pack(">H", carrier.region_id))
-            for node_id in channel.broadcast(carrier, solicit, kinds=("N",)):
-                if node_id not in carriers:
-                    heard.setdefault(node_id, []).append(carrier_id)
+        members: dict[int, list[int]] = {c.id: [c.id] for c in carriers}
+        for node, heard in self._solicit(carriers, MsgType.JOIN_RQM,
+                                         lambda c: struct.pack(">H", c.region_id),
+                                         skip=members):
+            solicitor = heard[0]        # the lowest ID: carriers ask in ID order
+            # a node without the group key cannot join
+            if (self._answer(node, solicitor, struct.pack(">I", solicitor.id))
+                    and table.trusted(node.id)):
+                members[solicitor.id].append(node.id)
 
-        members: dict[int, list[int]] = {c: [c] for c in carriers}
-        for node_id in sorted(heard):
-            node = net.nodes[node_id]
-            solicitor_id = min(heard[node_id])      # lowest-ID solicitor wins
-            join = self._gbk_frame(MsgType.ACK, node, struct.pack(">I", solicitor_id))
-            if channel.transmit(node, net.nodes[solicitor_id], join) != DELIVERED:
-                continue
-            if not self._authentic(join):
-                continue                            # no group key, cannot join
-            if not table.trusted(node_id):
-                continue
-            members[solicitor_id].append(node_id)
-
-        for solicitor_id in carriers:
-            cluster = sorted(members[solicitor_id])
-            solicitor = net.nodes[solicitor_id]
+        for solicitor in carriers:
+            cluster = sorted(members[solicitor.id])
             region = net.regions[solicitor.region_id]
             cluster_id = ClusterId(region.id, table.timestamp,
                                    tuple(region.substation_ids))
@@ -715,12 +705,10 @@ class ProtocolEngine:
                 key=lambda i: (candidate_score(net.nodes[i].battery_mah, table.tv(i),
                                                channel.connectivity_counts(net.nodes[i])[1]),
                                -i))
-            self.clusters[solicitor_id] = cluster
-            self.cluster_head[solicitor_id] = head_id
-            head = net.nodes[head_id]
-            for member_id in cluster:
-                if member_id != head_id and member_id in set(carriers):
-                    self._ensure_session(net.nodes[member_id], head)
+            self.clusters[solicitor.id] = cluster
+            self.cluster_head[solicitor.id] = head_id
+            if head_id != solicitor.id:
+                self._ensure_session(solicitor, net.nodes[head_id])
 
     # -- sessions ------------------------------------------------------------
 
@@ -791,9 +779,9 @@ class ProtocolEngine:
 
     def _gw_probe_event(self) -> None:
         t = self.queue.now
-        if self.round_active(t) and t != self.last_round_start:
-            self.queue.schedule(self.last_round_start + self.config.round_active_window,
-                                self._gw_probe_event)
+        round_end = self.last_round_start + self.config.round_active_window
+        if self.last_round_start < t < round_end:     # defer past a round under way
+            self.queue.schedule(round_end, self._gw_probe_event)
             return
         self._select_es()
         self.queue.schedule(t + self.config.gw_probe_interval, self._gw_probe_event)
@@ -927,30 +915,26 @@ class ProtocolEngine:
         queue.clear()
 
     def _flush_clusters(self, carry: dict[int, list[tuple[int, bytes]]]) -> None:
+        """Each solicitor hands what it carries to its cluster's head, and
+        each head sends one aggregate. Only real forwarders carry, and each
+        one solicits a cluster (see `_form_clusters`), so every key of
+        `carry` is a solicitor."""
         net = self.network
         routed_by_head: dict[int, list[tuple[int, bytes]]] = {}
-        for solicitor_id in sorted(self.clusters):
-            head_id = self.cluster_head[solicitor_id]
-            head = net.nodes[head_id]
-            for member_id in self.clusters[solicitor_id]:
-                records = carry.pop(member_id, [])
-                if not records:
-                    continue
-                if member_id == head_id:
-                    routed_by_head.setdefault(head_id, []).extend(records)
-                    continue
-                member = net.nodes[member_id]
-                key = self._ensure_session(member, head)
+        for solicitor_id, head_id in sorted(self.cluster_head.items()):
+            records = carry.get(solicitor_id)
+            if not records:
+                continue
+            if solicitor_id != head_id:
+                solicitor = net.nodes[solicitor_id]
+                key = self._ensure_session(solicitor, net.nodes[head_id])
                 if key is None:
                     continue
-                opened = self._sealed_leg((member_id, head_id), MsgType.DATA,
-                                          member, key, records)
-                if opened is not None:
-                    routed_by_head.setdefault(head_id, []).extend(opened)
-        # forwarders outside any cluster still deliver what they carry
-        for node_id in sorted(carry):
-            if carry[node_id]:
-                routed_by_head.setdefault(node_id, []).extend(carry[node_id])
+                records = self._sealed_leg((solicitor_id, head_id), MsgType.DATA,
+                                           solicitor, key, records)
+                if records is None:
+                    continue
+            routed_by_head.setdefault(head_id, []).extend(records)
         for head_id in sorted(routed_by_head):
             self._send_aggregate(net.nodes[head_id], routed_by_head[head_id])
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -21,12 +20,10 @@ from . import rng as rngmod
 from .adversary import (AttackOutcomeLog, AttackSpec, apply_attacks,
                         confidentiality_scan)
 from .entities import Network
-from .grid import build_layout, load_grid_file
+from .grid import DATA_DIR, build_layout, find_grid_file, load_grid_file  # DATA_DIR re-exported
 from .metrics import Metrics, SweepRow, collect_metrics
 from .protocol import ProtocolConfig, ProtocolEngine
 from .simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
-
-DATA_DIR = Path(__file__).with_name("data")
 
 MALICIOUS_COUNTS = (5, 10, 15, 20, 25, 30, 35)
 ATTACK_INTERVALS = tuple(float(v) for v in range(1, 11))
@@ -132,22 +129,13 @@ def _read_section(section, label: str, parsers: dict, required=()) -> dict:
     return values
 
 
-def _build(cls, label: str, **values):
+def _build(make, label: str, **values):
+    """`make(**values)`, with its ValueError reported as a ConfigError in
+    `[label]`: AttackConfigError and TopologyError included."""
     try:
-        return cls(**values)
-    except ValueError as exc:       # AttackConfigError included
+        return make(**values)
+    except ValueError as exc:
         raise ConfigError(f"[{label}] {exc}") from exc
-
-
-def _resolve_topology(raw: str, config_dir: Path) -> Path:
-    candidates = [Path(raw)]
-    if not Path(raw).is_absolute():
-        candidates = [config_dir / raw, DATA_DIR / raw]
-    for candidate in candidates:
-        if os.path.isfile(candidate):   # False, not OSError, for a name too long
-            return candidate
-    raise ConfigError(f"topology file {raw!r} not found "
-                      f"(searched {', '.join(str(c) for c in candidates)})")
 
 
 def load_config(path: Path | str, *, seed_override: int | None = None) -> ScenarioConfig:
@@ -170,7 +158,8 @@ def load_config(path: Path | str, *, seed_override: int | None = None) -> Scenar
         values["seed"] = seed_override
     elif "seed" not in values:
         raise ConfigError("[scenario] seed is required (runs must be reproducible)")
-    values["topology_path"] = _resolve_topology(values.pop("topology"), path.parent)
+    values["topology_path"] = _build(find_grid_file, "scenario",
+                                     raw=values.pop("topology"), base_dir=path.parent)
 
     attacks = []
     for name in parser.sections():

@@ -16,7 +16,8 @@ from sermt.adversary import (
     resolve_targets,
 )
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
-from sermt.scenario import DATA_DIR, load_config, run_scenario
+from sermt.protocol import ProtocolEngine
+from sermt.scenario import DATA_DIR, _sweep_attacks, load_config, run_scenario
 
 from test_protocol import make_sim, mini_world
 
@@ -377,3 +378,56 @@ def test_attacked_runs_reproduce_bit_for_bit():
         digests.add(trace.digest())
         assert chan.conservation_errors() == []
     assert len(digests) == 1
+
+
+# -- the one-carrier rule ----------------------------------------------------------
+
+# world -> (seed, attacks) on scaled_ieee14, or None for mini_world
+CARRIER_WORLDS = {
+    "mini_world": None,
+    # seed 10 selects a persona as a forwarder at t = 0 (seed 3, the pinned
+    # sybil case, never does): it forwards but is no node, so it has no cluster
+    "sybil": (10, (AttackSpec(kind="SYBIL", name="sy", count=4),)),
+    "drop_sinkhole": (3, _sweep_attacks("malicious", 35)),
+    "flood": (3, _sweep_attacks("interval", 1.0)),
+}
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("world", sorted(CARRIER_WORLDS))
+def test_only_the_solicitor_of_a_cluster_carries(world, defense, monkeypatch):
+    """What `_flush_clusters` relies on: after each reselect the solicitors
+    are exactly the real forwarders and no other cluster member forwards,
+    and every node that carries data into a flush is a solicitor."""
+    form, flush = ProtocolEngine._form_clusters, ProtocolEngine._flush_clusters
+    seen = {"reselects": 0, "flushes_with_data": 0, "persona_forwarders": 0}
+
+    def checked_form(eng):
+        form(eng)
+        nodes = eng.network.nodes
+        forwarders = {f for f in eng.forwarder_of.values() if f in nodes}
+        assert set(eng.cluster_head) == forwarders
+        for solicitor_id, members in eng.clusters.items():
+            assert forwarders & set(members) == {solicitor_id}
+        seen["reselects"] += 1
+        seen["persona_forwarders"] += sum(f is not None and f not in nodes
+                                          for f in eng.forwarder_of.values())
+
+    def checked_flush(eng, carry):
+        assert set(carry) <= set(eng.cluster_head)
+        seen["flushes_with_data"] += bool(carry)
+        flush(eng, carry)
+
+    monkeypatch.setattr(ProtocolEngine, "_form_clusters", checked_form)
+    monkeypatch.setattr(ProtocolEngine, "_flush_clusters", checked_flush)
+    if CARRIER_WORLDS[world] is None:
+        net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
+        eng.start()
+        queue.run_until(450.0)
+    else:
+        seed, attacks = CARRIER_WORLDS[world]
+        config = load_config(DATA_DIR / "scaled_ieee14.conf")
+        run_scenario(replace(config, duration=210.0, seed=seed, defense=defense,
+                             attacks=attacks))
+    assert seen["reselects"] >= 2 and seen["flushes_with_data"] > 0
+    assert bool(seen["persona_forwarders"]) == (world == "sybil")

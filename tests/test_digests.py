@@ -40,7 +40,8 @@ CASES = {
                     (AttackSpec(kind="EAVESDROP", name="spy", count=3),), 7,
                     "f45de89641fd8f60f8ee22a271c521f2b0e1acc6",
                     "1be387b597226812c6581cc2bb02f7af44079040"),
-    # seed 3 gets a persona selected as forwarder: 60 `dropped(phantom)` lines
+    # 60 `dropped(phantom)` lines with defense on, all TEST frames: the t = 31
+    # triggered round probes six personas; no persona is selected as forwarder
     "sybil": ("scaled_ieee14.conf",
               (AttackSpec(kind="SYBIL", name="sy", count=4),), 3,
               "6b36f66e569dff40910b3df7ef1b9754735af430",

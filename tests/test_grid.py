@@ -285,7 +285,7 @@ def test_deploy_pdc_at_region_centroid():
 
 
 def test_shipped_grid_files_reproduce_documented_structure():
-    topo14 = grid.load_grid_file("ieee14.grid")
+    topo14 = grid.load_grid_file(grid.DATA_DIR / "ieee14.grid")
     subs14 = grid.partition_substations(topo14)
     assert len(subs14) == 11
     assert grid.select_control_centers(subs14) == (1, 2)
@@ -293,7 +293,7 @@ def test_shipped_grid_files_reproduce_documented_structure():
     assert len(regions14) == 4
     assert regions14[0].seed_substation == 4
 
-    topo118 = grid.load_grid_file("ieee118.grid")
+    topo118 = grid.load_grid_file(grid.DATA_DIR / "ieee118.grid")
     subs118 = grid.partition_substations(topo118)
     assert len(subs118) == 107
     by_id = {s.id: s for s in subs118}
@@ -303,6 +303,25 @@ def test_shipped_grid_files_reproduce_documented_structure():
     assert len(grid.divide_regions(subs118, 400.0)) == 8
 
 
-def test_missing_grid_file():
+def test_missing_grid_file(tmp_path):
     with pytest.raises(TopologyError):
         grid.load_grid_file("no-such-topology.grid")
+    # the path given is the path loaded: no shipped file stands in for it
+    missing = tmp_path / "ieee14.grid"
+    with pytest.raises(TopologyError, match=str(missing)):
+        grid.load_grid_file(missing)
+
+
+def test_find_grid_file_searches_base_dir_then_shipped_data(tmp_path):
+    shipped = grid.DATA_DIR / "ieee14.grid"
+    assert grid.find_grid_file("ieee14.grid", tmp_path) == shipped
+    assert grid.find_grid_file(str(shipped), tmp_path) == shipped
+    local = tmp_path / "ieee14.grid"
+    local.write_text(shipped.read_text(encoding="utf-8"), encoding="utf-8")
+    assert grid.find_grid_file("ieee14.grid", tmp_path) == local
+    # an absolute path is looked for as given, and nowhere else
+    missing = tmp_path / "sub" / "ieee14.grid"
+    with pytest.raises(TopologyError, match=f"searched {missing}\\)"):
+        grid.find_grid_file(str(missing), tmp_path)
+    with pytest.raises(TopologyError, match="no.grid"):
+        grid.find_grid_file("no.grid", tmp_path)

@@ -208,6 +208,15 @@ def test_cluster_id_and_record_packing_roundtrip():
         unpack_records(pack_records([(5, b"abcdef")]) + b"\x00")  # trailing bytes
 
 
+def test_config_rejects_values_past_their_16_bit_wire_fields():
+    # a probe packs its message index, and a record its size, as 16 bits
+    ProtocolConfig(test_messages=65536, mu_reading_bytes=65535, pmu_reading_bytes=65535)
+    for field, value in (("test_messages", 65537), ("mu_reading_bytes", 65536),
+                         ("pmu_reading_bytes", 65536)):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+
+
 def test_delivery_counts_each_issued_marker_once():
     log = DeliveryLog()
     marker = b"\xa5\x3c\x96\x5a" + struct.pack(">I", 4) + b"nonce-04"
@@ -454,6 +463,24 @@ def test_gateway_probes_defer_while_round_active():
     gw_tests = [line.split(" | ") for line in trace.lines if " | tx | 25->" in line]
     assert sorted({float(t) for t, _kind, ids, *_ in gw_tests
                    if ids.endswith(":TEST")}) == calls
+
+
+def test_gateway_probe_deferred_past_a_long_round():
+    # with a 100 s round window, the probe due at 60 waits for the round at 0
+    # to end; the probe at 0, the round's own start, is not deferred
+    net, chan, queue, trace, eng = make_sim(mini_world, round_active_window=100.0)
+    calls = []
+    orig = eng._select_es
+
+    def spy():
+        calls.append(queue.now)
+        return orig()
+
+    eng._select_es = spy
+    eng.start()
+    queue.run_until(250.0)
+    # 160 + 60 = 220 falls in the round begun at 200 and waits until 300
+    assert calls == [0.0, 100.0, 160.0]
 
 
 def test_baseline_never_runs_a_round_so_every_entity_reads_trusted():

@@ -152,7 +152,10 @@ def test_malformed_configs_rejected(tmp_path):
                        ("mu_interval", "nan"), ("chain_length", 1), ("chain_length", 3),
                        ("round_active_window", "inf"), ("round_active_window", "nan"),
                        ("round_active_window", -1), ("round_trigger_holdoff", "nan"),
-                       ("round_trigger_holdoff", "inf")):
+                       ("round_trigger_holdoff", "inf"),
+                       # past the 16-bit probe index and record size fields
+                       ("test_messages", 65537), ("mu_reading_bytes", 65536),
+                       ("pmu_reading_bytes", 65536)):
         bad.append(BASE + f"[protocol]\n{key} = {value}\n")
     for text in bad:
         with pytest.raises(ConfigError):
@@ -433,6 +436,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(negative)]) == cli.EXIT_CONFIG
     for section, key, value in (("protocol", "trust_round_interval", -5),
                                 ("protocol", "test_messages", 0),
+                                # each ran until a 16-bit field overflowed
+                                ("protocol", "test_messages", 70000),
+                                ("protocol", "mu_reading_bytes", 70000),
+                                ("protocol", "pmu_reading_bytes", 70000),
                                 ("radio", "loss_probability", 2), ("radio", "range_n", -5),
                                 ("energy", "initial_battery", -1),
                                 ("energy", "recharge_rate", -1)):
@@ -515,6 +522,18 @@ def test_cli_sweep_out_collision_exits_3(tmp_path, capsys, monkeypatch):
                      "--out", str(blocker)])
     assert code == cli.EXIT_RUNTIME
     capsys.readouterr()
+
+
+def test_cli_topo_finds_grid_files_as_a_config_does(tmp_path, monkeypatch, capsys):
+    # a missing path is an error, even if a shipped file has its basename
+    missing = "/nonexistent/dir/ieee14.grid"
+    assert cli.main(["topo", missing]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and missing in err
+    # a bare name not in the working directory is the shipped file
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["topo", "ieee14.grid"]) == 0
+    assert "substations = 11" in capsys.readouterr().out
 
 
 def test_cli_topo_reports_structure(capsys):
