@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import rng as rngmod
@@ -97,14 +97,9 @@ class AttackOutcomeLog:
     readings_corrupted: int = 0
 
     def counters(self) -> dict[str, int]:
-        return {
-            "bogus_frames_sent": self.bogus_frames_sent,
-            "frames_swallowed": self.frames_swallowed,
-            "fake_locations_advertised": self.fake_locations_advertised,
-            "frames_overheard": self.frames_overheard,
-            "payloads_decrypted": self.payloads_decrypted,
-            "readings_corrupted": self.readings_corrupted,
-        }
+        """Every counter field, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if isinstance(getattr(self, f.name), int)}
 
 
 def cyclic_pass_pattern(fraction: float) -> tuple[bool, ...]:
@@ -120,12 +115,16 @@ def cyclic_pass_pattern(fraction: float) -> tuple[bool, ...]:
 # calls accept_frame, the protocol engine advertised, advertised_personas
 # and corrupt_payload.
 
-class DropBehavior(Behavior):
-    """Swallows a deterministic cyclic fraction of probe and data frames."""
+class _CyclicBehavior(Behavior):
+    """Steps through `cyclic_pass_pattern(fraction)`, one slot per frame."""
 
     def __init__(self, fraction: float, log: AttackOutcomeLog):
         self.passes = itertools.cycle(cyclic_pass_pattern(fraction))
         self.log = log
+
+
+class DropBehavior(_CyclicBehavior):
+    """Swallows a deterministic cyclic fraction of probe and data frames."""
 
     def accept_frame(self, receiver, sender_id, frame) -> bool:
         if frame.msg_type not in INTERCEPTED_TYPES:
@@ -178,12 +177,8 @@ class SybilBehavior(Behavior):
         return self.personas
 
 
-class FalseDataBehavior(Behavior):
+class FalseDataBehavior(_CyclicBehavior):
     """Corrupts a cyclic fraction of the data payloads it relays."""
-
-    def __init__(self, fraction: float, log: AttackOutcomeLog):
-        self.passes = itertools.cycle(cyclic_pass_pattern(fraction))
-        self.log = log
 
     def corrupt_payload(self, payload: bytes) -> bytes | None:
         # pattern says "pass" -> leave alone; "drop" slots corrupt instead

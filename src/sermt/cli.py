@@ -1,8 +1,9 @@
 """Command line: `sermt run <config>`, `sermt sweep <config> --vary ... --out ...`,
 `sermt topo <grid-file> --report`.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime fault. The
-environment variable SERMT_SEED, when set, overrides the config seed.
+Exit codes: 0 success, 2 configuration error, 3 runtime fault (a frame
+too large for the wire included). The environment variable SERMT_SEED,
+when set, overrides the config seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .grid import TopologyError, divide_regions, find_grid_file, load_grid_file,
     partition_substations, select_control_centers
 from .metrics import emit_csv, render_line_chart
 from .scenario import ConfigError, SimulationFault, load_config, run_scenario, sweep
+from .wire import FrameFormatError
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME = 0, 2, 3
 
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, AttackConfigError, TopologyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SimulationFault, OSError, RuntimeError) as exc:
+    except (SimulationFault, FrameFormatError, OSError, RuntimeError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

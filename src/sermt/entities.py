@@ -20,7 +20,6 @@ from .crypto import ChainAnchorState, KeyPair
 from .grid import Deployment, GridTopology, Region, Substation, distance  # re-exported
 from .wire import Frame
 
-KINDS = ("N", "ES", "PDC", "MU", "PMU", "GW", "SERVER")
 MAINS_POWERED = frozenset({"MU", "PMU", "GW", "SERVER"})   # never battery-limited
 RECHARGEABLE = frozenset({"ES", "PDC"})                     # harvest energy
 

@@ -191,13 +191,16 @@ def partition_substations(topology: GridTopology) -> list[Substation]:
             connectivity[sub_a] += 1
             connectivity[sub_b] += 1
 
-    substations = []
-    for idx, members in enumerate(components, start=1):
-        xs = [topology.positions[bus][0] for bus in members]
-        ys = [topology.positions[bus][1] for bus in members]
-        centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
-        substations.append(Substation(idx, frozenset(members), centroid, connectivity[idx]))
-    return substations
+    return [Substation(idx, frozenset(members),
+                       centroid([topology.positions[bus] for bus in members]),
+                       connectivity[idx])
+            for idx, members in enumerate(components, start=1)]
+
+
+def centroid(points: list[tuple[float, float]]) -> tuple[float, float]:
+    """The mean point; each axis is summed in list order."""
+    return (sum(p[0] for p in points) / len(points),
+            sum(p[1] for p in points) / len(points))
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -250,13 +253,11 @@ def divide_regions(substations: list[Substation], radius_threshold: float) -> li
         )
         # the seed is always within radius 0 of itself
         unassigned.difference_update(members)
-        xs = [by_id[sid].position[0] for sid in members]
-        ys = [by_id[sid].position[1] for sid in members]
         regions.append(Region(
             id=len(regions) + 1,
             substation_ids=tuple(members),
             seed_substation=seed_id,
-            position=(sum(xs) / len(xs), sum(ys) / len(ys)),
+            position=centroid([by_id[sid].position for sid in members]),
         ))
         if unassigned:
             seed_id = min(

@@ -21,7 +21,9 @@ decision reads the switch in one place:
   reselect timer;
 - PDC failover: `_reselect`;
 - audit trigger: `_audit_tick`;
-- MAC gate: `_authentic`;
+- MAC gate: `_authentic`, which `_relay_chain` applies at each hop to a
+  group-keyed MAC and at the far end only to a MAC nested under a session
+  key, since only the far end holds that key;
 - ciphertext tag: `_server_ingest`;
 - ES probing: `_select_es`;
 - link weight: `_link_weight` (plain distance).
@@ -81,18 +83,13 @@ def is_trusted(tv: float) -> bool:
     return tv > TRUST_THRESHOLD
 
 
-def compute_forwarding_score(bp: float, tv: float, c: int) -> float:
-    """Gateway forwarder preference; only comparisons matter."""
+def selection_score(bp: float, tv: float, c: int) -> float:
+    """Battery x trust x connectivity: a gateway's forwarder preference (c:
+    the N nodes it hears) and a cluster's head preference (c: the nodes of
+    other regions it hears). Only comparisons matter."""
     if bp < 0 or tv < 0 or c < 0:
         raise ValueError("score inputs must be nonnegative")
     return bp * tv * c
-
-
-def candidate_score(bp: float, tv: float, cn: int) -> float:
-    """Cluster-head preference; weighs cross-region connectivity."""
-    if bp < 0 or tv < 0 or cn < 0:
-        raise ValueError("score inputs must be nonnegative")
-    return bp * tv * cn
 
 
 # -- trust table ---------------------------------------------------------------
@@ -105,9 +102,6 @@ class TrustTable:
     timestamp: float = 0.0
     records: dict[int, float] = field(default_factory=dict)
     stale_regions: set[int] = field(default_factory=set)
-
-    def record(self, entity_id: int, tv: float) -> None:
-        self.records[entity_id] = tv
 
     def tv(self, entity_id: int, default: float = 100.0) -> float:
         return self.records.get(entity_id, default)
@@ -401,13 +395,8 @@ class ProtocolEngine:
         return 0.0
 
     def _personas_in_region(self, region_id: int) -> list[int]:
-        out = []
-        for pid in sorted(self.known_personas):
-            host_id, _pos = self.known_personas[pid]
-            host = self.network.nodes.get(host_id)
-            if host is not None and host.region_id == region_id:
-                out.append(pid)
-        return out
+        return [pid for pid, (host_id, _pos) in sorted(self.known_personas.items())
+                if self.network.nodes[host_id].region_id == region_id]
 
     # -- trust rounds --------------------------------------------------------
 
@@ -484,7 +473,7 @@ class ProtocolEngine:
         for region_id in table.stale_regions:
             for node in net.region_trust_targets(region_id):
                 if node.id not in table.records and node.id in previous.records:
-                    table.record(node.id, previous.records[node.id])
+                    table.records[node.id] = previous.records[node.id]
 
         self.tables[initiator.id] = table
         self._sync_peer_server(initiator, table)
@@ -650,8 +639,7 @@ class ProtocolEngine:
                 self.delivery.isolation_alarms += 1
                 continue
             best = max(candidates,
-                       key=lambda c: (compute_forwarding_score(c[1], table.tv(c[0]), c[2]),
-                                      -c[0]))
+                       key=lambda c: (selection_score(c[1], table.tv(c[0]), c[2]), -c[0]))
             self.forwarder_of[gw.id] = best[0]
             if best[0] in net.nodes:
                 self._ensure_session(gw, net.nodes[best[0]])
@@ -702,7 +690,7 @@ class ProtocolEngine:
             channel.broadcast(solicitor, announce, kinds=("N",))
             head_id = max(
                 cluster,
-                key=lambda i: (candidate_score(net.nodes[i].battery_mah, table.tv(i),
+                key=lambda i: (selection_score(net.nodes[i].battery_mah, table.tv(i),
                                                channel.connectivity_counts(net.nodes[i])[1]),
                                -i))
             self.clusters[solicitor.id] = cluster
@@ -718,28 +706,26 @@ class ProtocolEngine:
         if pair in self.sessions:
             return self.sessions[pair]
         hops = path if path is not None else (a.id, b.id)
-        there = self._relay_chain(hops, MsgType.PUBKEY,
-                                  encode_point(a.keypair.public, SIM_CURVE), a)
-        if there is None:
-            return None
-        back = self._relay_chain(tuple(reversed(hops)), MsgType.PUBKEY,
-                                 encode_point(b.keypair.public, SIM_CURVE), b)
-        if back is None:
-            return None
+        for leg, node in ((hops, a), (hops[::-1], b)):
+            if self._relay_chain(leg, MsgType.PUBKEY,
+                                 encode_point(node.keypair.public, SIM_CURVE)) is None:
+                return None
         secret = derive_shared_secret(a.keypair.private, b.keypair.public, SIM_CURVE)
         self.sessions[pair] = cipher_key(secret)
         return self.sessions[pair]
 
-    def _relay_chain(self, hops: tuple[int, ...], msg_type: MsgType,
-                     payload: bytes, origin: NodeState,
+    def _relay_chain(self, hops: tuple[int, ...], msg_type: MsgType, payload: bytes,
                      session_key: bytes | None = None) -> Frame | None:
-        """Carry a frame hop by hop; a corrupting relay swaps the payload
-        mid-path. Returns the frame as it arrived (its MAC may no longer
-        match), or None if any hop dropped it."""
-        frame = self._gbk_frame(msg_type, origin, payload, session_key=session_key)
+        """Carry a frame from `hops[0]` hop by hop; a corrupting relay swaps
+        the payload mid-path. Every hop checks a group-keyed MAC; a MAC
+        nested under `session_key` is checked at the far end only, the one
+        hop that holds the key. Returns the frame as it arrived, or None if
+        a hop dropped it or a MAC check failed."""
+        frame = self._gbk_frame(msg_type, self.network.nodes[hops[0]], payload,
+                                session_key=session_key)
         for u_id, v_id in zip(hops, hops[1:]):
             u, v = self.network.nodes[u_id], self.network.nodes[v_id]
-            if u_id != origin.id and msg_type in DATA_TYPES:
+            if u_id != hops[0] and msg_type in DATA_TYPES:
                 tampered = u.behavior.corrupt_payload(frame.payload)
                 if tampered is not None:
                     if msg_type in NESTED_MAC_TYPES:
@@ -751,23 +737,25 @@ class ProtocolEngine:
                                            gbk=self.gbk)
             if self.channel.transmit(u, v, frame) != DELIVERED:
                 return None
-            if msg_type not in NESTED_MAC_TYPES and not self._authentic(frame):
+            if ((msg_type not in NESTED_MAC_TYPES or v_id == hops[-1])
+                    and not self._authentic(frame, session_key)):
                 self.delivery.auth_rejects += 1
                 return None
         return frame
 
-    def _sealed_leg(self, hops: tuple[int, ...], msg_type: MsgType, origin: NodeState,
-                    key: bytes, records: list[tuple[int, bytes]]
-                    ) -> list[tuple[int, bytes]] | None:
-        """Carry records RC5-sealed under a session key along `hops` and
-        open them at the far end. Returns None if the frame was lost or
-        failed its MAC, and [] if it arrived but would not decrypt."""
-        payload = rc5_encrypt(key, pack_records(records))
-        arrived = self._relay_chain(hops, msg_type, payload, origin, session_key=key)
-        if arrived is None:
+    def _sealed_leg(self, hops: tuple[int, ...], msg_type: MsgType,
+                    records: list[tuple[int, bytes]]) -> list[tuple[int, bytes]] | None:
+        """Carry records RC5-sealed under the session key of the leg's two
+        ends along `hops`, and open them at the far end. Returns None if no
+        key was agreed or the frame was lost or failed a MAC check, and []
+        if it arrived but would not decrypt."""
+        net = self.network
+        key = self._ensure_session(net.nodes[hops[0]], net.nodes[hops[-1]], hops)
+        if key is None:
             return None
-        if not self._authentic(arrived, key):
-            self.delivery.auth_rejects += 1
+        arrived = self._relay_chain(hops, msg_type, rc5_encrypt(key, pack_records(records)),
+                                    session_key=key)
+        if arrived is None:
             return None
         try:
             return unpack_records(rc5_decrypt(key, arrived.payload))
@@ -903,13 +891,11 @@ class ProtocolEngine:
                 self.channel.transmit_phantom(gw, forwarder_id, fake_pos, husk)
             queue.clear()
             return
-        key = self._ensure_session(gw, self.network.nodes[forwarder_id])
-        if key is None:
+        if self._ensure_session(gw, self.network.nodes[forwarder_id]) is None:
             self.delivery.isolation_alarms += 1
             return
         for record in queue:
-            opened = self._sealed_leg((gw.id, forwarder_id), MsgType.EMD, gw, key,
-                                      [record])
+            opened = self._sealed_leg((gw.id, forwarder_id), MsgType.EMD, [record])
             if opened:
                 carry.setdefault(forwarder_id, []).extend(opened)
         queue.clear()
@@ -926,12 +912,7 @@ class ProtocolEngine:
             if not records:
                 continue
             if solicitor_id != head_id:
-                solicitor = net.nodes[solicitor_id]
-                key = self._ensure_session(solicitor, net.nodes[head_id])
-                if key is None:
-                    continue
-                records = self._sealed_leg((solicitor_id, head_id), MsgType.DATA,
-                                           solicitor, key, records)
+                records = self._sealed_leg((solicitor_id, head_id), MsgType.DATA, records)
                 if records is None:
                     continue
             routed_by_head.setdefault(head_id, []).extend(records)
@@ -969,7 +950,7 @@ class ProtocolEngine:
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
-        arrived = self._relay_chain(path, MsgType.AGG_DATA, blob, origin)
+        arrived = self._relay_chain(path, MsgType.AGG_DATA, blob)
         if arrived is not None:
             self._server_ingest(server, arrived.payload)
 
@@ -1027,14 +1008,12 @@ class ProtocolEngine:
             if es_id is None or not net.nodes[es_id].alive:
                 self.delivery.isolation_alarms += 1
                 continue
-            es = net.nodes[es_id]
-            key = self._ensure_session(gw, es)
-            if key is None:
+            if self._ensure_session(gw, net.nodes[es_id]) is None:
                 self.delivery.isolation_alarms += 1
                 continue
-            opened = self._sealed_leg((gw.id, es.id), MsgType.EMD, gw, key, readings)
+            opened = self._sealed_leg((gw.id, es_id), MsgType.EMD, readings)
             if opened:
-                self._es_to_pdc(es, opened, pdc_inbox)
+                self._es_to_pdc(net.nodes[es_id], opened, pdc_inbox)
 
         for pdc_id in sorted(pdc_inbox):
             self._pdc_dispatch(net.nodes[pdc_id], pdc_inbox[pdc_id])
@@ -1068,10 +1047,7 @@ class ProtocolEngine:
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
-        key = self._ensure_session(es, pdc, path)
-        if key is None:
-            return
-        opened = self._sealed_leg(path, MsgType.DATA, es, key, records)
+        opened = self._sealed_leg(path, MsgType.DATA, records)
         if opened is not None:
             # a concentrator that got only garbage still reports, emptily
             pdc_inbox.setdefault(pdc.id, []).extend(opened)

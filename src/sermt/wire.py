@@ -53,6 +53,11 @@ class Frame:
     chain_key: bytes = b""
     mac: bytes = b"\x00" * crypto.TAG_LEN
 
+    def __post_init__(self):
+        # payload_len is 16 bits: no frame the wire cannot carry is ever made
+        if len(self.payload) > MAX_PAYLOAD:
+            raise FrameFormatError(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD}")
+
     @property
     def wire_len(self) -> int:
         return HEADER_LEN + len(self.payload) + 1 + len(self.chain_key) + crypto.TAG_LEN
@@ -94,8 +99,6 @@ def verify_frame(frame: Frame, *, gbk: bytes, session_key: bytes | None = None) 
 def encode_frame(frame: Frame) -> bytes:
     if not 0 <= frame.sender_id <= 0xFFFFFFFF:
         raise FrameFormatError(f"sender_id {frame.sender_id} out of range")
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise FrameFormatError(f"payload of {len(frame.payload)} bytes exceeds {MAX_PAYLOAD}")
     if len(frame.chain_key) > MAX_CHAIN_KEY:
         raise FrameFormatError("chain key too long")
     if len(frame.mac) != crypto.TAG_LEN:

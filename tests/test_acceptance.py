@@ -24,12 +24,7 @@ from sermt.crypto import (
     SIM_CURVE,
 )
 from sermt.grid import load_grid_file, partition_substations, select_control_centers
-from sermt.protocol import (
-    candidate_score,
-    compute_forwarding_score,
-    compute_trust,
-    is_trusted,
-)
+from sermt.protocol import compute_trust, is_trusted, selection_score
 from sermt.routing import dijkstra, route_weight
 from sermt.scenario import DATA_DIR, MALICIOUS_COUNTS, load_config, run_scenario, sweep
 
@@ -100,9 +95,7 @@ def test_criterion_3_formula_conformance(capsys):
         bp = rng.uniform(0.0, 150.0)
         tv = rng.uniform(0.0, 100.0)
         c = rng.randrange(0, 64)
-        worst = max(worst, rel_err(compute_forwarding_score(bp, tv, c),
-                                   bp * tv * c))
-        worst = max(worst, rel_err(candidate_score(bp, tv, c), bp * tv * c))
+        worst = max(worst, rel_err(selection_score(bp, tv, c), bp * tv * c))
         dist = rng.uniform(0.1, 1000.0)
         bp2, tv2 = rng.uniform(1.0, 150.0), rng.uniform(1.0, 100.0)
         worst = max(worst, rel_err(route_weight(dist, bp2, tv2),

@@ -3,10 +3,12 @@ control-message authentication, failover, and clean-run delivery."""
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
 from sermt import protocol, rng as rngmod
+from sermt.adversary import AttackOutcomeLog, FalseDataBehavior
 from sermt.entities import Behavior, Network
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
@@ -16,15 +18,14 @@ from sermt.protocol import (
     ProtocolEngine,
     TrustTable,
     UndefinedTrustError,
-    candidate_score,
-    compute_forwarding_score,
     compute_trust,
     is_trusted,
     pack_records,
+    selection_score,
     unpack_records,
 )
 from sermt.simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
-from sermt.wire import Frame, MsgType, make_frame
+from sermt.wire import Frame, FrameFormatError, MsgType, make_frame
 
 
 # -- worlds --------------------------------------------------------------------
@@ -68,6 +69,15 @@ def mini_world():
     ]
     dep = Deployment(tuple(EntitySeed(*r) for r in rows), main_cc=2, backup_cc=1)
     return topo, subs, regions, dep
+
+
+def relay_world():
+    """mini_world with region 3's concentrator out of ES 9's reach: ES 9
+    reaches PDC 15 only through ES 10."""
+    topo, subs, regions, dep = mini_world()
+    moved = {10: (810, 250), 15: (810, 500)}
+    entities = tuple(replace(e, position=moved.get(e.id, e.position)) for e in dep.entities)
+    return topo, subs, regions, replace(dep, entities=entities)
 
 
 def twins_world():
@@ -139,6 +149,13 @@ class DropSevenOfTen(Behavior):
         return True
 
 
+class DropProbes(Behavior):
+    """Swallows every probe, so each one scores 0."""
+
+    def accept_frame(self, receiver, sender_id, frame):
+        return frame.msg_type is not MsgType.TEST
+
+
 # -- formulas ------------------------------------------------------------------
 
 def test_trust_value_formula_and_threshold():
@@ -161,17 +178,16 @@ def test_selection_scores_are_scale_invariant():
         rows = [(rng.uniform(1, 200), rng.uniform(1, 100), rng.randint(1, 30))
                 for _ in range(6)]
         k = rng.uniform(0.01, 50)
-        base = max(range(6), key=lambda i: (compute_forwarding_score(*rows[i]), -i))
+        base = max(range(6), key=lambda i: (selection_score(*rows[i]), -i))
         scaled = max(range(6),
-                     key=lambda i: (compute_forwarding_score(rows[i][0] * k,
-                                                             rows[i][1], rows[i][2]), -i))
+                     key=lambda i: (selection_score(rows[i][0] * k,
+                                                    rows[i][1], rows[i][2]), -i))
         # scaling every battery equally never changes the argmax
         assert base == scaled
-        assert candidate_score(*rows[0]) == compute_forwarding_score(*rows[0])
     with pytest.raises(ValueError):
-        compute_forwarding_score(-1.0, 50.0, 3)
+        selection_score(-1.0, 50.0, 3)
     with pytest.raises(ValueError):
-        candidate_score(10.0, -0.1, 3)
+        selection_score(10.0, -0.1, 3)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -181,7 +197,7 @@ def test_trust_table_serialization_roundtrip():
     for _ in range(50):
         table = TrustTable(timestamp=rng.uniform(0, 1e6))
         for _ in range(rng.randint(0, 40)):
-            table.record(rng.randint(1, 5000), rng.uniform(0, 100))
+            table.records[rng.randint(1, 5000)] = rng.uniform(0, 100)
         table.stale_regions = {rng.randint(1, 20) for _ in range(rng.randint(0, 4))}
         blob = table.serialize()
         back = TrustTable.deserialize(blob)
@@ -388,6 +404,41 @@ def test_scripted_dropper_scores_exactly_thirty():
     assert eng.delivery.sent == eng.delivery.delivered > 0
 
 
+def test_unreachable_region_goes_stale_and_keeps_its_scores():
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    eng.start()
+    queue.run_until(1.0)
+    main = net.nodes[net.main_server]
+
+    def round_with_silent(region_id):
+        for node in net.region_trust_targets(region_id):
+            node.behavior = DropProbes()
+        mark = len(trace.lines)
+        table = eng.run_trust_round(main)
+        fields = [ln.split(" | ") for ln in trace.lines[mark:]]
+        return table, {f[2] for f in fields if f[1] == "round" and f[3] == "stale"}
+
+    # region 3 answers no probe: the relay's zeros reach the server, and
+    # nobody is left to sweep the region
+    region3 = [n.id for n in net.region_trust_targets(3)]
+    table, stale_lines = round_with_silent(3)
+    assert stale_lines == {"region:3"}
+    assert table.stale_regions == {3}
+    assert {i: table.records[i] for i in region3} == dict.fromkeys(region3, 0.0)
+
+    # the home region falls silent too: no relay leaves it, so the other
+    # regions go unprobed and keep the scores of the table before
+    previous = table
+    region1 = [n.id for n in net.region_trust_targets(1)]
+    table, stale_lines = round_with_silent(2)
+    assert stale_lines == {"region:1", "region:3"}
+    assert table.stale_regions == {1, 3}
+    for node_id in region1 + region3:
+        assert table.records[node_id] == previous.records[node_id]
+    assert {table.records[i] for i in region1} == {100.0}
+    assert {table.records[i] for i in region3} == {0.0}
+
+
 def test_forwarder_and_head_tiebreak_prefers_lower_id():
     # selection in isolation, before any probing spends battery asymmetrically
     net, chan, queue, trace, eng = make_sim(twins_world)
@@ -441,6 +492,39 @@ def test_session_with_foreign_node_fails_at_pubkey_hop_under_defense():
         else:
             assert key is not None and eng.sessions == {(8, 25): key}
             assert eng.delivery.auth_rejects == 0
+
+
+def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
+    """ES 10 corrupts the ES 9 -> PDC 15 DATA leg it relays. Only the far
+    end holds the session key, so the nested MAC is checked there: the
+    defense rejects the leg, and the baseline opens it to garbage."""
+    for defense in (True, False):
+        net, chan, queue, trace, eng = make_sim(relay_world, defense=defense)
+        eng.start()
+        queue.run_until(1.0)
+        log = AttackOutcomeLog("liar", "FALSE_DATA")
+        net.nodes[10].behavior = FalseDataBehavior(1.0, log)
+        legs = []
+        relay_chain = eng._relay_chain
+
+        def spy(hops, msg_type, *args, **kwargs):
+            legs.append((tuple(hops), msg_type))
+            return relay_chain(hops, msg_type, *args, **kwargs)
+
+        monkeypatch.setattr(eng, "_relay_chain", spy)
+        rejects, tampered = eng.delivery.auth_rejects, eng.delivery.tamper_detected
+        inbox = {}
+        eng._es_to_pdc(net.nodes[9], [(22, bytes(128))], inbox)
+        assert ((9, 10, 15), MsgType.DATA) in legs
+        assert log.readings_corrupted == 1
+        rejects = eng.delivery.auth_rejects - rejects
+        tampered = eng.delivery.tamper_detected - tampered
+        if defense:
+            assert (rejects, tampered) == (1, 0)
+            assert inbox == {}
+        else:
+            assert (rejects, tampered) == (0, 1)
+            assert inbox == {15: []}    # the empty entry of ROADMAP item 9
 
 
 # -- cadence -----------------------------------------------------------------------
@@ -569,6 +653,17 @@ def test_clean_runs_deliver_everything_and_balance():
         assert eng.delivery.delivered == 56
         assert eng.delivery.forged_accepts == 0
         assert chan.conservation_errors() == []
+
+
+def test_readings_too_large_for_one_frame_stop_the_run():
+    """A 65,535-byte reading fits its record's 16-bit size, but sealed into
+    an EMD payload it exceeds the frame's; the run stops at the first leg
+    instead of counting frames the wire cannot carry as delivered."""
+    net, chan, queue, trace, eng = make_sim(mini_world, mu_reading_bytes=65535,
+                                            pmu_reading_bytes=65535)
+    eng.start()
+    with pytest.raises(FrameFormatError, match="exceeds 65535"):
+        queue.run_until(16.0)
 
 
 def test_same_seed_reproduces_trace_digest():

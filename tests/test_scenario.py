@@ -411,6 +411,47 @@ def test_cli_run_with_a_foreign_cluster_head(tmp_path, capsys):
     assert "trace_digest = " in capsys.readouterr().out
 
 
+ATTACKED_60S_STDOUT = [
+    'seed = 7',
+    'defense = sermt',
+    'duration_s = 60',
+    'packets_sent = 76',
+    'packets_delivered = 76',
+    'packet_drop_pct = 0.000000',
+    'throughput_bps = 819.200000',
+    'avg_bp_consumed_per_hour_mah = 0.452805214',
+    'auth_rejects = 16742',
+    'forged_accepts = 0',
+    'tamper_detected = 0',
+    'undeliverable_alarms = 0',
+    'isolation_alarms = 0',
+    'plaintext_exposures = 0',
+    'trace_digest = 75468a1cf84a15d8b2be7afe5578ead53a641d88',
+    ('attack droppers: bogus_frames_sent=0 fake_locations_advertised=0 frames_overheard=0 '
+     'frames_swallowed=84 payloads_decrypted=0 readings_corrupted=0'),
+    ('attack flooder: bogus_frames_sent=310 fake_locations_advertised=0 frames_overheard=0 '
+     'frames_swallowed=0 payloads_decrypted=0 readings_corrupted=0'),
+    ('attack spy: bogus_frames_sent=0 fake_locations_advertised=0 frames_overheard=791 '
+     'frames_swallowed=0 payloads_decrypted=0 readings_corrupted=0'),
+]
+
+
+def test_cli_run_stdout_pinned(tmp_path, capsys):
+    """Every line `sermt run` prints for 60 s of the shipped attacked
+    scenario: the metrics, the trace digest and each attack's counters."""
+    text = (scenario.DATA_DIR / "attacked_ieee14.conf").read_text(encoding="utf-8")
+    config_path = write_config(tmp_path, text.replace("duration = 600", "duration = 60"))
+    assert cli.main(["run", str(config_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ATTACKED_60S_STDOUT
+
+
+def test_cli_run_with_frames_too_large_for_the_wire_exits_3(tmp_path, capsys):
+    text = BASE + "[protocol]\nmu_reading_bytes = 65535\npmu_reading_bytes = 65535\n"
+    assert cli.main(["run", str(write_config(tmp_path, text))]) == cli.EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime fault: payload of ") and "bytes exceeds 65535" in err
+
+
 def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
     config_path = write_config(tmp_path)
     monkeypatch.setenv("SERMT_SEED", "123")

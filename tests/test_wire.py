@@ -57,6 +57,14 @@ def test_encode_enforces_field_limits():
         wire.encode_frame(Frame(MsgType.ACK, 1, b"", mac=b"short"))
 
 
+def test_frame_rejects_a_payload_the_wire_cannot_carry():
+    Frame(MsgType.EMD, 1, b"x" * wire.MAX_PAYLOAD)     # the most a frame carries
+    with pytest.raises(FrameFormatError, match="65536 bytes"):
+        Frame(MsgType.EMD, 1, b"x" * (wire.MAX_PAYLOAD + 1))
+    with pytest.raises(FrameFormatError):
+        wire.make_frame(MsgType.AGG_DATA, 1, b"x" * 65536, gbk=GBK)
+
+
 def test_gbk_mac_verification():
     frame = wire.make_frame(MsgType.RQM, 42, b"evaluate", gbk=GBK, chain_key=b"\x01" * 20)
     assert wire.verify_frame(frame, gbk=GBK)
