@@ -79,9 +79,6 @@ class Deployment:
     main_cc: int
     backup_cc: int
 
-    def by_kind(self, kind: str) -> list[EntitySeed]:
-        return [e for e in self.entities if e.kind == kind]
-
 
 # Bound on |x| and |y| of a bus: keeps every distance, box and area finite.
 MAX_COORD_M = 1e9

@@ -1104,9 +1104,3 @@ class ProtocolEngine:
         self.trace.log(self.queue.now, "failover", f"region:{region_id}",
                        f"acting_pdc:{chosen.id}")
         return chosen.id
-
-    def restore_pdc(self, region_id: int) -> None:
-        """Operator action: the original concentrator is back in service."""
-        self.acting_pdc.pop(region_id, None)
-        self.pdc_routes.clear()
-        self.trace.log(self.queue.now, "failover", f"region:{region_id}", "restored")

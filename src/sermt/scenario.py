@@ -4,9 +4,10 @@ A scenario is a line-oriented `key = value` file with `[section]` headers
 (stdlib configparser syntax): `[scenario]` holds the topology, node counts,
 duration, mandatory seed, and the defense toggle; optional `[radio]`,
 `[energy]`, and `[protocol]` sections override model constants; each
-`[attack:<name>]` section declares one attack. `run_scenario` executes the
-full pipeline deterministically; `sweep` runs a malicious-count or
-attack-interval series with the defense both on and off.
+`[attack:<name>]` section declares one attack. `build_world` wires and
+starts one world, `finish` scores a world that has run, and `run_scenario`
+runs one between the two, deterministically; `sweep` runs a malicious-count
+or attack-interval series with the defense both on and off.
 """
 
 from __future__ import annotations
@@ -180,14 +181,23 @@ def load_config(path: Path | str, *, seed_override: int | None = None) -> Scenar
 # -- execution --------------------------------------------------------------------
 
 @dataclass
-class ScenarioResult:
+class World:
+    """One wired world: the network, the channel that carries its queue and
+    trace, the protocol engine, and the installed attacks' logs."""
     config: ScenarioConfig
-    metrics: Metrics
-    trace: Trace
-    attack_logs: list[AttackOutcomeLog]
     network: Network
     channel: Channel
     engine: ProtocolEngine
+    attack_logs: list[AttackOutcomeLog]
+
+    @property
+    def trace(self) -> Trace:
+        return self.channel.trace
+
+
+@dataclass
+class ScenarioResult(World):
+    metrics: Metrics
 
     def trace_export(self) -> str:
         """Full run record: the event trace plus one summary row per attack."""
@@ -201,30 +211,46 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    topology = load_grid_file(config.topology_path)
-    substations, regions, deployment = build_layout(
-        topology, config.radius_threshold,
-        {"n_nodes": config.n_nodes, "es_nodes": config.es_nodes}, config.seed)
+def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World:
+    """Wire and start the world of `config`: keys installed, the first
+    events and the attacks scheduled, and no event run (t = 0).
+
+    `layout` is a hand-placed `(topology, substations, regions, deployment)`;
+    by default it is built from `config.topology_path` and `config.seed`."""
+    if layout is None:
+        topology = load_grid_file(config.topology_path)
+        layout = (topology, *build_layout(
+            topology, config.radius_threshold,
+            {"n_nodes": config.n_nodes, "es_nodes": config.es_nodes}, config.seed))
+    topology, substations, regions, deployment = layout
     network = Network(deployment, substations, regions, topology,
                       initial_battery=config.energy.initial_battery)
-    queue, trace = EventQueue(), Trace()
-    channel = Channel(network, config.radio, config.energy, trace, queue,
+    channel = Channel(network, config.radio, config.energy, Trace(), EventQueue(),
                       rngmod.substream(config.seed, "loss"))
     engine = ProtocolEngine(channel, config.protocol, config.seed, defense=config.defense)
     engine.start()
     attack_logs = apply_attacks(list(config.attacks), engine, config.seed)
-    queue.run_until(config.duration)
+    return World(config, network, channel, engine, attack_logs)
+
+
+def finish(world: World) -> ScenarioResult:
+    """Close a world run to `config.duration`: settle and check the energy
+    ledger, audit confidentiality, and collect the metrics."""
+    config, channel = world.config, world.channel
     channel.finalize(config.duration)
     errors = channel.conservation_errors()
     if errors:
         raise SimulationFault("energy ledger check failed: "
                               + "; ".join(map(str, errors[:3])))
-    exposures = confidentiality_scan(engine, attack_logs)
-    metrics = collect_metrics(engine, attack_logs, config.duration, exposures)
-    return ScenarioResult(config=config, metrics=metrics, trace=trace,
-                          attack_logs=attack_logs, network=network,
-                          channel=channel, engine=engine)
+    exposures = confidentiality_scan(world.engine, world.attack_logs)
+    metrics = collect_metrics(world.engine, world.attack_logs, config.duration, exposures)
+    return ScenarioResult(**vars(world), metrics=metrics)
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    world = build_world(config)
+    world.channel.queue.run_until(config.duration)
+    return finish(world)
 
 
 def _sweep_attacks(vary: str, value: float) -> tuple[AttackSpec, ...]:

@@ -13,7 +13,9 @@ TWO_SUB_DOC = "BUS 1 0 0\nBUS 2 600 0\nBRANCH 1 2 L"
 
 def make_world(extra_nodes=(), radio=None, energy=None, seed=1, initial_battery=150.0):
     """Two substations 600 m apart (two regions), gateways and servers at the
-    bus positions, plus caller-supplied (kind, position, region_id) nodes."""
+    bus positions, plus caller-supplied (kind, position, region_id) nodes.
+    It has a channel and no engine, so no protocol event is queued; worlds
+    with an engine come from `scenario.build_world`."""
     topo = grid.load_topology(TWO_SUB_DOC)
     subs = grid.partition_substations(topo)
     regions = grid.divide_regions(subs, 200.0)

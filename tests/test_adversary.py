@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from sermt import rng as rngmod
+from sermt import rng as rngmod, scenario
 from sermt.adversary import (
     AttackConfigError,
     AttackSpec,
@@ -17,17 +17,15 @@ from sermt.adversary import (
 )
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import ProtocolEngine
-from sermt.scenario import DATA_DIR, _sweep_attacks, load_config, run_scenario
+from sermt.scenario import DATA_DIR, _sweep_attacks, build_world, load_config, run_scenario
 
-from test_protocol import make_sim, mini_world
+from test_protocol import make_sim, mini_world, sim_config
 
 
-def attacked_sim(world, specs, *, defense=True, seed=11, **overrides):
-    net, chan, queue, trace, eng = make_sim(world, defense=defense, seed=seed,
-                                            **overrides)
-    eng.start()
-    logs = apply_attacks(specs, eng, seed)
-    return net, chan, queue, trace, eng, logs
+def attacked_sim(world, specs, **config):
+    """`make_sim` with `specs` installed: the started world and its attack logs."""
+    w = build_world(sim_config(attacks=specs, **config), layout=world())
+    return w.network, w.channel, w.channel.queue, w.trace, w.engine, w.attack_logs
 
 
 def worm_world():
@@ -124,11 +122,12 @@ def test_count_draw_skips_nodes_of_earlier_attacks():
         assert not flooders & droppers, seed
 
 
-def test_empty_spec_list_matches_clean_trace():
+def test_empty_spec_list_matches_clean_trace(monkeypatch):
     net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [])
     queue.run_until(121.0)
+    # the clean world never calls apply_attacks at all
+    monkeypatch.setattr(scenario, "apply_attacks", lambda specs, engine, seed: [])
     clean_net, clean_chan, clean_queue, clean_trace, clean_eng = make_sim(mini_world)
-    clean_eng.start()
     clean_queue.run_until(121.0)
     assert logs == []
     assert trace.digest() == clean_trace.digest()
@@ -170,7 +169,6 @@ def test_flood_drains_victims_but_corrupts_nothing():
     net, chan, queue, trace, eng, logs = attacked_sim(mini_world, [spec])
     queue.run_until(60.0)
     clean_net, clean_chan, clean_queue, clean_trace, clean_eng = make_sim(mini_world)
-    clean_eng.start()
     clean_queue.run_until(60.0)
 
     assert logs[0].bogus_frames_sent == 61 * 10          # bursts at t = 0..60
@@ -209,7 +207,6 @@ def test_sybil_personas_enter_candidates_and_land_on_threat_list():
 
 def test_selected_phantom_swallows_gateway_traffic():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(1.0)
     persona_id = net.allocate_id()
     eng.known_personas[persona_id] = (8, (860.0, 40.0))
@@ -266,7 +263,6 @@ def test_wormhole_lures_acks_out_of_radio_range():
     assert all(1 not in members for members in eng.clusters.values())
 
     clean_net, clean_chan, clean_queue, clean_trace, clean_eng = make_sim(worm_world)
-    clean_eng.start()
     clean_queue.run_until(1.0)
     assert any(1 in members for members in clean_eng.clusters.values())
     assert clean_chan.drop_counts.get("range", 0) == 0
@@ -422,7 +418,6 @@ def test_only_the_solicitor_of_a_cluster_carries(world, defense, monkeypatch):
     monkeypatch.setattr(ProtocolEngine, "_flush_clusters", checked_flush)
     if CARRIER_WORLDS[world] is None:
         net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
-        eng.start()
         queue.run_until(450.0)
     else:
         seed, attacks = CARRIER_WORLDS[world]

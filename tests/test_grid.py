@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,21 +250,18 @@ def layout_fixture(n_count=20, es_count=10, seed=7):
 
 def test_deploy_counts_and_kinds():
     topo, (subs, regions, deployment) = layout_fixture()
-    assert len(deployment.by_kind("N")) == 20
-    assert len(deployment.by_kind("ES")) == 10
-    assert len(deployment.by_kind("PDC")) == len(regions)
-    assert len(deployment.by_kind("MU")) == 14
-    assert len(deployment.by_kind("GW")) == len(subs)
-    assert len(deployment.by_kind("SERVER")) == 2
-    assert len(deployment.by_kind("PMU")) == len(grid.place_pmus(topo))
+    kinds = Counter(e.kind for e in deployment.entities)
+    assert kinds == {"N": 20, "ES": 10, "PDC": len(regions), "MU": 14, "GW": len(subs),
+                     "SERVER": 2, "PMU": len(grid.place_pmus(topo))}
     ids = [e.id for e in deployment.entities]
     assert ids == list(range(1, len(ids) + 1))
 
 
 def test_deploy_zero_counts():
     _, (_, regions, deployment) = layout_fixture(0, 0)
-    assert deployment.by_kind("N") == [] and deployment.by_kind("ES") == []
-    assert len(deployment.by_kind("PDC")) == len(regions)
+    kinds = Counter(e.kind for e in deployment.entities)
+    assert kinds["N"] == kinds["ES"] == 0
+    assert kinds["PDC"] == len(regions)
 
 
 def test_deploy_deterministic_per_seed():
@@ -277,7 +275,8 @@ def test_deploy_deterministic_per_seed():
 def test_deploy_pdc_at_region_centroid():
     _, (subs, regions, deployment) = layout_fixture()
     by_id = {s.id: s for s in subs}
-    for region, pdc in zip(regions, deployment.by_kind("PDC")):
+    pdcs = [e for e in deployment.entities if e.kind == "PDC"]
+    for region, pdc in zip(regions, pdcs):
         assert pdc.region_id == region.id
         assert pdc.position == region.position
         xs = [by_id[sid].position[0] for sid in region.substation_ids]

@@ -4,18 +4,18 @@ control-message authentication, failover, and clean-run delivery."""
 import random
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from sermt import protocol, rng as rngmod
+from sermt import protocol
 from sermt.adversary import AttackOutcomeLog, FalseDataBehavior
-from sermt.entities import Behavior, Network
+from sermt.entities import Behavior
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
     ClusterId,
     DeliveryLog,
     ProtocolConfig,
-    ProtocolEngine,
     TrustTable,
     UndefinedTrustError,
     compute_trust,
@@ -24,7 +24,7 @@ from sermt.protocol import (
     selection_score,
     unpack_records,
 )
-from sermt.simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
+from sermt.scenario import ScenarioConfig, build_world
 from sermt.wire import Frame, FrameFormatError, MsgType, make_frame
 
 
@@ -126,14 +126,18 @@ def gwtie_world():
     return topo, subs, regions, dep
 
 
-def make_sim(world, *, defense=True, seed=11, **overrides):
-    topo, subs, regions, dep = world()
-    net = Network(dep, subs, regions, topo)
-    queue, trace = EventQueue(), Trace()
-    chan = Channel(net, RadioModel(), EnergyModel(), trace, queue,
-                   rngmod.substream(seed, "loss"))
-    eng = ProtocolEngine(chan, ProtocolConfig(**overrides), seed, defense=defense)
-    return net, chan, queue, trace, eng
+def sim_config(*, defense=True, seed=11, attacks=(), **overrides):
+    """The config of a hand-placed world. Its layout keys go unread, and
+    each test runs the queue as far as it needs."""
+    return ScenarioConfig(topology_path=Path("hand-placed"), radius_threshold=1.0,
+                          n_nodes=0, es_nodes=0, duration=1e6, seed=seed, defense=defense,
+                          protocol=ProtocolConfig(**overrides), attacks=tuple(attacks))
+
+
+def make_sim(world, **config):
+    """The started `world()` at t = 0, no event run yet."""
+    w = build_world(sim_config(**config), layout=world())
+    return w.network, w.channel, w.channel.queue, w.trace, w.engine
 
 
 class DropSevenOfTen(Behavior):
@@ -256,7 +260,6 @@ GATEWAYS = [23, 24, 25]
 def control_sim():
     """The mini world after its first trust round, and its main server."""
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(1.0)
     return net, eng, net.nodes[net.main_server]
 
@@ -352,7 +355,6 @@ def test_control_acceptance_reads_each_listeners_own_head():
 
 def test_clean_round_syncs_servers_and_selects():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(1.0)
 
     main, backup = net.main_server, net.backup_server
@@ -376,7 +378,6 @@ def test_clean_round_syncs_servers_and_selects():
 
 def test_round_alternates_initiator_and_stays_synced():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(201.0)
     begins = [ln for ln in trace.lines if "| round |" in ln and "begin" in ln]
     assert f"server:{net.main_server}" in begins[0]
@@ -389,7 +390,6 @@ def test_round_alternates_initiator_and_stays_synced():
 def test_scripted_dropper_scores_exactly_thirty():
     net, chan, queue, trace, eng = make_sim(mini_world)
     net.nodes[7].behavior = DropSevenOfTen()
-    eng.start()
     queue.run_until(61.0)
 
     table = eng.tables[net.main_server]
@@ -406,7 +406,6 @@ def test_scripted_dropper_scores_exactly_thirty():
 
 def test_unreachable_region_goes_stale_and_keeps_its_scores():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(1.0)
     main = net.nodes[net.main_server]
 
@@ -443,7 +442,6 @@ def test_forwarder_and_head_tiebreak_prefers_lower_id():
     # selection in isolation, before any probing spends battery asymmetrically
     net, chan, queue, trace, eng = make_sim(twins_world)
     net.nodes[7].has_gbk = False
-    eng.install_keys()
     eng._select_forwarders()
     # twins 5 and 6 tie on battery, trust, and connectivity
     assert eng.forwarder_of[17] == 5
@@ -455,7 +453,6 @@ def test_forwarder_and_head_tiebreak_prefers_lower_id():
 
 def test_equidistant_node_acks_lower_gateway():
     net, chan, queue, trace, eng = make_sim(gwtie_world)
-    eng.start()
     queue.run_until(1.0)
     assert eng.forwarder_of[2] == 1
     assert eng.forwarder_of[3] is None
@@ -465,14 +462,12 @@ def test_equidistant_node_acks_lower_gateway():
 def test_foreign_node_cannot_join_cluster_under_defense():
     net, chan, queue, trace, eng = make_sim(twins_world)
     net.nodes[7].has_gbk = False
-    eng.start()
     queue.run_until(1.0)
     assert all(7 not in members for members in eng.clusters.values())
 
     # the baseline never verifies, so the same hardware walks right in
     net_b, chan_b, queue_b, trace_b, eng_b = make_sim(twins_world, defense=False)
     net_b.nodes[7].has_gbk = False
-    eng_b.start()
     queue_b.run_until(1.0)
     assert any(7 in members for members in eng_b.clusters.values())
 
@@ -480,7 +475,6 @@ def test_foreign_node_cannot_join_cluster_under_defense():
 def test_session_with_foreign_node_fails_at_pubkey_hop_under_defense():
     for defense in (True, False):
         net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
-        eng.install_keys()
         gw, foreign = net.nodes[25], net.nodes[8]
         foreign.has_gbk = False
         key = eng._ensure_session(gw, foreign)
@@ -500,7 +494,6 @@ def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
     defense rejects the leg, and the baseline opens it to garbage."""
     for defense in (True, False):
         net, chan, queue, trace, eng = make_sim(relay_world, defense=defense)
-        eng.start()
         queue.run_until(1.0)
         log = AttackOutcomeLog("liar", "FALSE_DATA")
         net.nodes[10].behavior = FalseDataBehavior(1.0, log)
@@ -529,17 +522,20 @@ def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
 
 # -- cadence -----------------------------------------------------------------------
 
-def test_gateway_probes_defer_while_round_active():
-    net, chan, queue, trace, eng = make_sim(mini_world, gw_probe_interval=68.0)
-    calls = []
-    orig = eng._select_es
+def select_es_times(eng):
+    """Spies on `eng._select_es`: the list of the times it is called at."""
+    calls, select_es = [], eng._select_es
 
     def spy():
-        calls.append(queue.now)
-        return orig()
-
+        calls.append(eng.queue.now)
+        return select_es()
     eng._select_es = spy
-    eng.start()
+    return calls
+
+
+def test_gateway_probes_defer_while_round_active():
+    net, chan, queue, trace, eng = make_sim(mini_world, gw_probe_interval=68.0)
+    calls = select_es_times(eng)
     queue.run_until(280.0)
     # the 204 s probe lands inside the 200-205 s round window and shifts to 205
     assert calls == [0.0, 68.0, 136.0, 205.0, 273.0]
@@ -553,15 +549,7 @@ def test_gateway_probe_deferred_past_a_long_round():
     # with a 100 s round window, the probe due at 60 waits for the round at 0
     # to end; the probe at 0, the round's own start, is not deferred
     net, chan, queue, trace, eng = make_sim(mini_world, round_active_window=100.0)
-    calls = []
-    orig = eng._select_es
-
-    def spy():
-        calls.append(queue.now)
-        return orig()
-
-    eng._select_es = spy
-    eng.start()
+    calls = select_es_times(eng)
     queue.run_until(250.0)
     # 160 + 60 = 220 falls in the round begun at 200 and waits until 300
     assert calls == [0.0, 100.0, 160.0]
@@ -569,7 +557,6 @@ def test_gateway_probe_deferred_past_a_long_round():
 
 def test_baseline_never_runs_a_round_so_every_entity_reads_trusted():
     net, chan, queue, trace, eng = make_sim(mini_world, defense=False)
-    eng.start()
     queue.run_until(121.0)
     table = eng.current_table()
     assert table is eng.tables[net.main_server]
@@ -579,7 +566,6 @@ def test_baseline_never_runs_a_round_so_every_entity_reads_trusted():
 
 def test_route_cache_cleared_by_round_but_overlay_persists():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(199.0)
     assert eng.route_cache and eng.pdc_routes
     overlay_before = dict(eng.pdc_routes)
@@ -596,7 +582,6 @@ def test_server_keys_rotate_each_round_and_chains_replace():
     # a 7-link chain holds 6 usable keys beyond the anchor: round zero costs
     # the initiator 2 (table push + key broadcast) and its peer only 1
     net, chan, queue, trace, eng = make_sim(mini_world, chain_length=7)
-    eng.start()
     main, backup = net.main_server, net.backup_server
     first_main_chain = eng.server_chains[main]
     first_backup_chain = eng.server_chains[backup]
@@ -618,9 +603,8 @@ def test_server_keys_rotate_each_round_and_chains_replace():
 
 # -- PDC failover --------------------------------------------------------------------
 
-def test_pdc_failover_promotes_es_and_restores():
+def test_pdc_failover_promotes_es():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.start()
     queue.run_until(1.0)
     net.nodes[15].alive = False              # region 3 concentrator dies
 
@@ -633,21 +617,12 @@ def test_pdc_failover_promotes_es_and_restores():
     queue.run_until(226.0)                   # two full data ticks at 210 and 225
     assert eng.delivery.delivered == delivered_before + 14
 
-    net.nodes[15].alive = True
-    eng.restore_pdc(3)
-    assert eng.acting_pdc == {}
-    assert eng._region_pdc(3).id == 15
-    delivered_before = eng.delivery.delivered
-    queue.run_until(241.0)
-    assert eng.delivery.delivered == delivered_before + 7
-
 
 # -- end to end ----------------------------------------------------------------------
 
 def test_clean_runs_deliver_everything_and_balance():
     for defense in (True, False):
         net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
-        eng.start()
         queue.run_until(121.0)
         assert eng.delivery.sent == 56       # 7 markers per 15 s tick
         assert eng.delivery.delivered == 56
@@ -661,7 +636,6 @@ def test_readings_too_large_for_one_frame_stop_the_run():
     instead of counting frames the wire cannot carry as delivered."""
     net, chan, queue, trace, eng = make_sim(mini_world, mu_reading_bytes=65535,
                                             pmu_reading_bytes=65535)
-    eng.start()
     with pytest.raises(FrameFormatError, match="exceeds 65535"):
         queue.run_until(16.0)
 
@@ -670,12 +644,10 @@ def test_same_seed_reproduces_trace_digest():
     digests = set()
     for _ in range(3):
         net, chan, queue, trace, eng = make_sim(mini_world, seed=23)
-        eng.start()
         queue.run_until(121.0)
         digests.add(trace.digest())
     assert len(digests) == 1
     # the undefended baseline takes a visibly different path
     net, chan, queue, trace, eng = make_sim(mini_world, seed=23, defense=False)
-    eng.start()
     queue.run_until(121.0)
     assert trace.digest() not in digests

@@ -1,19 +1,24 @@
 """Scenario config parsing, deterministic runs, trace replay, sweep
 artifacts, and the command-line front end."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sermt import cli, scenario
+from sermt import cli, grid, scenario
 from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
 from sermt.scenario import (
     ConfigError,
     ScenarioConfig,
     SimulationFault,
     _sweep_attacks,
+    build_world,
+    finish,
     load_config,
     run_scenario,
     sweep,
@@ -286,6 +291,46 @@ def test_identical_runs_identical_traces(tmp_path):
     assert first.metrics == second.metrics
 
 
+@pytest.fixture(scope="module")
+def attacked_60s(tmp_path_factory):
+    """The shipped attacked scenario cut to 60 s: its file and its run."""
+    text = (scenario.DATA_DIR / "attacked_ieee14.conf").read_text(encoding="utf-8")
+    path = tmp_path_factory.mktemp("attacked") / "attacked_60s.conf"
+    path.write_text(text.replace("duration = 600", "duration = 60"), encoding="utf-8")
+    return path, run_scenario(load_config(path))
+
+
+def test_build_world_then_run_until_then_finish_is_run_scenario(attacked_60s):
+    """`build_world` on the layout `run_scenario` computes returns at t = 0
+    with no event run; running and finishing it gives `run_scenario`'s run."""
+    path, result = attacked_60s
+    config = load_config(path)
+    topology = grid.load_grid_file(config.topology_path)
+    world = build_world(config, layout=(topology, *grid.build_layout(
+        topology, config.radius_threshold,
+        {"n_nodes": config.n_nodes, "es_nodes": config.es_nodes}, config.seed)))
+    queue = world.channel.queue
+    assert (queue.now, world.trace.lines) == (0.0, []) and queue.pending > 0
+    queue.run_until(config.duration)
+    finished = finish(world)
+    assert finished.trace.digest() == result.trace.digest()
+    assert finished.metrics == result.metrics
+    assert ([log.counters() for log in finished.attack_logs]
+            == [log.counters() for log in result.attack_logs])
+
+
+def test_digest_does_not_depend_on_the_hash_seed(attacked_60s):
+    """`sermt run` in two processes with different string-hash seeds prints
+    the digest of the run in this process."""
+    path, result = attacked_60s
+    src = str(scenario.DATA_DIR.parents[1])      # the tree this process imports
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "sermt.cli", "run", str(path)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert f"trace_digest = {result.trace.digest()}\n" in out
+
+
 def test_replay_recomputes_headline_metrics(tmp_path):
     config = small_config(
         tmp_path,
@@ -436,12 +481,10 @@ ATTACKED_60S_STDOUT = [
 ]
 
 
-def test_cli_run_stdout_pinned(tmp_path, capsys):
+def test_cli_run_stdout_pinned(attacked_60s, capsys):
     """Every line `sermt run` prints for 60 s of the shipped attacked
     scenario: the metrics, the trace digest and each attack's counters."""
-    text = (scenario.DATA_DIR / "attacked_ieee14.conf").read_text(encoding="utf-8")
-    config_path = write_config(tmp_path, text.replace("duration = 600", "duration = 60"))
-    assert cli.main(["run", str(config_path)]) == cli.EXIT_OK
+    assert cli.main(["run", str(attacked_60s[0])]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == ATTACKED_60S_STDOUT
 
 
