@@ -285,8 +285,7 @@ class ProtocolEngine:
         self.es_choice: dict[int, int | None] = {}      # gateway -> ES
         self.clusters: dict[int, list[int]] = {}        # solicitor -> member ids
         self.cluster_head: dict[int, int] = {}          # solicitor -> head id
-        self.route_cache: dict[tuple[int, bool], tuple[int, ...] | None] = {}
-        self.pdc_routes: dict[tuple[int, bool], tuple[int, ...] | None] = {}
+        self.route_cache: dict[tuple[int, int], tuple[int, ...] | None] = {}
         self.acting_pdc: dict[int, int] = {}            # region -> stand-in node id
         self.known_personas: dict[int, tuple[int, tuple[float, float]]] = {}
         self.gw_queue: dict[int, list[tuple[int, bytes]]] = {}
@@ -955,35 +954,37 @@ class ProtocolEngine:
             self._server_ingest(server, arrived.payload)
 
     def _route_to_cc(self, source: NodeState, main: bool) -> tuple[int, ...] | None:
-        key = (source.id, main)
-        if key in self.route_cache:
-            return self.route_cache[key]
         net, table = self.network, self.current_table()
         cc_gw = net.cc_gateway(main)
         if (source.region_id == cc_gw.region_id
                 and cc_gw.id in self.channel.hears(source)):
-            path: tuple[int, ...] | None = (source.id, cc_gw.id)
-        else:
-            relays = [n for n in net.members(kind="N")
-                      if table.trusted(n.id) or n.id == source.id]
-            # threat exclusions can sever the sensor tier; storage nodes
-            # and concentrators then relay as a last resort
-            reserve = [n for n in net.members(kind="ES") + net.members(kind="PDC")
-                       if table.trusted(n.id)]
-            path = self._route(source.id, cc_gw.id, relays + [cc_gw],
-                               relays + reserve + [cc_gw])
-        self.route_cache[key] = path
-        return path
+            return (source.id, cc_gw.id)
+        relays = [n for n in net.members(kind="N")
+                  if table.trusted(n.id) or n.id == source.id]
+        # threat exclusions can sever the sensor tier; storage nodes
+        # and concentrators then relay as a last resort
+        reserve = [n for n in net.members(kind="ES") + net.members(kind="PDC")
+                   if table.trusted(n.id)]
+        return self._route(source.id, cc_gw.id, relays + [cc_gw],
+                           relays + reserve + [cc_gw])
 
     def _route(self, src_id: int, dst_id: int,
                *pools: list[NodeState]) -> tuple[int, ...] | None:
-        """Cheapest path over the first pool that connects the two ends."""
-        for pool in pools:
-            adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
-            found = dijkstra(adjacency, src_id, {dst_id})
-            if found:
-                return tuple(found[1])
-        return None
+        """Cheapest path over the first pool that connects the two ends.
+
+        Each (source, target) pair is routed once per selection: the answer,
+        None included, stays in `route_cache` until the next `_reselect`
+        clears it, and later asks get it without looking at `pools`."""
+        key = (src_id, dst_id)
+        if key not in self.route_cache:
+            self.route_cache[key] = None
+            for pool in pools:
+                adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
+                found = dijkstra(adjacency, src_id, {dst_id})
+                if found:
+                    self.route_cache[key] = tuple(found[1])
+                    break
+        return self.route_cache[key]
 
     def _link_weight(self, u: NodeState, v: NodeState, dist: float) -> float:
         if not self.defense:
@@ -1059,9 +1060,6 @@ class ProtocolEngine:
             self._seal_to_server(pdc, main, self._pdc_route(pdc, main), records)
 
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
-        key = (pdc.id, main)
-        if key in self.pdc_routes:
-            return self.pdc_routes[key]
         net, table = self.network, self.current_table()
         cc_gw = net.cc_gateway(main)
         overlay = [node for rid in sorted(net.regions)
@@ -1069,10 +1067,8 @@ class ProtocolEngine:
         # concentrators too sparse: fall back to the trusted relay tier
         relays = [n for n in net.members(kind="ES")
                   if table.trusted(n.id) and n.id != pdc.id]
-        path = self._route(pdc.id, cc_gw.id, overlay + [cc_gw],
+        return self._route(pdc.id, cc_gw.id, overlay + [cc_gw],
                            [pdc] + relays + [cc_gw])
-        self.pdc_routes[key] = path
-        return path
 
     # -- PDC failover ---------------------------------------------------------------
 
@@ -1096,11 +1092,9 @@ class ProtocolEngine:
         if not candidates:
             self.acting_pdc.pop(region_id, None)
             self.delivery.undeliverable_alarms += 1
-            self.pdc_routes.clear()
             return None
         chosen = max(candidates, key=lambda es: (table.tv(es.id), -es.id))
         self.acting_pdc[region_id] = chosen.id
-        self.pdc_routes.clear()
         self.trace.log(self.queue.now, "failover", f"region:{region_id}",
                        f"acting_pdc:{chosen.id}")
         return chosen.id

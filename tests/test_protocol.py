@@ -564,16 +564,33 @@ def test_baseline_never_runs_a_round_so_every_entity_reads_trusted():
     assert all(table.trusted(node_id) for node_id in net.nodes)
 
 
-def test_route_cache_cleared_by_round_but_overlay_persists():
+def test_route_cache_cleared_by_round_overlay_included():
     net, chan, queue, trace, eng = make_sim(mini_world)
     queue.run_until(199.0)
-    assert eng.route_cache and eng.pdc_routes
-    overlay_before = dict(eng.pdc_routes)
+    assert eng.route_cache[(15, net.cc_gateway(True).id)] == (15, 24)   # overlay
     queue.run_until(205.0)                   # round at 200, no data event yet
-    assert eng.route_cache == {}
-    assert eng.pdc_routes == overlay_before  # no failover, so routes survive
+    assert eng.route_cache == {}             # one cache, overlay routes included
     queue.run_until(211.0)
     assert eng.route_cache
+
+
+def test_no_cached_route_runs_through_a_relay_blocked_by_the_round():
+    """ES 10 stops answering probes before the round at 200, which
+    threat-lists it; no route asked after that round keeps it as a relay,
+    though before it PDC 15 reached the main center through it."""
+    net, chan, queue, trace, eng = make_sim(relay_world)
+    queue.run_until(199.0)
+    pdc = net.nodes[15]
+    assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
+    net.nodes[10].behavior = DropProbes()
+    queue.run_until(226.0)                   # the round at 200, data at 210 and 225
+    threats = eng.current_table().threat_list
+    assert 10 in threats
+    asked = [eng._pdc_route(pdc, main) for main in (True, False)]
+    routes = [path for path in [*asked, *eng.route_cache.values()] if path]
+    assert routes
+    assert all(threats.isdisjoint(path[1:-1]) for path in routes)
+    assert eng.route_cache[(9, 15)] is None  # ES 9 reached PDC 15 only through 10
 
 
 # -- key management -----------------------------------------------------------------
