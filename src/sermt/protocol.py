@@ -932,8 +932,8 @@ class ProtocolEngine:
                         path: tuple[int, ...] | None,
                         records: list[tuple[int, bytes]]) -> None:
         """ECC-seal the records to the main or backup server's current key and
-        relay them along `path` as AGG_DATA. The seal comes first, so a None
-        path still pays for it (RNG draws included) before its alarm.
+        relay them along `path` as AGG_DATA. A None path counts an
+        undeliverable alarm before any seal: no ciphertext, no RNG draw.
 
         An origin with no key for the server cannot seal, and its records stop
         here: no frame, no RNG draw. Only a foreign plant lacks the keys, and
@@ -945,10 +945,10 @@ class ProtocolEngine:
         pubkey = origin.server_pubkeys.get(server.id)
         if pubkey is None:
             return
-        blob = ecc_encrypt(pubkey, pack_records(sorted(records)), SIM_CURVE, self.rng)
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
+        blob = ecc_encrypt(pubkey, pack_records(sorted(records)), SIM_CURVE, self.rng)
         arrived = self._relay_chain(path, MsgType.AGG_DATA, blob)
         if arrived is not None:
             self._server_ingest(server, arrived.payload)

@@ -520,6 +520,27 @@ def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
             assert inbox == {15: []}    # the empty entry of ROADMAP item 9
 
 
+def test_a_concentrator_with_no_route_counts_an_alarm_without_sealing(monkeypatch):
+    """PDC 15 reaches the main center but has no route to the backup: its
+    dispatch seals once, for the main center, and counts one alarm."""
+    net, chan, queue, trace, eng = make_sim(relay_world)
+    queue.run_until(14.0)
+    pdc = net.nodes[15]
+    assert eng._pdc_route(pdc, main=True) is not None
+    assert eng._pdc_route(pdc, main=False) is None
+    seals, ecc_encrypt = [], protocol.ecc_encrypt
+
+    def spy(pubkey, *args):
+        seals.append(pubkey)
+        return ecc_encrypt(pubkey, *args)
+
+    monkeypatch.setattr(protocol, "ecc_encrypt", spy)
+    alarms = eng.delivery.undeliverable_alarms
+    eng._pdc_dispatch(pdc, [(22, bytes(128))])
+    assert seals == [pdc.server_pubkeys[net.main_server]]
+    assert eng.delivery.undeliverable_alarms == alarms + 1
+
+
 # -- cadence -----------------------------------------------------------------------
 
 def select_es_times(eng):
