@@ -1049,8 +1049,9 @@ class ProtocolEngine:
             self.delivery.undeliverable_alarms += 1
             return
         opened = self._sealed_leg(path, MsgType.DATA, records)
-        if opened is not None:
-            # a concentrator that got only garbage still reports, emptily
+        if opened:
+            # a leg that opened to garbage adds nothing, so a concentrator
+            # that got only garbage has nothing to dispatch
             pdc_inbox.setdefault(pdc.id, []).extend(opened)
 
     def _pdc_dispatch(self, pdc: NodeState, records: list[tuple[int, bytes]]) -> None:

@@ -491,7 +491,8 @@ def test_session_with_foreign_node_fails_at_pubkey_hop_under_defense():
 def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
     """ES 10 corrupts the ES 9 -> PDC 15 DATA leg it relays. Only the far
     end holds the session key, so the nested MAC is checked there: the
-    defense rejects the leg, and the baseline opens it to garbage."""
+    defense rejects the leg, and the baseline opens it to garbage. Either
+    way PDC 15 gets nothing to dispatch."""
     for defense in (True, False):
         net, chan, queue, trace, eng = make_sim(relay_world, defense=defense)
         queue.run_until(1.0)
@@ -517,7 +518,7 @@ def test_far_end_rejects_a_data_leg_corrupted_in_transit(monkeypatch):
             assert inbox == {}
         else:
             assert (rejects, tampered) == (0, 1)
-            assert inbox == {15: []}    # the empty entry of ROADMAP item 9
+            assert inbox == {}
 
 
 def test_a_concentrator_with_no_route_counts_an_alarm_without_sealing(monkeypatch):
