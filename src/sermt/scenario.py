@@ -206,7 +206,7 @@ class ScenarioResult(World):
             counters = " ".join(f"{key}={value}"
                                 for key, value in sorted(log.counters().items()))
             targets = ",".join(str(t) for t in log.targets)
-            lines.append(f"{self.config.duration:.6f} | attack | "
+            lines.append(f"{self.metrics.duration:.6f} | attack | "
                          f"{log.name}:{log.kind} | targets:{targets} | {counters}")
         return "\n".join(lines) + "\n"
 
@@ -234,16 +234,19 @@ def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World
 
 
 def finish(world: World) -> ScenarioResult:
-    """Close a world run to `config.duration`: settle and check the energy
-    ledger, audit confidentiality, and collect the metrics."""
-    config, channel = world.config, world.channel
-    channel.finalize(config.duration)
+    """Close a world at the time its queue was run to: settle and check the
+    energy ledger, audit confidentiality, and collect the metrics over that
+    span. `run_scenario` runs it to `config.duration`; a hand-placed world
+    may stop anywhere."""
+    channel = world.channel
+    now = channel.queue.now
+    channel.finalize(now)
     errors = channel.conservation_errors()
     if errors:
         raise SimulationFault("energy ledger check failed: "
                               + "; ".join(map(str, errors[:3])))
     exposures = confidentiality_scan(world.engine, world.attack_logs)
-    metrics = collect_metrics(world.engine, world.attack_logs, config.duration, exposures)
+    metrics = collect_metrics(world.engine, world.attack_logs, now, exposures)
     return ScenarioResult(**vars(world), metrics=metrics)
 
 

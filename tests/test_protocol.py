@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sermt import protocol
-from sermt.adversary import AttackOutcomeLog, FalseDataBehavior
+from sermt.adversary import AttackOutcomeLog, AttackSpec, FalseDataBehavior
 from sermt.entities import Behavior
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import (
@@ -24,7 +24,7 @@ from sermt.protocol import (
     selection_score,
     unpack_records,
 )
-from sermt.scenario import ScenarioConfig, build_world
+from sermt.scenario import ScenarioConfig, build_world, finish
 from sermt.wire import Frame, FrameFormatError, MsgType, make_frame
 
 
@@ -667,6 +667,20 @@ def test_clean_runs_deliver_everything_and_balance():
         assert eng.delivery.delivered == 56
         assert eng.delivery.forged_accepts == 0
         assert chan.conservation_errors() == []
+
+
+def test_finish_closes_a_hand_placed_world_where_its_queue_stopped():
+    """A hand-placed world's config carries a placeholder duration; `finish`
+    settles the ledger and measures the run at the time the queue reached."""
+    dropper = AttackSpec(kind="DROP", name="dropper", target_ids=(7,))
+    world = build_world(sim_config(attacks=[dropper]), layout=mini_world())
+    world.channel.queue.run_until(226.0)
+    result = finish(world)
+    assert result.metrics.duration == 226.0
+    assert result.metrics.throughput_bps == \
+        world.engine.delivery.payload_bits_delivered / 226.0
+    assert result.trace_export().splitlines()[-1].startswith(
+        "226.000000 | attack | dropper:DROP | targets:7 |")
 
 
 def test_readings_too_large_for_one_frame_stop_the_run():
