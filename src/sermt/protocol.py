@@ -746,8 +746,8 @@ class ProtocolEngine:
                     records: list[tuple[int, bytes]]) -> list[tuple[int, bytes]] | None:
         """Carry records RC5-sealed under the session key of the leg's two
         ends along `hops`, and open them at the far end. Returns None if no
-        key was agreed or the frame was lost or failed a MAC check, and []
-        if it arrived but would not decrypt."""
+        key was agreed, or the frame was lost, failed a MAC check or would
+        not decrypt."""
         net = self.network
         key = self._ensure_session(net.nodes[hops[0]], net.nodes[hops[-1]], hops)
         if key is None:
@@ -760,7 +760,7 @@ class ProtocolEngine:
             return unpack_records(rc5_decrypt(key, arrived.payload))
         except (CipherFormatError, ValueError, struct.error):
             self.delivery.tamper_detected += 1
-            return []
+            return None
 
     # -- gateway-local ES selection --------------------------------------------
 
@@ -1050,8 +1050,8 @@ class ProtocolEngine:
             return
         opened = self._sealed_leg(path, MsgType.DATA, records)
         if opened:
-            # a leg that opened to garbage adds nothing, so a concentrator
-            # that got only garbage has nothing to dispatch
+            # only records make a concentrator dispatch: one that got only
+            # garbage seals nothing to the control centers
             pdc_inbox.setdefault(pdc.id, []).extend(opened)
 
     def _pdc_dispatch(self, pdc: NodeState, records: list[tuple[int, bytes]]) -> None:
