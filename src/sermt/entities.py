@@ -3,9 +3,11 @@
 A NodeState is one ICT entity: sensor node (N), energy-harvesting relay
 (ES), phasor data concentrator (PDC), measuring units (MU/PMU), substation
 gateway (GW) or control-center server (SERVER).  The Network holds all of
-them plus the layout indices (regions, substations, adjacency) the
-protocol needs.  What the protocol decides about a node (trust, cluster,
-acting concentrator, session keys) is kept by the protocol engine alone.
+them plus the layout indices the protocol needs: regions and their
+adjacency, each substation's gateway, each region's concentrator and the
+substations with PMUs.  What the protocol decides about a node (trust,
+cluster, acting concentrator, session keys) is kept by the protocol engine
+alone.
 
 What a node does with the frames it carries and the figures it advertises
 is its `Behavior`: honest by default, subverted by an attack (see the
@@ -88,6 +90,14 @@ class Network:
         self.gateway_of_substation = {
             n.substation_id: n.id for n in self.nodes.values() if n.kind == "GW"
         }
+        # the static layout facts the engine asks for: entities added later
+        # are N nodes only, so neither index ever changes
+        self.pdc_of_region: dict[int, int] = {}     # region -> its lowest-ID PDC
+        for n in self.nodes.values():
+            if n.kind == "PDC":
+                self.pdc_of_region.setdefault(n.region_id, n.id)
+        self.pmu_substations = tuple(sorted(
+            {n.substation_id for n in self.nodes.values() if n.kind == "PMU"}))
         servers = [n for n in self.nodes.values() if n.kind == "SERVER"]
         self.main_server = next(s.id for s in servers if s.substation_id == self.main_cc)
         self.backup_server = next(s.id for s in servers if s.substation_id == self.backup_cc)
@@ -106,18 +116,15 @@ class Network:
                 adjacency[rb].add(ra)
         return {rid: tuple(sorted(peers)) for rid, peers in adjacency.items()}
 
-    def node(self, node_id: int) -> NodeState:
-        return self.nodes[node_id]
-
-    def members(self, kind: str | None = None, region: int | None = None,
-                alive_only: bool = True) -> list[NodeState]:
+    def members(self, kind: str | None = None, region: int | None = None) -> list[NodeState]:
+        """The live entities, of `kind` and in `region` where given."""
         out = []
         for node in self.nodes.values():
             if kind is not None and node.kind != kind:
                 continue
             if region is not None and node.region_id != region:
                 continue
-            if alive_only and not node.alive:
+            if not node.alive:
                 continue
             out.append(node)
         return out
@@ -151,7 +158,5 @@ class Network:
     def region_trust_targets(self, region_id: int) -> list[NodeState]:
         """Entities a trust round evaluates: N, ES, PDC (substation gear is
         trusted by assumption), plus any acting PDC already covered by kind."""
-        return [
-            n for n in self.members(region=region_id, alive_only=False)
-            if n.kind in ("N", "ES", "PDC")
-        ]
+        return [n for n in self.nodes.values()
+                if n.region_id == region_id and n.kind in ("N", "ES", "PDC")]

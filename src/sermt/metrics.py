@@ -199,13 +199,14 @@ def emit_csv(rows: list[SweepRow]) -> str:
 
 
 _SERIES_COLORS = ("#1f6feb", "#d1242f", "#2da44e", "#bf8700")
+_CHART_WIDTH, _CHART_HEIGHT = 640, 420
 
 
 def render_line_chart(series: dict[str, list[tuple[float, float]]], *,
-                      title: str, x_label: str, y_label: str,
-                      width: int = 640, height: int = 420) -> str:
+                      title: str, x_label: str, y_label: str) -> str:
     """Minimal deterministic SVG line chart: one polyline + circle markers
     per series; a single point renders as a lone marker."""
+    width, height = _CHART_WIDTH, _CHART_HEIGHT
     left, right, top, bottom = 64, 24, 40, 56
     plot_w, plot_h = width - left - right, height - top - bottom
     points = [p for pts in series.values() for p in pts]

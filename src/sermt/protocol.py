@@ -641,7 +641,7 @@ class ProtocolEngine:
                        key=lambda c: (selection_score(c[1], table.tv(c[0]), c[2]), -c[0]))
             self.forwarder_of[gw.id] = best[0]
             if best[0] in net.nodes:
-                self._ensure_session(gw, net.nodes[best[0]])
+                self._ensure_session((gw.id, best[0]))
 
     def _advertise_personas(self, host: NodeState, gateways: list[NodeState],
                             acks: dict) -> None:
@@ -695,16 +695,18 @@ class ProtocolEngine:
             self.clusters[solicitor.id] = cluster
             self.cluster_head[solicitor.id] = head_id
             if head_id != solicitor.id:
-                self._ensure_session(solicitor, net.nodes[head_id])
+                self._ensure_session((solicitor.id, head_id))
 
     # -- sessions ------------------------------------------------------------
 
-    def _ensure_session(self, a: NodeState, b: NodeState,
-                        path: tuple[int, ...] | None = None) -> bytes | None:
+    def _ensure_session(self, hops: tuple[int, ...]) -> bytes | None:
+        """The session key of the two ends of `hops`; a new pair first
+        swaps public keys along `hops`, each end's key relayed to the
+        other. None if either key did not arrive."""
+        a, b = self.network.nodes[hops[0]], self.network.nodes[hops[-1]]
         pair = (min(a.id, b.id), max(a.id, b.id))
         if pair in self.sessions:
             return self.sessions[pair]
-        hops = path if path is not None else (a.id, b.id)
         for leg, node in ((hops, a), (hops[::-1], b)):
             if self._relay_chain(leg, MsgType.PUBKEY,
                                  encode_point(node.keypair.public, SIM_CURVE)) is None:
@@ -748,8 +750,7 @@ class ProtocolEngine:
         ends along `hops`, and open them at the far end. Returns None if no
         key was agreed, or the frame was lost, failed a MAC check or would
         not decrypt."""
-        net = self.network
-        key = self._ensure_session(net.nodes[hops[0]], net.nodes[hops[-1]], hops)
+        key = self._ensure_session(hops)
         if key is None:
             return None
         arrived = self._relay_chain(hops, msg_type, rc5_encrypt(key, pack_records(records)),
@@ -773,13 +774,9 @@ class ProtocolEngine:
         self._select_es()
         self.queue.schedule(t + self.config.gw_probe_interval, self._gw_probe_event)
 
-    def _pmu_substations(self) -> list[int]:
-        return sorted({n.substation_id for n in self.network.members(kind="PMU",
-                                                                     alive_only=False)})
-
     def _select_es(self) -> None:
         net = self.network
-        for substation_id in self._pmu_substations():
+        for substation_id in net.pmu_substations:
             if substation_id in (net.main_cc, net.backup_cc):
                 continue                      # monitored locally, no WSN leg
             gw = net.nodes[net.gateway_of_substation[substation_id]]
@@ -796,7 +793,7 @@ class ProtocolEngine:
                 continue
             best = max(scored)[2]
             self.es_choice[gw.id] = best.id
-            self._ensure_session(gw, best)
+            self._ensure_session((gw.id, best.id))
 
     # -- readings ---------------------------------------------------------------
 
@@ -890,7 +887,7 @@ class ProtocolEngine:
                 self.channel.transmit_phantom(gw, forwarder_id, fake_pos, husk)
             queue.clear()
             return
-        if self._ensure_session(gw, self.network.nodes[forwarder_id]) is None:
+        if self._ensure_session((gw.id, forwarder_id)) is None:
             self.delivery.isolation_alarms += 1
             return
         for record in queue:
@@ -999,7 +996,7 @@ class ProtocolEngine:
         sent_before, delivered_before = self.delivery.sent, self.delivery.delivered
         pdc_inbox: dict[int, list[tuple[int, bytes]]] = {}
 
-        for substation_id in self._pmu_substations():
+        for substation_id in net.pmu_substations:
             gw = net.nodes[net.gateway_of_substation[substation_id]]
             readings = self._read_units("PMU", substation_id,
                                         self.config.pmu_reading_bytes)
@@ -1009,7 +1006,7 @@ class ProtocolEngine:
             if es_id is None or not net.nodes[es_id].alive:
                 self.delivery.isolation_alarms += 1
                 continue
-            if self._ensure_session(gw, net.nodes[es_id]) is None:
+            if self._ensure_session((gw.id, es_id)) is None:
                 self.delivery.isolation_alarms += 1
                 continue
             opened = self._sealed_leg((gw.id, es_id), MsgType.EMD, readings)
@@ -1021,20 +1018,15 @@ class ProtocolEngine:
         self._audit_tick(sent_before, delivered_before)
         self.queue.schedule(t + self.config.pmu_interval, self._pmu_data_event)
 
-    def _region_pdc(self, region_id: int) -> NodeState | None:
-        acting = self.acting_pdc.get(region_id)
-        if acting is not None:
-            return self.network.nodes[acting]
-        pdcs = self.network.members(kind="PDC", region=region_id, alive_only=False)
-        return pdcs[0] if pdcs else None
+    def _region_pdc(self, region_id: int) -> NodeState:
+        """The region's acting concentrator, or else its deployed one."""
+        net = self.network
+        return net.nodes[self.acting_pdc.get(region_id, net.pdc_of_region[region_id])]
 
     def _es_to_pdc(self, es: NodeState, records: list[tuple[int, bytes]],
                    pdc_inbox: dict[int, list[tuple[int, bytes]]]) -> None:
         net = self.network
         pdc = self._region_pdc(es.region_id)
-        if pdc is None:
-            self.delivery.undeliverable_alarms += 1
-            return
         if pdc.id == es.id:
             pdc_inbox.setdefault(pdc.id, []).extend(records)
             return
@@ -1063,8 +1055,7 @@ class ProtocolEngine:
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
         net, table = self.network, self.current_table()
         cc_gw = net.cc_gateway(main)
-        overlay = [node for rid in sorted(net.regions)
-                   if (node := self._region_pdc(rid)) is not None and node.alive]
+        overlay = [node for node in map(self._region_pdc, sorted(net.regions)) if node.alive]
         # concentrators too sparse: fall back to the trusted relay tier
         relays = [n for n in net.members(kind="ES")
                   if table.trusted(n.id) and n.id != pdc.id]
@@ -1077,8 +1068,6 @@ class ProtocolEngine:
         table = self.current_table()
         for region_id in sorted(self.network.regions):
             current = self._region_pdc(region_id)
-            if current is None:
-                continue
             failed = ((not current.alive) or current.battery_mah <= 0.0
                       or not table.trusted(current.id))
             if failed:
@@ -1089,7 +1078,7 @@ class ProtocolEngine:
         table = self.current_table()
         old = self._region_pdc(region_id)
         candidates = [es for es in self.network.members(kind="ES", region=region_id)
-                      if table.trusted(es.id) and (old is None or es.id != old.id)]
+                      if table.trusted(es.id) and es.id != old.id]
         if not candidates:
             self.acting_pdc.pop(region_id, None)
             self.delivery.undeliverable_alarms += 1

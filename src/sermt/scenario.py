@@ -240,7 +240,7 @@ def finish(world: World) -> ScenarioResult:
     may stop anywhere."""
     channel = world.channel
     now = channel.queue.now
-    channel.finalize(now)
+    channel.finalize()
     errors = channel.conservation_errors()
     if errors:
         raise SimulationFault("energy ledger check failed: "

@@ -235,10 +235,10 @@ class Channel:
             node.battery_mah += gain
             self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + gain
 
-    def finalize(self, t_end: float) -> None:
-        """Bring all harvesting batteries up to date at the end of a run, and
-        drop the neighbourhood maps (finished results are kept around)."""
-        assert self.queue.now == t_end
+    def finalize(self) -> None:
+        """Bring all harvesting batteries up to the queue's clock at the end
+        of a run, and drop the neighbourhood maps (finished results are kept
+        around)."""
         for node in self.network.nodes.values():
             if node.kind in RECHARGEABLE:
                 self._recharge_to_now(node)

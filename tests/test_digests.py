@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from sermt.adversary import AttackSpec
+from sermt.metrics import replay_trace
 from sermt.scenario import DATA_DIR, _sweep_attacks, load_config, run_scenario
 
 DURATION = 60.0
@@ -91,8 +92,10 @@ AUDITS = {
 @functools.cache
 def pinned_run(case, defense):
     """(digest, counted losses, `dropped(...)` trace outcomes, audit report,
-    kept observations, `rx` trace lines of attack targets) of one case;
-    only this summary is kept between the tests that read it."""
+    kept observations, `rx` trace lines of attack targets, replay check) of
+    one case; only this summary is kept between the tests that read it.
+    The replay check is ((sent, delivered) replayed, the same live, and
+    (node, replayed, live) consumed charge per node)."""
     conf, attacks, seed, _, _ = CASES[case]
     config = load_config(DATA_DIR / conf)
     # None keeps the attacks the config file declares
@@ -105,8 +108,19 @@ def pinned_run(case, defense):
     target_rx = sum(f[1] == "rx" and int(f[2].split("<-")[0]) in targets for f in fields)
     audit = (tuple((log.frames_overheard, log.payloads_decrypted)
                    for log in result.attack_logs), result.metrics.plaintext_exposures)
+    live = result.metrics
+    replayed = replay_trace(
+        result.trace.lines,
+        initial_battery=dict(result.channel.initial_battery),
+        kinds={nid: node.kind for nid, node in result.network.nodes.items()},
+        energy=config.energy,
+        duration=config.duration)
+    replay = ((replayed.packets_sent, replayed.packets_delivered),
+              (live.packets_sent, live.packets_delivered),
+              tuple((row.node_id, replayed.consumed_mah[row.node_id], row.consumed_mah)
+                    for row in live.node_ledger))
     return (result.trace.digest(), sum(result.channel.drop_counts.values()), dropped,
-            audit, len(result.channel.observations), target_rx)
+            audit, len(result.channel.observations), target_rx, replay)
 
 
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
@@ -122,7 +136,7 @@ def test_every_traced_loss_is_counted(case, defense):
     """Channel.drop_counts holds one count per `dropped(...)` outcome in the
     trace (a tunnelled leg that fails is counted and writes no line; none
     of these runs has one)."""
-    _, counted, traced, _, _, _ = pinned_run(case, defense)
+    _, counted, traced, _, _, _, _ = pinned_run(case, defense)
     assert counted == traced
 
 
@@ -138,5 +152,19 @@ def test_audit_report_pinned(case, defense):
 def test_observations_are_the_rx_lines_of_attack_targets(case, defense):
     """The channel keeps one observation per frame an attack target took in,
     and no other: targets are all installed before the first frame moves."""
-    _, _, _, _, kept, target_rx = pinned_run(case, defense)
+    _, _, _, _, kept, target_rx, _ = pinned_run(case, defense)
     assert kept == target_rx
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_replay_recomputes_delivery_and_charge(case, defense):
+    """`replay_trace` over the trace text alone gives the live sent and
+    delivered counts and every node's consumed charge, within the
+    tolerance of the trace's %.12g joules (as in test_scenario's replay
+    test). The `wormhole` and `wormhole_spy` traces hold `wormhole` lines,
+    so the replay's charge for a tunnelled frame is checked too."""
+    replayed_counts, live_counts, consumed = pinned_run(case, defense)[6]
+    assert replayed_counts == live_counts
+    for node_id, replayed, live in consumed:
+        assert replayed == pytest.approx(live, rel=1e-9, abs=1e-12), node_id

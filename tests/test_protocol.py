@@ -477,7 +477,7 @@ def test_session_with_foreign_node_fails_at_pubkey_hop_under_defense():
         net, chan, queue, trace, eng = make_sim(mini_world, defense=defense)
         gw, foreign = net.nodes[25], net.nodes[8]
         foreign.has_gbk = False
-        key = eng._ensure_session(gw, foreign)
+        key = eng._ensure_session((gw.id, foreign.id))
         if defense:
             # the foreign node's PUBKEY reply fails its MAC on the one hop
             assert key is None
@@ -613,6 +613,22 @@ def test_no_cached_route_runs_through_a_relay_blocked_by_the_round():
     assert routes
     assert all(threats.isdisjoint(path[1:-1]) for path in routes)
     assert eng.route_cache[(9, 15)] is None  # ES 9 reached PDC 15 only through 10
+
+
+def test_a_drained_relay_loses_its_route_to_the_battery_x_trust_weight(monkeypatch):
+    """PDC 15 reaches the main center through ES 10 or ES 9. Once ES 10's
+    battery is nearly empty, the next selection routes through ES 9; by
+    plain distance ES 10 would still be the cheaper hop."""
+    net, chan, queue, trace, eng = make_sim(relay_world)
+    queue.run_until(16.0)
+    pdc = net.nodes[15]
+    assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
+    net.nodes[10].battery_mah = 0.5
+    eng._reselect()
+    assert eng._pdc_route(pdc, main=True) == (15, 9, 28, 24)
+    monkeypatch.setattr(eng, "_link_weight", lambda u, v, dist: dist)
+    eng._reselect()
+    assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
 
 
 # -- key management -----------------------------------------------------------------

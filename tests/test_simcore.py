@@ -85,7 +85,7 @@ def test_mah_conversion():
 
 def test_transmit_in_range_debits_both_sides():
     network, channel, queue, trace = make_world([("N", (0, 0), 1), ("N", (100, 0), 1)])
-    a, b = network.node(5), network.node(6)
+    a, b = network.nodes[5], network.nodes[6]
     fr = frame_of(5)
     outcome = channel.transmit(a, b, fr)
     assert outcome == "delivered"
@@ -96,7 +96,7 @@ def test_transmit_in_range_debits_both_sides():
 
 def test_transmit_out_of_range_still_costs_sender():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (1000, 0), 2)])
-    a, b = network.node(5), network.node(6)
+    a, b = network.nodes[5], network.nodes[6]
     fr = frame_of(5)
     assert channel.transmit(a, b, fr) == "dropped(range)"
     em = channel.energy
@@ -107,12 +107,12 @@ def test_transmit_out_of_range_still_costs_sender():
 
 def test_transmit_exact_boundary_is_in_range():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (250, 0), 1)])
-    assert channel.transmit(network.node(5), network.node(6), frame_of(5)) == "delivered"
+    assert channel.transmit(network.nodes[5], network.nodes[6], frame_of(5)) == "delivered"
 
 
 def test_control_channel_ignores_range():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (5000, 0), 2)])
-    a, b = network.node(5), network.node(6)
+    a, b = network.nodes[5], network.nodes[6]
     assert channel.transmit(a, b, frame_of(5), control=True) == "delivered"
     assert b.debited_mah > 0
 
@@ -120,16 +120,16 @@ def test_control_channel_ignores_range():
 def test_loss_probability_extremes():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (50, 0), 1)], radio=RadioModel(loss_probability=1.0))
-    assert channel.transmit(network.node(5), network.node(6), frame_of(5)) == "dropped(loss)"
+    assert channel.transmit(network.nodes[5], network.nodes[6], frame_of(5)) == "dropped(loss)"
     network2, channel2, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (50, 0), 1)], radio=RadioModel(loss_probability=0.0))
     for _ in range(20):
-        assert channel2.transmit(network2.node(5), network2.node(6), frame_of(5)) == "delivered"
+        assert channel2.transmit(network2.nodes[5], network2.nodes[6], frame_of(5)) == "delivered"
 
 
 def test_dead_receiver_and_dead_sender():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (50, 0), 1)])
-    a, b = network.node(5), network.node(6)
+    a, b = network.nodes[5], network.nodes[6]
     channel.debit(b, 1e6)   # over-debit clamps at zero
     assert not b.alive and b.battery_mah == 0.0
     assert channel.transmit(a, b, frame_of(5)) == "dropped(dead_receiver)"
@@ -141,7 +141,7 @@ def test_dead_receiver_and_dead_sender():
 
 def test_n_node_dies_exactly_at_zero_and_stays_dead():
     network, channel, _, _ = make_world([("N", (0, 0), 1)])
-    node = network.node(5)
+    node = network.nodes[5]
     em = channel.energy
     channel.debit(node, (node.battery_mah - 1e-9) * em.volts * 3.6)
     assert node.alive
@@ -153,30 +153,30 @@ def test_n_node_dies_exactly_at_zero_and_stays_dead():
 def test_recharge_is_lazy_linear_and_capped():
     em = EnergyModel(recharge_rate=0.5, battery_capacity_es=151.0)
     network, channel, queue, _ = make_world([("ES", (0, 0), 1)], energy=em)
-    node = network.node(5)
+    node = network.nodes[5]
     queue.schedule(10.0, lambda: channel.debit(node, 10.8))   # 1 mAh at t=10
     queue.run_until(10.0)
     # 10 s * 0.5 mAh/s capped at capacity 151 first, then the debit
     assert node.battery_mah == pytest.approx(150.0)
     assert node.recharged_mah == pytest.approx(1.0)
     queue.run_until(500.0)
-    channel.finalize(500.0)
+    channel.finalize()
     assert node.battery_mah == pytest.approx(151.0)
 
 
 def test_n_nodes_do_not_recharge():
     network, channel, queue, _ = make_world([("N", (0, 0), 1)])
-    node = network.node(5)
+    node = network.nodes[5]
     queue.schedule(100.0, lambda: channel.debit(node, 10.8))
     queue.run_until(100.0)
-    channel.finalize(100.0)
+    channel.finalize()
     assert node.recharged_mah == 0.0
     assert node.battery_mah == pytest.approx(149.0)
 
 
 def test_mains_powered_nodes_never_drain():
     network, channel, _, _ = make_world([("N", (0, 0), 1)])
-    gw = network.node(1)
+    gw = network.nodes[1]
     channel.debit(gw, 1e6)
     assert gw.battery_mah == 150.0 and gw.debited_mah == 0.0
     assert channel.ledger == {}
@@ -252,7 +252,7 @@ def test_debit_matches_the_three_call_battery_bit_for_bit(kinds, recharge_rate, 
     for node_id, dt, spend in data.draw(st.lists(steps, max_size=25), label="steps"):
         t += dt
         queue.now = ref_queue.now = t
-        node, ref_node = network.node(node_id), ref_network.node(node_id)
+        node, ref_node = network.nodes[node_id], ref_network.nodes[node_id]
         if spend == "drain":            # exactly what is left
             spend = ref_node.battery_mah * (energy.volts * 3.6)
         elif spend == "over":
@@ -261,11 +261,11 @@ def test_debit_matches_the_three_call_battery_bit_for_bit(kinds, recharge_rate, 
         reference.debit(ref_node, spend)
     t += 5.0
     queue.now = ref_queue.now = t
-    channel.finalize(t)
+    channel.finalize()
     reference.finalize()
 
     for node_id, node in network.nodes.items():
-        ref_node = ref_network.node(node_id)
+        ref_node = ref_network.nodes[node_id]
         for name in ("battery_mah", "debited_mah", "recharged_mah"):
             assert getattr(node, name).hex() == getattr(ref_node, name).hex(), name
         assert node.alive == ref_node.alive
@@ -286,20 +286,20 @@ def test_energy_conservation_ledger():
         t += rng.random()
         src, dst = rng.sample([5, 6, 7], 2)
         queue.schedule(t, lambda s=src, d=dst: channel.transmit(
-            network.node(s), network.node(d), frame_of(s)))
+            network.nodes[s], network.nodes[d], frame_of(s)))
     queue.run_until(t)
-    channel.finalize(t)
+    channel.finalize()
     assert len(channel.ledger) == 3       # one folded balance per charged node
     assert channel.conservation_errors() == []
-    network.node(5).battery_mah += 1e-9   # corrupt: the check must notice
+    network.nodes[5].battery_mah += 1e-9   # corrupt: the check must notice
     assert channel.conservation_errors() == [5]
 
 
 def test_broadcast_reaches_in_range_alive_nodes_once():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (100, 0), 1), ("N", (200, 0), 1), ("N", (900, 0), 2)])
-    sender = network.node(5)
-    network.node(7).alive = False
+    sender = network.nodes[5]
+    network.nodes[7].alive = False
     got = channel.broadcast(sender, frame_of(5), kinds=("N",))
     assert got == [6]   # 7 dead, 8 out of range, gateways filtered by kind
     em = channel.energy
@@ -310,7 +310,7 @@ def test_broadcast_reaches_in_range_alive_nodes_once():
 
 def test_adversarial_swallow_costs_receiver_energy():
     network, channel, _, _ = make_world([("N", (0, 0), 1), ("N", (50, 0), 1)])
-    a, b = network.node(5), network.node(6)
+    a, b = network.nodes[5], network.nodes[6]
     b.behavior = Swallower()
     assert channel.transmit(a, b, frame_of(5)) == "dropped(adversarial)"
     assert b.debited_mah > 0
@@ -322,11 +322,11 @@ def test_eavesdropper_observes_in_range_traffic():
         [("N", (0, 0), 1), ("N", (50, 0), 1), ("N", (100, 0), 1), ("N", (2000, 0), 2)])
     channel.eavesdroppers = [7, 8]
     channel.audited.update((6, 7, 8))
-    channel.transmit(network.node(5), network.node(6), frame_of(5))
+    channel.transmit(network.nodes[5], network.nodes[6], frame_of(5))
     observers = [o.observer_id for o in channel.observations]
     assert observers == [7, 6]   # spy 7 in range of sender; spy 8 too far
-    assert network.node(7).debited_mah > 0
-    assert network.node(8).debited_mah == 0.0
+    assert network.nodes[7].debited_mah > 0
+    assert network.nodes[8].debited_mah == 0.0
 
 
 def test_unaudited_receiver_pays_and_is_traced_but_not_observed():
@@ -335,10 +335,10 @@ def test_unaudited_receiver_pays_and_is_traced_but_not_observed():
     channel.eavesdroppers = [7, 8]
     channel.audited.update((7, 8))
     frame = frame_of(5)
-    channel.transmit(network.node(5), network.node(6), frame)
+    channel.transmit(network.nodes[5], network.nodes[6], frame)
     assert [o.observer_id for o in channel.observations] == [7]
     em = channel.energy
-    assert network.node(6).debited_mah == em.to_mah(em.energy_rx(frame.wire_bits))
+    assert network.nodes[6].debited_mah == em.to_mah(em.energy_rx(frame.wire_bits))
     rx_6 = [line for line in trace.lines if line.split(" | ")[1:3] == ["rx", "6<-5:TEST"]]
     assert len(rx_6) == 1 and rx_6[0].split(" | ")[3] == "received"
 
@@ -358,13 +358,13 @@ def tunnel_world(radio=None):
 
 def test_failed_tunnelled_leg_is_counted_without_a_trace_line():
     network, channel, trace = tunnel_world()
-    network.node(8).alive = False
-    assert channel.broadcast(network.node(5), frame_of(5), kinds=("N",)) == [6]
+    network.nodes[8].alive = False
+    assert channel.broadcast(network.nodes[5], frame_of(5), kinds=("N",)) == [6]
     assert channel.drop_counts == {"dead_receiver": 1}
     assert not any("8<-" in line or "->8" in line for line in trace.lines)
 
     network, channel, trace = tunnel_world(RadioModel(loss_probability=1.0))
-    assert channel.broadcast(network.node(5), frame_of(5), kinds=("N",)) == []
+    assert channel.broadcast(network.nodes[5], frame_of(5), kinds=("N",)) == []
     # the ordinary leg to 6 logs its drop; the tunnelled leg to 8 only counts
     assert channel.drop_counts == {"loss": 2}
     assert dropped_lines(trace) == 1
@@ -382,7 +382,7 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
     network, channel, _, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
     ids = list(range(5, 5 + len(extra)))
     for node_id in data.draw(st.sets(st.sampled_from(ids)), label="dead"):
-        network.node(node_id).alive = False
+        network.nodes[node_id].alive = False
     channel.eavesdroppers = sorted(data.draw(st.sets(st.sampled_from(ids)), label="spies"))
     debits = []
 
@@ -397,14 +397,14 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
                       st.booleans(), st.sampled_from([None, ("N",), ("ES", "GW")]),
                       st.integers(0, 40))
     for call, (src, dst), control, kinds, size in data.draw(st.lists(calls, max_size=12)):
-        sender, frame = network.node(src), frame_of(src, b"p" * size)
+        sender, frame = network.nodes[src], frame_of(src, b"p" * size)
         before, debits[:] = len(trace.lines), []
         if call == "transmit":
-            channel.transmit(sender, network.node(dst), frame, control=control)
+            channel.transmit(sender, network.nodes[dst], frame, control=control)
         elif call == "broadcast":
             channel.broadcast(sender, frame, control=control, kinds=kinds)
         else:
-            channel.transmit_phantom(sender, 99, network.node(dst).position, frame,
+            channel.transmit_phantom(sender, 99, network.nodes[dst].position, frame,
                                      control=control)
         rx_lines = [line.split(" | ")[2] for line in trace.lines[before:]
                     if line.split(" | ")[1] == "rx"]
@@ -417,8 +417,8 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
 def test_hears_closed_ball_includes_dead():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (250, 0), 1), ("N", (251, 0), 1), ("N", (100, 0), 1)])
-    network.node(8).alive = False
-    me = network.node(5)
+    network.nodes[8].alive = False
+    me = network.nodes[5]
     # co-located GW 1 and SERVER 3 at 0 m; 250 m is on the ball, 251 m is not
     assert channel.hears(me) == {1: 0.0, 3: 0.0, 6: 250.0, 8: 100.0}
     # connectivity counts only the alive neighbours: 1, 3 and 6
@@ -428,28 +428,28 @@ def test_hears_closed_ball_includes_dead():
 def test_connectivity_counts_split_by_region():
     network, channel, _, _ = make_world(
         [("N", (0, 0), 1), ("N", (10, 0), 1), ("N", (20, 0), 2), ("N", (30, 0), 2)])
-    same, adj = channel.connectivity_counts(network.node(5))
+    same, adj = channel.connectivity_counts(network.nodes[5])
     # same region: GW 1, SERVER 3 (both at 0 m) and N 6; other region: 7, 8
     assert (same, adj) == (3, 2)
 
 
 def test_hears_uses_each_nodes_own_range():
     network, channel, _, _ = make_world([("ES", (300, 300), 1), ("N", (300, 0), 1)])
-    es, n = network.node(5), network.node(6)
+    es, n = network.nodes[5], network.nodes[6]
     assert channel.hears(es)[6] == 300.0     # ES range 350 m
     assert 5 not in channel.hears(n)         # N range 250 m
 
 
 def test_add_node_joins_built_neighbourhoods():
     network, channel, _, _ = make_world([("N", (1000, 0), 1)])
-    me = network.node(5)
+    me = network.nodes[5]
     assert channel.hears(me) == {}
     late = NodeState(id=9, kind="N", position=(1100.0, 0.0), region_id=1,
                      battery_mah=42.0)
     channel.add_node(late)
     assert channel.hears(me) == {9: 100.0}
     assert channel.hears(late) == {5: 100.0}
-    assert network.node(9) is late and channel.initial_battery[9] == 42.0
+    assert network.nodes[9] is late and channel.initial_battery[9] == 42.0
     # a later entity comes in above every ID, so the walk stays in ID order
     early = NodeState(id=7, kind="N", position=(1050.0, 0.0), region_id=1)
     with pytest.raises(ValueError):
@@ -488,7 +488,7 @@ def test_network_from_a_shuffled_deployment_walks_in_id_order():
     assert [n.id for n in network.members(region=2)] == [2, 4, 13, 14, 15, 16]
     channel = Channel(network, RadioModel(), EnergyModel(), Trace(), EventQueue(),
                       substream(1, "loss"))
-    heard = list(channel.hears(network.node(8)))
+    heard = list(channel.hears(network.nodes[8]))
     assert heard == sorted(heard) and len(heard) > 5
 
 
@@ -499,9 +499,9 @@ def test_trace_digest_deterministic():
             radio=RadioModel(loss_probability=0.3), seed=77)
         for i in range(50):
             queue.schedule(float(i), lambda: channel.transmit(
-                network.node(5), network.node(6), frame_of(5)))
+                network.nodes[5], network.nodes[6], frame_of(5)))
         queue.run_until(50.0)
-        channel.finalize(50.0)
+        channel.finalize()
         return trace.digest()
 
     assert run() == run()
