@@ -117,9 +117,11 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # - k*G on the one fixed generator (every key pair and every ECC ephemeral)
 #   reads a fixed-base table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
 #   1992): row[i][d] = d * 16**i * G, one row per 4-bit window of n, so k*G is
-#   one mixed add per non-zero base-16 digit of k and no doubling.  The table
-#   is built with point_add on first use, not at import, so a run that
-#   multiplies G pays for it inside its own measured time.
+#   one mixed add per non-zero base-16 digit of k and no doubling.  Each row
+#   is summed in Jacobian coordinates and then made affine with one shared
+#   inversion (Montgomery's batch-inversion trick, Math. Comp. 1987).  The
+#   table is built on first use, not at import, so a run that multiplies G
+#   pays for it inside its own measured time.
 # - k*P on any other point (the ECDH in derive_shared_secret) runs a
 #   left-to-right width-4 NAF ladder (Hankerson, Menezes and Vanstone, Guide
 #   to Elliptic Curve Cryptography, Alg. 3.35 for the digits and Alg. 3.36 for
@@ -129,6 +131,17 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   adds of plain double-and-add.  The doublings are inlined in the ladder;
 #   on a curve with a = -3 (SIM_CURVE) they use 3(x - z^2)(x + z^2) for the
 #   slope numerator, which the TOY test curve (a = 0) must not take.
+#
+# scalar_mult itself keeps no cache.  The multiplies whose results outlive a
+# message go through _long_lived_mult, an LRU memo of 1,024 entries: the
+# public key of each key pair (nodes, servers, regenerated server keys, an
+# attacker's planted nodes) and each pairwise session's ECDH.  The points of
+# a sweep share one seed and layout, so they draw the same key pairs and
+# agree the same secrets, and all but the first point read them from the
+# memo.  A run's long-lived set is a few hundred multiplies.  The ephemeral
+# k*G of ecc_encrypt and both ephemeral ECDHs are used once, and they are
+# most of a long run's multiplies, so they bypass the memo: caching them
+# would only evict the long-lived entries and grow a run's memory.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -168,14 +181,36 @@ def _jac_add_affine(q: tuple[int, int, int] | None, pt: tuple[int, int],
 @functools.cache
 def _generator_table(curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
     """row[i][d] = d * 16**i * G for d in 0..15 (row[i][0] is infinity)."""
+    p, a = curve.p, curve.a
     rows = []
     base = curve.g
     for _ in range((curve.n.bit_length() + 3) // 4):
-        row = [None, base]
-        for _ in range(14):
-            row.append(point_add(row[-1], base, curve))
-        rows.append(tuple(row))
-        base = point_add(row[-1], base, curve)
+        # d * base for d in 1..16 in Jacobian coordinates; 16 * base is the
+        # next row's base.  An entry that is infinity (7G on TOY) is None.
+        jac = [(base[0], base[1], 1)]
+        for _ in range(15):
+            jac.append(_jac_add_affine(jac[-1], base, p, a))
+        # Montgomery's trick: prefix[j] is the product of the first j
+        # non-infinite z, so one inversion of the whole product yields each
+        # 1/z on the walk back.
+        prefix = [1]
+        for q in jac:
+            if q is not None:
+                prefix.append(prefix[-1] * q[2] % p)
+        inv = pow(prefix[-1], -1, p)
+        affine: list[Point] = [None] * 16
+        j = len(prefix) - 1
+        for d in range(15, -1, -1):
+            q = jac[d]
+            if q is None:
+                continue
+            j -= 1
+            zinv = inv * prefix[j] % p
+            inv = inv * q[2] % p
+            zinv2 = zinv * zinv % p
+            affine[d] = (q[0] * zinv2 % p, q[1] * zinv2 * zinv % p)
+        rows.append((None, *affine[:15]))
+        base = affine[15]
     return tuple(rows)
 
 
@@ -280,19 +315,33 @@ class KeyPair:
     public: Point
 
 
+@functools.lru_cache(maxsize=1024)
+def _long_lived_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Point:
+    """scalar_mult for a key that outlives one message (see the comment
+    above _jac_double); it calls the module global, so a wrapper installed
+    on scalar_mult sees every real multiply."""
+    return scalar_mult(k, point, curve)
+
+
 def generate_keypair(curve: CurveParams, rng) -> KeyPair:
     v = rng.randrange(1, curve.n)
-    return KeyPair(v, scalar_mult(v, curve.g, curve))
+    return KeyPair(v, _long_lived_mult(v, curve.g, curve))
 
 
-def derive_shared_secret(private: int, peer_public: Point, curve: CurveParams) -> bytes:
-    """ECDH: x-coordinate of private * peer_public, fixed-width big-endian."""
+def _ecdh(private: int, peer_public: Point, curve: CurveParams, mult) -> bytes:
     if peer_public is None or not curve.contains(peer_public):
         raise InvalidKeyError("peer public key is not a valid curve point")
-    shared = scalar_mult(private, peer_public, curve)
+    shared = mult(private, peer_public, curve)
     if shared is None:
         raise InvalidKeyError("degenerate shared point")
     return shared[0].to_bytes(curve.coord_bytes, "big")
+
+
+def derive_shared_secret(private: int, peer_public: Point, curve: CurveParams) -> bytes:
+    """ECDH: x-coordinate of private * peer_public, fixed-width big-endian.
+    The peer key is checked before the memo is read, so a rejected key is
+    rejected on every call."""
+    return _ecdh(private, peer_public, curve, _long_lived_mult)
 
 
 def cipher_key(secret: bytes) -> bytes:
@@ -509,10 +558,11 @@ class ChainAnchorState:
 
 def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, rng) -> bytes:
     """ephemeral_public || rc5(plaintext) || hmac — only the private-key holder recovers it."""
-    ephemeral = generate_keypair(curve, rng)
-    key = cipher_key(derive_shared_secret(ephemeral.private, recipient_public, curve))
+    v = rng.randrange(1, curve.n)       # the ephemeral key pair, used once: no memo
+    ephemeral_public = scalar_mult(v, curve.g, curve)
+    key = cipher_key(_ecdh(v, recipient_public, curve, scalar_mult))
     body = rc5_encrypt(key, plaintext)
-    return encode_point(ephemeral.public, curve) + body + hmac_tag(key, body)
+    return encode_point(ephemeral_public, curve) + body + hmac_tag(key, body)
 
 
 def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *,
@@ -524,7 +574,7 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *
     ephemeral_public = decode_point(ciphertext[:header], curve)
     body = ciphertext[header:-TAG_LEN]
     tag = ciphertext[-TAG_LEN:]
-    key = cipher_key(derive_shared_secret(recipient_private, ephemeral_public, curve))
+    key = cipher_key(_ecdh(recipient_private, ephemeral_public, curve, scalar_mult))
     if verify_tag and not tags_equal(hmac_tag(key, body), tag):
         raise AuthenticationError("ciphertext tag mismatch")
     return rc5_decrypt(key, body)

@@ -216,7 +216,8 @@ def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World
     events and the attacks scheduled, and no event run (t = 0).
 
     `layout` is a hand-placed `(topology, substations, regions, deployment)`;
-    by default it is built from `config.topology_path` and `config.seed`."""
+    by default it is built from `config.topology_path` and `config.seed`.
+    Raises ConfigError if a region has no PDC."""
     if layout is None:
         topology = load_grid_file(config.topology_path)
         layout = (topology, *build_layout(
@@ -225,6 +226,9 @@ def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World
     topology, substations, regions, deployment = layout
     network = Network(deployment, substations, regions, topology,
                       initial_battery=config.energy.initial_battery)
+    bare = sorted(network.regions.keys() - network.pdc_of_region.keys())
+    if bare:    # only a hand-placed layout can lack one
+        raise ConfigError("no PDC in region " + ", ".join(map(str, bare)))
     channel = Channel(network, config.radio, config.energy, Trace(), EventQueue(),
                       rngmod.substream(config.seed, "loss"))
     engine = ProtocolEngine(channel, config.protocol, config.seed, defense=config.defense)

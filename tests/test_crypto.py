@@ -289,6 +289,28 @@ def test_both_paths_exhaustive_on_toy_curve():
             assert crypto.scalar_mult(k, point, TOY) == affine_oracle(k, point, TOY), (k, point)
 
 
+@pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
+def test_generator_table_equals_point_add_reference(curve):
+    # The table is summed in Jacobian coordinates and batch-inverted per row;
+    # it must hold exactly the points an affine point_add walk gives.
+    reference = []
+    base = curve.g
+    for _ in range((curve.n.bit_length() + 3) // 4):
+        row = [None, base]
+        for _ in range(14):
+            row.append(crypto.point_add(row[-1], base, curve))
+        reference.append(row)
+        base = crypto.point_add(row[-1], base, curve)
+    table = crypto._generator_table(curve)
+    assert len(table) == len(reference)
+    for i, (row, want) in enumerate(zip(table, reference)):
+        assert len(row) == 16
+        for d in range(16):
+            assert row[d] == want[d], (i, d)
+    if curve is TOY:    # 7G and 14G are infinity
+        assert table[0][7] is None and table[0][14] is None
+
+
 def cache_sizes_after_import(*names):
     code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
             f"print(*(getattr(c, name).cache_info().currsize for name in {names!r}))")
@@ -304,7 +326,8 @@ def test_generator_table_not_built_at_import():
 
 
 def test_import_fills_no_crypto_cache():
-    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk") == [0, 0]
+    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk",
+                                    "_long_lived_mult") == [0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -335,8 +358,9 @@ def test_ecdh_symmetry_exhaustive_on_toy_curve():
 def test_ecdh_rejects_off_curve_point():
     bad = (1, 1)
     assert not crypto.SIM_CURVE.contains(bad)
-    with pytest.raises(InvalidKeyError):
-        crypto.derive_shared_secret(3, bad, crypto.SIM_CURVE)
+    for _ in range(2):      # the key is checked before the key memo is read
+        with pytest.raises(InvalidKeyError):
+            crypto.derive_shared_secret(3, bad, crypto.SIM_CURVE)
     with pytest.raises(InvalidKeyError):
         crypto.derive_shared_secret(3, None, crypto.SIM_CURVE)
 

@@ -24,7 +24,7 @@ from sermt.protocol import (
     selection_score,
     unpack_records,
 )
-from sermt.scenario import ScenarioConfig, build_world, finish
+from sermt.scenario import ConfigError, ScenarioConfig, build_world, finish
 from sermt.wire import Frame, FrameFormatError, MsgType, make_frame
 
 
@@ -138,6 +138,15 @@ def make_sim(world, **config):
     """The started `world()` at t = 0, no event run yet."""
     w = build_world(sim_config(**config), layout=world())
     return w.network, w.channel, w.channel.queue, w.trace, w.engine
+
+
+def test_region_without_a_pdc_is_refused_when_the_world_is_built():
+    """A hand-placed layout must give every region a concentrator: the
+    engine's reselect reads one for each region from t = 0."""
+    topo, subs, regions, dep = mini_world()
+    bare = replace(dep, entities=tuple(e for e in dep.entities if e.id != 13))
+    with pytest.raises(ConfigError, match="no PDC in region 1"):
+        build_world(sim_config(), layout=(topo, subs, regions, bare))
 
 
 class DropSevenOfTen(Behavior):

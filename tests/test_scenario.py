@@ -10,8 +10,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sermt import cli, grid, scenario
+from sermt import cli, crypto, grid, scenario
 from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
+from sermt.protocol import ProtocolEngine
 from sermt.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -289,6 +290,47 @@ def test_identical_runs_identical_traces(tmp_path):
     first, second = run_scenario(config), run_scenario(config)
     assert first.trace.digest() == second.trace.digest()
     assert first.metrics == second.metrics
+
+
+def test_second_world_of_a_config_multiplies_no_key(tmp_path, monkeypatch):
+    """The points of a sweep share seed and layout, so the second world's
+    `install_keys` reads every public key from the key memo."""
+    config = small_config(tmp_path)
+    crypto._long_lived_mult.cache_clear()
+    mults, per_install = [], []
+    scalar_mult, install_keys = crypto.scalar_mult, ProtocolEngine.install_keys
+
+    def counted_mult(*args):
+        mults.append(args)
+        return scalar_mult(*args)
+
+    def counted_install(engine):
+        mults.clear()
+        install_keys(engine)
+        per_install.append(len(mults))
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
+    monkeypatch.setattr(ProtocolEngine, "install_keys", counted_install)
+    first = build_world(config)
+    build_world(config)
+    assert per_install == [len(first.network.nodes), 0]
+
+
+def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
+    """After a clean run the memo holds at most one entry per key pair
+    issued and per session: the per-message ECC math bypassed it."""
+    crypto._long_lived_mult.cache_clear()
+    mults = []
+    scalar_mult = crypto.scalar_mult
+    monkeypatch.setattr(crypto, "scalar_mult",
+                        lambda *args: mults.append(args) or scalar_mult(*args))
+    result = run_scenario(small_config(tmp_path))
+    engine = result.engine
+    key_pairs = len(result.network.nodes) + sum(
+        len(history) - 1 for history in engine.server_key_history.values())
+    held = crypto._long_lived_mult.cache_info().currsize
+    assert held <= key_pairs + len(engine.sessions)
+    assert len(mults) > 2 * held      # the sealed data path multiplied too
 
 
 @pytest.fixture(scope="module")
