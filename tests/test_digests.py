@@ -50,6 +50,11 @@ CASES = {
     "flood1": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
                "2949fead5698191416c5afad45b999f27b96a24a",
                "9a8851422e8314db0ea179f650025aaec611ea52"),
+    # `flood1` on a lossy radio (see LOSS): one loss draw per reachable live
+    # listener; 1,878 `dropped(loss)` lines with defense on, 1,599 off
+    "flood1_lossy": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
+                     "a8a59ade69cc437bd9e0dd6f05e764d369eeefa9",
+                     "2d4a95b5451185f892a2fcddfa8b52449f10eae6"),
     # a count draw listed after a WORMHOLE skips the tunnel ends 58 and 79:
     # the spies are 40 and 85 (40 and 83 when the pool still held the ends)
     "wormhole_spy": ("scaled_ieee14.conf",
@@ -71,6 +76,8 @@ CASES = {
                  "6c3851421fc0f93854bf56d1a260f7b4b3b72074"),
 }
 
+# radio.loss_probability of a case, where it is not the config file's
+LOSS = {"flood1_lossy": 0.05}
 
 # what the post-run audit reports: per attack log (frames_overheard,
 # payloads_decrypted), then plaintext_exposures; (defense on, defense off)
@@ -79,6 +86,7 @@ AUDITS = {
     "clean": (((), 0), ((), 0)),
     "false_data": ((((0, 4),), 0), (((0, 4),), 0)),
     "flood1": ((((0, 0),), 0), (((0, 0),), 0)),
+    "flood1_lossy": ((((0, 2),), 0), (((0, 7),), 0)),
     "foreign_spy": ((((909, 0),), 0), (((130, 4),), 0)),
     "insider_spy": ((((4056, 4),), 0), (((386, 4),), 0)),
     "malicious35": ((((0, 0), (0, 16)), 0), (((0, 16), (0, 28)), 0)),
@@ -100,7 +108,9 @@ def pinned_run(case, defense):
     config = load_config(DATA_DIR / conf)
     # None keeps the attacks the config file declares
     config = replace(config, duration=DURATION, seed=seed, defense=defense,
-                     attacks=config.attacks if attacks is None else attacks)
+                     attacks=config.attacks if attacks is None else attacks,
+                     radio=replace(config.radio, loss_probability=LOSS.get(
+                         case, config.radio.loss_probability)))
     result = run_scenario(config)
     fields = [line.split(" | ") for line in result.trace.lines]
     dropped = sum(f[3].startswith("dropped(") for f in fields)
