@@ -566,12 +566,14 @@ class ProtocolEngine:
         The HMAC depends on the frame and the group key alone, so it is
         checked once per broadcast, not once per receiver."""
         receivers = self.channel.broadcast(sender, frame, control=control, kinds=kinds)
-        authentic = bool(frame.chain_key) and verify_frame(frame, gbk=self.gbk)
+        if not (frame.chain_key and verify_frame(frame, gbk=self.gbk)):
+            self.delivery.auth_rejects += len(receivers)    # every receiver rejects it
+            return []
         accepted = []
         for node_id in receivers:
             node = self.network.nodes[node_id]
             state = node.chain_state.get(claimed_server)
-            if not (authentic and state is not None and state.accept(frame.chain_key)):
+            if state is None or not state.accept(frame.chain_key):
                 self.delivery.auth_rejects += 1
                 continue
             if frame.chain_key not in self.released_keys:

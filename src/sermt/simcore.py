@@ -14,6 +14,10 @@ node's neighbourhood is computed once; an entity deployed later enters
 through `add_node`, which is the only way in.  `network.nodes` is in ID
 order, so every walk over it is too.
 
+A frame's per-emission constants (what a listener pays, the fixed parts
+of its `rx` line) are built once per emission, in an `Emission`, not once
+per listener; each listener still pays through `debit`, once per listener.
+
 `observations` is the attackers' view of the air, not a log of every
 reception (the trace is that log): a frame is recorded only when its
 listener is in `audited`, the attack targets that `apply_attacks` adds.
@@ -115,7 +119,9 @@ class EventQueue:
 
 
 class Trace:
-    """Text event log; the run hash is the SHA-1 of its lines."""
+    """Text event log; the run hash is the SHA-1 of its lines.  `log`
+    formats every line but the `rx` lines, which `Channel._take_in` joins
+    from an `Emission`'s parts in `log`'s exact format."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -139,6 +145,26 @@ class Observation:
     observer_id: int
     sender_id: int
     frame: Frame
+
+
+class Emission:
+    """One emission of a frame as its listeners take it in: who sent it,
+    when, what each listener pays to receive it, and the fixed parts of
+    their `rx` trace lines.  Those parts split `Trace.log`'s format around
+    the listener's ID and the outcome, so each is formatted once per
+    emission, however many listeners there are."""
+
+    __slots__ = ("t", "sender_id", "frame", "rx_joules", "head", "mid", "tail")
+
+    def __init__(self, t: float, sender_id: int, frame: Frame, type_name: str,
+                 rx_joules: float):
+        self.t = t
+        self.sender_id = sender_id
+        self.frame = frame
+        self.rx_joules = rx_joules
+        self.head = f"{t:.6f} | rx | "
+        self.mid = f"<-{sender_id}:{type_name} | "
+        self.tail = f" | {rx_joules:.12g}"
 
 
 DELIVERED = "delivered"
@@ -247,7 +273,11 @@ class Channel:
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays
     # (`_pay_tx`), a listener takes it in (`_take_in`), or it is lost
-    # (`_lose`, the one place a loss is counted).
+    # (`_lose`, the one place a loss is counted).  What every listener of
+    # one emission shares is built once, in an `Emission`, by `transmit`,
+    # `broadcast` and each wormhole's far end; `_receive_leg` and `_take_in`
+    # are the one listener step of all of them, and `_take_in` pays through
+    # `debit` once per listener.
 
     def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
         """Debit one emission of `frame`: over `dist` to an in-range
@@ -258,35 +288,33 @@ class Channel:
         self.debit(sender, tx_joules)
         return tx_joules
 
-    def _take_in(self, listener: NodeState, sender_id: int, frame: Frame, type_name: str,
-                 rx_joules: float, how: str) -> None:
-        """A listener receives or overhears `frame`: it pays, it is traced,
-        and an audited listener's view is recorded."""
-        self.debit(listener, rx_joules)
-        self.trace.log(self.queue.now, "rx", f"{listener.id}<-{sender_id}:{type_name}",
-                       how, rx_joules)
+    def _take_in(self, listener: NodeState, emission: Emission, how: str) -> None:
+        """A listener receives or overhears an emission: it pays, it is
+        traced, and an audited listener's view is recorded."""
+        self.debit(listener, emission.rx_joules)
+        self.trace.lines.append(emission.head + str(listener.id) + emission.mid + how
+                                + emission.tail)
         if listener.id in self.audited:
-            self.observations.append(Observation(self.queue.now, listener.id, sender_id,
-                                                 frame))
+            self.observations.append(Observation(emission.t, listener.id, emission.sender_id,
+                                                 emission.frame))
 
     def _lose(self, reason: str) -> str:
         """Count one lost frame under `reason`; returns its trace outcome."""
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         return f"dropped({reason})"
 
-    def _eavesdrop_sweep(self, sender: NodeState, receiver_id: int, frame: Frame,
-                         type_name: str, rx_joules: float,
+    def _eavesdrop_sweep(self, sender: NodeState, receiver_id: int, emission: Emission,
                          screened: tuple[str, ...] | None = None) -> None:
         """`screened`: a broadcast's kind filter — spies matching it already
         hear the frame as ordinary receivers, not here."""
+        heard = self.hears(sender)
         for node_id in self.eavesdroppers:
+            if node_id in (sender.id, receiver_id) or node_id not in heard:
+                continue
             spy = self.network.nodes[node_id]
-            if spy.id in (sender.id, receiver_id) or not spy.alive:
+            if not spy.alive or (screened is not None and spy.kind in screened):
                 continue
-            if screened is not None and spy.kind in screened:
-                continue
-            if spy.id in self.hears(sender):
-                self._take_in(spy, sender.id, frame, type_name, rx_joules, "overheard")
+            self._take_in(spy, emission, "overheard")
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
@@ -298,10 +326,11 @@ class Channel:
             return outcome
         dist = self.hears(sender).get(receiver.id)     # None: out of range
         tx_joules = self._pay_tx(sender, frame, None if control else dist)
-        rx_joules = self.energy.energy_rx(frame.wire_bits)
-        self._eavesdrop_sweep(sender, receiver.id, frame, type_name, rx_joules)
+        emission = Emission(self.queue.now, sender.id, frame, type_name,
+                            self.energy.energy_rx(frame.wire_bits))
+        self._eavesdrop_sweep(sender, receiver.id, emission)
         if control or dist is not None:
-            outcome = self._receive_leg(sender, receiver, frame, type_name, rx_joules)
+            outcome = self._receive_leg(receiver, emission)
         else:
             outcome = self._lose("range")
         self.trace.log(self.queue.now, "tx", ids, outcome, tx_joules)
@@ -318,15 +347,14 @@ class Channel:
                        f"{sender.id}->{persona_id}:{frame.msg_type.name}",
                        self._lose("phantom"), tx_joules)
 
-    def _receive_leg(self, sender: NodeState, receiver: NodeState, frame: Frame,
-                     type_name: str, rx_joules: float) -> str:
+    def _receive_leg(self, receiver: NodeState, emission: Emission) -> str:
         """Delivery to a receiver already known to be within reach."""
         if not receiver.alive:
             return self._lose("dead_receiver")
         if self.loss_rng.random() < self.radio.loss_probability:
             return self._lose("loss")
-        self._take_in(receiver, sender.id, frame, type_name, rx_joules, "received")
-        if not receiver.behavior.accept_frame(receiver, sender.id, frame):
+        self._take_in(receiver, emission, "received")
+        if not receiver.behavior.accept_frame(receiver, emission.sender_id, emission.frame):
             return self._lose("adversarial")
         return DELIVERED
 
@@ -334,35 +362,41 @@ class Channel:
                   kinds: tuple[str, ...] | None = None) -> list[int]:
         """One transmit burst to every in-range listener; returns delivered IDs."""
         type_name = frame.msg_type.name
-        ids = f"{sender.id}->*:{type_name}"
+        sender_id = sender.id
+        ids = f"{sender_id}->*:{type_name}"
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
             return []
         tx_joules = self._pay_tx(sender, frame)
-        rx_joules = self.energy.energy_rx(frame.wire_bits)
-        self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
+        now = self.queue.now
+        emission = Emission(now, sender_id, frame, type_name,
+                            self.energy.energy_rx(frame.wire_bits))
+        self.trace.log(now, "tx", ids, "broadcast", tx_joules)
         if kinds is not None:
-            self._eavesdrop_sweep(sender, -1, frame, type_name, rx_joules, screened=kinds)
+            self._eavesdrop_sweep(sender, -1, emission, screened=kinds)
+        nodes = self.network.nodes
+        receive = self._receive_leg
         delivered = []
-        for node_id in self.network.nodes if control else self.hears(sender):
-            receiver = self.network.nodes[node_id]
-            if receiver.id == sender.id or (kinds is not None and receiver.kind not in kinds):
+        for node_id in nodes if control else self.hears(sender):
+            if node_id == sender_id:
                 continue
-            outcome = self._receive_leg(sender, receiver, frame, type_name, rx_joules)
+            receiver = nodes[node_id]
+            if kinds is not None and receiver.kind not in kinds:
+                continue
+            outcome = receive(receiver, emission)
             if outcome == DELIVERED:
-                delivered.append(receiver.id)
+                delivered.append(node_id)
             else:
-                self.trace.log(self.queue.now, "drop",
-                               f"{sender.id}->{receiver.id}:{type_name}", outcome)
-        delivered.extend(self._wormhole_relay(sender, frame, type_name, rx_joules, control,
-                                              kinds, delivered))
+                self.trace.log(now, "drop", f"{sender_id}->{node_id}:{type_name}", outcome)
+        delivered.extend(self._wormhole_relay(sender, emission, type_name, control, kinds,
+                                              delivered))
         return delivered
 
-    def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,
-                        rx_joules: float, control: bool, kinds,
-                        already: list[int]) -> list[int]:
+    def _wormhole_relay(self, sender: NodeState, heard: Emission, type_name: str,
+                        control: bool, kinds, already: list[int]) -> list[int]:
         """Re-emit an overheard broadcast at the far end of each wormhole.
         A tunnelled leg that fails is counted but writes no trace line."""
+        frame = heard.frame
         extra: list[int] = []
         for end_a, end_b in self.wormholes:
             for near, far in ((end_a, end_b), (end_b, end_a)):
@@ -374,15 +408,15 @@ class Channel:
                 far_tx = self._pay_tx(far_node, frame)
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
+                # the far end's emission: its listeners hear it from `far`
+                emission = Emission(self.queue.now, far, frame, type_name, heard.rx_joules)
                 for node_id in self.hears(far_node):
                     receiver = self.network.nodes[node_id]
                     if receiver.id in (sender.id, near) or node_id in already:
                         continue
                     if kinds is not None and receiver.kind not in kinds:
                         continue
-                    # frames appear to come from the original sender
-                    if self._receive_leg(far_node, receiver, frame, type_name,
-                                         rx_joules) == DELIVERED:
+                    if self._receive_leg(receiver, emission) == DELIVERED:
                         extra.append(receiver.id)
         return extra
 

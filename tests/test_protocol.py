@@ -330,6 +330,36 @@ def test_engine_rejects_forged_and_replayed_control():
     assert eng.delivery.forged_accepts == 3
 
 
+@pytest.mark.parametrize("control,kinds", [(True, ("GW",)), (True, None), (False, None),
+                                           (False, ("N", "ES"))])
+@pytest.mark.parametrize("forgery", ["keyless", "bad_mac"])
+def test_unauthentic_frame_is_one_reject_per_receiver(control, kinds, forgery):
+    """A frame with no chain key, or whose HMAC fails, is rejected by each of
+    the k receivers that took it in: k auth rejects, no acceptance, and no
+    listener's chain head moves."""
+    net, eng, server = control_sim()
+    if forgery == "keyless":
+        frame = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk)
+    else:
+        signed = make_frame(MsgType.BLOCKED_LIST, server.id, b"payload", gbk=eng.gbk,
+                            chain_key=eng._next_chain_key(server.id))
+        frame = Frame(signed.msg_type, signed.sender_id, b"other", signed.chain_key,
+                      signed.mac)
+    heads = {(i, s): state.head for i, node in net.nodes.items()
+             for s, state in node.chain_state.items()}
+    trace, forged = eng.channel.trace, eng.delivery.forged_accepts
+    before, rejects = len(trace.lines), eng.delivery.auth_rejects
+    assert eng.broadcast_claimed(server, server.id, frame, control=control, kinds=kinds) == []
+    fields = [line.split(" | ") for line in trace.lines[before:]]
+    k = sum(f[1] == "rx" and f[2].endswith(f"<-{server.id}:BLOCKED_LIST")
+            and f[3] == "received" for f in fields)     # every listener is honest
+    assert k > 0
+    assert eng.delivery.auth_rejects - rejects == k
+    assert eng.delivery.forged_accepts == forged
+    assert heads == {(i, s): state.head for i, node in net.nodes.items()
+                     for s, state in node.chain_state.items()}
+
+
 def test_one_mac_check_per_control_broadcast(monkeypatch):
     net, eng, server = control_sim()
     checked, verify = [], protocol.verify_frame

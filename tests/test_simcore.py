@@ -10,7 +10,7 @@ from sermt.entities import Behavior, Network, NodeState
 from sermt.grid import Deployment, EntitySeed
 from sermt.rng import substream
 from sermt.simcore import (
-    Channel, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
+    Channel, Emission, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
 )
 from sermt.wire import MsgType, make_frame
 
@@ -368,6 +368,27 @@ def test_failed_tunnelled_leg_is_counted_without_a_trace_line():
     # the ordinary leg to 6 logs its drop; the tunnelled leg to 8 only counts
     assert channel.drop_counts == {"loss": 2}
     assert dropped_lines(trace) == 1
+
+
+_rx_joules = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 2.2250738585072014e-308),
+                       st.floats(0.0, 1.0), st.floats(1e299, 1e301))
+
+
+@settings(deadline=None)
+@given(t=st.floats(0.0, 1e6), joules=_rx_joules, listener_id=st.integers(0, 2**31),
+       sender_id=st.integers(0, 2**31), type_name=st.sampled_from([m.name for m in MsgType]),
+       how=st.sampled_from(["received", "overheard"]))
+def test_rx_line_from_emission_parts_is_trace_logs_line(t, joules, listener_id, sender_id,
+                                                       type_name, how):
+    """The listener step assembles its `rx` line from the emission's parts;
+    byte for byte, that is the line `Trace.log` would write."""
+    network, channel, queue, trace = make_world()
+    queue.now = t
+    listener = NodeState(id=listener_id, kind="GW", position=(0.0, 0.0), region_id=1)
+    channel._take_in(listener, Emission(t, sender_id, frame_of(5), type_name, joules), how)
+    reference = Trace()
+    reference.log(t, "rx", f"{listener_id}<-{sender_id}:{type_name}", how, joules)
+    assert trace.lines == reference.lines
 
 
 @settings(max_examples=60, deadline=None)
