@@ -147,24 +147,20 @@ class Observation:
     frame: Frame
 
 
+@dataclass(slots=True)
 class Emission:
     """One emission of a frame as its listeners take it in: who sent it,
     when, what each listener pays to receive it, and the fixed parts of
     their `rx` trace lines.  Those parts split `Trace.log`'s format around
-    the listener's ID and the outcome, so each is formatted once per
-    emission, however many listeners there are."""
-
-    __slots__ = ("t", "sender_id", "frame", "rx_joules", "head", "mid", "tail")
-
-    def __init__(self, t: float, sender_id: int, frame: Frame, type_name: str,
-                 rx_joules: float):
-        self.t = t
-        self.sender_id = sender_id
-        self.frame = frame
-        self.rx_joules = rx_joules
-        self.head = f"{t:.6f} | rx | "
-        self.mid = f"<-{sender_id}:{type_name} | "
-        self.tail = f" | {rx_joules:.12g}"
+    the listener's ID and the outcome; `Channel._emission` builds them once
+    per emission, however many listeners there are."""
+    t: float
+    sender_id: int
+    frame: Frame
+    rx_joules: float
+    head: str       # f"{t:.6f} | rx | "
+    mid: str        # f"<-{sender_id}:{type_name} | "
+    tail: str       # f" | {rx_joules:.12g}"
 
 
 DELIVERED = "delivered"
@@ -198,6 +194,8 @@ class Channel:
         self.wormholes: list[tuple[int, int]] = []
         self.drop_counts: dict[str, int] = {}
         self._hears: dict[int, dict[int, float]] = {}
+        self._stamp: tuple[float | None, str] = (None, "")     # (clock, `rx` line head)
+        self._rx_parts: dict[int, tuple[float, str]] = {}      # wire bits -> (joules, tail)
 
     # -- radio geometry ---------------------------------------------------
 
@@ -288,6 +286,22 @@ class Channel:
         self.debit(sender, tx_joules)
         return tx_joules
 
+    def _emission(self, sender_id: int, frame: Frame, type_name: str) -> Emission:
+        """`frame` leaving `sender_id` now.  Events send many frames at one
+        clock reading, and frames come in few sizes, so the head is kept
+        for the clock object it was made from (by identity: -0.0 == 0.0,
+        but they print differently) and the joules and tail per size."""
+        now = self.queue.now
+        if now is not self._stamp[0]:
+            self._stamp = (now, f"{now:.6f} | rx | ")
+        bits = frame.wire_bits
+        rx = self._rx_parts.get(bits)
+        if rx is None:
+            joules = self.energy.energy_rx(bits)
+            rx = self._rx_parts[bits] = (joules, f" | {joules:.12g}")
+        return Emission(now, sender_id, frame, rx[0], self._stamp[1],
+                        f"<-{sender_id}:{type_name} | ", rx[1])
+
     def _take_in(self, listener: NodeState, emission: Emission, how: str) -> None:
         """A listener receives or overhears an emission: it pays, it is
         traced, and an audited listener's view is recorded."""
@@ -326,8 +340,7 @@ class Channel:
             return outcome
         dist = self.hears(sender).get(receiver.id)     # None: out of range
         tx_joules = self._pay_tx(sender, frame, None if control else dist)
-        emission = Emission(self.queue.now, sender.id, frame, type_name,
-                            self.energy.energy_rx(frame.wire_bits))
+        emission = self._emission(sender.id, frame, type_name)
         self._eavesdrop_sweep(sender, receiver.id, emission)
         if control or dist is not None:
             outcome = self._receive_leg(receiver, emission)
@@ -369,8 +382,7 @@ class Channel:
             return []
         tx_joules = self._pay_tx(sender, frame)
         now = self.queue.now
-        emission = Emission(now, sender_id, frame, type_name,
-                            self.energy.energy_rx(frame.wire_bits))
+        emission = self._emission(sender_id, frame, type_name)
         self.trace.log(now, "tx", ids, "broadcast", tx_joules)
         if kinds is not None:
             self._eavesdrop_sweep(sender, -1, emission, screened=kinds)
@@ -388,15 +400,14 @@ class Channel:
                 delivered.append(node_id)
             else:
                 self.trace.log(now, "drop", f"{sender_id}->{node_id}:{type_name}", outcome)
-        delivered.extend(self._wormhole_relay(sender, emission, type_name, control, kinds,
+        delivered.extend(self._wormhole_relay(sender, frame, type_name, control, kinds,
                                               delivered))
         return delivered
 
-    def _wormhole_relay(self, sender: NodeState, heard: Emission, type_name: str,
+    def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,
                         control: bool, kinds, already: list[int]) -> list[int]:
         """Re-emit an overheard broadcast at the far end of each wormhole.
         A tunnelled leg that fails is counted but writes no trace line."""
-        frame = heard.frame
         extra: list[int] = []
         for end_a, end_b in self.wormholes:
             for near, far in ((end_a, end_b), (end_b, end_a)):
@@ -409,7 +420,7 @@ class Channel:
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
                 # the far end's emission: its listeners hear it from `far`
-                emission = Emission(self.queue.now, far, frame, type_name, heard.rx_joules)
+                emission = self._emission(far, frame, type_name)
                 for node_id in self.hears(far_node):
                     receiver = self.network.nodes[node_id]
                     if receiver.id in (sender.id, near) or node_id in already:

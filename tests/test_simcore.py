@@ -10,7 +10,7 @@ from sermt.entities import Behavior, Network, NodeState
 from sermt.grid import Deployment, EntitySeed
 from sermt.rng import substream
 from sermt.simcore import (
-    Channel, Emission, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
+    Channel, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
 )
 from sermt.wire import MsgType, make_frame
 
@@ -370,24 +370,38 @@ def test_failed_tunnelled_leg_is_counted_without_a_trace_line():
     assert dropped_lines(trace) == 1
 
 
-_rx_joules = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 2.2250738585072014e-308),
-                       st.floats(0.0, 1.0), st.floats(1e299, 1e301))
+# A clock reading, or None to emit again at the reading before.  -0.0 is no
+# queue time, but equals 0.0 and prints differently.
+_clock = st.one_of(st.none(), st.just(0.0), st.just(-0.0), st.floats(0.0, 1e6))
+# receive cost per bit: with e_lna alone, a frame's rx joules run from 0.0
+# through subnormals to near 1e300
+_per_bit = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1e-310),
+                     st.floats(0.0, 1e-6), st.floats(1e296, 1e297))
+_emit = st.tuples(_clock, st.integers(0, 40), st.integers(0, 2**31), st.integers(0, 2**31),
+                  st.sampled_from([m.name for m in MsgType]),
+                  st.sampled_from(["received", "overheard"]))
 
 
 @settings(deadline=None)
-@given(t=st.floats(0.0, 1e6), joules=_rx_joules, listener_id=st.integers(0, 2**31),
-       sender_id=st.integers(0, 2**31), type_name=st.sampled_from([m.name for m in MsgType]),
-       how=st.sampled_from(["received", "overheard"]))
-def test_rx_line_from_emission_parts_is_trace_logs_line(t, joules, listener_id, sender_id,
-                                                       type_name, how):
-    """The listener step assembles its `rx` line from the emission's parts;
-    byte for byte, that is the line `Trace.log` would write."""
-    network, channel, queue, trace = make_world()
-    queue.now = t
-    listener = NodeState(id=listener_id, kind="GW", position=(0.0, 0.0), region_id=1)
-    channel._take_in(listener, Emission(t, sender_id, frame_of(5), type_name, joules), how)
+@given(e_lna=_per_bit, emits=st.lists(_emit, min_size=1, max_size=6))
+def test_rx_lines_from_emission_parts_are_trace_logs_lines(e_lna, emits):
+    """The listener step joins its `rx` line from the emission's parts, which
+    the channel keeps per clock reading and per frame size; byte for byte,
+    each line is the one `Trace.log` would write, and each listener pays
+    the model's receive joules for its frame, bit for bit."""
+    energy = EnergyModel(e_baseband=0.0, e_frontend=0.0, e_lna=e_lna)
+    network, channel, queue, trace = make_world(energy=energy)
     reference = Trace()
-    reference.log(t, "rx", f"{listener_id}<-{sender_id}:{type_name}", how, joules)
+    for t, size, sender_id, listener_id, type_name, how in emits:
+        if t is not None:
+            queue.now = t
+        frame = frame_of(5, b"p" * size)
+        emission = channel._emission(sender_id, frame, type_name)
+        assert emission.rx_joules.hex() == energy.energy_rx(frame.wire_bits).hex()
+        listener = NodeState(id=listener_id, kind="GW", position=(0.0, 0.0), region_id=1)
+        channel._take_in(listener, emission, how)     # mains-powered: pays nothing
+        reference.log(queue.now, "rx", f"{listener_id}<-{sender_id}:{type_name}", how,
+                      emission.rx_joules)
     assert trace.lines == reference.lines
 
 
