@@ -17,6 +17,8 @@ order, so every walk over it is too.
 A frame's per-emission constants (what a listener pays, the fixed parts
 of its `rx` line) are built once per emission, in an `Emission`, not once
 per listener; each listener still pays through `debit`, once per listener.
+The channel keeps those parts per clock reading and per frame size, so
+the frames of one event reuse them.
 
 `observations` is the attackers' view of the air, not a log of every
 reception (the trace is that log): a frame is recorded only when its
@@ -271,11 +273,10 @@ class Channel:
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays
     # (`_pay_tx`), a listener takes it in (`_take_in`), or it is lost
-    # (`_lose`, the one place a loss is counted).  What every listener of
-    # one emission shares is built once, in an `Emission`, by `transmit`,
-    # `broadcast` and each wormhole's far end; `_receive_leg` and `_take_in`
-    # are the one listener step of all of them, and `_take_in` pays through
-    # `debit` once per listener.
+    # (`_lose`, the one place a loss is counted).  `transmit`, `broadcast`,
+    # the eavesdrop sweep and each wormhole's far end share one listener
+    # step (`_receive_leg`, `_take_in`); it takes the frame's constants from
+    # an `Emission` built once per emission, and pays through `debit`.
 
     def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
         """Debit one emission of `frame`: over `dist` to an in-range
