@@ -261,7 +261,8 @@ def _spawn_foreign(channel: Channel, position: tuple[float, float], rng) -> Node
     network = channel.network
     nearest_gw = network.nearest(position, network.members(kind="GW"))
     node = NodeState(id=network.allocate_id(), kind="N", position=position,
-                     region_id=nearest_gw.region_id, has_gbk=False)
+                     region_id=nearest_gw.region_id,
+                     battery_mah=channel.energy.initial_battery, has_gbk=False)
     node.keypair = generate_keypair(SIM_CURVE, rng)
     channel.add_node(node)
     return node

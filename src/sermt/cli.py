@@ -16,7 +16,7 @@ from pathlib import Path
 from .adversary import AttackConfigError
 from .grid import TopologyError, divide_regions, find_grid_file, load_grid_file, \
     partition_substations, select_control_centers
-from .metrics import emit_csv, render_line_chart
+from .metrics import defense_label, emit_csv, render_line_chart
 from .scenario import ConfigError, SimulationFault, load_config, run_scenario, sweep
 from .wire import FrameFormatError
 
@@ -40,7 +40,7 @@ def _cmd_run(args) -> int:
     result = run_scenario(config)
     m = result.metrics
     print(f"seed = {config.seed}")
-    print(f"defense = {'sermt' if m.defense else 'baseline'}")
+    print(f"defense = {defense_label(m.defense)}")
     print(f"duration_s = {m.duration:g}")
     print(f"packets_sent = {m.packets_sent}")
     print(f"packets_delivered = {m.packets_delivered}")
@@ -71,28 +71,21 @@ def _cmd_sweep(args) -> int:
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    csv_path = out_dir / f"sweep_{args.vary}.csv"
-    csv_path.write_text(emit_csv(rows), encoding="utf-8")
-
     x_label = ("number of malicious nodes" if args.vary == "malicious"
                else "attack interval (s)")
-    by_defense: dict[str, list[tuple[float, float]]] = {"sermt": [], "baseline": []}
-    bp_series: dict[str, list[tuple[float, float]]] = {"sermt": [], "baseline": []}
-    for row in rows:
-        label = "sermt" if row.defense else "baseline"
-        by_defense[label].append((row.sweep_value, row.drop_pct))
-        bp_series[label].append((row.sweep_value, row.avg_bp))
-    drop_path = out_dir / f"drop_pct_{args.vary}.svg"
-    drop_path.write_text(
-        render_line_chart(by_defense, title="Packet drop percentage",
-                          x_label=x_label, y_label="drop %"),
-        encoding="utf-8")
-    bp_path = out_dir / f"avg_bp_{args.vary}.svg"
-    bp_path.write_text(
-        render_line_chart(bp_series, title="Average battery consumed per hour",
-                          x_label=x_label, y_label="mAh/h"),
-        encoding="utf-8")
-    for path in (csv_path, drop_path, bp_path):
+    artifacts = {f"sweep_{args.vary}.csv": emit_csv(rows)}
+    # one chart per plotted `SweepRow` field, named after it
+    for column, title, y_label in (("drop_pct", "Packet drop percentage", "drop %"),
+                                   ("avg_bp", "Average battery consumed per hour", "mAh/h")):
+        series: dict[str, list[tuple[float, float]]] = {
+            defense_label(defense): [] for defense in (True, False)}
+        for row in rows:
+            series[defense_label(row.defense)].append((row.sweep_value, getattr(row, column)))
+        artifacts[f"{column}_{args.vary}.svg"] = render_line_chart(
+            series, title=title, x_label=x_label, y_label=y_label)
+    for name, text in artifacts.items():
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -76,7 +76,7 @@ class Network:
 
     def __init__(self, deployment: Deployment, substations: list[Substation],
                  regions: list[Region], topology: GridTopology,
-                 initial_battery: float = 150.0):
+                 initial_battery: float):
         self.nodes: dict[int, NodeState] = {}
         for seed in sorted(deployment.entities, key=lambda e: e.id):
             self.nodes[seed.id] = NodeState(

@@ -185,13 +185,18 @@ class SweepRow:
                    metrics.throughput_bps, metrics.avg_bp_consumed_per_hour)
 
 
+def defense_label(defense: bool) -> str:
+    """How a run's defense setting is named in reports and sweep artifacts."""
+    return "sermt" if defense else "baseline"
+
+
 def emit_csv(rows: list[SweepRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([f"{row.sweep_value:g}",
-                         "sermt" if row.defense else "baseline",
+                         defense_label(row.defense),
                          f"{row.drop_pct:.6f}",
                          f"{row.throughput:.6f}",
                          f"{row.avg_bp:.9f}"])

@@ -373,23 +373,24 @@ class ProtocolEngine:
 
     # -- probing -----------------------------------------------------------
 
+    def _tests(self, prober: NodeState) -> list[Frame]:
+        """The round's test messages from `prober`: (round, index) each."""
+        return [self._gbk_frame(MsgType.TEST, prober,
+                                struct.pack(">HH", self.round_index & 0xFFFF, i))
+                for i in range(self.config.test_messages)]
+
     def _probe(self, prober: NodeState, target: NodeState) -> float:
         """Send test messages and count authenticated echoes."""
-        sent = self.config.test_messages
-        got = 0
-        for i in range(sent):
-            test = self._gbk_frame(MsgType.TEST, prober,
-                                   struct.pack(">HH", self.round_index & 0xFFFF, i))
-            if (self.channel.transmit(prober, target, test, control=True) == DELIVERED
-                    and self._answer(target, prober, test.payload, control=True)):
-                got += 1
-        return compute_trust(got, sent)
+        tests = self._tests(prober)
+        got = sum(self.channel.transmit(prober, target, test, control=True) == DELIVERED
+                  and self._answer(target, prober, test.payload, control=True)
+                  for test in tests)
+        return compute_trust(got, len(tests))
 
     def _probe_phantom(self, prober: NodeState, persona_id: int) -> float:
         """A fake identity never answers; the prober still pays to ask."""
         _host, fake_pos = self.known_personas[persona_id]
-        for i in range(self.config.test_messages):
-            test = self._gbk_frame(MsgType.TEST, prober, struct.pack(">HH", 0, i))
+        for test in self._tests(prober):
             self.channel.transmit_phantom(prober, persona_id, fake_pos, test, control=True)
         return 0.0
 
@@ -953,31 +954,36 @@ class ProtocolEngine:
             self._server_ingest(server, arrived.payload)
 
     def _route_to_cc(self, source: NodeState, main: bool) -> tuple[int, ...] | None:
-        net, table = self.network, self.current_table()
-        cc_gw = net.cc_gateway(main)
+        cc_gw = self.network.cc_gateway(main)
         if (source.region_id == cc_gw.region_id
                 and cc_gw.id in self.channel.hears(source)):
             return (source.id, cc_gw.id)
-        relays = [n for n in net.members(kind="N")
-                  if table.trusted(n.id) or n.id == source.id]
         # threat exclusions can sever the sensor tier; storage nodes
         # and concentrators then relay as a last resort
-        reserve = [n for n in net.members(kind="ES") + net.members(kind="PDC")
-                   if table.trusted(n.id)]
-        return self._route(source.id, cc_gw.id, relays + [cc_gw],
-                           relays + reserve + [cc_gw])
+        return self._route(source.id, cc_gw.id, lambda: (
+            self._relays(kinds, source.id) + [cc_gw] for kinds in (("N",), ("N", "ES", "PDC"))))
 
-    def _route(self, src_id: int, dst_id: int,
-               *pools: list[NodeState]) -> tuple[int, ...] | None:
-        """Cheapest path over the first pool that connects the two ends.
+    def _relays(self, kinds: tuple[str, ...], src_id: int) -> list[NodeState]:
+        """The relay rule of every route pool: the live entities of `kinds`
+        that the current table trusts, plus the source itself."""
+        table = self.current_table()
+        return [n for n in self.network.members()
+                if n.kind in kinds and (table.trusted(n.id) or n.id == src_id)]
+
+    def _route(self, src_id: int, dst_id: int, pools) -> tuple[int, ...] | None:
+        """Cheapest path over the first pool that connects the two ends;
+        `pools()` gives the pools in order.
 
         Each (source, target) pair is routed once per selection: the answer,
         None included, stays in `route_cache` until the next `_reselect`
-        clears it, and later asks get it without looking at `pools`."""
+        clears it. `pools` is called only on a cache miss, so a later ask
+        builds no pool. The order of a pool's nodes cannot change an answer
+        (adjacency rows are sorted and `dijkstra` breaks ties on the path),
+        and a node listed twice only adds duplicate edges."""
         key = (src_id, dst_id)
         if key not in self.route_cache:
             self.route_cache[key] = None
-            for pool in pools:
+            for pool in pools():
                 adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
                 found = dijkstra(adjacency, src_id, {dst_id})
                 if found:
@@ -1027,7 +1033,6 @@ class ProtocolEngine:
 
     def _es_to_pdc(self, es: NodeState, records: list[tuple[int, bytes]],
                    pdc_inbox: dict[int, list[tuple[int, bytes]]]) -> None:
-        net = self.network
         pdc = self._region_pdc(es.region_id)
         if pdc.id == es.id:
             pdc_inbox.setdefault(pdc.id, []).extend(records)
@@ -1035,10 +1040,7 @@ class ProtocolEngine:
         if pdc.id in self.channel.hears(es):
             path: tuple[int, ...] | None = (es.id, pdc.id)
         else:
-            table = self.current_table()
-            relays = [n for n in net.members(kind="ES")
-                      if (table.trusted(n.id) or n.id == es.id) and n.id != pdc.id]
-            path = self._route(es.id, pdc.id, relays + [pdc])
+            path = self._route(es.id, pdc.id, lambda: (self._relays(("ES",), es.id) + [pdc],))
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
@@ -1055,14 +1057,12 @@ class ProtocolEngine:
             self._seal_to_server(pdc, main, self._pdc_route(pdc, main), records)
 
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
-        net, table = self.network, self.current_table()
+        net = self.network
         cc_gw = net.cc_gateway(main)
-        overlay = [node for node in map(self._region_pdc, sorted(net.regions)) if node.alive]
         # concentrators too sparse: fall back to the trusted relay tier
-        relays = [n for n in net.members(kind="ES")
-                  if table.trusted(n.id) and n.id != pdc.id]
-        return self._route(pdc.id, cc_gw.id, overlay + [cc_gw],
-                           [pdc] + relays + [cc_gw])
+        return self._route(pdc.id, cc_gw.id, lambda: (
+            [node for node in map(self._region_pdc, sorted(net.regions)) if node.alive] + [cc_gw],
+            [pdc] + self._relays(("ES",), pdc.id) + [cc_gw]))
 
     # -- PDC failover ---------------------------------------------------------------
 

@@ -6,7 +6,8 @@ moves in one step, `debit`: it first brings a harvester's charge up to
 now, then spends, and adds each change to the node's balance in the
 ledger: one folded balance per node, built from the same floats in the
 same order as the battery, so the conservation check can demand
-bit-exact equality in O(nodes) memory.
+bit-exact equality in O(nodes) memory.  The end of a run settles each
+harvester through `debit` too, with a zero spend.
 
 The Channel also owns the radio geometry: `hears` is the one answer to
 "who is in whose range".  Positions are fixed after deployment, so each
@@ -234,8 +235,16 @@ class Channel:
         at empty.  Mains-powered gear never moves; a zero spend moves
         nothing either, but still brings a harvester up to date."""
         kind = node.kind
-        if kind in RECHARGEABLE:
-            self._recharge_to_now(node)
+        if kind in RECHARGEABLE:     # harvest, capped, up to the clock
+            now = self.queue.now
+            dt = now - self._last_recharge.get(node.id, 0.0)
+            self._last_recharge[node.id] = now
+            gain = self.energy.recharge_rate * dt if dt > 0 else 0.0
+            if gain != 0.0:
+                gain = min(gain, self.energy.battery_capacity_es - node.battery_mah)
+                node.recharged_mah += gain
+                node.battery_mah += gain
+                self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + gain
         elif kind in MAINS_POWERED:
             return
         spent = joules / (self.energy.volts * 3.6)   # to_mah, inlined: runs per listener
@@ -249,25 +258,13 @@ class Channel:
             node.alive = False
             self.trace.log(self.queue.now, "death", str(node.id), "battery_exhausted")
 
-    def _recharge_to_now(self, node: NodeState) -> None:
-        """Harvest into a rechargeable battery, capped, up to the clock."""
-        last = self._last_recharge.get(node.id, 0.0)
-        dt = self.queue.now - last
-        self._last_recharge[node.id] = self.queue.now
-        gain = self.energy.recharge_rate * dt if dt > 0 else 0.0
-        if gain != 0.0:
-            gain = min(gain, self.energy.battery_capacity_es - node.battery_mah)
-            node.recharged_mah += gain
-            node.battery_mah += gain
-            self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + gain
-
     def finalize(self) -> None:
         """Bring all harvesting batteries up to the queue's clock at the end
-        of a run, and drop the neighbourhood maps (finished results are kept
-        around)."""
+        of a run (a zero spend through `debit`), and drop the neighbourhood
+        maps (finished results are kept around)."""
         for node in self.network.nodes.values():
             if node.kind in RECHARGEABLE:
-                self._recharge_to_now(node)
+                self.debit(node, 0.0)
         self._hears.clear()
 
     # -- frame movement ----------------------------------------------------

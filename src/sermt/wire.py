@@ -54,9 +54,15 @@ class Frame:
     mac: bytes = b"\x00" * crypto.TAG_LEN
 
     def __post_init__(self):
-        # payload_len is 16 bits: no frame the wire cannot carry is ever made
+        # every field fits its wire field: no frame the wire cannot carry is ever made
         if len(self.payload) > MAX_PAYLOAD:
             raise FrameFormatError(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD}")
+        if not 0 <= self.sender_id <= 0xFFFFFFFF:
+            raise FrameFormatError(f"sender_id {self.sender_id} out of range")
+        if len(self.chain_key) > MAX_CHAIN_KEY:
+            raise FrameFormatError("chain key too long")
+        if len(self.mac) != crypto.TAG_LEN:
+            raise FrameFormatError(f"mac must be {crypto.TAG_LEN} bytes")
 
     @property
     def wire_len(self) -> int:
@@ -97,12 +103,8 @@ def verify_frame(frame: Frame, *, gbk: bytes, session_key: bytes | None = None) 
 
 
 def encode_frame(frame: Frame) -> bytes:
-    if not 0 <= frame.sender_id <= 0xFFFFFFFF:
-        raise FrameFormatError(f"sender_id {frame.sender_id} out of range")
-    if len(frame.chain_key) > MAX_CHAIN_KEY:
-        raise FrameFormatError("chain key too long")
-    if len(frame.mac) != crypto.TAG_LEN:
-        raise FrameFormatError(f"mac must be {crypto.TAG_LEN} bytes")
+    """The frame's wire bytes; `Frame` checked every field's size when it
+    was made."""
     return b"".join((
         struct.pack(">BIH", frame.msg_type, frame.sender_id, len(frame.payload)),
         frame.payload,

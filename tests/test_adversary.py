@@ -18,6 +18,7 @@ from sermt.adversary import (
 from sermt.grid import Branch, Deployment, EntitySeed, GridTopology, Region, Substation
 from sermt.protocol import ProtocolEngine
 from sermt.scenario import DATA_DIR, _sweep_attacks, build_world, load_config, run_scenario
+from sermt.simcore import EnergyModel
 
 from test_protocol import make_sim, mini_world, sim_config
 
@@ -283,6 +284,15 @@ def test_foreign_eavesdropper_hears_everything_decrypts_nothing():
     # the defense also flags the mute planted device at the next round
     queue.run_until(201.0)
     assert spy.id in eng.tables[net.main_server].threat_list
+
+
+def test_foreign_plant_starts_with_the_configured_battery():
+    spec = AttackSpec(kind="EAVESDROP", foreign=True, position=(810.0, 30.0))
+    config = replace(sim_config(attacks=[spec]), energy=EnergyModel(initial_battery=120.0))
+    world = build_world(config, layout=mini_world())
+    plant = world.attack_logs[0].targets[0]
+    assert world.network.nodes[plant].battery_mah == 120.0
+    assert world.channel.initial_battery[plant] == 120.0
 
 
 def test_foreign_cluster_head_cannot_seal_to_the_servers():

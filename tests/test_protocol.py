@@ -654,6 +654,31 @@ def test_no_cached_route_runs_through_a_relay_blocked_by_the_round():
     assert eng.route_cache[(9, 15)] is None  # ES 9 reached PDC 15 only through 10
 
 
+def test_a_cached_route_builds_no_pool(monkeypatch):
+    """Route pools scan the live entities only on a cache miss: a second
+    ask within one selection is answered from `route_cache` alone."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    queue.run_until(1.0)
+    calls, members = [], net.members
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return members(*args, **kwargs)
+    monkeypatch.setattr(net, "members", counted)
+
+    def asks():
+        calls.clear()
+        for main in (True, False):
+            eng._route_to_cc(net.nodes[8], main=main)
+            eng._pdc_route(net.nodes[15], main=main)
+        return len(calls)
+
+    asks()                                   # whatever this selection had not cached
+    assert asks() == 0
+    eng._reselect()
+    assert asks() > 0                        # a new selection builds the pools again
+
+
 def test_a_drained_relay_loses_its_route_to_the_battery_x_trust_weight(monkeypatch):
     """PDC 15 reaches the main center through ES 10 or ES 9. Once ES 10's
     battery is nearly empty, the next selection routes through ES 9; by
@@ -668,6 +693,30 @@ def test_a_drained_relay_loses_its_route_to_the_battery_x_trust_weight(monkeypat
     monkeypatch.setattr(eng, "_link_weight", lambda u, v, dist: dist)
     eng._reselect()
     assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
+
+
+def test_a_phantom_probe_sends_the_rounds_test_messages():
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    eng.round_index = 3
+    persona_id = net.allocate_id()
+    eng.known_personas[persona_id] = (8, (860.0, 40.0))
+    sent = {"real": [], "phantom": []}
+    transmit, transmit_phantom = chan.transmit, chan.transmit_phantom
+
+    def spy(sender, receiver, frame, control=False):
+        if frame.msg_type is MsgType.TEST:
+            sent["real"].append(frame.payload)
+        return transmit(sender, receiver, frame, control)
+
+    def phantom_spy(sender, pid, position, frame, control=False):
+        sent["phantom"].append(frame.payload)
+        return transmit_phantom(sender, pid, position, frame, control)
+    chan.transmit, chan.transmit_phantom = spy, phantom_spy
+    prober = net.nodes[26]
+    eng._probe(prober, net.nodes[7])
+    assert eng._probe_phantom(prober, persona_id) == 0.0
+    assert sent["phantom"] == sent["real"]
+    assert sent["real"] == [struct.pack(">HH", 3, i) for i in range(10)]
 
 
 # -- key management -----------------------------------------------------------------

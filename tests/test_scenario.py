@@ -1,6 +1,7 @@
 """Scenario config parsing, deterministic runs, trace replay, sweep
 artifacts, and the command-line front end."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -619,6 +620,15 @@ def test_ledger_fault_is_a_simulation_fault(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+# SHA-1 of each file `sermt sweep --vary malicious` writes for the config
+# below (BASE at 40 s, one malicious count of 2)
+SWEEP_ARTIFACT_SHA1 = {
+    "sweep_malicious.csv": "e7ca8b9fa315abe255a039221f0e3c7e824e2485",
+    "drop_pct_malicious.svg": "ae2969d823b77a71824adf648922cf3b6fe0c3c7",
+    "avg_bp_malicious.svg": "42efbb9b0adf36751fe6243a8b96dff82739a9a3",
+}
+
+
 def test_cli_sweep_writes_artifacts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenario, "MALICIOUS_COUNTS", (2,))
     config_path = write_config(tmp_path, BASE.replace("duration = 60",
@@ -632,10 +642,12 @@ def test_cli_sweep_writes_artifacts(tmp_path, capsys, monkeypatch):
     for name in ("drop_pct_malicious.svg", "avg_bp_malicious.svg"):
         body = (out_dir / name).read_text(encoding="utf-8")
         assert body.startswith("<svg") and "</svg>" in body
-    # bit-for-bit stable on a second invocation
+    # bit-for-bit stable on a second invocation, and pinned
     cli.main(["sweep", str(config_path), "--vary", "malicious",
               "--out", str(out_dir)])
     assert (out_dir / "sweep_malicious.csv").read_text(encoding="utf-8") == csv_text
+    assert {path.name: hashlib.sha1(path.read_bytes()).hexdigest()
+            for path in out_dir.iterdir()} == SWEEP_ARTIFACT_SHA1
     capsys.readouterr()
 
 

@@ -517,7 +517,8 @@ def test_network_from_a_shuffled_deployment_walks_in_id_order():
     seeds += [EntitySeed("N", i, (40.0 * i, 0.0), 1 + (i > 12)) for i in range(5, 17)]
     random.Random(3).shuffle(seeds)
     assert [seed.id for seed in seeds] != sorted(seed.id for seed in seeds)
-    network = Network(Deployment(tuple(seeds), main_cc=1, backup_cc=2), subs, regions, topo)
+    network = Network(Deployment(tuple(seeds), main_cc=1, backup_cc=2), subs, regions, topo,
+                      initial_battery=150.0)
     assert list(network.nodes) == list(range(1, 17))
     assert [n.id for n in network.members(kind="N")] == list(range(5, 17))
     assert [n.id for n in network.members(region=2)] == [2, 4, 13, 14, 15, 16]

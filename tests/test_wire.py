@@ -65,6 +65,16 @@ def test_frame_rejects_a_payload_the_wire_cannot_carry():
         wire.make_frame(MsgType.AGG_DATA, 1, b"x" * 65536, gbk=GBK)
 
 
+def test_frame_rejects_fields_the_wire_cannot_carry():
+    Frame(MsgType.ACK, 0xFFFFFFFF, b"", chain_key=b"k" * wire.MAX_CHAIN_KEY)
+    for bad in (dict(sender_id=2**32), dict(sender_id=-1),
+                dict(chain_key=b"k" * (wire.MAX_CHAIN_KEY + 1)),
+                dict(mac=b"m" * (crypto.TAG_LEN - 1)), dict(mac=b"m" * (crypto.TAG_LEN + 1))):
+        fields = dict(msg_type=MsgType.ACK, sender_id=1, payload=b"") | bad
+        with pytest.raises(FrameFormatError):
+            Frame(**fields)
+
+
 def test_gbk_mac_verification():
     frame = wire.make_frame(MsgType.RQM, 42, b"evaluate", gbk=GBK, chain_key=b"\x01" * 20)
     assert wire.verify_frame(frame, gbk=GBK)
