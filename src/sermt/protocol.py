@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from . import rng as rngmod
@@ -970,7 +971,8 @@ class ProtocolEngine:
         return [n for n in self.network.members()
                 if n.kind in kinds and (table.trusted(n.id) or n.id == src_id)]
 
-    def _route(self, src_id: int, dst_id: int, pools) -> tuple[int, ...] | None:
+    def _route(self, src_id: int, dst_id: int,
+               pools: Callable[[], Iterable[list[NodeState]]]) -> tuple[int, ...] | None:
         """Cheapest path over the first pool that connects the two ends;
         `pools()` gives the pools in order.
 
@@ -1059,9 +1061,9 @@ class ProtocolEngine:
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
         net = self.network
         cc_gw = net.cc_gateway(main)
-        # concentrators too sparse: fall back to the trusted relay tier
         return self._route(pdc.id, cc_gw.id, lambda: (
             [node for node in map(self._region_pdc, sorted(net.regions)) if node.alive] + [cc_gw],
+            # concentrators too sparse: fall back to the trusted relay tier
             [pdc] + self._relays(("ES",), pdc.id) + [cc_gw]))
 
     # -- PDC failover ---------------------------------------------------------------
