@@ -6,7 +6,7 @@ moves in one step, `debit`: it first brings a harvester's charge up to
 now, then spends, and adds each change to the node's balance in the
 ledger: one folded balance per node, built from the same floats in the
 same order as the battery, so the conservation check can demand
-bit-exact equality in O(nodes) memory.  The end of a run settles each
+bit-exact equality in O(nodes) memory.  The end of a run settles every
 harvester through `debit` too, with a zero spend.
 
 The Channel also owns the radio geometry: `hears` is the one answer to
@@ -244,7 +244,8 @@ class Channel:
                 gain = min(gain, self.energy.battery_capacity_es - node.battery_mah)
                 node.recharged_mah += gain
                 node.battery_mah += gain
-                self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) + gain
+                self.ledger[node.id] = (self.ledger.get(node.id, self.initial_battery[node.id])
+                                        + gain)
         elif kind in MAINS_POWERED:
             return
         spent = joules / (self.energy.volts * 3.6)   # to_mah, inlined: runs per listener
@@ -260,11 +261,10 @@ class Channel:
 
     def finalize(self) -> None:
         """Bring all harvesting batteries up to the queue's clock at the end
-        of a run (a zero spend through `debit`), and drop the neighbourhood
-        maps (finished results are kept around)."""
+        of a run, and drop the neighbourhood maps (finished results are kept
+        around).  A zero spend through `debit` moves only a harvester."""
         for node in self.network.nodes.values():
-            if node.kind in RECHARGEABLE:
-                self.debit(node, 0.0)
+            self.debit(node, 0.0)
         self._hears.clear()
 
     # -- frame movement ----------------------------------------------------
