@@ -91,11 +91,16 @@ class Network:
             n.substation_id: n.id for n in self.nodes.values() if n.kind == "GW"
         }
         # the static layout facts the engine asks for: entities added later
-        # are N nodes only, so neither index ever changes
+        # are N nodes only, so no index ever changes
         self.pdc_of_region: dict[int, int] = {}     # region -> its lowest-ID PDC
+        # (kind, substation) -> its MU or PMU units in ID order; metering
+        # units are mains-powered and never die
+        self.units: dict[tuple[str, int], list[NodeState]] = {}
         for n in self.nodes.values():
             if n.kind == "PDC":
                 self.pdc_of_region.setdefault(n.region_id, n.id)
+            elif n.kind in ("MU", "PMU"):
+                self.units.setdefault((n.kind, n.substation_id), []).append(n)
         self.pmu_substations = tuple(sorted(
             {n.substation_id for n in self.nodes.values() if n.kind == "PMU"}))
         servers = [n for n in self.nodes.values() if n.kind == "SERVER"]

@@ -780,12 +780,13 @@ class ProtocolEngine:
 
     def _select_es(self) -> None:
         net = self.network
+        storage = net.members(kind="ES")
         for substation_id in net.pmu_substations:
             if substation_id in (net.main_cc, net.backup_cc):
                 continue                      # monitored locally, no WSN leg
             gw = net.nodes[net.gateway_of_substation[substation_id]]
             heard = self.channel.hears(gw)
-            candidates = [es for es in net.members(kind="ES") if es.id in heard]
+            candidates = [es for es in storage if es.id in heard]
             scored = []
             for es in candidates:
                 tv = self._probe(gw, es) if self.defense else self.current_table().tv(es.id)
@@ -812,15 +813,13 @@ class ProtocolEngine:
 
     def _read_units(self, kind: str, substation_id: int,
                     size: int) -> list[tuple[int, bytes]]:
-        """One reading from each live `kind` unit of the substation, in ID
-        order. At a control-center site the server takes them in directly;
+        """One reading from each `kind` unit of the substation, in ID order.
+        At a control-center site the server takes them in directly;
         elsewhere they are returned as (unit, reading) for the WSN leg."""
         net = self.network
         at_cc = substation_id in (net.main_cc, net.backup_cc)
         readings = []
-        for unit in net.members(kind=kind):
-            if unit.substation_id != substation_id:
-                continue
+        for unit in net.units.get((kind, substation_id), ()):
             reading = self._new_reading(size)
             if at_cc:
                 self.ingest_reading(reading)

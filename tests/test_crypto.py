@@ -313,7 +313,8 @@ def test_generator_table_equals_point_add_reference(curve):
 
 def cache_sizes_after_import(*names):
     code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
-            f"print(*(getattr(c, name).cache_info().currsize for name in {names!r}))")
+            "size = lambda o: len(o) if isinstance(o, dict) else o.cache_info().currsize; "
+            f"print(*(size(getattr(c, name)) for name in {names!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
@@ -327,7 +328,7 @@ def test_generator_table_not_built_at_import():
 
 def test_import_fills_no_crypto_cache():
     assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk",
-                                    "_long_lived_mult") == [0, 0, 0]
+                                    "_long_lived_mult", "_seals") == [0, 0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -566,3 +567,95 @@ def test_ecc_tamper_detected():
         crypto.ecc_decrypt(kp.private, bytes(forged), curve)
     assert crypto.ecc_decrypt(kp.private, bytes(forged), curve,
                               verify_tag=False) == b"payload"
+
+
+# -- the seal memo: an open it serves is the open it replaces -------------------
+
+def outcome(call, *args, **kwargs):
+    """What the call returns, or the type of the error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:       # every crypto error is a ValueError
+        return type(exc)
+
+
+def served_then_cleared(call, *args, **kwargs):
+    """The call's outcome with the seal memo as it stands, then again with
+    the memo emptied, so that only the full computation can answer."""
+    first = outcome(call, *args, **kwargs)
+    crypto._seals.clear()
+    return first, outcome(call, *args, **kwargs)
+
+
+def flipped(data, index):
+    out = bytearray(data)
+    out[index % len(out)] ^= 0x01
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=crypto.RC5_KEY_LEN, max_size=crypto.RC5_KEY_LEN),
+       st.binary(max_size=200), st.integers(0, 2 ** 16))
+def test_rc5_open_served_by_the_seal_memo_matches_the_word_loop(key, payload, where):
+    ct = crypto.rc5_encrypt(key, payload)
+    assert (key, ct) in crypto._seals
+    assert served_then_cleared(crypto.rc5_decrypt, key, ct) == (payload, payload)
+    wrong_key = flipped(key, where)
+    for args in ((key, flipped(ct, where)), (wrong_key, ct)):
+        crypto.rc5_encrypt(key, payload)
+        first, second = served_then_cleared(crypto.rc5_decrypt, *args)
+        assert first == second
+    assert second is CipherFormatError     # the wrong key fails its padding
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, crypto.SIM_CURVE.n - 1), st.integers(1, crypto.SIM_CURVE.n - 1),
+       st.binary(max_size=120), st.integers(0, 2 ** 32), st.integers(0, 2 ** 16))
+def test_ecc_open_served_by_the_seal_memo_matches_the_ladder(old, new, payload, seed,
+                                                              where):
+    """`old` and `new` are one server's key history; a sealer still holds
+    the old public key."""
+    assume(old != new)
+    curve = crypto.SIM_CURVE
+    header = 2 * curve.coord_bytes
+    old_public = crypto._long_lived_mult(old, curve.g, curve)
+
+    def seal():
+        return crypto.ecc_encrypt(old_public, payload, curve, random.Random(seed))
+
+    blob = seal()
+    assert (old_public, crypto.decode_point(blob[:header], curve)) in crypto._seals
+    assert served_then_cleared(crypto.ecc_decrypt, old, blob, curve) == (payload, payload)
+    body_byte = header + where % (len(blob) - header - crypto.TAG_LEN)
+    tag_byte = len(blob) - 1 - where % crypto.TAG_LEN
+    for private, opened, verify_tag, want in (
+            (new, blob, True, AuthenticationError),      # the newer key, tried first
+            (old, flipped(blob, body_byte), True, AuthenticationError),
+            (old, flipped(blob, tag_byte), True, AuthenticationError),
+            (old, flipped(blob, tag_byte), False, payload),
+            (old, flipped(blob, body_byte), False, None)):   # whatever the word loop says
+        seal()
+        first, second = served_then_cleared(crypto.ecc_decrypt, private, opened, curve,
+                                            verify_tag=verify_tag)
+        assert first == second
+        assert want is None or first == want
+
+
+def test_seal_memo_stays_bounded_and_forgets_the_oldest():
+    curve = crypto.SIM_CURVE
+    rng = random.Random(51)
+    keypair = crypto.generate_keypair(curve, rng)
+    key = rng.randbytes(crypto.RC5_KEY_LEN)
+    crypto._seals.clear()
+    sealed = []
+    for i in range(4 * crypto.SEAL_MEMO_SIZE):       # sealed, never opened
+        payload = i.to_bytes(2, "big")
+        sealed.append((payload, crypto.rc5_encrypt(key, payload)))
+        crypto.ecc_encrypt(keypair.public, payload, curve, rng)
+        assert len(crypto._seals) <= crypto.SEAL_MEMO_SIZE
+    assert len(crypto._seals) == crypto.SEAL_MEMO_SIZE
+    (first, first_ct), (last, last_ct) = sealed[0], sealed[-1]
+    assert (key, first_ct) not in crypto._seals and (key, last_ct) in crypto._seals
+    assert crypto.rc5_decrypt(key, first_ct) == first      # the word loop answers
+    assert crypto.rc5_decrypt(key, last_ct) == last        # the memo answers
+    assert (key, last_ct) not in crypto._seals             # and forgets it

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sermt import cli, crypto, grid, scenario
+from sermt import cli, crypto, grid, protocol, scenario
 from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
 from sermt.protocol import ProtocolEngine
 from sermt.scenario import (
@@ -318,20 +318,53 @@ def test_second_world_of_a_config_multiplies_no_key(tmp_path, monkeypatch):
 
 
 def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
-    """After a clean run the memo holds at most one entry per key pair
-    issued and per session: the per-message ECC math bypassed it."""
+    """After a clean run the key memo holds at most one entry per key pair
+    issued and per session, and every multiply is accounted for: one per
+    key memo entry, two per ECC seal, none for an open that the seal memo
+    serves and one ladder for an open it does not."""
     crypto._long_lived_mult.cache_clear()
-    mults = []
+    mults = []                  # the phase of each real multiply
+    phase = ["key"]
+    made = {"seal": [], "open": []}     # multiplies per call
+    served = []                 # per open: did the seal memo hold its secret?
     scalar_mult = crypto.scalar_mult
-    monkeypatch.setattr(crypto, "scalar_mult",
-                        lambda *args: mults.append(args) or scalar_mult(*args))
+
+    def counted_mult(*args):
+        mults.append(phase[0])
+        return scalar_mult(*args)
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            phase[0], before = name, len(mults)
+            try:
+                return call(*args, **kwargs)
+            finally:
+                phase[0] = "key"
+                made[name].append(len(mults) - before)
+        return wrapper
+
+    def noting_a_served_open(private, blob, curve, **kwargs):
+        ephemeral = crypto.decode_point(blob[:2 * curve.coord_bytes], curve)
+        served.append((crypto._long_lived_mult(private, curve.g, curve), ephemeral)
+                      in crypto._seals)
+        return counted_decrypt(private, blob, curve, **kwargs)
+
+    counted_decrypt = counted("open", protocol.ecc_decrypt)
+    monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
+    monkeypatch.setattr(protocol, "ecc_encrypt", counted("seal", protocol.ecc_encrypt))
+    monkeypatch.setattr(protocol, "ecc_decrypt", noting_a_served_open)
     result = run_scenario(small_config(tmp_path))
     engine = result.engine
     key_pairs = len(result.network.nodes) + sum(
         len(history) - 1 for history in engine.server_key_history.values())
     held = crypto._long_lived_mult.cache_info().currsize
     assert held <= key_pairs + len(engine.sessions)
-    assert len(mults) > 2 * held      # the sealed data path multiplied too
+    assert mults.count("key") == held          # each entry multiplied once
+    assert made["seal"] and made["seal"] == [2] * len(made["seal"])
+    assert any(served)
+    # an open the memo serves multiplies nothing; any other runs one ladder
+    assert made["open"] == [0 if hit else 1 for hit in served]
+    assert len(mults) == held + 2 * len(made["seal"]) + served.count(False)
 
 
 @pytest.fixture(scope="module")
