@@ -394,9 +394,9 @@ def _record_seal(lookup: tuple, value: bytes) -> None:
 # key serves every reading on the link), so rc5_key_schedule keeps the last 64
 # schedules (~80 KB) in an LRU cache keyed by the key bytes; a schedule is a
 # tuple, so no caller can change a cached one.  An open that the seal memo
-# serves fetches no schedule.  A message is enciphered as one vector of little-endian
-# words: x * 0x100000001 holds x twice, so a 32-bit window of it is x rotated.
-# rc5_*_block run the same word loops on a single block.
+# serves fetches no schedule.  A message is enciphered as one vector of
+# little-endian words: x * 0x100000001 holds x twice, so a 32-bit window of it
+# is x rotated.  rc5_*_block run the same word loops on a single block.
 
 _TWICE32 = 0x100000001
 
