@@ -259,7 +259,7 @@ def _spawn_foreign(channel: Channel, position: tuple[float, float], rng) -> Node
     no pre-shared anchors, no server public keys. Joins the region of the
     nearest gateway so trust rounds will probe (and expose) it."""
     network = channel.network
-    nearest_gw = network.nearest(position, network.members(kind="GW"))
+    nearest_gw = network.nearest(position, network.gateways)
     node = NodeState(id=network.allocate_id(), kind="N", position=position,
                      region_id=nearest_gw.region_id,
                      battery_mah=channel.energy.initial_battery, has_gbk=False)

@@ -46,7 +46,7 @@ def sha1_digest(data: bytes) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian NAF
-# ladder, fixed-base generator table)
+# ladder, fixed-base window tables)
 
 Point = tuple[int, int] | None  # None is the point at infinity
 
@@ -114,36 +114,47 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # affine as the independent oracle the tests compare both paths against.
 # Which path serves a point:
 #
-# - k*G on the one fixed generator (every key pair and every ECC ephemeral)
-#   reads a fixed-base table (Brickell, Gordon, McCurley and Wilson, EUROCRYPT
-#   1992): row[i][d] = d * 16**i * G, one row per 4-bit window of n, so k*G is
-#   one mixed add per non-zero base-16 digit of k and no doubling.  Each row
-#   is summed in Jacobian coordinates and then made affine with one shared
-#   inversion (Montgomery's batch-inversion trick, Math. Comp. 1987).  The
-#   table is built on first use, not at import, so a run that multiplies G
-#   pays for it inside its own measured time.
-# - k*P on any other point (the ECDH in derive_shared_secret) runs a
-#   left-to-right width-4 NAF ladder (Hankerson, Menezes and Vanstone, Guide
-#   to Elliptic Curve Cryptography, Alg. 3.35 for the digits and Alg. 3.36 for
-#   the ladder): k is written with odd digits in -7..7, any two non-zero
-#   digits at least four places apart, so a 128-bit k needs about 26 mixed
-#   adds of the affine odd multiples +-P, +-3P, +-5P, +-7P instead of the ~64
-#   adds of plain double-and-add.  The doublings are inlined in the ladder;
-#   on a curve with a = -3 (SIM_CURVE) they use 3(x - z^2)(x + z^2) for the
-#   slope numerator, which the TOY test curve (a = 0) must not take.
+# - k*P through a fixed-base table (Brickell, Gordon, McCurley and Wilson,
+#   EUROCRYPT 1992) for the one fixed generator G (every key pair and every
+#   ECC ephemeral) and for the recipient of an ecc_encrypt (a server's public
+#   key, sealed to many times over): row[i][d] = d * 16**i * P, one row per
+#   4-bit window of n, so k*P is one mixed add per non-zero base-16 digit of
+#   k and no doubling.  Each row is summed in Jacobian coordinates and then
+#   made affine with one shared inversion (Montgomery's batch-inversion
+#   trick, Math. Comp. 1987).  A table costs about seven ladders to build
+#   and ~75 KB to hold, and a multiply through it about a quarter of one, so
+#   it pays from the tenth use on.  _base_table keeps the last
+#   TABLE_CACHE_SIZE tables in an LRU cache: G and the few server keys of a
+#   run or a sweep (a sweep seals to 4) fit, and a server key regenerated
+#   away is evicted in turn.
+#   A table is built on first use, not at import, so a run pays for it
+#   inside its own measured time.  P has prime order n, so each partial sum
+#   is m * P with 0 < m < n and no entry read is infinity.
+# - k*P on any other point (the session ECDHs of derive_shared_secret and an
+#   open the seal memo misses) runs a left-to-right width-4 NAF ladder
+#   (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
+#   Alg. 3.35 for the digits and Alg. 3.36 for the ladder): k is written
+#   with odd digits in -7..7, any two non-zero digits at least four places
+#   apart, so a 128-bit k needs about 26 mixed adds of the affine odd
+#   multiples +-P, +-3P, +-5P, +-7P instead of the ~64 adds of plain
+#   double-and-add.  The doublings are inlined in the ladder; on a curve with
+#   a = -3 (SIM_CURVE) they use 3(x - z^2)(x + z^2) for the slope numerator,
+#   which the TOY test curve (a = 0) must not take.
 #
-# scalar_mult itself keeps no cache.  The multiplies whose results outlive a
-# message go through _long_lived_mult, an LRU memo of 1,024 entries: the
-# public key of each key pair (nodes, servers, regenerated server keys, an
-# attacker's planted nodes) and each pairwise session's ECDH.  The points of
-# a sweep share one seed and layout, so they draw the same key pairs and
-# agree the same secrets, and all but the first point read them from the
-# memo.  A run's long-lived set is a few hundred multiplies.  The ephemeral
-# k*G of ecc_encrypt and both ephemeral ECDHs are used once, and they are
-# most of a long run's multiplies, so they bypass the memo: caching them
-# would only evict the long-lived entries and grow a run's memory.  The
-# receiver's ephemeral ECDH is served by the seal memo below when this
-# process sealed the message; only a miss multiplies.
+# Both paths return the same affine point, so which one serves a multiply
+# moves no result.  scalar_mult keeps no cache of its products.  The
+# multiplies whose results outlive a message go through _long_lived_mult, an
+# LRU memo of 1,024 entries: the public key of each key pair (nodes,
+# servers, regenerated server keys, an attacker's planted nodes) and each
+# pairwise session's ECDH.  The points of a sweep share one seed and layout,
+# so they draw the same key pairs and agree the same secrets, and all but
+# the first point read them from the memo.  A run's long-lived set is a few
+# hundred multiplies.  The ephemeral k*G of ecc_encrypt and both ephemeral
+# ECDHs are used once, and they are most of a long run's multiplies, so
+# they bypass the memo: caching them would only evict the long-lived
+# entries and grow a run's memory.  The receiver's ephemeral ECDH is served
+# by the seal memo below when this process sealed the message; only a miss
+# multiplies.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -180,12 +191,15 @@ def _jac_add_affine(q: tuple[int, int, int] | None, pt: tuple[int, int],
     return (x3, y3, z1 * h % p)
 
 
-@functools.cache
-def _generator_table(curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
-    """row[i][d] = d * 16**i * G for d in 0..15 (row[i][0] is infinity)."""
+TABLE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
+    """row[i][d] = d * 16**i * point for d in 0..15 (row[i][0] is infinity)."""
     p, a = curve.p, curve.a
     rows = []
-    base = curve.g
+    base = point
     for _ in range((curve.n.bit_length() + 3) // 4):
         # d * base for d in 1..16 in Jacobian coordinates; 16 * base is the
         # next row's base.  An entry that is infinity (7G on TOY) is None.
@@ -273,15 +287,17 @@ def _naf_ladder(k: int, point: tuple[int, int], curve: CurveParams) -> tuple[int
     return (x, y, z)
 
 
-def scalar_mult(k: int, point: Point, curve: CurveParams) -> Point:
+def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = False) -> Point:
+    """k * point, affine.  G, and any point of order n when fixed_base is
+    set, read a window table; every other point runs the NAF ladder."""
     if point is None or k % curve.n == 0:
         return None
     k %= curve.n
     p, a = curve.p, curve.a
     acc: tuple[int, int, int] | None = None
-    if point == curve.g:
+    if fixed_base or point == curve.g:
         # 0 < d * 16**i <= k < n, so no table entry read here is infinity.
-        for row in _generator_table(curve):
+        for row in _base_table(point, curve):
             if k & 15:
                 acc = _jac_add_affine(acc, row[k & 15], p, a)
             k >>= 4
@@ -323,6 +339,13 @@ def _long_lived_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Poin
     above _jac_double); it calls the module global, so a wrapper installed
     on scalar_mult sees every real multiply."""
     return scalar_mult(k, point, curve)
+
+
+def _sealing_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Point:
+    """scalar_mult through the recipient's table (see the comment above
+    _jac_double).  The flag goes by position, so a wrapper installed on the
+    module global that forwards positional arguments sees the multiply."""
+    return scalar_mult(k, point, curve, True)
 
 
 def generate_keypair(curve: CurveParams, rng) -> KeyPair:
@@ -394,9 +417,13 @@ def _record_seal(lookup: tuple, value: bytes) -> None:
 # key serves every reading on the link), so rc5_key_schedule keeps the last 64
 # schedules (~80 KB) in an LRU cache keyed by the key bytes; a schedule is a
 # tuple, so no caller can change a cached one.  An open that the seal memo
-# serves fetches no schedule.  A message is enciphered as one vector of
-# little-endian words: x * 0x100000001 holds x twice, so a 32-bit window of it
-# is x rotated.  rc5_*_block run the same word loops on a single block.
+# serves fetches no schedule.  The key of an ECC seal comes from a one-off
+# ephemeral secret, so ecc_encrypt and ecc_decrypt pass cache_schedule=False
+# and compute its schedule uncached: cached, the seal keys would be most of
+# the entries and evict the session keys that are used again.  A message is
+# enciphered as one vector of little-endian words: x * 0x100000001 holds x
+# twice, so a 32-bit window of it is x rotated.  rc5_*_block run the same
+# word loops on a single block.
 
 _TWICE32 = 0x100000001
 
@@ -461,25 +488,32 @@ def rc5_decrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
     return struct.pack("<2L", *_rc5_decrypt_words(schedule, struct.unpack("<2L", block)))
 
 
-def rc5_encrypt(key: bytes, plaintext: bytes) -> bytes:
+_uncached_schedule = rc5_key_schedule.__wrapped__
+
+
+def _schedule(key: bytes, cached: bool) -> tuple[int, ...]:
+    return rc5_key_schedule(key) if cached else _uncached_schedule(key)
+
+
+def rc5_encrypt(key: bytes, plaintext: bytes, *, cache_schedule: bool = True) -> bytes:
     """Length-prefixed, zero-padded to the block size, ECB across blocks."""
     framed = struct.pack(">I", len(plaintext)) + plaintext
     framed += b"\x00" * (-len(framed) % RC5_BLOCK)
     words = f"<{len(framed) // 4}L"
-    ciphertext = struct.pack(words, *_rc5_encrypt_words(rc5_key_schedule(key),
+    ciphertext = struct.pack(words, *_rc5_encrypt_words(_schedule(key, cache_schedule),
                                                         struct.unpack(words, framed)))
     _record_seal((key, ciphertext), bytes(plaintext))
     return ciphertext
 
 
-def rc5_decrypt(key: bytes, ciphertext: bytes) -> bytes:
+def rc5_decrypt(key: bytes, ciphertext: bytes, *, cache_schedule: bool = True) -> bytes:
     if not ciphertext or len(ciphertext) % RC5_BLOCK:
         raise CipherFormatError(f"ciphertext length {len(ciphertext)} is not a positive block multiple")
     plaintext = _seals.pop((key, bytes(ciphertext)), None)
     if plaintext is not None:
         return plaintext
     words = f"<{len(ciphertext) // 4}L"
-    framed = struct.pack(words, *_rc5_decrypt_words(rc5_key_schedule(key),
+    framed = struct.pack(words, *_rc5_decrypt_words(_schedule(key, cache_schedule),
                                                     struct.unpack(words, ciphertext)))
     (n,) = struct.unpack(">I", framed[:4])
     if 4 + n > len(framed) or any(framed[4 + n:]):
@@ -603,10 +637,10 @@ def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, r
     """ephemeral_public || rc5(plaintext) || hmac — only the private-key holder recovers it."""
     v = rng.randrange(1, curve.n)       # the ephemeral key pair, used once: no memo
     ephemeral_public = scalar_mult(v, curve.g, curve)
-    secret = _ecdh(v, recipient_public, curve, scalar_mult)
+    secret = _ecdh(v, recipient_public, curve, _sealing_mult)
     _record_seal((recipient_public, ephemeral_public), secret)
-    key = cipher_key(secret)
-    body = rc5_encrypt(key, plaintext)
+    key = cipher_key(secret)            # one-off too: its schedule is not cached
+    body = rc5_encrypt(key, plaintext, cache_schedule=False)
     return encode_point(ephemeral_public, curve) + body + hmac_tag(key, body)
 
 
@@ -626,4 +660,4 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *
     key = cipher_key(secret)
     if verify_tag and not tags_equal(hmac_tag(key, body), tag):
         raise AuthenticationError("ciphertext tag mismatch")
-    return rc5_decrypt(key, body)
+    return rc5_decrypt(key, body, cache_schedule=False)

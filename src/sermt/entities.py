@@ -16,6 +16,7 @@ adversary module).  The channel and the engine call its hooks directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .crypto import ChainAnchorState, KeyPair
@@ -92,6 +93,8 @@ class Network:
         }
         # the static layout facts the engine asks for: entities added later
         # are N nodes only, so no index ever changes
+        # every gateway in ID order; gateways are mains-powered and never die
+        self.gateways = tuple(self.nodes[i] for i in sorted(self.gateway_of_substation.values()))
         self.pdc_of_region: dict[int, int] = {}     # region -> its lowest-ID PDC
         # (kind, substation) -> its MU or PMU units in ID order; metering
         # units are mains-powered and never die
@@ -156,7 +159,7 @@ class Network:
         return self.nodes[self.main_server if main else self.backup_server]
 
     @staticmethod
-    def nearest(position: tuple[float, float], among: list[NodeState]) -> NodeState:
+    def nearest(position: tuple[float, float], among: Iterable[NodeState]) -> NodeState:
         """The node of `among` closest to `position`, the lower ID on a tie."""
         return min(among, key=lambda n: (distance(position, n.position), n.id))
 

@@ -292,6 +292,8 @@ class ProtocolEngine:
         self.gw_queue: dict[int, list[tuple[int, bytes]]] = {}
 
         self.round_index = 0
+        self._tests_round = 0
+        self._test_frames: dict[int, tuple[Frame, ...]] = {}   # prober -> this round's
         self.last_round_start = -math.inf
         self._trigger_pending = False
         self._trigger_backoff = config.round_trigger_holdoff
@@ -352,7 +354,7 @@ class ProtocolEngine:
 
     # -- ask and answer ------------------------------------------------------
 
-    def _solicit(self, solicitors: list[NodeState], msg_type: MsgType, payload_of,
+    def _solicit(self, solicitors: Iterable[NodeState], msg_type: MsgType, payload_of,
                  skip=()) -> list[tuple[NodeState, list[NodeState]]]:
         """Each solicitor, in turn, broadcasts `msg_type` to the N tier.
         Returns every hearer not in `skip`, in ID order, with the solicitors
@@ -374,11 +376,20 @@ class ProtocolEngine:
 
     # -- probing -----------------------------------------------------------
 
-    def _tests(self, prober: NodeState) -> list[Frame]:
-        """The round's test messages from `prober`: (round, index) each."""
-        return [self._gbk_frame(MsgType.TEST, prober,
+    def _tests(self, prober: NodeState) -> tuple[Frame, ...]:
+        """The round's test messages from `prober`: (round, index) each.
+        They are the same for every target, so each prober's are made once
+        per round; frames are values, so sharing them changes no send."""
+        if self._tests_round != self.round_index:
+            self._tests_round = self.round_index
+            self._test_frames.clear()
+        tests = self._test_frames.get(prober.id)
+        if tests is None:
+            tests = self._test_frames[prober.id] = tuple(
+                self._gbk_frame(MsgType.TEST, prober,
                                 struct.pack(">HH", self.round_index & 0xFFFF, i))
-                for i in range(self.config.test_messages)]
+                for i in range(self.config.test_messages))
+        return tests
 
     def _probe(self, prober: NodeState, target: NodeState) -> float:
         """Send test messages and count authenticated echoes."""
@@ -622,7 +633,7 @@ class ProtocolEngine:
 
     def _select_forwarders(self) -> None:
         net = self.network
-        gateways = net.members(kind="GW")
+        gateways = net.gateways
         # (node_id, bp, c, position) per gateway, from ACKs it can verify
         acks: dict[int, list[tuple[int, float, int, tuple[float, float]]]] = {}
         for node, heard in self._solicit(gateways, MsgType.FORW_RQM, lambda gw: b""):
@@ -647,7 +658,7 @@ class ProtocolEngine:
             if best[0] in net.nodes:
                 self._ensure_session((gw.id, best[0]))
 
-    def _advertise_personas(self, host: NodeState, gateways: list[NodeState],
+    def _advertise_personas(self, host: NodeState, gateways: Iterable[NodeState],
                             acks: dict) -> None:
         for persona_id, fake_pos in host.behavior.advertised_personas():
             self.known_personas[persona_id] = (host.id, fake_pos)
@@ -863,7 +874,7 @@ class ProtocolEngine:
         sent_before, delivered_before = self.delivery.sent, self.delivery.delivered
         carry: dict[int, list[tuple[int, bytes]]] = {}
 
-        for gw in net.members(kind="GW"):
+        for gw in net.gateways:
             queue = self.gw_queue.setdefault(gw.id, [])
             queue.extend(self._read_units("MU", gw.substation_id,
                                           self.config.mu_reading_bytes))

@@ -289,26 +289,86 @@ def test_both_paths_exhaustive_on_toy_curve():
             assert crypto.scalar_mult(k, point, TOY) == affine_oracle(k, point, TOY), (k, point)
 
 
-@pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
-def test_generator_table_equals_point_add_reference(curve):
-    # The table is summed in Jacobian coordinates and batch-inverted per row;
-    # it must hold exactly the points an affine point_add walk gives.
-    reference = []
-    base = curve.g
+def reference_table(point, curve):
+    """row[i][d] = d * 16**i * point by an affine point_add walk alone."""
+    rows = []
+    base = point
     for _ in range((curve.n.bit_length() + 3) // 4):
         row = [None, base]
         for _ in range(14):
             row.append(crypto.point_add(row[-1], base, curve))
-        reference.append(row)
+        rows.append(row)
         base = crypto.point_add(row[-1], base, curve)
-    table = crypto._generator_table(curve)
+    return rows
+
+
+def assert_table_is_reference(point, curve):
+    # The table is summed in Jacobian coordinates and batch-inverted per row;
+    # it must hold exactly the points an affine point_add walk gives.
+    table = crypto._base_table(point, curve)
+    reference = reference_table(point, curve)
     assert len(table) == len(reference)
     for i, (row, want) in enumerate(zip(table, reference)):
         assert len(row) == 16
         for d in range(16):
             assert row[d] == want[d], (i, d)
+    return table
+
+
+@pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
+def test_generator_table_equals_point_add_reference(curve):
+    table = assert_table_is_reference(curve.g, curve)
     if curve is TOY:    # 7G and 14G are infinity
         assert table[0][7] is None and table[0][14] is None
+
+
+@pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_table_of_a_non_generator_point_equals_point_add_reference(curve, data):
+    m = data.draw(st.integers(2, curve.n - 1), label="m")
+    assert_table_is_reference(affine_oracle(m, curve.g, curve), curve)
+
+
+SEALED_EDGES = [0, 1, 15, 16, 17, 2 ** 124, crypto.SIM_CURVE.n - 1, crypto.SIM_CURVE.n,
+                crypto.SIM_CURVE.n + 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, crypto.SIM_CURVE.n - 1),
+       st.one_of(st.sampled_from(SEALED_EDGES), st.integers(0, 2 * crypto.SIM_CURVE.n)))
+def test_multiply_of_a_sealed_to_point_matches_affine_oracle(d, k):
+    # ecc_encrypt multiplies its recipient through the recipient's table.
+    curve = crypto.SIM_CURVE
+    recipient = affine_oracle(d, curve.g, curve)
+    crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(d))
+    want = affine_oracle(k, recipient, curve)
+    assert crypto.scalar_mult(k, recipient, curve, True) == want
+    assert crypto._sealing_mult(k, recipient, curve) == want
+
+
+def test_table_cache_stays_bounded_when_sealing_to_more_keys_than_it_holds():
+    curve = crypto.SIM_CURVE
+    rng = random.Random(11)
+    bound = crypto._base_table.cache_info().maxsize
+    assert bound == crypto.TABLE_CACHE_SIZE
+    pairs = [crypto.generate_keypair(curve, rng) for _ in range(bound + 4)]
+    crypto._base_table.cache_clear()
+    for i, pair in enumerate(pairs):
+        blob = crypto.ecc_encrypt(pair.public, b"reading %d" % i, curve, rng)
+        # G's table and one per recipient so far, up to the bound
+        assert crypto._base_table.cache_info().currsize == min(i + 2, bound)
+        crypto._seals.clear()       # open by the ladder, not the seal memo
+        assert crypto.ecc_decrypt(pair.private, blob, curve) == b"reading %d" % i
+    built = crypto._base_table.cache_info().misses
+    assert built == len(pairs) + 1
+    crypto.ecc_encrypt(pairs[-1].public, b"again", curve, rng)      # still held
+    assert crypto._base_table.cache_info().misses == built
+    blob = crypto.ecc_encrypt(pairs[0].public, b"again", curve, rng)  # evicted: rebuilt
+    assert crypto._base_table.cache_info().misses == built + 1
+    assert crypto._base_table.cache_info().currsize == bound
+    crypto._seals.clear()
+    assert crypto.ecc_decrypt(pairs[0].private, blob, curve) == b"again"
 
 
 def cache_sizes_after_import(*names):
@@ -323,12 +383,12 @@ def cache_sizes_after_import(*names):
 
 def test_generator_table_not_built_at_import():
     # A run that multiplies G pays for the table itself, inside its own time.
-    assert cache_sizes_after_import("_generator_table") == [0]
+    assert cache_sizes_after_import("_base_table") == [0]
 
 
 def test_import_fills_no_crypto_cache():
-    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk",
-                                    "_long_lived_mult", "_seals") == [0, 0, 0, 0]
+    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk", "_long_lived_mult",
+                                    "_seals", "_base_table") == [0, 0, 0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -660,3 +720,19 @@ def test_seal_memo_stays_bounded_and_forgets_the_oldest():
     assert crypto.rc5_decrypt(key, first_ct) == first      # the word loop answers
     assert crypto.rc5_decrypt(key, last_ct) == last        # the memo answers
     assert (key, last_ct) not in crypto._seals             # and forgets it
+
+
+def test_an_ecc_seal_and_its_open_cache_no_rc5_schedule():
+    # the seal key comes from a one-off secret: cached, it would only evict
+    # the session keys' schedules
+    curve = crypto.SIM_CURVE
+    rng = random.Random(61)
+    keypair = crypto.generate_keypair(curve, rng)
+    header = 2 * curve.coord_bytes
+    crypto.rc5_key_schedule.cache_clear()
+    blob = crypto.ecc_encrypt(keypair.public, b"aggregate", curve, rng)
+    secret = crypto._seals[(keypair.public, crypto.decode_point(blob[:header], curve))]
+    assert (crypto.cipher_key(secret), blob[header:-crypto.TAG_LEN]) in crypto._seals
+    assert served_then_cleared(crypto.ecc_decrypt, keypair.private, blob, curve) == \
+        (b"aggregate", b"aggregate")
+    assert crypto.rc5_key_schedule.cache_info().currsize == 0

@@ -719,6 +719,19 @@ def test_a_phantom_probe_sends_the_rounds_test_messages():
     assert sent["real"] == [struct.pack(">HH", 3, i) for i in range(10)]
 
 
+
+def test_test_messages_are_made_once_per_prober_and_round():
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    eng.round_index = 3
+    prober, other = net.nodes[26], net.nodes[8]
+    tests = eng._tests(prober)
+    assert eng._tests(prober) is tests
+    assert eng._tests(other) is not tests
+    assert [t.sender_id for t in eng._tests(other)] == [8] * len(tests)
+    eng.round_index = 4
+    assert [t.payload for t in eng._tests(prober)] == \
+        [struct.pack(">HH", 4, i) for i in range(len(tests))]
+
 # -- key management -----------------------------------------------------------------
 
 def test_server_keys_rotate_each_round_and_chains_replace():
