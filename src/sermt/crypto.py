@@ -117,19 +117,24 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # - k*P through a fixed-base table (Brickell, Gordon, McCurley and Wilson,
 #   EUROCRYPT 1992) for the one fixed generator G (every key pair and every
 #   ECC ephemeral) and for the recipient of an ecc_encrypt (a server's public
-#   key, sealed to many times over): row[i][d] = d * 16**i * P, one row per
-#   4-bit window of n, so k*P is one mixed add per non-zero base-16 digit of
-#   k and no doubling.  Each row is summed in Jacobian coordinates and then
-#   made affine with one shared inversion (Montgomery's batch-inversion
-#   trick, Math. Comp. 1987).  A table costs about seven ladders to build
-#   and ~75 KB to hold, and a multiply through it about a quarter of one, so
-#   it pays from the tenth use on.  _base_table keeps the last
-#   TABLE_CACHE_SIZE tables in an LRU cache: G and the few server keys of a
-#   run or a sweep (a sweep seals to 4) fit, and a server key regenerated
-#   away is evicted in turn.
-#   A table is built on first use, not at import, so a run pays for it
-#   inside its own measured time.  P has prime order n, so each partial sum
-#   is m * P with 0 < m < n and no entry read is infinity.
+#   key, sealed to many times over): row[i][d] = d * 16**i * P for d in 0..8.
+#   k is recoded in base 16 with signed digits in -7..8 (a digit above 8
+#   becomes d - 16 and carries one), so k*P is one mixed add of row[i][d],
+#   or of its negation (x, p - y), per non-zero digit and no doubling; the
+#   carry out of the top digit needs one row more than n has digits.
+#   Unsigned digits would need entries up to 15: twice the memory and the
+#   build time for the same adds.  Each row is summed in Jacobian
+#   coordinates and then made affine with one shared inversion
+#   (Montgomery's batch-inversion trick, Math. Comp. 1987).  A table costs
+#   about four ladders to build and ~42 KB to hold, and a multiply through
+#   it about a quarter of a ladder, so it pays from the sixth use on.
+#   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G
+#   and the few server keys of a run or a sweep (a sweep seals to 4) fit,
+#   and a server key regenerated away is evicted in turn.  A table is built
+#   on first use, not at import, so a run pays for it inside its own
+#   measured time.  P has prime order n > 8, so no entry is infinity, and a
+#   partial sum before row i is m * P with 0 < |m| < 16**i, so no add meets
+#   its own operand or its negation.
 # - k*P on any other point (the session ECDHs of derive_shared_secret and an
 #   open the seal memo misses) runs a left-to-right width-4 NAF ladder
 #   (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
@@ -196,16 +201,18 @@ TABLE_CACHE_SIZE = 8
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
-    """row[i][d] = d * 16**i * point for d in 0..15 (row[i][0] is infinity)."""
+    """row[i][d] = d * 16**i * point for d in 0..8 (row[i][0] is infinity),
+    one row per base-16 digit of n and one for the carry."""
     p, a = curve.p, curve.a
     rows = []
     base = point
-    for _ in range((curve.n.bit_length() + 3) // 4):
-        # d * base for d in 1..16 in Jacobian coordinates; 16 * base is the
-        # next row's base.  An entry that is infinity (7G on TOY) is None.
+    for _ in range((curve.n.bit_length() + 3) // 4 + 1):
+        # d * base for d in 1..8, then 16 * base (the next row's base), in
+        # Jacobian coordinates.  An entry that is infinity (7G on TOY) is None.
         jac = [(base[0], base[1], 1)]
-        for _ in range(15):
+        for _ in range(7):
             jac.append(_jac_add_affine(jac[-1], base, p, a))
+        jac.append(_jac_double(jac[-1], p, a))
         # Montgomery's trick: prefix[j] is the product of the first j
         # non-infinite z, so one inversion of the whole product yields each
         # 1/z on the walk back.
@@ -214,9 +221,9 @@ def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point
             if q is not None:
                 prefix.append(prefix[-1] * q[2] % p)
         inv = pow(prefix[-1], -1, p)
-        affine: list[Point] = [None] * 16
+        affine: list[Point] = [None] * 9
         j = len(prefix) - 1
-        for d in range(15, -1, -1):
+        for d in range(8, -1, -1):
             q = jac[d]
             if q is None:
                 continue
@@ -225,8 +232,8 @@ def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point
             inv = inv * q[2] % p
             zinv2 = zinv * zinv % p
             affine[d] = (q[0] * zinv2 % p, q[1] * zinv2 * zinv % p)
-        rows.append((None, *affine[:15]))
-        base = affine[15]
+        rows.append((None, *affine[:8]))
+        base = affine[8]
     return tuple(rows)
 
 
@@ -296,11 +303,17 @@ def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = Fal
     p, a = curve.p, curve.a
     acc: tuple[int, int, int] | None = None
     if fixed_base or point == curve.g:
-        # 0 < d * 16**i <= k < n, so no table entry read here is infinity.
         for row in _base_table(point, curve):
-            if k & 15:
-                acc = _jac_add_affine(acc, row[k & 15], p, a)
+            d = k & 15
             k >>= 4
+            if d > 8:
+                d -= 16
+                k += 1
+            if d > 0:
+                acc = _jac_add_affine(acc, row[d], p, a)
+            elif d:
+                x, y = row[-d]
+                acc = _jac_add_affine(acc, (x, p - y), p, a)
     else:
         acc = _naf_ladder(k, point, curve)
     if acc is None:

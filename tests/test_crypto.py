@@ -274,15 +274,23 @@ def test_naf_digits():
         assert all(j - i >= 4 for i, j in zip(nonzero, nonzero[1:]))
 
 
+# Window edges of the table path, whose digits are recoded into -7..8:
+# 8 stays, 9 = 16 - 7 carries, all-9 digits carry through every row, and
+# n - 1 (top digit 0xF) carries into the extra row.
+SIGNED_DIGIT_EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 0x88, 0x89, 0x98, 2 ** 124,
+                      int("8" * 32, 16), int("9" * 31, 16), int("F" * 31, 16),
+                      crypto.SIM_CURVE.n - 1, crypto.SIM_CURVE.n, crypto.SIM_CURVE.n + 1]
+
+
 def test_generator_path_window_edges():
     curve = crypto.SIM_CURVE
-    for k in (1, 15, 16, 17, 2 ** 124, curve.n - 1, curve.n, curve.n + 1):
+    for k in SIGNED_DIGIT_EDGES:
         assert crypto.scalar_mult(k, curve.g, curve) == affine_oracle(k, curve.g, curve), k
     assert crypto.scalar_mult(curve.n - 1, curve.g, curve) == (curve.gx, curve.p - curve.gy)
 
 
 def test_both_paths_exhaustive_on_toy_curve():
-    # n = 7 fits one 4-bit window, so the generator table is a single row.
+    # n = 7 fits one base-16 digit and no k < 7 carries, so only row 0 is read.
     points = [crypto.scalar_mult(m, TOY.g, TOY) for m in range(1, TOY.n)]
     for k in range(2 * TOY.n + 1):
         for point in points:
@@ -290,15 +298,16 @@ def test_both_paths_exhaustive_on_toy_curve():
 
 
 def reference_table(point, curve):
-    """row[i][d] = d * 16**i * point by an affine point_add walk alone."""
+    """row[i][d] = d * 16**i * point for d in 0..8, one row per base-16
+    digit of n and one for the carry, by an affine point_add walk alone."""
     rows = []
     base = point
-    for _ in range((curve.n.bit_length() + 3) // 4):
+    for _ in range((curve.n.bit_length() + 3) // 4 + 1):
         row = [None, base]
-        for _ in range(14):
+        for _ in range(7):
             row.append(crypto.point_add(row[-1], base, curve))
         rows.append(row)
-        base = crypto.point_add(row[-1], base, curve)
+        base = crypto.point_add(row[-1], row[-1], curve)
     return rows
 
 
@@ -309,8 +318,8 @@ def assert_table_is_reference(point, curve):
     reference = reference_table(point, curve)
     assert len(table) == len(reference)
     for i, (row, want) in enumerate(zip(table, reference)):
-        assert len(row) == 16
-        for d in range(16):
+        assert len(row) == 9
+        for d in range(9):
             assert row[d] == want[d], (i, d)
     return table
 
@@ -318,8 +327,8 @@ def assert_table_is_reference(point, curve):
 @pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
 def test_generator_table_equals_point_add_reference(curve):
     table = assert_table_is_reference(curve.g, curve)
-    if curve is TOY:    # 7G and 14G are infinity
-        assert table[0][7] is None and table[0][14] is None
+    if curve is TOY:    # 7G and 7 * 16G = 14 * 8G are infinity
+        assert table[0][7] is None and table[1][7] is None
 
 
 @pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
@@ -330,13 +339,9 @@ def test_table_of_a_non_generator_point_equals_point_add_reference(curve, data):
     assert_table_is_reference(affine_oracle(m, curve.g, curve), curve)
 
 
-SEALED_EDGES = [0, 1, 15, 16, 17, 2 ** 124, crypto.SIM_CURVE.n - 1, crypto.SIM_CURVE.n,
-                crypto.SIM_CURVE.n + 1]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, crypto.SIM_CURVE.n - 1),
-       st.one_of(st.sampled_from(SEALED_EDGES), st.integers(0, 2 * crypto.SIM_CURVE.n)))
+       st.one_of(st.sampled_from(SIGNED_DIGIT_EDGES), st.integers(0, 2 * crypto.SIM_CURVE.n)))
 def test_multiply_of_a_sealed_to_point_matches_affine_oracle(d, k):
     # ecc_encrypt multiplies its recipient through the recipient's table.
     curve = crypto.SIM_CURVE
