@@ -132,9 +132,10 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   and the few server keys of a run or a sweep (a sweep seals to 4) fit,
 #   and a server key regenerated away is evicted in turn.  A table is built
 #   on first use, not at import, so a run pays for it inside its own
-#   measured time.  P has prime order n > 8, so no entry is infinity, and a
-#   partial sum before row i is m * P with 0 < |m| < 16**i, so no add meets
-#   its own operand or its negation.
+#   measured time.  P has prime order n, so an entry is infinity only when
+#   n <= 8 (7G on TOY), and then k < n is one digit that reads no such
+#   entry; _jac_add_affine doubles, or gives infinity, when the running sum
+#   meets an entry or its negation, so the sum is exact for every k.
 # - k*P on any other point (the session ECDHs of derive_shared_secret and an
 #   open the seal memo misses) runs a left-to-right width-4 NAF ladder
 #   (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
@@ -504,17 +505,13 @@ def rc5_decrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
 _uncached_schedule = rc5_key_schedule.__wrapped__
 
 
-def _schedule(key: bytes, cached: bool) -> tuple[int, ...]:
-    return rc5_key_schedule(key) if cached else _uncached_schedule(key)
-
-
 def rc5_encrypt(key: bytes, plaintext: bytes, *, cache_schedule: bool = True) -> bytes:
     """Length-prefixed, zero-padded to the block size, ECB across blocks."""
     framed = struct.pack(">I", len(plaintext)) + plaintext
     framed += b"\x00" * (-len(framed) % RC5_BLOCK)
     words = f"<{len(framed) // 4}L"
-    ciphertext = struct.pack(words, *_rc5_encrypt_words(_schedule(key, cache_schedule),
-                                                        struct.unpack(words, framed)))
+    schedule = (rc5_key_schedule if cache_schedule else _uncached_schedule)(key)
+    ciphertext = struct.pack(words, *_rc5_encrypt_words(schedule, struct.unpack(words, framed)))
     _record_seal((key, ciphertext), bytes(plaintext))
     return ciphertext
 
@@ -526,8 +523,8 @@ def rc5_decrypt(key: bytes, ciphertext: bytes, *, cache_schedule: bool = True) -
     if plaintext is not None:
         return plaintext
     words = f"<{len(ciphertext) // 4}L"
-    framed = struct.pack(words, *_rc5_decrypt_words(_schedule(key, cache_schedule),
-                                                    struct.unpack(words, ciphertext)))
+    schedule = (rc5_key_schedule if cache_schedule else _uncached_schedule)(key)
+    framed = struct.pack(words, *_rc5_decrypt_words(schedule, struct.unpack(words, ciphertext)))
     (n,) = struct.unpack(">I", framed[:4])
     if 4 + n > len(framed) or any(framed[4 + n:]):
         raise CipherFormatError("bad padding (wrong key?)")
