@@ -327,7 +327,7 @@ def assert_table_is_reference(point, curve):
 @pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
 def test_generator_table_equals_point_add_reference(curve):
     table = assert_table_is_reference(curve.g, curve)
-    if curve is TOY:    # 7G and 7 * 16G = 14 * 8G are infinity
+    if curve is TOY:    # 7G and 7 * 16G are infinity
         assert table[0][7] is None and table[1][7] is None
 
 

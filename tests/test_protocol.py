@@ -719,7 +719,6 @@ def test_a_phantom_probe_sends_the_rounds_test_messages():
     assert sent["real"] == [struct.pack(">HH", 3, i) for i in range(10)]
 
 
-
 def test_test_messages_are_made_once_per_prober_and_round():
     net, chan, queue, trace, eng = make_sim(mini_world)
     eng.round_index = 3
@@ -731,6 +730,7 @@ def test_test_messages_are_made_once_per_prober_and_round():
     eng.round_index = 4
     assert [t.payload for t in eng._tests(prober)] == \
         [struct.pack(">HH", 4, i) for i in range(len(tests))]
+
 
 # -- key management -----------------------------------------------------------------
 
