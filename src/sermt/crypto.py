@@ -128,10 +128,12 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   (Montgomery's batch-inversion trick, Math. Comp. 1987).  A table costs
 #   about four ladders to build and ~42 KB to hold, and a multiply through
 #   it about a quarter of a ladder, so it pays from the sixth use on.
-#   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G
-#   and the few server keys of a run or a sweep (a sweep seals to 4) fit,
-#   and a server key regenerated away is evicted in turn.  A table is built
-#   on first use, not at import, so a run pays for it inside its own
+#   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G,
+#   both servers' keys and the two keys they replaced, which are also the 4
+#   keys every point of a sweep seals to.  Each trust round regenerates both
+#   server keys, so more entries would only keep retired keys' tables in a
+#   long run, and fewer would rebuild them on every point of a sweep.  A table
+#   is built on first use, not at import, so a run pays for it inside its own
 #   measured time.  P has prime order n, so an entry is infinity only when
 #   n <= 8 (7G on TOY), and then k < n is one digit that reads no such
 #   entry; _jac_add_affine doubles, or gives infinity, when the running sum
@@ -197,7 +199,7 @@ def _jac_add_affine(q: tuple[int, int, int] | None, pt: tuple[int, int],
     return (x3, y3, z1 * h % p)
 
 
-TABLE_CACHE_SIZE = 8
+TABLE_CACHE_SIZE = 5
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -431,13 +433,9 @@ def _record_seal(lookup: tuple, value: bytes) -> None:
 # key serves every reading on the link), so rc5_key_schedule keeps the last 64
 # schedules (~80 KB) in an LRU cache keyed by the key bytes; a schedule is a
 # tuple, so no caller can change a cached one.  An open that the seal memo
-# serves fetches no schedule.  The key of an ECC seal comes from a one-off
-# ephemeral secret, so ecc_encrypt and ecc_decrypt pass cache_schedule=False
-# and compute its schedule uncached: cached, the seal keys would be most of
-# the entries and evict the session keys that are used again.  A message is
-# enciphered as one vector of little-endian words: x * 0x100000001 holds x
-# twice, so a 32-bit window of it is x rotated.  rc5_*_block run the same
-# word loops on a single block.
+# serves fetches no schedule.  A message is enciphered as one vector of
+# little-endian words: x * 0x100000001 holds x twice, so a 32-bit window of it
+# is x rotated.  rc5_*_block run the same word loops on a single block.
 
 _TWICE32 = 0x100000001
 
@@ -502,29 +500,26 @@ def rc5_decrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
     return struct.pack("<2L", *_rc5_decrypt_words(schedule, struct.unpack("<2L", block)))
 
 
-_uncached_schedule = rc5_key_schedule.__wrapped__
-
-
-def rc5_encrypt(key: bytes, plaintext: bytes, *, cache_schedule: bool = True) -> bytes:
+def rc5_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Length-prefixed, zero-padded to the block size, ECB across blocks."""
     framed = struct.pack(">I", len(plaintext)) + plaintext
     framed += b"\x00" * (-len(framed) % RC5_BLOCK)
     words = f"<{len(framed) // 4}L"
-    schedule = (rc5_key_schedule if cache_schedule else _uncached_schedule)(key)
-    ciphertext = struct.pack(words, *_rc5_encrypt_words(schedule, struct.unpack(words, framed)))
+    ciphertext = struct.pack(words, *_rc5_encrypt_words(rc5_key_schedule(key),
+                                                        struct.unpack(words, framed)))
     _record_seal((key, ciphertext), bytes(plaintext))
     return ciphertext
 
 
-def rc5_decrypt(key: bytes, ciphertext: bytes, *, cache_schedule: bool = True) -> bytes:
+def rc5_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if not ciphertext or len(ciphertext) % RC5_BLOCK:
         raise CipherFormatError(f"ciphertext length {len(ciphertext)} is not a positive block multiple")
     plaintext = _seals.pop((key, bytes(ciphertext)), None)
     if plaintext is not None:
         return plaintext
     words = f"<{len(ciphertext) // 4}L"
-    schedule = (rc5_key_schedule if cache_schedule else _uncached_schedule)(key)
-    framed = struct.pack(words, *_rc5_decrypt_words(schedule, struct.unpack(words, ciphertext)))
+    framed = struct.pack(words, *_rc5_decrypt_words(rc5_key_schedule(key),
+                                                    struct.unpack(words, ciphertext)))
     (n,) = struct.unpack(">I", framed[:4])
     if 4 + n > len(framed) or any(framed[4 + n:]):
         raise CipherFormatError("bad padding (wrong key?)")
@@ -649,8 +644,8 @@ def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, r
     ephemeral_public = scalar_mult(v, curve.g, curve)
     secret = _ecdh(v, recipient_public, curve, _sealing_mult)
     _record_seal((recipient_public, ephemeral_public), secret)
-    key = cipher_key(secret)            # one-off too: its schedule is not cached
-    body = rc5_encrypt(key, plaintext, cache_schedule=False)
+    key = cipher_key(secret)
+    body = rc5_encrypt(key, plaintext)
     return encode_point(ephemeral_public, curve) + body + hmac_tag(key, body)
 
 
@@ -670,4 +665,4 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *
     key = cipher_key(secret)
     if verify_tag and not tags_equal(hmac_tag(key, body), tag):
         raise AuthenticationError("ciphertext tag mismatch")
-    return rc5_decrypt(key, body, cache_schedule=False)
+    return rc5_decrypt(key, body)

@@ -292,7 +292,6 @@ class ProtocolEngine:
         self.gw_queue: dict[int, list[tuple[int, bytes]]] = {}
 
         self.round_index = 0
-        self._tests_round = 0
         self._test_frames: dict[int, tuple[Frame, ...]] = {}   # prober -> this round's
         self.last_round_start = -math.inf
         self._trigger_pending = False
@@ -380,9 +379,6 @@ class ProtocolEngine:
         """The round's test messages from `prober`: (round, index) each.
         They are the same for every target, so each prober's are made once
         per round; frames are values, so sharing them changes no send."""
-        if self._tests_round != self.round_index:
-            self._tests_round = self.round_index
-            self._test_frames.clear()
         tests = self._test_frames.get(prober.id)
         if tests is None:
             tests = self._test_frames[prober.id] = tuple(
@@ -494,6 +490,7 @@ class ProtocolEngine:
                                 kinds=("GW",))
         self._regenerate_server_keys()
         self.round_index += 1
+        self._test_frames.clear()
         self.trace.log(t, "round", f"server:{initiator.id}",
                        f"complete threats={len(table.threat_list)}")
         return table

@@ -725,19 +725,3 @@ def test_seal_memo_stays_bounded_and_forgets_the_oldest():
     assert crypto.rc5_decrypt(key, first_ct) == first      # the word loop answers
     assert crypto.rc5_decrypt(key, last_ct) == last        # the memo answers
     assert (key, last_ct) not in crypto._seals             # and forgets it
-
-
-def test_an_ecc_seal_and_its_open_cache_no_rc5_schedule():
-    # the seal key comes from a one-off secret: cached, it would only evict
-    # the session keys' schedules
-    curve = crypto.SIM_CURVE
-    rng = random.Random(61)
-    keypair = crypto.generate_keypair(curve, rng)
-    header = 2 * curve.coord_bytes
-    crypto.rc5_key_schedule.cache_clear()
-    blob = crypto.ecc_encrypt(keypair.public, b"aggregate", curve, rng)
-    secret = crypto._seals[(keypair.public, crypto.decode_point(blob[:header], curve))]
-    assert (crypto.cipher_key(secret), blob[header:-crypto.TAG_LEN]) in crypto._seals
-    assert served_then_cleared(crypto.ecc_decrypt, keypair.private, blob, curve) == \
-        (b"aggregate", b"aggregate")
-    assert crypto.rc5_key_schedule.cache_info().currsize == 0

@@ -721,15 +721,14 @@ def test_a_phantom_probe_sends_the_rounds_test_messages():
 
 def test_test_messages_are_made_once_per_prober_and_round():
     net, chan, queue, trace, eng = make_sim(mini_world)
-    eng.round_index = 3
     prober, other = net.nodes[26], net.nodes[8]
     tests = eng._tests(prober)
     assert eng._tests(prober) is tests
     assert eng._tests(other) is not tests
     assert [t.sender_id for t in eng._tests(other)] == [8] * len(tests)
-    eng.round_index = 4
+    eng.run_trust_round(net.server(main=True))
     assert [t.payload for t in eng._tests(prober)] == \
-        [struct.pack(">HH", 4, i) for i in range(len(tests))]
+        [struct.pack(">HH", 1, i) for i in range(len(tests))]
 
 
 # -- key management -----------------------------------------------------------------
