@@ -125,9 +125,12 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   Unsigned digits would need entries up to 15: twice the memory and the
 #   build time for the same adds.  Each row is summed in Jacobian
 #   coordinates and then made affine with one shared inversion
-#   (Montgomery's batch-inversion trick, Math. Comp. 1987).  A table costs
-#   about four ladders to build and ~42 KB to hold, and a multiply through
-#   it about a quarter of a ladder, so it pays from the sixth use on.
+#   (Montgomery's batch-inversion trick, Math. Comp. 1987).  An entry is
+#   held as the one int x << b | y, b the bit length of p, which a multiply
+#   splits with a shift and a mask: 20 KB a table where (x, y) tuples take
+#   42 KB, at the same speed.  A table costs about four ladders to build,
+#   and a multiply through it about a quarter of a ladder, so it pays from
+#   the sixth use on.
 #   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G,
 #   both servers' keys and the two keys they replaced, which are also the 4
 #   keys every point of a sweep seals to.  Each trust round regenerates both
@@ -203,10 +206,12 @@ TABLE_CACHE_SIZE = 5
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point, ...], ...]:
-    """row[i][d] = d * 16**i * point for d in 0..8 (row[i][0] is infinity),
-    one row per base-16 digit of n and one for the carry."""
+def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[int | None, ...], ...]:
+    """row[i][d] = d * 16**i * point for d in 0..8, one row per base-16
+    digit of n and one for the carry; a point (x, y) is held as the one int
+    x << p.bit_length() | y, and infinity (row[i][0]) as None."""
     p, a = curve.p, curve.a
+    shift = p.bit_length()
     rows = []
     base = point
     for _ in range((curve.n.bit_length() + 3) // 4 + 1):
@@ -235,7 +240,7 @@ def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[Point
             inv = inv * q[2] % p
             zinv2 = zinv * zinv % p
             affine[d] = (q[0] * zinv2 % p, q[1] * zinv2 * zinv % p)
-        rows.append((None, *affine[:8]))
+        rows.append((None, *(pt and pt[0] << shift | pt[1] for pt in affine[:8])))
         base = affine[8]
     return tuple(rows)
 
@@ -306,17 +311,18 @@ def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = Fal
     p, a = curve.p, curve.a
     acc: tuple[int, int, int] | None = None
     if fixed_base or point == curve.g:
+        shift = p.bit_length()
+        mask = (1 << shift) - 1
         for row in _base_table(point, curve):
             d = k & 15
             k >>= 4
             if d > 8:
                 d -= 16
                 k += 1
-            if d > 0:
-                acc = _jac_add_affine(acc, row[d], p, a)
-            elif d:
-                x, y = row[-d]
-                acc = _jac_add_affine(acc, (x, p - y), p, a)
+            if d:
+                xy = row[abs(d)]
+                y = xy & mask
+                acc = _jac_add_affine(acc, (xy >> shift, y if d > 0 else p - y), p, a)
     else:
         acc = _naf_ladder(k, point, curve)
     if acc is None:
