@@ -319,10 +319,12 @@ def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = Fal
             if d > 8:
                 d -= 16
                 k += 1
-            if d:
-                xy = row[abs(d)]
-                y = xy & mask
-                acc = _jac_add_affine(acc, (xy >> shift, y if d > 0 else p - y), p, a)
+            if d > 0:
+                xy = row[d]
+                acc = _jac_add_affine(acc, (xy >> shift, xy & mask), p, a)
+            elif d:
+                xy = row[-d]
+                acc = _jac_add_affine(acc, (xy >> shift, p - (xy & mask)), p, a)
     else:
         acc = _naf_ladder(k, point, curve)
     if acc is None:
