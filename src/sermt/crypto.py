@@ -128,7 +128,7 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   (Montgomery's batch-inversion trick, Math. Comp. 1987).  An entry is
 #   held as the one int x << b | y, b the bit length of p, which a multiply
 #   splits with a shift and a mask: 20 KB a table where (x, y) tuples take
-#   42 KB, at the same speed.  A table costs about four ladders to build,
+#   42 KB, and a multiply as fast.  A table costs about four ladders to build,
 #   and a multiply through it about a quarter of a ladder, so it pays from
 #   the sixth use on.
 #   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G,
