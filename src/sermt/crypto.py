@@ -115,8 +115,8 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # Which path serves a point:
 #
 # - k*P through a fixed-base table (Brickell, Gordon, McCurley and Wilson,
-#   EUROCRYPT 1992) for the one fixed generator G (every key pair and every
-#   ECC ephemeral) and for the recipient of an ecc_encrypt (a server's public
+#   EUROCRYPT 1992) for the one fixed generator G (every public key read and
+#   every ECC ephemeral) and for the recipient of an ecc_encrypt (a server's public
 #   key, sealed to many times over): row[i][d] = d * 16**i * P for d in 0..8.
 #   k is recoded in base 16 with signed digits in -7..8 (a digit above 8
 #   becomes d - 16 and carries one), so k*P is one mixed add of row[i][d],
@@ -155,15 +155,16 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # Both paths return the same affine point, so which one serves a multiply
 # moves no result.  scalar_mult keeps no cache of its products.  The
 # multiplies whose results outlive a message go through _long_lived_mult, an
-# LRU memo of 1,024 entries: the public key of each key pair (nodes,
-# servers, regenerated server keys, an attacker's planted nodes) and each
-# pairwise session's ECDH.  The points of a sweep share one seed and layout,
-# so they draw the same key pairs and agree the same secrets, and all but
-# the first point read them from the memo.  A run's long-lived set is a few
-# hundred multiplies.  The ephemeral k*G of ecc_encrypt and both ephemeral
-# ECDHs are used once, and they are most of a long run's multiplies, so
-# they bypass the memo: caching them would only evict the long-lived
-# entries and grow a run's memory.  The receiver's ephemeral ECDH is served
+# LRU memo of 1,024 entries: each public key that is read (a KeyPair
+# multiplies on the first read of `public`, and a run reads few of its
+# nodes' keys: 37 of 128 on world 0 of the `clean` benchmark at seed 7) and
+# each pairwise session's ECDH.  The points of a sweep share one seed and
+# layout, so they draw the same key pairs and agree the same secrets, and
+# all but the first point read them from the memo.  A run's long-lived set
+# is a few dozen multiplies.  The ephemeral k*G of ecc_encrypt and both
+# ephemeral ECDHs are used once, and they are most of a long run's
+# multiplies, so they bypass the memo: caching them would only evict the
+# long-lived entries and grow a run's memory.  The receiver's ephemeral ECDH is served
 # by the seal memo below when this process sealed the message; only a miss
 # multiplies.
 
@@ -351,12 +352,6 @@ def decode_point(data: bytes, curve: CurveParams) -> Point:
     return point
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    private: int
-    public: Point
-
-
 @functools.lru_cache(maxsize=1024)
 def _long_lived_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Point:
     """scalar_mult for a key that outlives one message (see the comment
@@ -372,9 +367,24 @@ def _sealing_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Point:
     return scalar_mult(k, point, curve, True)
 
 
+@dataclass(frozen=True)
+class KeyPair:
+    """A private scalar on its curve.  The public key private * G is not
+    computed when the pair is made: the first read of `public` multiplies
+    through _long_lived_mult, so the points of a sweep share it, and the
+    pair keeps the point, so it is multiplied at most once however long the
+    run and whatever the memo evicts."""
+
+    private: int
+    curve: CurveParams
+
+    @functools.cached_property
+    def public(self) -> Point:
+        return _long_lived_mult(self.private, self.curve.g, self.curve)
+
+
 def generate_keypair(curve: CurveParams, rng) -> KeyPair:
-    v = rng.randrange(1, curve.n)
-    return KeyPair(v, _long_lived_mult(v, curve.g, curve))
+    return KeyPair(rng.randrange(1, curve.n), curve)
 
 
 def _ecdh(private: int, peer_public: Point, curve: CurveParams, mult) -> bytes:
@@ -410,10 +420,10 @@ def cipher_key(secret: bytes) -> bytes:
 #   framing, and rc5_decrypt would return exactly that plaintext.
 # - ecc_encrypt records (recipient public Q, ephemeral public E) -> the ECDH
 #   secret of v * Q.  ecc_decrypt looks up (d * G, E), with d * G from
-#   _long_lived_mult (every key pair's public key is there), after decoding
-#   and curve-checking E.  E = v * G, so when d * G = Q the receiver's
-#   d * E = d * v * G = v * Q: the recorded secret.  The tag check and the
-#   RC5 open run as before.
+#   _long_lived_mult (a recipient's public key is there once it has been
+#   read, as its sealer must read it), after decoding and curve-checking E.
+#   E = v * G, so when d * G = Q the receiver's d * E = d * v * G = v * Q:
+#   the recorded secret.  The tag check and the RC5 open run as before.
 #
 # Anything the sealer did not make misses and takes the full path: a
 # tampered body or header is other bytes, and a wrong or older key is

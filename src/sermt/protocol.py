@@ -312,8 +312,9 @@ class ProtocolEngine:
             self.server_chains[server_id] = chain
             self.server_key_history[server_id] = [server.keypair]
             self.tables[server_id] = TrustTable()
+            public = server.keypair.public
             for node in self.network.nodes.values():
-                node.server_pubkeys[server_id] = server.keypair.public
+                node.server_pubkeys[server_id] = public
                 node.chain_state[server_id] = ChainAnchorState(chain.anchor)
 
     def start(self) -> None:

@@ -408,6 +408,47 @@ def test_keypair_deterministic_and_distinct():
     assert kp1.public == crypto.scalar_mult(kp1.private, crypto.SIM_CURVE.g, crypto.SIM_CURVE)
 
 
+def test_generate_keypair_draws_once_and_multiplies_nothing(monkeypatch):
+    mults = []
+    monkeypatch.setattr(crypto, "scalar_mult", lambda *args: mults.append(args))
+    curve = crypto.SIM_CURVE
+    rng, reference = random.Random(21), random.Random(21)
+    pair = crypto.generate_keypair(curve, rng)
+    assert pair.private == reference.randrange(1, curve.n)
+    assert rng.getstate() == reference.getstate()
+    assert mults == []
+
+
+def test_public_key_is_multiplied_on_its_first_read_only(monkeypatch):
+    curve = crypto.SIM_CURVE
+    pair = crypto.generate_keypair(curve, random.Random(22))
+    crypto._long_lived_mult.cache_clear()
+    mults = []
+    scalar_mult = crypto.scalar_mult
+
+    def counted_mult(*args):
+        mults.append(args)
+        return scalar_mult(*args)
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
+    first = pair.public
+    assert mults == [(pair.private, curve.g, curve)]
+    # the same pair drawn again (the next point of a sweep) reads the memo
+    assert crypto.generate_keypair(curve, random.Random(22)).public == first
+    crypto._long_lived_mult.cache_clear()
+    assert pair.public is first         # kept on the pair, whatever the memo holds
+    assert len(mults) == 1
+
+
+@pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_public_key_equals_affine_oracle(curve, data):
+    private = data.draw(st.integers(1, curve.n - 1), label="private")
+    pair = crypto.KeyPair(private, curve)
+    assert pair.public == affine_oracle(private, curve.g, curve)
+
+
 def test_ecdh_symmetry_scalars_3_and_5():
     curve = crypto.SIM_CURVE
     pub3 = crypto.scalar_mult(3, curve.g, curve)

@@ -294,8 +294,9 @@ def test_identical_runs_identical_traces(tmp_path):
 
 
 def test_second_world_of_a_config_multiplies_no_key(tmp_path, monkeypatch):
-    """The points of a sweep share seed and layout, so the second world's
-    `install_keys` reads every public key from the key memo."""
+    """`install_keys` multiplies only the public keys it reads: the two
+    servers', once each.  The points of a sweep share seed and layout, so
+    the second world's `install_keys` reads both from the key memo."""
     config = small_config(tmp_path)
     crypto._long_lived_mult.cache_clear()
     mults, per_install = [], []
@@ -312,9 +313,9 @@ def test_second_world_of_a_config_multiplies_no_key(tmp_path, monkeypatch):
 
     monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
     monkeypatch.setattr(ProtocolEngine, "install_keys", counted_install)
-    first = build_world(config)
     build_world(config)
-    assert per_install == [len(first.network.nodes), 0]
+    build_world(config)
+    assert per_install == [2, 0]
 
 
 def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
-    python3 tools/pairs.py PARENT CHANGE --workload clean --seed 7 --pairs 10
-        [--seconds 25] [--compile]
+    python3 tools/pairs.py PARENT CHANGE --workload clean [--workload W ...]
+        [--seed 7] [--pairs 10] [--seconds 25] [--compile]
 
 PARENT and CHANGE are two checkouts of the repository. Each pair runs
 `python3 perfbench/run.py --workload W --seed S --seconds SEC --trace 0`
@@ -12,6 +12,10 @@ side's median and quartiles per metric, the pairs in which CHANGE is better
 (by the metric's `better` in CHANGE's BENCHMARK.json) and the parent's
 quartile spread to hold the difference of medians against.
 
+`--workload` may be given more than once, and `--workload all` stands for
+every workload in CHANGE's BENCHMARK.json. The workloads run one after
+another, each with its own pairs and its own summary.
+
 `--compile` first runs `python3 -m compileall -q src perfbench` in both
 checkouts, so that no worker compiles the package from source. Source
 edits that allocate nothing can move `peak_rss_mb` when the workers
@@ -19,7 +23,8 @@ compile it (with `PYTHONDONTWRITEBYTECODE=1` set, say); comparing runs
 with and without `--compile` separates such a shift from a real
 allocation.
 
-The exit code is 0 when every run is `correct` with `failed: 0`.
+The exit code is 0 when every run of every workload is `correct` with
+`failed: 0`.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ import sys
 from pathlib import Path
 
 
-def run_bench(root: Path, args: argparse.Namespace) -> dict:
+def run_bench(root: Path, workload: str, args: argparse.Namespace) -> dict:
     """One perfbench run in `root`; its result line, or an error record."""
-    command = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -52,45 +57,36 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def benchmark_spec(root: Path) -> dict:
+    try:
+        return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
 def better_sign(root: Path, metric: str) -> int:
     """+1 when lower is better (the default), -1 when higher is."""
     try:
-        spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    except (OSError, KeyError, json.JSONDecodeError):
+        better = {m["name"]: m["better"] for m in benchmark_spec(root)["end_to_end"]}
+    except KeyError:
         better = {}
     return -1 if better.get(metric) == "higher" else 1
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--compile", action="store_true")
-    args = parser.parse_args(argv)
-
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for root in sides.values():
-        if not (root / "perfbench" / "run.py").is_file():
-            parser.error(f"{root} has no perfbench/run.py")
-        if args.compile:
-            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                           cwd=root, check=True, stdout=subprocess.DEVNULL)
+def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> bool:
+    """Run one workload's pairs and print its summary; True when every run
+    is `correct` with `failed: 0`."""
     runs: dict[str, list[dict]] = {side: [] for side in sides}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            out = run_bench(sides[side], args)
+            out = run_bench(sides[side], workload, args)
             runs[side].append(out)
             values = " ".join(f"{name} {m['value']:.4f}" for name, m in out["metrics"].items())
             print(f"pair {pair} {side:6s} correct {out['correct']} failed {out['failed']} "
                   f"{values} {out.get('error', '')}".rstrip(), flush=True)
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, --seconds {args.seconds:g}"
+    print(f"{workload}, seed {args.seed}, {args.pairs} pairs, --seconds {args.seconds:g}"
           f"{', precompiled' if args.compile else ''}: median [quartiles]")
     for metric in runs["parent"][0]["metrics"]:
         paired = [(p["metrics"][metric]["value"], c["metrics"][metric]["value"])
@@ -108,8 +104,43 @@ def main(argv: list[str]) -> int:
               f"better in {wins}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
               f"vs parent IQR {p3 - p1:.4f}")
     ok = all(out["correct"] and out["failed"] == 0 for side in runs.values() for out in side)
-    print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT")
-    return 0 if ok else 1
+    print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT",
+          flush=True)
+    return ok
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload name, or all; may be given more than once")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--compile", action="store_true")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in sides.values():
+        if not (root / "perfbench" / "run.py").is_file():
+            parser.error(f"{root} has no perfbench/run.py")
+        if args.compile:
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                           cwd=root, check=True, stdout=subprocess.DEVNULL)
+    every = [w["name"] for w in benchmark_spec(sides["change"]).get("workloads", [])]
+    workloads: list[str] = []
+    for name in args.workload:
+        for workload in (every if name == "all" else [name]):
+            if workload not in workloads:
+                workloads.append(workload)
+    if not workloads:
+        parser.error("--workload all, but CHANGE's BENCHMARK.json lists no workloads")
+    ok = [compare(sides, workload, args) for workload in workloads]
+    if len(ok) > 1:
+        print("every workload: every run correct, failed 0" if all(ok)
+              else "SOME WORKLOAD HAD A RUN THAT FAILED OR WAS NOT CORRECT")
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
