@@ -104,8 +104,7 @@ def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> 
               f"better in {wins}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
               f"vs parent IQR {p3 - p1:.4f}")
     ok = all(out["correct"] and out["failed"] == 0 for side in runs.values() for out in side)
-    print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT",
-          flush=True)
+    print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT")
     return ok
 
 
@@ -129,11 +128,8 @@ def main(argv: list[str]) -> int:
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=root, check=True, stdout=subprocess.DEVNULL)
     every = [w["name"] for w in benchmark_spec(sides["change"]).get("workloads", [])]
-    workloads: list[str] = []
-    for name in args.workload:
-        for workload in (every if name == "all" else [name]):
-            if workload not in workloads:
-                workloads.append(workload)
+    workloads = list(dict.fromkeys(workload for name in args.workload
+                                   for workload in (every if name == "all" else [name])))
     if not workloads:
         parser.error("--workload all, but CHANGE's BENCHMARK.json lists no workloads")
     ok = [compare(sides, workload, args) for workload in workloads]
