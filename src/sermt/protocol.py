@@ -974,10 +974,10 @@ class ProtocolEngine:
 
     def _relays(self, kinds: tuple[str, ...], src_id: int) -> list[NodeState]:
         """The relay rule of every route pool: the live entities of `kinds`
-        that the current table trusts, plus the source itself."""
+        that the current table trusts, plus the source itself, in ID order."""
         table = self.current_table()
-        return [n for n in self.network.members()
-                if n.kind in kinds and (table.trusted(n.id) or n.id == src_id)]
+        return [n for n in self.network.nodes.values()
+                if n.alive and n.kind in kinds and (table.trusted(n.id) or n.id == src_id)]
 
     def _route(self, src_id: int, dst_id: int,
                pools: Callable[[], Iterable[list[NodeState]]]) -> tuple[int, ...] | None:
@@ -987,9 +987,10 @@ class ProtocolEngine:
         Each (source, target) pair is routed once per selection: the answer,
         None included, stays in `route_cache` until the next `_reselect`
         clears it. `pools` is called only on a cache miss, so a later ask
-        builds no pool. The order of a pool's nodes cannot change an answer
-        (adjacency rows are sorted and `dijkstra` breaks ties on the path),
-        and a node listed twice only adds duplicate edges."""
+        builds no pool. A pool is only the graph's node set: its order
+        cannot change an answer (`dijkstra` breaks ties on the path), a node
+        listed twice is one node, and only the rows `dijkstra` reads are
+        weighed, all before any weight can move."""
         key = (src_id, dst_id)
         if key not in self.route_cache:
             self.route_cache[key] = None

@@ -10,10 +10,12 @@ bit-exact equality in O(nodes) memory.  The end of a run settles every
 harvester through `debit` too, with a zero spend.
 
 The Channel also owns the radio geometry: `hears` is the one answer to
-"who is in whose range".  Positions are fixed after deployment, so each
-node's neighbourhood is computed once; an entity deployed later enters
-through `add_node`, which is the only way in.  `network.nodes` is in ID
-order, so every walk over it is too.
+"who is in whose range".  Positions are fixed after deployment, so the
+first question fills every node's neighbourhood in one pass over the
+unordered pairs, each distance computed once; an entity deployed later
+enters through `add_node`, which is the only way in, and the next question
+fills them all again.  `network.nodes` is in ID order, so every walk over
+it is too.
 
 A frame's per-emission constants (what a listener pays, the fixed parts
 of its `rx` line) are built once per emission, in an `Emission`, not once
@@ -36,6 +38,13 @@ from dataclasses import dataclass
 
 from .entities import MAINS_POWERED, RECHARGEABLE, Network, NodeState, distance
 from .wire import Frame
+
+
+# the RadioModel field that holds each kind's range
+_RANGE_FIELD = {
+    "N": "range_n", "ES": "range_es", "PDC": "range_pdc", "MU": "range_mu",
+    "PMU": "range_mu", "GW": "range_gw", "SERVER": "range_server",
+}
 
 
 class SchedulingFault(RuntimeError):
@@ -61,11 +70,7 @@ class RadioModel:
             raise ValueError("loss_probability must be in [0, 1]")
 
     def range_of(self, kind: str) -> float:
-        return {
-            "N": self.range_n, "ES": self.range_es, "PDC": self.range_pdc,
-            "MU": self.range_mu, "PMU": self.range_mu,
-            "GW": self.range_gw, "SERVER": self.range_server,
-        }[kind]
+        return getattr(self, _RANGE_FIELD[kind])
 
 
 @dataclass(frozen=True)
@@ -210,16 +215,34 @@ class Channel:
 
     def hears(self, node: NodeState) -> dict[int, float]:
         """ID -> distance of every other entity inside `node`'s own radio
-        range (a closed ball), dead ones included, in ID order.  The map is
-        shared between callers: read it, never change it."""
+        range (a closed ball), dead ones included, in ID order; `node` is
+        one of the network's.  The map is shared between callers: read it,
+        never change it."""
         heard = self._hears.get(node.id)
         if heard is None:
-            reach = self.radio.range_of(node.kind)
-            dists = ((other_id, distance(node.position, other.position))
-                     for other_id, other in self.network.nodes.items()
-                     if other_id != node.id)
-            heard = self._hears[node.id] = {i: d for i, d in dists if d <= reach}
+            self._fill_hears()
+            heard = self._hears[node.id]
         return heard
+
+    def _fill_hears(self) -> None:
+        """Every node's `hears` map in one pass over the unordered ID pairs.
+        Each distance is computed once, and stored at each end whose own
+        range covers it (`distance` is sign-symmetric, so either end would
+        compute the same float).  Pairs are walked in ID order from both
+        ends, so every map is in ID order."""
+        nodes = list(self.network.nodes.values())
+        reach = [self.radio.range_of(node.kind) for node in nodes]
+        maps: list[dict[int, float]] = [{} for _ in nodes]
+        for i, node in enumerate(nodes):
+            node_id, position, own_reach, heard = node.id, node.position, reach[i], maps[i]
+            for j in range(i + 1, len(nodes)):
+                other = nodes[j]
+                dist = distance(position, other.position)
+                if dist <= own_reach:
+                    heard[other.id] = dist
+                if dist <= reach[j]:
+                    maps[j][node_id] = dist
+        self._hears = {node.id: heard for node, heard in zip(nodes, maps)}
 
     def connectivity_counts(self, node: NodeState) -> tuple[int, int]:
         """(same-region count C, other-region count Cn) over alive neighbours."""

@@ -178,3 +178,18 @@ def test_replay_recomputes_delivery_and_charge(case, defense):
     assert replayed_counts == live_counts
     for node_id, replayed, live in consumed:
         assert replayed == pytest.approx(live, rel=1e-9, abs=1e-12), node_id
+
+
+# The paper's scale: `scaled_ieee14.conf` moved onto the 118-bus grid with
+# 240 N and 120 ES (631 entities), 30 simulated seconds; routing over pools
+# this large is what the 14-bus pins cannot show. (defense on, defense off)
+IEEE118_DIGESTS = ("844d41e11ce5a890ffc32f59b2a6bd18ce0aacb9",
+                   "9d237eea33f32cd161abd6bdc8d51366b2687882")
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+def test_ieee118_trace_digest_pinned(defense):
+    config = replace(load_config(DATA_DIR / "scaled_ieee14.conf"),
+                     topology_path=DATA_DIR / "ieee118.grid", n_nodes=240, es_nodes=120,
+                     duration=30.0, seed=7, defense=defense)
+    assert run_scenario(config).trace.digest() == IEEE118_DIGESTS[not defense]

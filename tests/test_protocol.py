@@ -659,12 +659,12 @@ def test_a_cached_route_builds_no_pool(monkeypatch):
     ask within one selection is answered from `route_cache` alone."""
     net, chan, queue, trace, eng = make_sim(mini_world)
     queue.run_until(1.0)
-    calls, members = [], net.members
+    calls, relays = [], eng._relays
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return members(*args, **kwargs)
-    monkeypatch.setattr(net, "members", counted)
+    def counted(*args):
+        calls.append(args)
+        return relays(*args)
+    monkeypatch.setattr(eng, "_relays", counted)
 
     def asks():
         calls.clear()

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sermt import routing
 from sermt.routing import INFINITE, dijkstra, route_weight
@@ -108,17 +109,91 @@ def test_dijkstra_multiple_targets_takes_nearest():
     assert dijkstra(adjacency, 1, {2, 3}) == (1.0, [1, 2])
 
 
-def test_build_adjacency_uses_hears_and_weights():
-    class Stub:
-        def __init__(self, nid):
-            self.id = nid
+class Node:
+    def __init__(self, nid):
+        self.id = nid
 
-    nodes = [Stub(1), Stub(2), Stub(3)]
+
+def test_build_adjacency_uses_hears_and_weights():
+    nodes = [Node(1), Node(2), Node(3)]
     # 4 is heard by 1 but is not in the pool, so it gets no edge
     heard = {1: {2: 100.0, 4: 50.0}, 2: {1: 100.0, 3: 200.0}, 3: {}}
-    adjacency = routing.build_adjacency(
-        nodes, lambda u: heard[u.id], weight_of=lambda u, v, d: 2 * d)
-    assert adjacency[1] == [(2, 200.0)]
+    weighed = []
+
+    def weight_of(u, v, d):
+        weighed.append((u.id, v.id))
+        return 2 * d
+    adjacency = routing.build_adjacency(nodes, lambda u: heard[u.id], weight_of)
+    assert weighed == []                     # no row is weighed before it is read
     # asymmetric reach: 2 hears 3 at 200 m but not vice versa
     assert adjacency[2] == [(1, 200.0), (3, 400.0)]
+    assert weighed == [(2, 1), (2, 3)]       # only the row read
+    assert adjacency[1] == [(2, 200.0)]
     assert adjacency[3] == []
+    assert dict(adjacency) == {1: [(2, 200.0)], 2: [(1, 200.0), (3, 400.0)], 3: []}
+    assert len(weighed) == 3                 # a row read again is not weighed again
+
+
+def eager_adjacency(nodes, hears, weight_of):
+    """The reference graph, built eagerly: every row at once, each pool
+    neighbour listed once per time `nodes` names it."""
+    adjacency = {}
+    for u in nodes:
+        heard = hears(u)
+        adjacency[u.id] = sorted((v.id, weight_of(u, v, heard[v.id]))
+                                 for v in nodes if v.id in heard)
+    return adjacency
+
+
+@st.composite
+def radio_graphs(draw):
+    """(pool, hears map, weight per heard link) over IDs 1..n: the pool names
+    one node twice, some heard nodes are outside it, and each node hears
+    its own set, so reach is often one-way."""
+    n = draw(st.integers(2, 9))
+    ids = list(range(1, n + 1))
+    pool_ids = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+    pool_ids.insert(draw(st.integers(0, len(pool_ids))), draw(st.sampled_from(pool_ids)))
+    distances = st.sampled_from([0.0, 1.0, 2.0, 2.5, 7.0])
+    heard = {u: {v: draw(distances) for v in ids if v != u and draw(st.booleans())}
+             for u in ids}
+    weights = {(u, v): draw(st.sampled_from([d, 2 * d, INFINITE]))
+               for u, row in heard.items() for v, d in row.items()}
+    nodes = {nid: Node(nid) for nid in ids}
+    return [nodes[nid] for nid in pool_ids], heard, weights, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=radio_graphs(), data=st.data())
+def test_lazy_rows_equal_the_eager_graph_and_weigh_only_rows_read(graph, data):
+    pool, heard, weights, ids = graph
+    pool_ids = list(dict.fromkeys(u.id for u in pool))
+    weighed = []
+
+    def weight_of(u, v, d):
+        assert d == heard[u.id][v.id]
+        weighed.append(u.id)
+        return weights[(u.id, v.id)]
+
+    def hears(u):
+        return heard[u.id]
+
+    eager = eager_adjacency(pool, hears, lambda u, v, d: weights[(u.id, v.id)])
+    lazy = routing.build_adjacency(pool, hears, weight_of)
+    read = data.draw(st.lists(st.sampled_from(ids), max_size=2 * len(ids)), label="read")
+    for nid in read:
+        if nid in pool_ids:
+            assert lazy[nid] == list(dict.fromkeys(eager[nid]))
+            assert lazy.get(nid) is lazy[nid]
+        else:
+            assert nid not in lazy and lazy.get(nid) is None
+            with pytest.raises(KeyError):
+                lazy[nid]
+    assert set(weighed) <= set(read)
+    assert len(weighed) == sum(len(lazy[u]) for u in set(read) & set(pool_ids))
+    assert list(lazy) == pool_ids == list(eager) and len(lazy) == len(eager)
+    assert dict(lazy) == {u: list(dict.fromkeys(row)) for u, row in eager.items()}
+
+    source, target = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+    fresh = routing.build_adjacency(pool, hears, lambda u, v, d: weights[(u.id, v.id)])
+    assert dijkstra(fresh, source, {target}) == dijkstra(eager, source, {target})

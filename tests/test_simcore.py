@@ -496,6 +496,48 @@ def test_add_node_joins_built_neighbourhoods():
     assert list(channel.hears(me)) == [9, 10]
 
 
+def brute_force_hears(network, radio):
+    """Each node's neighbourhood on its own: every other entity, dead ones
+    included, inside a closed ball at the node's own range, in ID order."""
+    return {node.id: {other.id: grid.distance(node.position, other.position)
+                      for other in sorted(network.nodes.values(), key=lambda n: n.id)
+                      if other.id != node.id
+                      and grid.distance(node.position, other.position)
+                      <= radio.range_of(node.kind)}
+            for node in network.nodes.values()}
+
+
+_KINDS = ("N", "ES", "PDC", "MU", "PMU")
+# on a 50 m lattice many pairs sit exactly on a range, or share a position
+_spots = st.tuples(st.integers(-4, 16), st.integers(-4, 8)).map(
+    lambda xy: (50.0 * xy[0], 50.0 * xy[1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(placed=st.lists(st.tuples(st.sampled_from(_KINDS), _spots, st.booleans()),
+                       max_size=14),
+       ranges=st.lists(st.sampled_from([50.0, 150.0, 250.0, 300.0, 350.0, 500.0]),
+                       min_size=6, max_size=6),
+       late=st.lists(st.tuples(st.sampled_from(_KINDS), _spots), max_size=3))
+def test_filled_neighbourhoods_equal_each_nodes_own_scan(placed, ranges, late):
+    """The one-pass fill gives every node, of every kind, the map a scan
+    from that node alone gives, float for float and in ID order; so does
+    the fill after each `add_node`."""
+    radio = RadioModel(*ranges)
+    network, channel, _, _ = make_world([(kind, spot, 1) for kind, spot, _ in placed],
+                                        radio=radio)
+    for (_, _, dead), node_id in zip(placed, range(5, 5 + len(placed))):
+        network.nodes[node_id].alive = not dead
+    for kind, spot in [(None, None), *late]:
+        if kind is not None:
+            channel.add_node(NodeState(id=network.allocate_id(), kind=kind,
+                                       position=spot, region_id=1))
+        want = brute_force_hears(network, radio)
+        got = {node.id: channel.hears(node) for node in network.nodes.values()}
+        assert got == want
+        assert all(list(got[i]) == list(want[i]) for i in want)
+
+
 def test_network_add_refuses_ids_not_above_the_maximum():
     network, _, _, _ = make_world([("N", (0, 0), 1)])
     for taken_or_below in (5, 3, -1):
