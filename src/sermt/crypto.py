@@ -45,8 +45,8 @@ def sha1_digest(data: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian NAF
-# ladder, fixed-base window tables)
+# Elliptic-curve arithmetic (short Weierstrass; affine API, Jacobian
+# double-and-add, fixed-base window tables)
 
 Point = tuple[int, int] | None  # None is the point at infinity
 
@@ -128,9 +128,9 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   (Montgomery's batch-inversion trick, Math. Comp. 1987).  An entry is
 #   held as the one int x << b | y, b the bit length of p, which a multiply
 #   splits with a shift and a mask: 20 KB a table where (x, y) tuples take
-#   42 KB, and a multiply as fast.  A table costs about four ladders to build,
-#   and a multiply through it about a quarter of a ladder, so it pays from
-#   the sixth use on.
+#   42 KB, and a multiply as fast.  A table costs about three variable-base
+#   multiplies (below) to build, and a multiply through it under a fifth of
+#   one, so it pays from the fourth use on.
 #   _base_table keeps the last TABLE_CACHE_SIZE tables in an LRU cache: G,
 #   both servers' keys and the two keys they replaced, which are also the 4
 #   keys every point of a sweep seals to.  Each trust round regenerates both
@@ -142,31 +142,31 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   entry; _jac_add_affine doubles, or gives infinity, when the running sum
 #   meets an entry or its negation, so the sum is exact for every k.
 # - k*P on any other point (the session ECDHs of derive_shared_secret and an
-#   open the seal memo misses) runs a left-to-right width-4 NAF ladder
-#   (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
-#   Alg. 3.35 for the digits and Alg. 3.36 for the ladder): k is written
-#   with odd digits in -7..7, any two non-zero digits at least four places
-#   apart, so a 128-bit k needs about 26 mixed adds of the affine odd
-#   multiples +-P, +-3P, +-5P, +-7P instead of the ~64 adds of plain
-#   double-and-add.  The doublings are inlined in the ladder; on a curve with
-#   a = -3 (SIM_CURVE) they use 3(x - z^2)(x + z^2) for the slope numerator,
-#   which the TOY test curve (a = 0) must not take.
+#   open the seal memo misses) runs left-to-right double-and-add (Hankerson,
+#   Menezes and Vanstone, Guide to Elliptic Curve Cryptography, Alg. 3.27)
+#   over the same two Jacobian steps: one doubling per bit of k below the
+#   top and one mixed add of P per set bit, about 64 adds for a 128-bit k.
+#   For 0 < k < n the sum before each add is 2m * P, m the bits of k above
+#   the current one, so 1 <= m <= k/2; the add makes (2m + 1) * P with
+#   2m + 1 <= k < n.  So 2m * P is neither P (2 <= 2m < n) nor -P (the sum
+#   would be infinity), no add meets its own operand or its negation, and
+#   no partial sum is infinity (nor of order 2, which a group of odd order
+#   n lacks).
 #
 # Both paths return the same affine point, so which one serves a multiply
 # moves no result.  scalar_mult keeps no cache of its products.  The
 # multiplies whose results outlive a message go through _long_lived_mult, an
-# LRU memo of 1,024 entries: each public key that is read (a KeyPair
-# multiplies on the first read of `public`, and a run reads few of its
-# nodes' keys: 37 of 128 on world 0 of the `clean` benchmark at seed 7) and
-# each pairwise session's ECDH.  The points of a sweep share one seed and
-# layout, so they draw the same key pairs and agree the same secrets, and
-# all but the first point read them from the memo.  A run's long-lived set
-# is a few dozen multiplies.  The ephemeral k*G of ecc_encrypt and both
-# ephemeral ECDHs are used once, and they are most of a long run's
-# multiplies, so they bypass the memo: caching them would only evict the
-# long-lived entries and grow a run's memory.  The receiver's ephemeral ECDH is served
-# by the seal memo below when this process sealed the message; only a miss
-# multiplies.
+# LRU memo of 1,024 entries: each public key that is read (a KeyPair holds no
+# copy of its own, and a run reads few of its nodes' keys: 37 of 128 on world
+# 0 of the `clean` benchmark at seed 7) and each pairwise session's ECDH.  The
+# points of a sweep share one seed and layout, so they draw the same key pairs
+# and agree the same secrets, and all but the first point read them from the
+# memo.  A run's long-lived set is a few dozen multiplies.  The ephemeral k*G
+# of ecc_encrypt and both ephemeral ECDHs are used once, and they are most of
+# a long run's multiplies, so they bypass the memo: caching them would only
+# evict the long-lived entries and grow a run's memory.  The receiver's
+# ephemeral ECDH is served by the seal memo below when this process sealed the
+# message; only a miss multiplies.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -246,66 +246,9 @@ def _base_table(point: tuple[int, int], curve: CurveParams) -> tuple[tuple[int |
     return tuple(rows)
 
 
-def _naf4(k: int) -> list[int]:
-    """Width-4 NAF digits of k > 0, least significant first; the last is > 0."""
-    digits: list[int] = []
-    while k:
-        zeros = (k & -k).bit_length() - 1
-        digits += [0] * zeros
-        k >>= zeros
-        d = k & 15
-        if d >= 8:
-            d -= 16
-        digits.append(d)
-        k = (k - d) >> 1
-    return digits
-
-
-def _odd_multiples(point: tuple[int, int], curve: CurveParams) -> dict[int, tuple[int, int]]:
-    """{d: d * point} for d in +-1, +-3, +-5, +-7, affine.  A digit +-d needs
-    d <= k < n, so an entry that is infinity (7P on a curve of order 7) is
-    never read."""
-    twice = point_add(point, point, curve)
-    table = {1: point}
-    for d in (3, 5, 7):
-        table[d] = point_add(table[d - 2], twice, curve)
-    for d in (1, 3, 5, 7):
-        if table[d] is not None:
-            x, y = table[d]
-            table[-d] = (x, -y % curve.p)
-    return table
-
-
-def _naf_ladder(k: int, point: tuple[int, int], curve: CurveParams) -> tuple[int, int, int]:
-    """k * point for 0 < k < n, in Jacobian coordinates.  Each partial sum is
-    m * point with 0 < m < n, so it is never infinity (nor of order 2, which a
-    group of odd order n lacks); only the last add can meet its own operand
-    (k = n - 2|d|), and _jac_add_affine doubles that."""
-    p, a = curve.p, curve.a
-    a_is_minus_3 = a == p - 3
-    table = _odd_multiples(point, curve)
-    digits = _naf4(k)
-    x, y = table[digits.pop()]
-    z = 1
-    for d in reversed(digits):
-        ysq = y * y % p
-        s = 4 * x * ysq % p
-        zsq = z * z % p
-        if a_is_minus_3:
-            m = 3 * (x - zsq) * (x + zsq) % p
-        else:
-            m = (3 * x * x + a * zsq * zsq) % p
-        z = 2 * y * z % p
-        x = (m * m - 2 * s) % p
-        y = (m * (s - x) - 8 * ysq * ysq) % p
-        if d:
-            x, y, z = _jac_add_affine((x, y, z), table[d], p, a)
-    return (x, y, z)
-
-
 def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = False) -> Point:
     """k * point, affine.  G, and any point of order n when fixed_base is
-    set, read a window table; every other point runs the NAF ladder."""
+    set, read a window table; every other point runs double-and-add."""
     if point is None or k % curve.n == 0:
         return None
     k %= curve.n
@@ -327,7 +270,11 @@ def scalar_mult(k: int, point: Point, curve: CurveParams, fixed_base: bool = Fal
                 xy = row[-d]
                 acc = _jac_add_affine(acc, (xy >> shift, p - (xy & mask)), p, a)
     else:
-        acc = _naf_ladder(k, point, curve)
+        acc = (point[0], point[1], 1)
+        for bit in bin(k)[3:]:
+            acc = _jac_double(acc, p, a)
+            if bit == "1":
+                acc = _jac_add_affine(acc, point, p, a)
     if acc is None:
         return None
     zinv = pow(acc[2], -1, p)
@@ -367,18 +314,17 @@ def _sealing_mult(k: int, point: tuple[int, int], curve: CurveParams) -> Point:
     return scalar_mult(k, point, curve, True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     """A private scalar on its curve.  The public key private * G is not
-    computed when the pair is made: the first read of `public` multiplies
-    through _long_lived_mult, so the points of a sweep share it, and the
-    pair keeps the point, so it is multiplied at most once however long the
-    run and whatever the memo evicts."""
+    computed when the pair is made: each read of `public` goes through
+    _long_lived_mult, so the reads of a run and the points of a sweep share
+    one multiply, and a read after the memo evicted it multiplies again."""
 
     private: int
     curve: CurveParams
 
-    @functools.cached_property
+    @property
     def public(self) -> Point:
         return _long_lived_mult(self.private, self.curve.g, self.curve)
 

@@ -225,7 +225,7 @@ def test_generator_path_matches_affine_oracle(k):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 * crypto.SIM_CURVE.n), st.integers(1, crypto.SIM_CURVE.n - 1))
 def test_ladder_agrees_with_generator_path(k, m):
-    # k * (m * G) takes the double-and-add ladder; (k * m) * G takes the table.
+    # k * (m * G) takes the variable-base double-and-add; (k * m) * G takes the table.
     curve = crypto.SIM_CURVE
     point = crypto.scalar_mult(m, curve.g, curve)
     assert crypto.scalar_mult(k, point, curve) == crypto.scalar_mult(k * m % curve.n, curve.g, curve)
@@ -243,7 +243,7 @@ def curve_point(x, curve):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, crypto.SIM_CURVE.p - 1), st.booleans(),
        st.integers(0, 2 * crypto.SIM_CURVE.n))
-def test_naf_ladder_matches_affine_oracle(x, negate, k):
+def test_variable_base_path_matches_affine_oracle(x, negate, k):
     curve = crypto.SIM_CURVE
     point = curve_point(x, curve)
     assume(point is not None and point != curve.g)
@@ -252,26 +252,17 @@ def test_naf_ladder_matches_affine_oracle(x, negate, k):
     assert crypto.scalar_mult(k, point, curve) == affine_oracle(k, point, curve)
 
 
-def test_naf_ladder_edge_scalars():
+def test_variable_base_path_edge_scalars():
     curve = crypto.SIM_CURVE
     n = curve.n
     point = affine_oracle(0xC0FFEE, curve.g, curve)
     edges = [7, 8, 9, 15, 16, 17, n - 1, n + 1, 2 ** 127, 2 ** 127 - 1,
              (1 << 100) - 1, int("8" * 32, 16), int("8" * 31, 16)]
-    # k = n - 2|d|: the last add meets its own operand (d = -5 on SIM_CURVE)
+    # k = n - 2|d| for odd d <= 7: where a width-4 NAF recoding's last add
+    # meets its own operand (d = -5 on SIM_CURVE)
     edges += [n - 2 * d for d in (1, 3, 5, 7)]
     for k in edges:
         assert crypto.scalar_mult(k, point, curve) == affine_oracle(k, point, curve), hex(k)
-
-
-def test_naf_digits():
-    for k in list(range(1, 300)) + [crypto.SIM_CURVE.n - 10, 2 ** 127 - 1]:
-        digits = crypto._naf4(k)
-        assert sum(d << i for i, d in enumerate(digits)) == k
-        assert digits[-1] > 0
-        nonzero = [i for i, d in enumerate(digits) if d]
-        assert all(d % 2 and -8 < d < 8 for d in digits if d)
-        assert all(j - i >= 4 for i, j in zip(nonzero, nonzero[1:]))
 
 
 # Window edges of the table path, whose digits are recoded into -7..8:
@@ -366,7 +357,7 @@ def test_table_cache_stays_bounded_when_sealing_to_more_keys_than_it_holds():
         blob = crypto.ecc_encrypt(pair.public, b"reading %d" % i, curve, rng)
         # G's table and one per recipient so far, up to the bound
         assert crypto._base_table.cache_info().currsize == min(i + 2, bound)
-        crypto._seals.clear()       # open by the ladder, not the seal memo
+        crypto._seals.clear()       # open by the full ECDH, not the seal memo
         assert crypto.ecc_decrypt(pair.private, blob, curve) == b"reading %d" % i
     built = crypto._base_table.cache_info().misses
     assert built == len(pairs) + 1
@@ -435,9 +426,18 @@ def test_public_key_is_multiplied_on_its_first_read_only(monkeypatch):
     assert mults == [(pair.private, curve.g, curve)]
     # the same pair drawn again (the next point of a sweep) reads the memo
     assert crypto.generate_keypair(curve, random.Random(22)).public == first
-    crypto._long_lived_mult.cache_clear()
-    assert pair.public is first         # kept on the pair, whatever the memo holds
     assert len(mults) == 1
+    crypto._long_lived_mult.cache_clear()
+    assert pair.public == first         # the pair keeps no copy: the memo is refilled
+    assert len(mults) == 2
+
+
+def test_keypair_holds_no_instance_dict():
+    # the public key lives in _long_lived_mult alone, so reading it adds no
+    # per-pair storage
+    pair = crypto.generate_keypair(crypto.SIM_CURVE, random.Random(23))
+    assert pair.public is not None
+    assert not hasattr(pair, "__dict__")
 
 
 @pytest.mark.parametrize("curve", [crypto.SIM_CURVE, TOY], ids=["sim", "toy"])

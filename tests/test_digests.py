@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from sermt import crypto
 from sermt.adversary import AttackSpec
 from sermt.metrics import replay_trace
 from sermt.scenario import DATA_DIR, _sweep_attacks, load_config, run_scenario
@@ -97,6 +98,23 @@ AUDITS = {
 }
 
 
+def case_config(case, defense):
+    """The config of one case, cut to DURATION."""
+    conf, attacks, seed, _, _ = CASES[case]
+    config = load_config(DATA_DIR / conf)
+    # None keeps the attacks the config file declares
+    return replace(config, duration=DURATION, seed=seed, defense=defense,
+                   attacks=config.attacks if attacks is None else attacks,
+                   radio=replace(config.radio, loss_probability=LOSS.get(
+                       case, config.radio.loss_probability)))
+
+
+def audit_of(result):
+    """A run's row of AUDITS."""
+    return (tuple((log.frames_overheard, log.payloads_decrypted)
+                  for log in result.attack_logs), result.metrics.plaintext_exposures)
+
+
 @functools.cache
 def pinned_run(case, defense):
     """(digest, counted losses, `dropped(...)` trace outcomes, audit report,
@@ -104,20 +122,12 @@ def pinned_run(case, defense):
     one case; only this summary is kept between the tests that read it.
     The replay check is ((sent, delivered) replayed, the same live, and
     (node, replayed, live) consumed charge per node)."""
-    conf, attacks, seed, _, _ = CASES[case]
-    config = load_config(DATA_DIR / conf)
-    # None keeps the attacks the config file declares
-    config = replace(config, duration=DURATION, seed=seed, defense=defense,
-                     attacks=config.attacks if attacks is None else attacks,
-                     radio=replace(config.radio, loss_probability=LOSS.get(
-                         case, config.radio.loss_probability)))
+    config = case_config(case, defense)
     result = run_scenario(config)
     fields = [line.split(" | ") for line in result.trace.lines]
     dropped = sum(f[3].startswith("dropped(") for f in fields)
     targets = {node_id for log in result.attack_logs for node_id in log.targets}
     target_rx = sum(f[1] == "rx" and int(f[2].split("<-")[0]) in targets for f in fields)
-    audit = (tuple((log.frames_overheard, log.payloads_decrypted)
-                   for log in result.attack_logs), result.metrics.plaintext_exposures)
     live = result.metrics
     replayed = replay_trace(
         result.trace.lines,
@@ -130,7 +140,7 @@ def pinned_run(case, defense):
               tuple((row.node_id, replayed.consumed_mah[row.node_id], row.consumed_mah)
                     for row in live.node_ledger))
     return (result.trace.digest(), sum(result.channel.drop_counts.values()), dropped,
-            audit, len(result.channel.observations), target_rx, replay)
+            audit_of(result), len(result.channel.observations), target_rx, replay)
 
 
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
@@ -178,6 +188,48 @@ def test_replay_recomputes_delivery_and_charge(case, defense):
     assert replayed_counts == live_counts
     for node_id, replayed, live in consumed:
         assert replayed == pytest.approx(live, rel=1e-9, abs=1e-12), node_id
+
+
+def affine_mult(k, point, curve, fixed_base=False):
+    """k * point by double-and-add over the affine point_add alone; no
+    window table is read, whatever fixed_base says."""
+    acc = None
+    for bit in bin(k % curve.n)[2:]:
+        acc = crypto.point_add(acc, acc, curve)
+        if bit == "1":
+            acc = crypto.point_add(acc, point, curve)
+    return acc
+
+
+@pytest.mark.parametrize(("case", "defense"), [
+    ("attacked", True), ("false_data", True), ("malicious35", True),
+    ("false_data", False),      # opens without the tag check
+], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline"])
+def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
+    """Every multiply is affine with no window table, the key memo and the
+    RC5 schedule and chain-walk caches call through to their functions, and
+    the seal memo holds nothing, so every open takes the full ECDH, RC5 and
+    padding path: the trace and the audit must still be the pinned ones."""
+    lrus = [crypto._long_lived_mult, crypto.rc5_key_schedule, crypto._chain_walk,
+            crypto._base_table]
+    before = [lru.cache_info() for lru in lrus]
+    mults = []
+
+    def counted_mult(*args):
+        mults.append(args)
+        return affine_mult(*args)
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
+    for lru in lrus[:3]:
+        monkeypatch.setattr(crypto, lru.__name__, lru.__wrapped__)
+    monkeypatch.setattr(crypto, "SEAL_MEMO_SIZE", 0)
+    crypto._seals.clear()
+    result = run_scenario(case_config(case, defense))
+    _, _, _, on_digest, off_digest = CASES[case]
+    assert result.trace.digest() == (on_digest if defense else off_digest)
+    assert audit_of(result) == AUDITS[case][not defense]
+    assert mults and crypto._seals == {}
+    assert [lru.cache_info() for lru in lrus] == before
 
 
 # The paper's scale: `scaled_ieee14.conf` moved onto the 118-bus grid with

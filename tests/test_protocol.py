@@ -695,6 +695,18 @@ def test_a_drained_relay_loses_its_route_to_the_battery_x_trust_weight(monkeypat
     assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
 
 
+def test_a_dead_relay_leaves_the_route_pool():
+    """With the defense off a link weighs its bare distance, so only the
+    pool's liveness rule keeps a dead N off N 7's route to the main center."""
+    net, chan, queue, trace, eng = make_sim(mini_world, defense=False)
+    queue.run_until(1.0)
+    assert eng._route_to_cc(net.nodes[7], main=True) == (7, 6, 5, 24)
+    net.nodes[6].battery_mah = 0.0
+    net.nodes[6].alive = False
+    eng._reselect()
+    assert eng._route_to_cc(net.nodes[7], main=True) == (7, 28, 24)
+
+
 def test_a_phantom_probe_sends_the_rounds_test_messages():
     net, chan, queue, trace, eng = make_sim(mini_world)
     eng.round_index = 3

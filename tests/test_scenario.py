@@ -322,7 +322,7 @@ def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
     """After a clean run the key memo holds at most one entry per key pair
     issued and per session, and every multiply is accounted for: one per
     key memo entry, two per ECC seal, none for an open that the seal memo
-    serves and one ladder for an open it does not."""
+    serves and one for an open it does not."""
     crypto._long_lived_mult.cache_clear()
     mults = []                  # the phase of each real multiply
     phase = ["key"]
@@ -363,7 +363,7 @@ def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
     assert mults.count("key") == held          # each entry multiplied once
     assert made["seal"] and made["seal"] == [2] * len(made["seal"])
     assert any(served)
-    # an open the memo serves multiplies nothing; any other runs one ladder
+    # an open the memo serves multiplies nothing; any other multiplies once
     assert made["open"] == [0 if hit else 1 for hit in served]
 
 

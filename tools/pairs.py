@@ -9,8 +9,10 @@ once in each, from its root; the side that goes first alternates from one
 pair to the next, so a drift in host speed falls on both sides alike. Every
 run's `correct`, `failed` and metrics are printed as it ends, then each
 side's median and quartiles per metric, the pairs in which CHANGE is better
-(by the metric's `better` in CHANGE's BENCHMARK.json) and the parent's
-quartile spread to hold the difference of medians against.
+(by the metric's `better` in CHANGE's BENCHMARK.json), the parent's
+quartile spread to hold the difference of medians against, and whether
+CHANGE's median is worse than the parent's by more than the metric's
+`bound` (a fraction of the parent's median) in CHANGE's BENCHMARK.json.
 
 `--workload` may be given more than once, and `--workload all` stands for
 every workload in CHANGE's BENCHMARK.json. The workloads run one after
@@ -64,13 +66,21 @@ def benchmark_spec(root: Path) -> dict:
         return {}
 
 
-def better_sign(root: Path, metric: str) -> int:
-    """+1 when lower is better (the default), -1 when higher is."""
-    try:
-        better = {m["name"]: m["better"] for m in benchmark_spec(root)["end_to_end"]}
-    except KeyError:
-        better = {}
-    return -1 if better.get(metric) == "higher" else 1
+def metric_spec(root: Path, metric: str) -> dict:
+    """The metric's end_to_end entry in root's BENCHMARK.json, or {}."""
+    for spec in benchmark_spec(root).get("end_to_end", []):
+        if spec.get("name") == metric:
+            return spec
+    return {}
+
+
+def bound_verdict(spec: dict, sign: int, parent: float, change: float) -> str:
+    """Whether the change's median is worse than the parent's by more than
+    the metric's bound; empty when the metric has none."""
+    if "bound" not in spec:
+        return ""
+    worse = sign * (change - parent) / parent > spec["bound"]
+    return f"  {'OVER' if worse else 'within'} bound {spec['bound']:.0%}"
 
 
 def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> bool:
@@ -95,14 +105,15 @@ def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> 
         if not paired:
             continue
         parent, change = ([v[i] for v in paired] for i in (0, 1))
-        sign = better_sign(sides["change"], metric)
+        spec = metric_spec(sides["change"], metric)
+        sign = -1 if spec.get("better") == "higher" else 1   # lower is the default
         wins = sum(sign * (c - p) < 0 for p, c in paired)
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
         mp, mc = statistics.median(parent), statistics.median(change)
         print(f"  {metric:12s} parent {mp:.4f} [{p1:.4f}, {p3:.4f}]  "
               f"change {mc:.4f} [{c1:.4f}, {c3:.4f}]  {(mc - mp) / mp:+.1%}  "
               f"better in {wins}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
-              f"vs parent IQR {p3 - p1:.4f}")
+              f"vs parent IQR {p3 - p1:.4f}{bound_verdict(spec, sign, mp, mc)}")
     ok = all(out["correct"] and out["failed"] == 0 for side in runs.values() for out in side)
     print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT")
     return ok
