@@ -60,7 +60,8 @@ def _cmd_run(args) -> int:
         print(f"attack {name}: {counters}")
     if args.trace_out is not None:
         args.trace_out.parent.mkdir(parents=True, exist_ok=True)
-        args.trace_out.write_text(result.trace_export(), encoding="utf-8")
+        with args.trace_out.open("w", encoding="utf-8") as out:
+            out.writelines(result.export_parts())
         print(f"trace written to {args.trace_out}")
     return EXIT_OK
 

@@ -994,18 +994,22 @@ class ProtocolEngine:
         key = (src_id, dst_id)
         if key not in self.route_cache:
             self.route_cache[key] = None
+            weight_of = self._link_weight(self.current_table())
             for pool in pools():
-                adjacency = build_adjacency(pool, self.channel.hears, self._link_weight)
+                adjacency = build_adjacency(pool, self.channel.hears, weight_of)
                 found = dijkstra(adjacency, src_id, {dst_id})
                 if found:
                     self.route_cache[key] = tuple(found[1])
                     break
         return self.route_cache[key]
 
-    def _link_weight(self, u: NodeState, v: NodeState, dist: float) -> float:
+    def _link_weight(self, table: TrustTable) -> Callable[[NodeState, NodeState, float], float]:
+        """One route query's `weight_of(u, v, distance)`, reading `table`,
+        which cannot change while the query runs."""
         if not self.defense:
-            return dist
-        return route_weight(dist, v.battery_mah, self.current_table().tv(v.id))
+            return lambda u, v, dist: dist
+        tv = table.tv
+        return lambda u, v, dist: route_weight(dist, v.battery_mah, tv(v.id))
 
     # -- PMU data path -------------------------------------------------------------
 

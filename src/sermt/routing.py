@@ -31,11 +31,16 @@ def dijkstra(adjacency: Adjacency, source: int, targets: set[int]) -> tuple[floa
     """Minimum-cost path from source to any target, or None if unreachable.
 
     Heap entries are (cost, path); comparing whole paths breaks cost ties
-    toward the lexicographically smallest ID sequence.
+    toward the lexicographically smallest ID sequence. An entry is pushed
+    only when it is below the least one queued for its node so far: a node
+    settles at the least entry ever queued for it, and an entry not below
+    that one would only be popped after it, stale.
     """
     if source in targets:
         return 0.0, [source]
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
+    start = (0.0, (source,))
+    heap: list[tuple[float, tuple[int, ...]]] = [start]
+    queued = {source: start}          # node -> least entry queued for it
     settled: set[int] = set()
     while heap:
         cost, path = heapq.heappop(heap)
@@ -46,8 +51,13 @@ def dijkstra(adjacency: Adjacency, source: int, targets: set[int]) -> tuple[floa
         if node in targets:
             return cost, list(path)
         for neighbor, weight in adjacency.get(node, ()):
-            if neighbor not in settled and weight != INFINITE:
-                heapq.heappush(heap, (cost + weight, path + (neighbor,)))
+            if neighbor in settled or weight == INFINITE:
+                continue
+            entry = (cost + weight, path + (neighbor,))
+            best = queued.get(neighbor)
+            if best is None or entry < best:
+                queued[neighbor] = entry
+                heapq.heappush(heap, entry)
     return None
 
 

@@ -200,15 +200,20 @@ class ScenarioResult(World):
     metrics: Metrics
 
     def trace_export(self) -> str:
-        """Full run record: the event trace plus one summary row per attack."""
-        lines = list(self.trace.lines)
+        """Full run record: the event trace plus one summary row per attack,
+        each line ended by "\\n"."""
+        return "".join(self.export_parts())
+
+    def export_parts(self):
+        """`trace_export`'s text in parts: the trace's chunks, then one row
+        per attack, so a writer need not hold the record whole."""
+        yield from self.trace.chunks()
         for log in self.attack_logs:
             counters = " ".join(f"{key}={value}"
                                 for key, value in sorted(log.counters().items()))
             targets = ",".join(str(t) for t in log.targets)
-            lines.append(f"{self.metrics.duration:.6f} | attack | "
-                         f"{log.name}:{log.kind} | targets:{targets} | {counters}")
-        return "\n".join(lines) + "\n"
+            yield (f"{self.metrics.duration:.6f} | attack | "
+                   f"{log.name}:{log.kind} | targets:{targets} | {counters}\n")
 
 
 def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World:

@@ -23,6 +23,10 @@ per listener; each listener still pays through `debit`, once per listener.
 The channel keeps those parts per clock reading and per frame size, so
 the frames of one event reuse them.
 
+The trace holds its text in chunks of joined lines, in about half the
+memory of one `str` per line; its `lines` are rebuilt on each read, so a
+reader takes them once.
+
 `observations` is the attackers' view of the air, not a log of every
 reception (the trace is that log): a frame is recorded only when its
 listener is in `audited`, the attack targets that `apply_attacks` adds.
@@ -127,25 +131,72 @@ class EventQueue:
 
 
 class Trace:
-    """Text event log; the run hash is the SHA-1 of its lines.  `log`
-    formats every line but the `rx` lines, which `Channel._take_in` joins
-    from an `Emission`'s parts in `log`'s exact format."""
+    """Text event log; the run hash is the SHA-1 of its lines, each ended
+    by "\\n".  `log` formats every line but the `rx` lines, which
+    `Channel._take_in` joins from an `Emission`'s parts in `log`'s exact
+    format and adds through `append`.  No line may hold a "\\n".
+
+    The lines are held in chunks, not one `str` each (a `str` object costs
+    about as much again as a 60-byte line's text): the sealed chunks, each
+    one `str` of the lines it held joined with a "\\n" after every line,
+    and one open chunk, a plain list.  `append` is the open list's own
+    bound `append`, so an `rx` line costs one list append; `log` seals the
+    open chunk once it holds `CHUNK` lines or more, and rebinds `append` to
+    the new one.
+
+    Only `log` seals, so the open chunk can exceed `CHUNK` by the `rx`
+    lines added between two `log` calls.  Every emission writes a `log`
+    line: `broadcast` and a wormhole's re-emit before any listener's `rx`
+    line, `transmit` after its eavesdroppers' and its receiver's.  So
+    between two `log` calls come at most one emission's trailing listeners
+    (fewer than N, the network's node count) and the next `transmit`'s
+    leading ones (at most E + 1, E the eavesdroppers), and the open chunk
+    never holds more than CHUNK + N + E lines.
+
+    `lines` rebuilds the whole list on every read: take it once per
+    reader.  `digest` and `chunks` read the chunks as they are."""
+
+    CHUNK = 8192
 
     def __init__(self):
-        self.lines: list[str] = []
+        self._sealed: list[str] = []
+        self._open: list[str] = []
+        self.append = self._open.append
 
     def log(self, t: float, kind: str, ids: str, outcome: str, joules: float = 0.0):
-        self.lines.append(f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}")
+        lines = self._open
+        lines.append(f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}")
+        if len(lines) >= self.CHUNK:
+            lines.append("")            # the last line's "\n"
+            self._sealed.append("\n".join(lines))
+            self._open = []
+            self.append = self._open.append
+
+    def chunks(self):
+        """The trace text, in order, as `str` parts that each end with a
+        "\\n": every sealed chunk, then the open one joined."""
+        yield from self._sealed
+        if self._open:
+            yield "\n".join(self._open) + "\n"
+
+    @property
+    def lines(self) -> list[str]:
+        """Every line so far, in order, as a new list."""
+        lines: list[str] = []
+        for chunk in self._sealed:
+            lines += chunk.split("\n")
+            lines.pop()                 # the empty tail after the last "\n"
+        lines += self._open
+        return lines
 
     def digest(self) -> str:
         h = hashlib.sha1()
-        for line in self.lines:
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
+        for chunk in self.chunks():
+            h.update(chunk.encode("utf-8"))
         return h.hexdigest()
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     """One attack target seeing one frame, as receiver, broadcast listener
     or eavesdropper; nodes outside `Channel.audited` are not recorded."""
@@ -327,8 +378,7 @@ class Channel:
         """A listener receives or overhears an emission: it pays, it is
         traced, and an audited listener's view is recorded."""
         self.debit(listener, emission.rx_joules)
-        self.trace.lines.append(emission.head + str(listener.id) + emission.mid + how
-                                + emission.tail)
+        self.trace.append(f"{emission.head}{listener.id}{emission.mid}{how}{emission.tail}")
         if listener.id in self.audited:
             self.observations.append(Observation(emission.t, listener.id, emission.sender_id,
                                                  emission.frame))

@@ -124,13 +124,14 @@ def pinned_run(case, defense):
     (node, replayed, live) consumed charge per node)."""
     config = case_config(case, defense)
     result = run_scenario(config)
-    fields = [line.split(" | ") for line in result.trace.lines]
+    lines = result.trace.lines                      # rebuilt on every read: read once
+    fields = [line.split(" | ") for line in lines]
     dropped = sum(f[3].startswith("dropped(") for f in fields)
     targets = {node_id for log in result.attack_logs for node_id in log.targets}
     target_rx = sum(f[1] == "rx" and int(f[2].split("<-")[0]) in targets for f in fields)
     live = result.metrics
     replayed = replay_trace(
-        result.trace.lines,
+        lines,
         initial_battery=dict(result.channel.initial_battery),
         kinds={nid: node.kind for nid, node in result.network.nodes.items()},
         energy=config.energy,

@@ -690,7 +690,7 @@ def test_a_drained_relay_loses_its_route_to_the_battery_x_trust_weight(monkeypat
     net.nodes[10].battery_mah = 0.5
     eng._reselect()
     assert eng._pdc_route(pdc, main=True) == (15, 9, 28, 24)
-    monkeypatch.setattr(eng, "_link_weight", lambda u, v, dist: dist)
+    monkeypatch.setattr(eng, "_link_weight", lambda table: lambda u, v, dist: dist)
     eng._reselect()
     assert eng._pdc_route(pdc, main=True) == (15, 10, 28, 24)
 

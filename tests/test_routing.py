@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -107,6 +108,69 @@ def test_dijkstra_source_is_target_and_unreachable():
 def test_dijkstra_multiple_targets_takes_nearest():
     adjacency = {1: [(2, 1.0), (3, 5.0)], 2: [], 3: []}
     assert dijkstra(adjacency, 1, {2, 3}) == (1.0, [1, 2])
+
+
+def reference_dijkstra(adjacency, source, targets):
+    """Dijkstra over (cost, path) heap entries that pushes one entry per
+    relaxed edge, however far it is from the best one queued for its node;
+    returns its answer and its push count."""
+    if source in targets:
+        return (0.0, [source]), 0
+    heap, settled, pushes = [(0.0, (source,))], set(), 0
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node in targets:
+            return (cost, list(path)), pushes
+        for neighbor, weight in adjacency.get(node, ()):
+            if neighbor not in settled and weight != INFINITE:
+                heapq.heappush(heap, (cost + weight, path + (neighbor,)))
+                pushes += 1
+    return None, pushes
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Directed graphs over IDs 1..n whose few weights make equal-cost paths
+    common; 0.0 is a co-located hop, and an edge may be listed twice."""
+    n = draw(st.integers(1, 9))
+    ids = list(range(1, n + 1))
+    weight = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, INFINITE])
+    edge = st.tuples(st.sampled_from(ids), weight)
+    return {u: draw(st.lists(edge, max_size=n + 1)) for u in ids}, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=weighted_graphs(), data=st.data())
+def test_dijkstra_matches_the_push_every_edge_reference(graph, data):
+    """Skipping a push that is not below its node's best queued entry
+    changes no answer, cost float and path tie-break included, and never
+    pushes more."""
+    adjacency, ids = graph
+    source = data.draw(st.sampled_from(ids), label="source")
+    targets = data.draw(st.sets(st.sampled_from(ids), min_size=1), label="targets")
+    pushes = []
+
+    class CountingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, entry):
+            pushes.append(entry)
+            heapq.heappush(heap, entry)
+
+    want, reference_pushes = reference_dijkstra(adjacency, source, targets)
+    routing.heapq = CountingHeapq
+    try:
+        got = dijkstra(adjacency, source, targets)
+    finally:
+        routing.heapq = heapq
+    assert got == want
+    assert got is None or got[0].hex() == want[0].hex()
+    assert len(pushes) <= reference_pushes
 
 
 class Node:

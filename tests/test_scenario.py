@@ -25,6 +25,7 @@ from sermt.scenario import (
     run_scenario,
     sweep,
 )
+from sermt.simcore import Trace
 
 BASE = """\
 [scenario]
@@ -562,6 +563,48 @@ def test_cli_run_stdout_pinned(attacked_60s, capsys):
     scenario: the metrics, the trace digest and each attack's counters."""
     assert cli.main(["run", str(attacked_60s[0])]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines() == ATTACKED_60S_STDOUT
+
+
+# SHA-1 of the `--trace-out` file of 60 s of the shipped attacked scenario:
+# 24,660 trace lines (two sealed chunks and the open one), 3 attack rows
+ATTACKED_60S_TRACE_OUT_SHA1 = "2758aeeee920c9626ba80141e666000337c1d06c"
+
+
+def test_cli_trace_out_is_the_per_line_join(attacked_60s, tmp_path, capsys):
+    """The `--trace-out` file is, byte for byte, the trace's lines and then
+    one row per attack, joined line by line with a "\\n" after each, and
+    `trace_export` is the same text."""
+    path, result = attacked_60s
+    out = tmp_path / "attacked.trace"
+    assert cli.main(["run", str(path), "--trace-out", str(out)]) == cli.EXIT_OK
+    rows = [f"{result.metrics.duration:.6f} | attack | {log.name}:{log.kind} | "
+            f"targets:{','.join(str(t) for t in log.targets)} | "
+            + " ".join(f"{key}={value}" for key, value in sorted(log.counters().items()))
+            for log in result.attack_logs]
+    joined = ("\n".join(result.trace.lines + rows) + "\n").encode("utf-8")
+    assert len(rows) == 3 and len(result.trace._sealed) == 2
+    assert out.read_bytes() == joined
+    assert result.trace_export().encode("utf-8") == joined
+    assert hashlib.sha1(joined).hexdigest() == ATTACKED_60S_TRACE_OUT_SHA1
+
+
+def test_a_flood_run_keeps_the_open_trace_chunk_bounded(monkeypatch):
+    """60 s of the interval sweep's 1 s flood point, which has no
+    eavesdroppers: the trace seals several chunks, and its open chunk never
+    holds more than Trace.CHUNK + N lines, N the network's node count."""
+    peak = 0
+    log = Trace.log
+
+    def watched_log(trace, *args):
+        nonlocal peak
+        peak = max(peak, len(trace._open) + 1)      # the most it holds, just before a seal
+        log(trace, *args)
+    monkeypatch.setattr(Trace, "log", watched_log)
+    config = replace(load_config(scenario.DATA_DIR / "scaled_ieee14.conf"), duration=60.0,
+                     attacks=_sweep_attacks("interval", 1.0))
+    result = run_scenario(config)
+    assert result.channel.eavesdroppers == [] and len(result.trace._sealed) >= 3
+    assert Trace.CHUNK <= peak <= Trace.CHUNK + len(result.network.nodes)
 
 
 def test_cli_run_with_frames_too_large_for_the_wire_exits_3(tmp_path, capsys):

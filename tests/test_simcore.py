@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -447,6 +448,125 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
         assert [int(who.split("<-")[0]) for who in rx_lines] == [n for n, _ in rx_debits]
         assert all(joules == em.energy_rx(frame.wire_bits) for _, joules in rx_debits)
     assert sum(channel.drop_counts.values()) == dropped_lines(trace)
+
+
+# -- the chunked trace -----------------------------------------------------------
+
+
+def per_line_digest(lines):
+    """The run hash as a store of one `str` per line computes it."""
+    h = hashlib.sha1()
+    for line in lines:
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def logged(t, kind, ids, outcome, joules):
+    return f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}"
+
+
+def assert_same_trace(trace, reference):
+    assert trace.lines == reference
+    assert trace.digest() == per_line_digest(reference)
+    assert "".join(trace.chunks()) == "".join(line + "\n" for line in reference)
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                max_size=8)
+_trace_call = st.one_of(
+    st.tuples(st.just("log"), st.floats(-1e6, 1e6), _text, _text, _text,
+              st.floats(allow_nan=False)),
+    st.tuples(st.just("append"), _text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk=st.integers(1, 4), calls=st.lists(_trace_call, max_size=30))
+def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
+    """Any run of `log` and `append` calls, with the chunk shrunk so that
+    chunks seal often: `lines`, `digest` and `chunks` read as a plain list
+    of the same lines would, whether or not the open chunk just sealed."""
+    trace, reference = Trace(), []
+    trace.CHUNK = chunk
+    for call in calls:
+        if call[0] == "log":
+            trace.log(*call[1:])
+            reference.append(logged(*call[1:]))
+            assert len(trace._open) < chunk         # `log` sealed a full open chunk
+        else:
+            trace.append(call[1])
+            reference.append(call[1])
+    assert_same_trace(trace, reference)
+
+
+@pytest.mark.parametrize("count", [0, Trace.CHUNK - 1, Trace.CHUNK, Trace.CHUNK + 1,
+                                   3 * Trace.CHUNK + 5])
+def test_chunked_trace_around_the_real_chunk_size(count):
+    """Every other line is an `rx`-style `append`, and the CHUNK-th line of
+    each chunk is a `log` line, which seals it."""
+    trace, reference = Trace(), []
+    for i in range(count):
+        if i % 2:
+            trace.log(float(i), "tx", f"{i}->*", "broadcast", i / 3)
+            reference.append(logged(float(i), "tx", f"{i}->*", "broadcast", i / 3))
+        else:
+            trace.append(f"{i} | rx")
+            reference.append(f"{i} | rx")
+    assert_same_trace(trace, reference)
+    assert [chunk.count("\n") for chunk in trace._sealed] == [Trace.CHUNK] * (count // Trace.CHUNK)
+    assert len(trace._open) == count % Trace.CHUNK
+
+
+@settings(max_examples=60, deadline=None)
+@given(positions=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 300)),
+                          min_size=2, max_size=7),
+       chunk=st.integers(1, 5), data=st.data())
+def test_chunks_seal_inside_emissions_and_the_open_chunk_stays_bounded(positions, chunk,
+                                                                       data):
+    """The same frames through a trace that seals every few lines and one
+    that never seals give the same lines; the open chunk never holds more
+    than CHUNK + N + E lines (N nodes, E eavesdroppers), as `Trace` says."""
+    extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
+             for i, pos in enumerate(positions)]
+    ids = list(range(5, 5 + len(extra)))
+    dead = data.draw(st.sets(st.sampled_from(ids)), label="dead")
+    spies = sorted(data.draw(st.sets(st.sampled_from(ids)), label="spies"))
+    tunnel = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(ids), min_size=2,
+                                                     max_size=2, unique=True)), label="tunnel")
+    loss = data.draw(st.sampled_from([0.0, 0.3]), label="loss")
+    worlds = []
+    for _ in range(2):
+        network, channel, _, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
+        for node_id in dead:
+            network.nodes[node_id].alive = False
+        channel.eavesdroppers = spies
+        channel.wormholes = [] if tunnel is None else [tuple(tunnel)]
+        worlds.append((network, channel, trace))
+    sealing, unsealed = worlds[0][2], worlds[1][2]
+    sealing.CHUNK = chunk
+    peak = 0
+    log = sealing.log
+
+    def watched_log(*args):
+        nonlocal peak
+        peak = max(peak, len(sealing._open) + 1)
+        log(*args)
+    sealing.log = watched_log
+
+    calls = st.tuples(st.sampled_from(["transmit", "broadcast"]),
+                      st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True),
+                      st.booleans(), st.sampled_from([None, ("N",), ("ES", "GW")]))
+    for call, (src, dst), control, kinds in data.draw(st.lists(calls, max_size=12)):
+        for network, channel, _ in worlds:
+            if call == "transmit":
+                channel.transmit(network.nodes[src], network.nodes[dst], frame_of(src),
+                                 control=control)
+            else:
+                channel.broadcast(network.nodes[src], frame_of(src), control=control,
+                                  kinds=kinds)
+    assert unsealed._sealed == []
+    assert_same_trace(sealing, unsealed.lines)
+    assert peak <= chunk + len(worlds[0][0].nodes) + len(spies)
 
 
 def test_hears_closed_ball_includes_dead():
