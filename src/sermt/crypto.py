@@ -141,11 +141,12 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 #   n <= 8 (7G on TOY), and then k < n is one digit that reads no such
 #   entry; _jac_add_affine doubles, or gives infinity, when the running sum
 #   meets an entry or its negation, so the sum is exact for every k.
-# - k*P on any other point (the session ECDHs of derive_shared_secret and an
-#   open the seal memo misses) runs left-to-right double-and-add (Hankerson,
-#   Menezes and Vanstone, Guide to Elliptic Curve Cryptography, Alg. 3.27)
-#   over the same two Jacobian steps: one doubling per bit of k below the
-#   top and one mixed add of P per set bit, about 64 adds for a 128-bit k.
+# - k*P on any other point (the session ECDHs of derive_shared_secret and the
+#   receiver's ECDH in ecc_decrypt) runs left-to-right double-and-add
+#   (Hankerson, Menezes and Vanstone, Guide to Elliptic Curve Cryptography,
+#   Alg. 3.27) over the same two Jacobian steps: one doubling per bit of k
+#   below the top and one mixed add of P per set bit, about 64 adds for a
+#   128-bit k.
 #   For 0 < k < n the sum before each add is 2m * P, m the bits of k above
 #   the current one, so 1 <= m <= k/2; the add makes (2m + 1) * P with
 #   2m + 1 <= k < n.  So 2m * P is neither P (2 <= 2m < n) nor -P (the sum
@@ -164,9 +165,7 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # memo.  A run's long-lived set is a few dozen multiplies.  The ephemeral k*G
 # of ecc_encrypt and both ephemeral ECDHs are used once, and they are most of
 # a long run's multiplies, so they bypass the memo: caching them would only
-# evict the long-lived entries and grow a run's memory.  The receiver's
-# ephemeral ECDH is served by the seal memo below when this process sealed the
-# message; only a miss multiplies.
+# evict the long-lived entries and grow a run's memory.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -355,51 +354,15 @@ def cipher_key(secret: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Seal memo
-#
-# A simulated run seals and opens every message in this one process, so the
-# opening side would recompute what its sealer held a moment before.  The
-# sealing side records it here, and the opening side pops it:
-#
-# - rc5_encrypt records (key, ciphertext) -> plaintext.  Under one key RC5 is
-#   a bijection on blocks, so those ciphertext bytes decrypt to exactly that
-#   framing, and rc5_decrypt would return exactly that plaintext.
-# - ecc_encrypt records (recipient public Q, ephemeral public E) -> the ECDH
-#   secret of v * Q.  ecc_decrypt looks up (d * G, E), with d * G from
-#   _long_lived_mult (a recipient's public key is there once it has been
-#   read, as its sealer must read it), after decoding and curve-checking E.
-#   E = v * G, so when d * G = Q the receiver's d * E = d * v * G = v * Q:
-#   the recorded secret.  The tag check and the RC5 open run as before.
-#
-# Anything the sealer did not make misses and takes the full path: a
-# tampered body or header is other bytes, and a wrong or older key is
-# another key or another d * G.  An open pops its entry, so an attacker's
-# post-run scan of a frame already opened misses too.  A hit returns the
-# value the full path would compute, so no result, exception or trace digest
-# depends on the memo.  A seal is opened within the event that made it, so
-# the memo is a FIFO of SEAL_MEMO_SIZE entries: a seal whose frame was lost
-# on the way is evicted by later ones, and memory stays bounded.
-
-SEAL_MEMO_SIZE = 16
-_seals: dict[tuple, bytes] = {}     # insertion order is the FIFO order
-
-
-def _record_seal(lookup: tuple, value: bytes) -> None:
-    _seals[lookup] = value
-    if len(_seals) > SEAL_MEMO_SIZE:
-        del _seals[next(iter(_seals))]
-
-
-# ---------------------------------------------------------------------------
 # RC5-32/12/16 (Rivest, "The RC5 Encryption Algorithm", FSE 1994)
 #
 # A run uses far fewer distinct keys than it runs the cipher (a link's session
 # key serves every reading on the link), so rc5_key_schedule keeps the last 64
 # schedules (~80 KB) in an LRU cache keyed by the key bytes; a schedule is a
-# tuple, so no caller can change a cached one.  An open that the seal memo
-# serves fetches no schedule.  A message is enciphered as one vector of
-# little-endian words: x * 0x100000001 holds x twice, so a 32-bit window of it
-# is x rotated.  rc5_*_block run the same word loops on a single block.
+# tuple, so no caller can change a cached one.  A message is enciphered as one
+# vector of little-endian words: x * 0x100000001 holds x twice, so a 32-bit
+# window of it is x rotated.  rc5_*_block run the same word loops on a single
+# block.
 
 _TWICE32 = 0x100000001
 
@@ -469,18 +432,13 @@ def rc5_encrypt(key: bytes, plaintext: bytes) -> bytes:
     framed = struct.pack(">I", len(plaintext)) + plaintext
     framed += b"\x00" * (-len(framed) % RC5_BLOCK)
     words = f"<{len(framed) // 4}L"
-    ciphertext = struct.pack(words, *_rc5_encrypt_words(rc5_key_schedule(key),
-                                                        struct.unpack(words, framed)))
-    _record_seal((key, ciphertext), bytes(plaintext))
-    return ciphertext
+    return struct.pack(words, *_rc5_encrypt_words(rc5_key_schedule(key),
+                                                  struct.unpack(words, framed)))
 
 
 def rc5_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     if not ciphertext or len(ciphertext) % RC5_BLOCK:
         raise CipherFormatError(f"ciphertext length {len(ciphertext)} is not a positive block multiple")
-    plaintext = _seals.pop((key, bytes(ciphertext)), None)
-    if plaintext is not None:
-        return plaintext
     words = f"<{len(ciphertext) // 4}L"
     framed = struct.pack(words, *_rc5_decrypt_words(rc5_key_schedule(key),
                                                     struct.unpack(words, ciphertext)))
@@ -606,9 +564,7 @@ def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, r
     """ephemeral_public || rc5(plaintext) || hmac — only the private-key holder recovers it."""
     v = rng.randrange(1, curve.n)       # the ephemeral key pair, used once: no memo
     ephemeral_public = scalar_mult(v, curve.g, curve)
-    secret = _ecdh(v, recipient_public, curve, _sealing_mult)
-    _record_seal((recipient_public, ephemeral_public), secret)
-    key = cipher_key(secret)
+    key = cipher_key(_ecdh(v, recipient_public, curve, _sealing_mult))
     body = rc5_encrypt(key, plaintext)
     return encode_point(ephemeral_public, curve) + body + hmac_tag(key, body)
 
@@ -622,11 +578,7 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *
     ephemeral_public = decode_point(ciphertext[:header], curve)
     body = ciphertext[header:-TAG_LEN]
     tag = ciphertext[-TAG_LEN:]
-    secret = _seals.pop((_long_lived_mult(recipient_private, curve.g, curve),
-                         ephemeral_public), None)
-    if secret is None:
-        secret = _ecdh(recipient_private, ephemeral_public, curve, scalar_mult)
-    key = cipher_key(secret)
+    key = cipher_key(_ecdh(recipient_private, ephemeral_public, curve, scalar_mult))
     if verify_tag and not tags_equal(hmac_tag(key, body), tag):
         raise AuthenticationError("ciphertext tag mismatch")
     return rc5_decrypt(key, body)

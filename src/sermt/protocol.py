@@ -762,14 +762,18 @@ class ProtocolEngine:
         """Carry records RC5-sealed under the session key of the leg's two
         ends along `hops`, and open them at the far end. Returns None if no
         key was agreed, or the frame was lost, failed a MAC check or would
-        not decrypt."""
+        not decrypt. A frame that arrives as it was sealed (a corrupting
+        relay always builds a new one) holds the sealed bytes, which open to
+        exactly `records`, so it is not opened again."""
         key = self._ensure_session(hops)
         if key is None:
             return None
-        arrived = self._relay_chain(hops, msg_type, rc5_encrypt(key, pack_records(records)),
-                                    session_key=key)
+        sealed = rc5_encrypt(key, pack_records(records))
+        arrived = self._relay_chain(hops, msg_type, sealed, session_key=key)
         if arrived is None:
             return None
+        if arrived.payload is sealed:
+            return records
         try:
             return unpack_records(rc5_decrypt(key, arrived.payload))
         except (CipherFormatError, ValueError, struct.error):
@@ -949,7 +953,12 @@ class ProtocolEngine:
         it heads a cluster only in the baseline. No alarm is counted: an alarm
         is an honest node reporting that it found no route, and a plant
         reports nothing; its loss shows in `packet_drop_pct`, as a
-        dropper's does."""
+        dropper's does.
+
+        A frame that arrives as it was sealed, to the server's newest key,
+        is the one `_server_ingest` opens on its first try, to exactly the
+        sorted records, so those are taken in unopened. Any other frame, or
+        a seal to an older key, goes through `_server_ingest`."""
         server = self.network.server(main)
         pubkey = origin.server_pubkeys.get(server.id)
         if pubkey is None:
@@ -957,9 +966,15 @@ class ProtocolEngine:
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
-        blob = ecc_encrypt(pubkey, pack_records(sorted(records)), SIM_CURVE, self.rng)
+        ordered = sorted(records)
+        blob = ecc_encrypt(pubkey, pack_records(ordered), SIM_CURVE, self.rng)
         arrived = self._relay_chain(path, MsgType.AGG_DATA, blob)
-        if arrived is not None:
+        if arrived is None:
+            return
+        if arrived.payload is blob and pubkey == self.server_key_history[server.id][-1].public:
+            for _source, reading in ordered:
+                self.ingest_reading(reading)
+        else:
             self._server_ingest(server, arrived.payload)
 
     def _route_to_cc(self, source: NodeState, main: bool) -> tuple[int, ...] | None:

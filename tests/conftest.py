@@ -1,4 +1,9 @@
-"""Shared helpers: a minimal two-substation world for engine-level tests."""
+"""Shared helpers: a minimal two-substation world for engine-level tests,
+and the plain reference paths that stand in for the engine's exactness
+shortcuts, in unit tests and in whole runs with each shortcut off."""
+
+import heapq
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +11,7 @@ from sermt import grid
 from sermt.entities import Network
 from sermt.grid import Deployment, EntitySeed
 from sermt.rng import substream
+from sermt.routing import INFINITE
 from sermt.simcore import Channel, EnergyModel, EventQueue, RadioModel, Trace
 
 TWO_SUB_DOC = "BUS 1 0 0\nBUS 2 600 0\nBRANCH 1 2 L"
@@ -41,3 +47,57 @@ def make_world(extra_nodes=(), radio=None, energy=None, seed=1, initial_battery=
 @pytest.fixture
 def two_sub_world():
     return make_world
+
+
+def reference_dijkstra(adjacency, source, targets):
+    """Dijkstra over (cost, path) heap entries that pushes one entry per
+    relaxed edge, however far it is from the best one queued for its node;
+    returns its answer and its push count."""
+    if source in targets:
+        return (0.0, [source]), 0
+    heap, settled, pushes = [(0.0, (source,))], set(), 0
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node in targets:
+            return (cost, list(path)), pushes
+        for neighbor, weight in adjacency.get(node, ()):
+            if neighbor not in settled and weight != INFINITE:
+                heapq.heappush(heap, (cost + weight, path + (neighbor,)))
+                pushes += 1
+    return None, pushes
+
+
+def eager_adjacency(nodes, hears, weight_of):
+    """The reference graph, built eagerly: every row at once, each pool
+    neighbour listed once per time `nodes` names it."""
+    adjacency = {}
+    for u in nodes:
+        heard = hears(u)
+        adjacency[u.id] = sorted((v.id, weight_of(u, v, heard[v.id]))
+                                 for v in nodes if v.id in heard)
+    return adjacency
+
+
+def brute_force_hears(network, radio):
+    """Each node's neighbourhood on its own: every other entity, dead ones
+    included, inside a closed ball at the node's own range, in ID order."""
+    return {node.id: {other.id: grid.distance(node.position, other.position)
+                      for other in sorted(network.nodes.values(), key=lambda n: n.id)
+                      if other.id != node.id
+                      and grid.distance(node.position, other.position)
+                      <= radio.range_of(node.kind)}
+            for node in network.nodes.values()}
+
+
+def copying_relay(relay_chain):
+    """`ProtocolEngine._relay_chain` that hands back each arrived frame with
+    its payload copied: the same bytes in another object, so the engine
+    opens every frame it relayed by the full RC5 or ECC path."""
+    def relay(engine, *args, **kwargs):
+        frame = relay_chain(engine, *args, **kwargs)
+        return frame and replace(frame, payload=bytes(bytearray(frame.payload)))
+    return relay

@@ -357,7 +357,6 @@ def test_table_cache_stays_bounded_when_sealing_to_more_keys_than_it_holds():
         blob = crypto.ecc_encrypt(pair.public, b"reading %d" % i, curve, rng)
         # G's table and one per recipient so far, up to the bound
         assert crypto._base_table.cache_info().currsize == min(i + 2, bound)
-        crypto._seals.clear()       # open by the full ECDH, not the seal memo
         assert crypto.ecc_decrypt(pair.private, blob, curve) == b"reading %d" % i
     built = crypto._base_table.cache_info().misses
     assert built == len(pairs) + 1
@@ -366,14 +365,12 @@ def test_table_cache_stays_bounded_when_sealing_to_more_keys_than_it_holds():
     blob = crypto.ecc_encrypt(pairs[0].public, b"again", curve, rng)  # evicted: rebuilt
     assert crypto._base_table.cache_info().misses == built + 1
     assert crypto._base_table.cache_info().currsize == bound
-    crypto._seals.clear()
     assert crypto.ecc_decrypt(pairs[0].private, blob, curve) == b"again"
 
 
 def cache_sizes_after_import(*names):
     code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
-            "size = lambda o: len(o) if isinstance(o, dict) else o.cache_info().currsize; "
-            f"print(*(size(getattr(c, name)) for name in {names!r}))")
+            f"print(*(getattr(c, name).cache_info().currsize for name in {names!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
@@ -387,7 +384,7 @@ def test_generator_table_not_built_at_import():
 
 def test_import_fills_no_crypto_cache():
     assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk", "_long_lived_mult",
-                                    "_seals", "_base_table") == [0, 0, 0, 0, 0]
+                                    "_base_table") == [0, 0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -678,7 +675,7 @@ def test_ecc_tamper_detected():
                               verify_tag=False) == b"payload"
 
 
-# -- the seal memo: an open it serves is the open it replaces -------------------
+# -- a full open of a seal, against the oracles ------------------------------
 
 def outcome(call, *args, **kwargs):
     """What the call returns, or the type of the error it raises."""
@@ -688,84 +685,68 @@ def outcome(call, *args, **kwargs):
         return type(exc)
 
 
-def served_then_cleared(call, *args, **kwargs):
-    """The call's outcome with the seal memo as it stands, then again with
-    the memo emptied, so that only the full computation can answer."""
-    first = outcome(call, *args, **kwargs)
-    crypto._seals.clear()
-    return first, outcome(call, *args, **kwargs)
-
-
 def flipped(data, index):
     out = bytearray(data)
     out[index % len(out)] ^= 0x01
     return bytes(out)
 
 
+def ref_rc5_open(key, ciphertext):
+    """rc5_decrypt by the per-block reference and its own framing check."""
+    framed = ref_rc5_decrypt_blocks(key, ciphertext)
+    (n,) = struct.unpack(">I", framed[:4])
+    if 4 + n > len(framed) or any(framed[4 + n:]):
+        raise CipherFormatError("bad padding")
+    return framed[4:4 + n]
+
+
+def ref_ecc_open(private, blob, curve, verify_tag):
+    """ecc_decrypt by the affine oracle, hashlib, hmac and the reference RC5."""
+    header = 2 * curve.coord_bytes
+    ephemeral = crypto.decode_point(blob[:header], curve)
+    secret = affine_oracle(private, ephemeral, curve)[0].to_bytes(curve.coord_bytes, "big")
+    key = hashlib.sha1(secret).digest()[:crypto.RC5_KEY_LEN]
+    body, tag = blob[header:-crypto.TAG_LEN], blob[-crypto.TAG_LEN:]
+    if verify_tag and hmac.new(key, body, hashlib.sha1).digest() != tag:
+        raise AuthenticationError("tag")
+    return ref_rc5_open(key, body)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.binary(min_size=crypto.RC5_KEY_LEN, max_size=crypto.RC5_KEY_LEN),
        st.binary(max_size=200), st.integers(0, 2 ** 16))
-def test_rc5_open_served_by_the_seal_memo_matches_the_word_loop(key, payload, where):
+def test_rc5_open_of_a_seal_matches_the_reference(key, payload, where):
     ct = crypto.rc5_encrypt(key, payload)
-    assert (key, ct) in crypto._seals
-    assert served_then_cleared(crypto.rc5_decrypt, key, ct) == (payload, payload)
+    assert crypto.rc5_decrypt(key, ct) == payload
     for opened_key, opened, want in (
-            (key, flipped(ct, where), None),                  # whatever the word loop says
+            (key, flipped(ct, where), None),                  # whatever the reference says
             (flipped(key, where), ct, CipherFormatError)):    # fails its padding
-        crypto.rc5_encrypt(key, payload)
-        first, second = served_then_cleared(crypto.rc5_decrypt, opened_key, opened)
-        assert first == second
-        assert want is None or first == want
+        got = outcome(crypto.rc5_decrypt, opened_key, opened)
+        assert got == outcome(ref_rc5_open, opened_key, opened)
+        assert want is None or got == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, crypto.SIM_CURVE.n - 1), st.integers(1, crypto.SIM_CURVE.n - 1),
        st.binary(max_size=120), st.integers(0, 2 ** 32), st.integers(0, 2 ** 16))
-def test_ecc_open_served_by_the_seal_memo_matches_the_ladder(old, new, payload, seed,
-                                                              where):
+def test_ecc_open_of_a_seal_matches_the_oracle(old, new, payload, seed, where):
     """`old` and `new` are one server's key history; a sealer still holds
     the old public key."""
     curve = crypto.SIM_CURVE
     assume(new not in (old, curve.n - old))   # d and n - d share the x-only secret
     header = 2 * curve.coord_bytes
     old_public = crypto._long_lived_mult(old, curve.g, curve)
-
-    def seal():
-        return crypto.ecc_encrypt(old_public, payload, curve, random.Random(seed))
-
-    blob = seal()
-    assert (old_public, crypto.decode_point(blob[:header], curve)) in crypto._seals
-    assert served_then_cleared(crypto.ecc_decrypt, old, blob, curve) == (payload, payload)
+    blob = crypto.ecc_encrypt(old_public, payload, curve, random.Random(seed))
+    assert crypto.ecc_decrypt(old, blob, curve) == payload
     body_byte = header + where % (len(blob) - header - crypto.TAG_LEN)
     tag_byte = len(blob) - 1 - where % crypto.TAG_LEN
     for private, opened, verify_tag, want in (
             (new, blob, True, AuthenticationError),      # the newer key, tried first
+            (new, blob, False, None),                    # whatever the oracle says
             (old, flipped(blob, body_byte), True, AuthenticationError),
             (old, flipped(blob, tag_byte), True, AuthenticationError),
             (old, flipped(blob, tag_byte), False, payload),
-            (old, flipped(blob, body_byte), False, None)):   # whatever the word loop says
-        seal()
-        first, second = served_then_cleared(crypto.ecc_decrypt, private, opened, curve,
-                                            verify_tag=verify_tag)
-        assert first == second
-        assert want is None or first == want
-
-
-def test_seal_memo_stays_bounded_and_forgets_the_oldest():
-    curve = crypto.SIM_CURVE
-    rng = random.Random(51)
-    keypair = crypto.generate_keypair(curve, rng)
-    key = rng.randbytes(crypto.RC5_KEY_LEN)
-    crypto._seals.clear()
-    sealed = []
-    for i in range(4 * crypto.SEAL_MEMO_SIZE):       # sealed, never opened
-        payload = i.to_bytes(2, "big")
-        sealed.append((payload, crypto.rc5_encrypt(key, payload)))
-        crypto.ecc_encrypt(keypair.public, payload, curve, rng)
-        assert len(crypto._seals) <= crypto.SEAL_MEMO_SIZE
-    assert len(crypto._seals) == crypto.SEAL_MEMO_SIZE
-    (first, first_ct), (last, last_ct) = sealed[0], sealed[-1]
-    assert (key, first_ct) not in crypto._seals and (key, last_ct) in crypto._seals
-    assert crypto.rc5_decrypt(key, first_ct) == first      # the word loop answers
-    assert crypto.rc5_decrypt(key, last_ct) == last        # the memo answers
-    assert (key, last_ct) not in crypto._seals             # and forgets it
+            (old, flipped(blob, body_byte), False, None)):   # whatever the oracle says
+        got = outcome(crypto.ecc_decrypt, private, opened, curve, verify_tag=verify_tag)
+        assert got == outcome(ref_ecc_open, private, opened, curve, verify_tag)
+        assert want is None or got == want

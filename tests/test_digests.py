@@ -11,10 +11,14 @@ from dataclasses import replace
 
 import pytest
 
-from sermt import crypto
+from conftest import brute_force_hears, copying_relay, eager_adjacency, reference_dijkstra
+from sermt import crypto, protocol
 from sermt.adversary import AttackSpec
 from sermt.metrics import replay_trace
+from sermt.protocol import ProtocolEngine
 from sermt.scenario import DATA_DIR, _sweep_attacks, load_config, run_scenario
+from sermt.simcore import Channel
+from sermt.wire import DATA_TYPES, NESTED_MAC_TYPES, MsgType
 
 DURATION = 60.0
 
@@ -209,8 +213,9 @@ def affine_mult(k, point, curve, fixed_base=False):
 def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
     """Every multiply is affine with no window table, the key memo and the
     RC5 schedule and chain-walk caches call through to their functions, and
-    the seal memo holds nothing, so every open takes the full ECDH, RC5 and
-    padding path: the trace and the audit must still be the pinned ones."""
+    every relayed frame arrives as a copy of its bytes, so the engine opens
+    each one by the full ECDH, RC5 and padding path: the trace and the
+    audit must still be the pinned ones."""
     lrus = [crypto._long_lived_mult, crypto.rc5_key_schedule, crypto._chain_walk,
             crypto._base_table]
     before = [lru.cache_info() for lru in lrus]
@@ -223,14 +228,124 @@ def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
     monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
     for lru in lrus[:3]:
         monkeypatch.setattr(crypto, lru.__name__, lru.__wrapped__)
-    monkeypatch.setattr(crypto, "SEAL_MEMO_SIZE", 0)
-    crypto._seals.clear()
+    arrived, opened = record_opens(monkeypatch, copying_relay(ProtocolEngine._relay_chain))
     result = run_scenario(case_config(case, defense))
     _, _, _, on_digest, off_digest = CASES[case]
     assert result.trace.digest() == (on_digest if defense else off_digest)
     assert audit_of(result) == AUDITS[case][not defense]
-    assert mults and crypto._seals == {}
-    assert [lru.cache_info() for lru in lrus] == before
+    assert mults and [lru.cache_info() for lru in lrus] == before
+    assert opened["rc5"] and opened["ecc"]
+    assert opened_in_turn(opened, [frame for _, frame in arrived])
+
+
+def record_opens(monkeypatch, relay_chain):
+    """Install `relay_chain` as the engine's relay and note, in run order,
+    each data frame that reached its far end as (payload sealed, frame as
+    it arrived), and per cipher the ciphertexts the engine opened (the one
+    ciphertext tried under several server keys is noted once)."""
+    arrived, opened = [], {"rc5": [], "ecc": []}
+
+    def noting_relay(engine, hops, msg_type, payload, session_key=None):
+        frame = relay_chain(engine, hops, msg_type, payload, session_key)
+        if frame is not None and msg_type in DATA_TYPES:
+            arrived.append((payload, frame))
+        return frame
+
+    def noting(name, call):
+        def open_(key, blob, *args, **kwargs):
+            if not opened[name] or opened[name][-1] is not blob:
+                opened[name].append(blob)
+            return call(key, blob, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(ProtocolEngine, "_relay_chain", noting_relay)
+    monkeypatch.setattr(protocol, "rc5_decrypt", noting("rc5", protocol.rc5_decrypt))
+    monkeypatch.setattr(protocol, "ecc_decrypt", noting("ecc", protocol.ecc_decrypt))
+    return arrived, opened
+
+
+def opened_in_turn(opened, frames):
+    """Whether the engine opened the payloads of `frames`, and no other,
+    each once and in order, by the cipher its message type is sealed with."""
+    for name, types in (("rc5", NESTED_MAC_TYPES), ("ecc", {MsgType.AGG_DATA})):
+        want = [frame.payload for frame in frames if frame.msg_type in types]
+        if len(opened[name]) != len(want) or any(
+                got is not payload for got, payload in zip(opened[name], want)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(("case", "defense", "altered", "stale"), [
+    ("clean", True, 0, 0), ("clean", False, 0, 0),
+    # a false-data relay alters aggregates; with the defense on their tag fails
+    ("false_data", True, 26, 0), ("false_data", False, 28, 0),
+    # aggregates sealed by a node that missed a server's newest key
+    ("flood1_lossy", True, 0, 4),
+], ids=["clean-sermt", "clean-baseline", "false_data-sermt", "false_data-baseline",
+        "flood1_lossy-sermt"])
+def test_the_engine_opens_only_altered_frames_and_seals_to_older_keys(
+        case, defense, altered, stale, monkeypatch):
+    """A frame that arrives as it was sealed, to its recipient's newest key,
+    is taken in unopened; every other arrived data frame is opened, in the
+    order it arrived, and the trace and audit stay the pinned ones. A clean
+    world on a loss-free radio opens nothing."""
+    stale_arrivals = []
+    seal_to_server = ProtocolEngine._seal_to_server
+
+    def noting_seal(engine, origin, main, path, records):
+        server = engine.network.server(main)
+        older = origin.server_pubkeys.get(server.id) not in (
+            None, engine.server_key_history[server.id][-1].public)
+        count = len(arrived)
+        seal_to_server(engine, origin, main, path, records)
+        if older and len(arrived) > count:
+            stale_arrivals.append(arrived[-1][1])
+
+    arrived, opened = record_opens(monkeypatch, ProtocolEngine._relay_chain)
+    monkeypatch.setattr(ProtocolEngine, "_seal_to_server", noting_seal)
+    config = case_config(case, defense)
+    result = run_scenario(config)
+    _, _, _, on_digest, off_digest = CASES[case]
+    assert result.trace.digest() == (on_digest if defense else off_digest)
+    assert audit_of(result) == AUDITS[case][not defense]
+    changed = [frame for sealed, frame in arrived if frame.payload is not sealed]
+    assert (len(changed), len(stale_arrivals)) == (altered, stale)
+    assert opened_in_turn(opened, [frame for _, frame in arrived if any(
+        frame is other for other in changed + stale_arrivals)])
+    if case == "clean":
+        assert config.radio.loss_probability == 0
+        assert opened == {"rc5": [], "ecc": []}
+
+
+@pytest.mark.parametrize("case", ["attacked", "malicious35", "ieee118"])
+def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch):
+    """Every route graph is built eagerly, every route search pushes each
+    relaxed edge, and each radio neighbourhood is scanned from its own node
+    alone: the trace and the audit must still be the pinned ones."""
+    calls = {"adjacency": 0, "dijkstra": 0, "hears": 0}
+
+    def eager(nodes, hears, weight_of):
+        calls["adjacency"] += 1
+        return eager_adjacency(nodes, hears, weight_of)
+
+    def pushing_every_edge(adjacency, source, targets):
+        calls["dijkstra"] += 1
+        return reference_dijkstra(adjacency, source, targets)[0]
+
+    def fill_each_on_its_own(channel):
+        calls["hears"] += 1
+        channel._hears = brute_force_hears(channel.network, channel.radio)
+
+    monkeypatch.setattr(protocol, "build_adjacency", eager)
+    monkeypatch.setattr(protocol, "dijkstra", pushing_every_edge)
+    monkeypatch.setattr(Channel, "_fill_hears", fill_each_on_its_own)
+    if case == "ieee118":
+        assert run_scenario(ieee118_config(True)).trace.digest() == IEEE118_DIGESTS[0]
+    else:
+        result = run_scenario(case_config(case, True))
+        assert result.trace.digest() == CASES[case][3]
+        assert audit_of(result) == AUDITS[case][0]
+    assert all(calls.values())
 
 
 # The paper's scale: `scaled_ieee14.conf` moved onto the 118-bus grid with
@@ -240,9 +355,12 @@ IEEE118_DIGESTS = ("844d41e11ce5a890ffc32f59b2a6bd18ce0aacb9",
                    "9d237eea33f32cd161abd6bdc8d51366b2687882")
 
 
+def ieee118_config(defense):
+    return replace(load_config(DATA_DIR / "scaled_ieee14.conf"),
+                   topology_path=DATA_DIR / "ieee118.grid", n_nodes=240, es_nodes=120,
+                   duration=30.0, seed=7, defense=defense)
+
+
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
 def test_ieee118_trace_digest_pinned(defense):
-    config = replace(load_config(DATA_DIR / "scaled_ieee14.conf"),
-                     topology_path=DATA_DIR / "ieee118.grid", n_nodes=240, es_nodes=120,
-                     duration=30.0, seed=7, defense=defense)
-    assert run_scenario(config).trace.digest() == IEEE118_DIGESTS[not defense]
+    assert run_scenario(ieee118_config(defense)).trace.digest() == IEEE118_DIGESTS[not defense]

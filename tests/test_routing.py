@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import eager_adjacency, reference_dijkstra
 from sermt import routing
 from sermt.routing import INFINITE, dijkstra, route_weight
 
@@ -110,28 +111,6 @@ def test_dijkstra_multiple_targets_takes_nearest():
     assert dijkstra(adjacency, 1, {2, 3}) == (1.0, [1, 2])
 
 
-def reference_dijkstra(adjacency, source, targets):
-    """Dijkstra over (cost, path) heap entries that pushes one entry per
-    relaxed edge, however far it is from the best one queued for its node;
-    returns its answer and its push count."""
-    if source in targets:
-        return (0.0, [source]), 0
-    heap, settled, pushes = [(0.0, (source,))], set(), 0
-    while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
-            continue
-        settled.add(node)
-        if node in targets:
-            return (cost, list(path)), pushes
-        for neighbor, weight in adjacency.get(node, ()):
-            if neighbor not in settled and weight != INFINITE:
-                heapq.heappush(heap, (cost + weight, path + (neighbor,)))
-                pushes += 1
-    return None, pushes
-
-
 @st.composite
 def weighted_graphs(draw):
     """Directed graphs over IDs 1..n whose few weights make equal-cost paths
@@ -196,17 +175,6 @@ def test_build_adjacency_uses_hears_and_weights():
     assert adjacency[3] == []
     assert dict(adjacency) == {1: [(2, 200.0)], 2: [(1, 200.0), (3, 400.0)], 3: []}
     assert len(weighed) == 3                 # a row read again is not weighed again
-
-
-def eager_adjacency(nodes, hears, weight_of):
-    """The reference graph, built eagerly: every row at once, each pool
-    neighbour listed once per time `nodes` names it."""
-    adjacency = {}
-    for u in nodes:
-        heard = hears(u)
-        adjacency[u.id] = sorted((v.id, weight_of(u, v, heard[v.id]))
-                                 for v in nodes if v.id in heard)
-    return adjacency
 
 
 @st.composite

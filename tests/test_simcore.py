@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TWO_SUB_DOC, make_world
+from conftest import TWO_SUB_DOC, brute_force_hears, make_world
 from sermt import grid
 from sermt.entities import Behavior, Network, NodeState
 from sermt.grid import Deployment, EntitySeed
@@ -614,17 +614,6 @@ def test_add_node_joins_built_neighbourhoods():
                                position=(1050.0, 0.0), region_id=1))
     assert list(network.nodes) == [1, 2, 3, 4, 5, 9, 10]
     assert list(channel.hears(me)) == [9, 10]
-
-
-def brute_force_hears(network, radio):
-    """Each node's neighbourhood on its own: every other entity, dead ones
-    included, inside a closed ball at the node's own range, in ID order."""
-    return {node.id: {other.id: grid.distance(node.position, other.position)
-                      for other in sorted(network.nodes.values(), key=lambda n: n.id)
-                      if other.id != node.id
-                      and grid.distance(node.position, other.position)
-                      <= radio.range_of(node.kind)}
-            for node in network.nodes.values()}
 
 
 _KINDS = ("N", "ES", "PDC", "MU", "PMU")

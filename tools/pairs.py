@@ -9,21 +9,31 @@ once in each, from its root; the side that goes first alternates from one
 pair to the next, so a drift in host speed falls on both sides alike. Every
 run's `correct`, `failed` and metrics are printed as it ends, then each
 side's median and quartiles per metric, the pairs in which CHANGE is better
-(by the metric's `better` in CHANGE's BENCHMARK.json), the parent's
-quartile spread to hold the difference of medians against, and whether
-CHANGE's median is worse than the parent's by more than the metric's
-`bound` (a fraction of the parent's median) in CHANGE's BENCHMARK.json.
+(by the metric's `better` in CHANGE's BENCHMARK.json; a tie counts for
+neither side), the parent's quartile spread to hold the difference of
+medians against, and two verdicts:
+
+- `claim met` when CHANGE is better in at least nine tenths of the pairs
+  and its median is better than the parent's by more than the parent's
+  quartile spread, else `not met`;
+- against the metric's `bound` (a fraction of the parent's median) in
+  CHANGE's BENCHMARK.json: `OVER bound` when CHANGE's median is worse than
+  the parent's by more than the bound; else `unresolved` when the parent's
+  quartile spread is wider than the bound and not every CHANGE run is
+  better than every parent run; else `within bound`.
 
 `--workload` may be given more than once, and `--workload all` stands for
 every workload in CHANGE's BENCHMARK.json. The workloads run one after
 another, each with its own pairs and its own summary.
 
 `--compile` first runs `python3 -m compileall -q src perfbench` in both
-checkouts, so that no worker compiles the package from source. Source
-edits that allocate nothing can move `peak_rss_mb` when the workers
-compile it (with `PYTHONDONTWRITEBYTECODE=1` set, say); comparing runs
-with and without `--compile` separates such a shift from a real
-allocation.
+checkouts, so that no worker compiles the package from source. Without
+it, every `__pycache__` under `src` and `perfbench` in both checkouts is
+removed before the first pair and each run has `PYTHONDONTWRITEBYTECODE=1`,
+so every worker compiles the package from source, whatever an earlier run
+left behind. Source edits that allocate nothing can move `peak_rss_mb`
+when the workers compile it; comparing runs with and without `--compile`
+separates such a shift from a real allocation.
 
 The exit code is 0 when every run of every workload is `correct` with
 `failed: 0`.
@@ -33,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,7 +55,8 @@ def run_bench(root: Path, workload: str, args: argparse.Namespace) -> dict:
     """One perfbench run in `root`; its result line, or an error record."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    env = None if args.compile else {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -74,13 +87,18 @@ def metric_spec(root: Path, metric: str) -> dict:
     return {}
 
 
-def bound_verdict(spec: dict, sign: int, parent: float, change: float) -> str:
-    """Whether the change's median is worse than the parent's by more than
-    the metric's bound; empty when the metric has none."""
+def bound_verdict(spec: dict, worse_by: float, spread: float, every_run_better: bool) -> str:
+    """The change's median against the metric's bound, given how much worse
+    it is and the parent's quartile spread, both as fractions of the
+    parent's median; empty when the metric has no bound."""
     if "bound" not in spec:
         return ""
-    worse = sign * (change - parent) / parent > spec["bound"]
-    return f"  {'OVER' if worse else 'within'} bound {spec['bound']:.0%}"
+    bound = f"bound {spec['bound']:.0%}"
+    if worse_by > spec["bound"]:
+        return f"  OVER {bound}"
+    if spread > spec["bound"] and not every_run_better:
+        return f"  unresolved: parent IQR wider than the {bound}"
+    return f"  within {bound}"
 
 
 def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> bool:
@@ -110,10 +128,15 @@ def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> 
         wins = sum(sign * (c - p) < 0 for p, c in paired)
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
         mp, mc = statistics.median(parent), statistics.median(change)
+        # a gain needs 9/10 of all pairs (ties win for neither side) and a
+        # better median by more than the parent's quartile spread
+        claim = 10 * wins >= 9 * len(paired) and sign * (mp - mc) > p3 - p1
+        every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
         print(f"  {metric:12s} parent {mp:.4f} [{p1:.4f}, {p3:.4f}]  "
               f"change {mc:.4f} [{c1:.4f}, {c3:.4f}]  {(mc - mp) / mp:+.1%}  "
               f"better in {wins}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
-              f"vs parent IQR {p3 - p1:.4f}{bound_verdict(spec, sign, mp, mc)}")
+              f"vs parent IQR {p3 - p1:.4f}  {'claim met' if claim else 'not met'}"
+              f"{bound_verdict(spec, sign * (mc - mp) / mp, (p3 - p1) / mp, every_run_better)}")
     ok = all(out["correct"] and out["failed"] == 0 for side in runs.values() for out in side)
     print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT")
     return ok
@@ -138,6 +161,10 @@ def main(argv: list[str]) -> int:
         if args.compile:
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=root, check=True, stdout=subprocess.DEVNULL)
+        else:
+            for tree in ("src", "perfbench"):
+                for cache in list((root / tree).rglob("__pycache__")):
+                    shutil.rmtree(cache)
     every = [w["name"] for w in benchmark_spec(sides["change"]).get("workloads", [])]
     workloads = list(dict.fromkeys(workload for name in args.workload
                                    for workload in (every if name == "all" else [name])))
