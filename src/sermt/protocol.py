@@ -24,7 +24,7 @@ decision reads the switch in one place:
 - MAC gate: `_authentic`, which `_relay_chain` applies at each hop to a
   group-keyed MAC and at the far end only to a MAC nested under a session
   key, since only the far end holds that key;
-- ciphertext tag: `_server_ingest`;
+- ciphertext tag: `_server_open`;
 - ES probing: `_select_es`;
 - link weight: `_link_weight` (plain distance).
 """
@@ -780,6 +780,18 @@ class ProtocolEngine:
             self.delivery.tamper_detected += 1
             return None
 
+    def _hand_over(self, path: tuple[int, ...], msg_type: MsgType,
+                   records: list[tuple[int, bytes]],
+                   inbox: dict[int, list[tuple[int, bytes]]]) -> None:
+        """Carry `records` to `path[-1]`, sealed along `path` unless its two
+        ends are one node, and add what opened there to its `inbox` entry.
+        A leg that opened nothing adds nothing: only records make a head or
+        a concentrator seal to the control centers."""
+        if path[0] != path[-1]:
+            records = self._sealed_leg(path, msg_type, records)
+        if records:
+            inbox.setdefault(path[-1], []).extend(records)
+
     # -- gateway-local ES selection --------------------------------------------
 
     def _gw_probe_event(self) -> None:
@@ -847,8 +859,9 @@ class ProtocolEngine:
         if self.delivery.deliver(counter, reading[:MARKER_LEN]):
             self.trace.log(self.queue.now, "deliver", f"reading:{counter}", "ok")
 
-    def _server_ingest(self, server: NodeState, blob: bytes) -> None:
-        plain = None
+    def _server_open(self, server: NodeState, blob: bytes) -> list[tuple[int, bytes]] | None:
+        """The records in `blob`, opened with the server's newest key first;
+        None, with a tamper counted, if no key opens it to records."""
         for keypair in reversed(self.server_key_history[server.id]):
             try:
                 plain = ecc_decrypt(keypair.private, blob, SIM_CURVE,
@@ -857,16 +870,14 @@ class ProtocolEngine:
             except (AuthenticationError, CipherFormatError, InvalidKeyError,
                     ValueError):
                 continue
-        if plain is None:
+        else:
             self.delivery.tamper_detected += 1
-            return
+            return None
         try:
-            records = unpack_records(plain)
+            return unpack_records(plain)
         except (ValueError, struct.error):
             self.delivery.tamper_detected += 1
-            return
-        for _source, reading in records:
-            self.ingest_reading(reading)
+            return None
 
     # -- MU data path -------------------------------------------------------------
 
@@ -907,9 +918,7 @@ class ProtocolEngine:
             self.delivery.isolation_alarms += 1
             return
         for record in queue:
-            opened = self._sealed_leg((gw.id, forwarder_id), MsgType.EMD, [record])
-            if opened:
-                carry.setdefault(forwarder_id, []).extend(opened)
+            self._hand_over((gw.id, forwarder_id), MsgType.EMD, [record], carry)
         queue.clear()
 
     def _flush_clusters(self, carry: dict[int, list[tuple[int, bytes]]]) -> None:
@@ -921,13 +930,9 @@ class ProtocolEngine:
         routed_by_head: dict[int, list[tuple[int, bytes]]] = {}
         for solicitor_id, head_id in sorted(self.cluster_head.items()):
             records = carry.get(solicitor_id)
-            if not records:
-                continue
-            if solicitor_id != head_id:
-                records = self._sealed_leg((solicitor_id, head_id), MsgType.DATA, records)
-                if records is None:
-                    continue
-            routed_by_head.setdefault(head_id, []).extend(records)
+            if records:
+                self._hand_over((solicitor_id, head_id), MsgType.DATA, records,
+                                routed_by_head)
         for head_id in sorted(routed_by_head):
             self._send_aggregate(net.nodes[head_id], routed_by_head[head_id])
 
@@ -941,12 +946,10 @@ class ProtocolEngine:
                 return
         self.delivery.undeliverable_alarms += 1
 
-    def _seal_to_server(self, origin: NodeState, main: bool,
-                        path: tuple[int, ...] | None,
+    def _seal_to_server(self, origin: NodeState, main: bool, path: tuple[int, ...],
                         records: list[tuple[int, bytes]]) -> None:
         """ECC-seal the records to the main or backup server's current key and
-        relay them along `path` as AGG_DATA. A None path counts an
-        undeliverable alarm before any seal: no ciphertext, no RNG draw.
+        relay them along `path` as AGG_DATA.
 
         An origin with no key for the server cannot seal, and its records stop
         here: no frame, no RNG draw. Only a foreign plant lacks the keys, and
@@ -956,26 +959,22 @@ class ProtocolEngine:
         dropper's does.
 
         A frame that arrives as it was sealed, to the server's newest key,
-        is the one `_server_ingest` opens on its first try, to exactly the
+        is the one `_server_open` opens on its first try, to exactly the
         sorted records, so those are taken in unopened. Any other frame, or
-        a seal to an older key, goes through `_server_ingest`."""
+        a seal to an older key, goes through `_server_open`."""
         server = self.network.server(main)
         pubkey = origin.server_pubkeys.get(server.id)
         if pubkey is None:
-            return
-        if path is None:
-            self.delivery.undeliverable_alarms += 1
             return
         ordered = sorted(records)
         blob = ecc_encrypt(pubkey, pack_records(ordered), SIM_CURVE, self.rng)
         arrived = self._relay_chain(path, MsgType.AGG_DATA, blob)
         if arrived is None:
             return
-        if arrived.payload is blob and pubkey == self.server_key_history[server.id][-1].public:
-            for _source, reading in ordered:
-                self.ingest_reading(reading)
-        else:
-            self._server_ingest(server, arrived.payload)
+        if arrived.payload is not blob or pubkey != self.server_key_history[server.id][-1].public:
+            ordered = self._server_open(server, arrived.payload) or []
+        for _source, reading in ordered:
+            self.ingest_reading(reading)
 
     def _route_to_cc(self, source: NodeState, main: bool) -> tuple[int, ...] | None:
         cc_gw = self.network.cc_gateway(main)
@@ -1064,27 +1063,24 @@ class ProtocolEngine:
     def _es_to_pdc(self, es: NodeState, records: list[tuple[int, bytes]],
                    pdc_inbox: dict[int, list[tuple[int, bytes]]]) -> None:
         pdc = self._region_pdc(es.region_id)
-        if pdc.id == es.id:
-            pdc_inbox.setdefault(pdc.id, []).extend(records)
-            return
-        if pdc.id in self.channel.hears(es):
+        if pdc.id == es.id or pdc.id in self.channel.hears(es):
             path: tuple[int, ...] | None = (es.id, pdc.id)
         else:
             path = self._route(es.id, pdc.id, lambda: (self._relays(("ES",), es.id) + [pdc],))
         if path is None:
             self.delivery.undeliverable_alarms += 1
             return
-        opened = self._sealed_leg(path, MsgType.DATA, records)
-        if opened:
-            # only records make a concentrator dispatch: one that got only
-            # garbage seals nothing to the control centers
-            pdc_inbox.setdefault(pdc.id, []).extend(opened)
+        self._hand_over(path, MsgType.DATA, records, pdc_inbox)
 
     def _pdc_dispatch(self, pdc: NodeState, records: list[tuple[int, bytes]]) -> None:
         """Aggregate and deliver to both control centers over the static
         concentrator overlay."""
         for main in (True, False):
-            self._seal_to_server(pdc, main, self._pdc_route(pdc, main), records)
+            path = self._pdc_route(pdc, main)
+            if path is None:
+                self.delivery.undeliverable_alarms += 1
+            else:
+                self._seal_to_server(pdc, main, path, records)
 
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
         net = self.network
