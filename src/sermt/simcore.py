@@ -471,14 +471,17 @@ class Channel:
                 delivered.append(node_id)
             else:
                 self.trace.log(now, "drop", f"{sender_id}->{node_id}:{type_name}", outcome)
-        delivered.extend(self._wormhole_relay(sender, frame, type_name, control, kinds,
+        delivered.extend(self._wormhole_relay(sender, emission, type_name, control, kinds,
                                               delivered))
         return delivered
 
-    def _wormhole_relay(self, sender: NodeState, frame: Frame, type_name: str,
+    def _wormhole_relay(self, sender: NodeState, emission: Emission, type_name: str,
                         control: bool, kinds, already: list[int]) -> list[int]:
-        """Re-emit an overheard broadcast at the far end of each wormhole.
-        A tunnelled leg that fails is counted but writes no trace line."""
+        """Replay an overheard broadcast at the far end of each wormhole.
+        The far end pays the transmit, but its listeners take in the
+        sender's own emission: they hear `sender`, as the returned delivered
+        list says they did.  A tunnelled leg that fails is counted but
+        writes no trace line."""
         extra: list[int] = []
         for end_a, end_b in self.wormholes:
             for near, far in ((end_a, end_b), (end_b, end_a)):
@@ -487,11 +490,9 @@ class Channel:
                     continue
                 if not (control or near in self.hears(sender)):
                     continue
-                far_tx = self._pay_tx(far_node, frame)
+                far_tx = self._pay_tx(far_node, emission.frame)
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
-                # the far end's emission: its listeners hear it from `far`
-                emission = self._emission(far, frame, type_name)
                 for node_id in self.hears(far_node):
                     receiver = self.network.nodes[node_id]
                     if receiver.id in (sender.id, near) or node_id in already:

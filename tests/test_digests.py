@@ -39,8 +39,8 @@ CASES = {
     # tunnelled broadcasts: 28 (on) / 22 (off) `wormhole` trace lines
     "wormhole": ("scaled_ieee14.conf",
                  (AttackSpec(kind="WORMHOLE", name="wh", count=2),), 7,
-                 "b269ee76cca39f4e6f0149285e3fec65e53eed4e",
-                 "0b32240f4c971d7f31bea4ffa8f6327b768dfa5c"),
+                 "aebef17a5537ecf8e0357620c95746fce4913542",
+                 "e71ae816ee8eb9eed7a6915f5a753250760e4434"),
     # compromised nodes overhearing in-range traffic
     "insider_spy": ("scaled_ieee14.conf",
                     (AttackSpec(kind="EAVESDROP", name="spy", count=3),), 7,
@@ -65,8 +65,8 @@ CASES = {
     "wormhole_spy": ("scaled_ieee14.conf",
                      (AttackSpec(kind="WORMHOLE", name="wh", count=2),
                       AttackSpec(kind="EAVESDROP", name="spy", count=2)), 5,
-                     "2ec235028064a7d21bd66777699adefe5baa1b00",
-                     "353ee4de578a555146942a5bf631af95aaacf958"),
+                     "4be1b5f015232b93fbbc56615b879566901c9d0b",
+                     "e3e1da178fb24189eab768d067c0f6335c567d03"),
     # a planted device heads a cluster in the baseline and, holding no server
     # keys, cannot seal to the servers: its cluster's readings stop with it
     "foreign_spy": ("scaled_ieee14.conf",
@@ -193,6 +193,39 @@ def test_replay_recomputes_delivery_and_charge(case, defense):
     assert replayed_counts == live_counts
     for node_id, replayed, live in consumed:
         assert replayed == pytest.approx(live, rel=1e-9, abs=1e-12), node_id
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+def test_wormhole_listeners_hear_the_broadcast_sender(defense, monkeypatch):
+    """Every listener in a broadcast's delivered list has an `rx` line,
+    written inside that broadcast, naming the broadcast's sender: a
+    wormhole's far end relays the sender's emission, it does not become
+    the sender. Each broadcast is bracketed by two `mark` lines here."""
+    broadcast = Channel.broadcast
+
+    def marked(channel, sender, *args, **kwargs):
+        channel.trace.log(channel.queue.now, "mark", str(sender.id), "begin")
+        delivered = broadcast(channel, sender, *args, **kwargs)
+        channel.trace.log(channel.queue.now, "mark", str(sender.id),
+                          ",".join(map(str, delivered)))
+        return delivered
+
+    monkeypatch.setattr(Channel, "broadcast", marked)
+    result = run_scenario(case_config("wormhole", defense))
+    heard, tunnelled, checked = set(), 0, 0
+    for line in result.trace.lines:
+        _, kind, ids, outcome, _ = line.split(" | ")
+        if kind == "rx" and outcome == "received":
+            heard.add(tuple(ids.split(":")[0].split("<-")))
+        elif kind == "wormhole":
+            tunnelled += 1
+        elif kind == "mark" and outcome == "begin":
+            heard.clear()
+        elif kind == "mark":
+            for listener in filter(None, outcome.split(",")):
+                assert (listener, ids) in heard, line
+                checked += 1
+    assert tunnelled and checked
 
 
 def affine_mult(k, point, curve, fixed_base=False):
