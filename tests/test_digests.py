@@ -33,6 +33,14 @@ CASES = {
                    (AttackSpec(kind="FALSE_DATA", name="fd", count=8),), 11,
                    "0997d03df82a889944d8dd8a9f112efe3667feb9",
                    "73a5e75eb020d860b24e2aa7a55e8a4c08bebe23"),
+    # false-data relays on session-keyed legs: in the baseline 4 altered DATA
+    # frames reach their far end and fail to open there (4 `rc5_decrypt`
+    # calls, 4 `tamper_detected`); with the defense on the nested MAC
+    # rejects the same 4 first (4 `auth_rejects`) and nothing is opened
+    "false_data_leg": ("scaled_ieee14.conf",
+                       (AttackSpec(kind="FALSE_DATA", name="fd", count=12),), 14,
+                       "12c0c89fdd7f476878e66dbd48a870a25d680567",
+                       "fff5c45da06392d228b6acae63868ba0bb922c58"),
     "malicious35": ("scaled_ieee14.conf", _sweep_attacks("malicious", 35), 7,
                     "fd90ea341c395f02e7174e72b0d0c9290fa1b675",
                     "47efd624f6b9b6fa3798c5a1f4df619a37e68b9f"),
@@ -90,6 +98,7 @@ AUDITS = {
     "attacked": ((((0, 0), (0, 0), (791, 0)), 0), (((0, 4), (0, 0), (111, 0)), 0)),
     "clean": (((), 0), ((), 0)),
     "false_data": ((((0, 4),), 0), (((0, 4),), 0)),
+    "false_data_leg": ((((0, 26),), 0), (((0, 24),), 0)),
     "flood1": ((((0, 0),), 0), (((0, 0),), 0)),
     "flood1_lossy": ((((0, 2),), 0), (((0, 7),), 0)),
     "foreign_spy": ((((909, 0),), 0), (((130, 4),), 0)),
@@ -242,7 +251,9 @@ def affine_mult(k, point, curve, fixed_base=False):
 @pytest.mark.parametrize(("case", "defense"), [
     ("attacked", True), ("false_data", True), ("malicious35", True),
     ("false_data", False),      # opens without the tag check
-], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline"])
+    ("false_data_leg", False),  # altered session-keyed frames reach their far end
+], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline",
+        "false_data_leg-baseline"])
 def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
     """Every multiply is affine with no window table, the key memo and the
     RC5 schedule and chain-walk caches call through to their functions, and
@@ -312,10 +323,12 @@ def opened_in_turn(opened, frames):
     ("clean", True, 0, 0), ("clean", False, 0, 0),
     # a false-data relay alters aggregates; with the defense on their tag fails
     ("false_data", True, 26, 0), ("false_data", False, 28, 0),
+    # a false-data relay alters session-keyed DATA frames; each fails to open
+    ("false_data_leg", False, 4, 0),
     # aggregates sealed by a node that missed a server's newest key
     ("flood1_lossy", True, 0, 4),
 ], ids=["clean-sermt", "clean-baseline", "false_data-sermt", "false_data-baseline",
-        "flood1_lossy-sermt"])
+        "false_data_leg-baseline", "flood1_lossy-sermt"])
 def test_the_engine_opens_only_altered_frames_and_seals_to_older_keys(
         case, defense, altered, stale, monkeypatch):
     """A frame that arrives as it was sealed, to its recipient's newest key,
@@ -348,6 +361,9 @@ def test_the_engine_opens_only_altered_frames_and_seals_to_older_keys(
     if case == "clean":
         assert config.radio.loss_probability == 0
         assert opened == {"rc5": [], "ecc": []}
+    if case == "false_data_leg":
+        assert (len(opened["rc5"]), len(opened["ecc"])) == (4, 0)
+        assert result.metrics.tamper_detected == 4
 
 
 @pytest.mark.parametrize("case", ["attacked", "malicious35", "ieee118"])
