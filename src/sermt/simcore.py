@@ -199,10 +199,9 @@ class Trace:
 @dataclass(slots=True)
 class Observation:
     """One attack target seeing one frame, as receiver, broadcast listener
-    or eavesdropper; nodes outside `Channel.audited` are not recorded."""
-    t: float
+    or eavesdropper; nodes outside `Channel.audited` are not recorded.  It
+    holds what the post-run audit reads: who saw the frame, and the frame."""
     observer_id: int
-    sender_id: int
     frame: Frame
 
 
@@ -380,8 +379,7 @@ class Channel:
         self.debit(listener, emission.rx_joules)
         self.trace.append(f"{emission.head}{listener.id}{emission.mid}{how}{emission.tail}")
         if listener.id in self.audited:
-            self.observations.append(Observation(emission.t, listener.id, emission.sender_id,
-                                                 emission.frame))
+            self.observations.append(Observation(listener.id, emission.frame))
 
     def _lose(self, reason: str) -> str:
         """Count one lost frame under `reason`; returns its trace outcome."""
