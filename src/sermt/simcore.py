@@ -208,11 +208,11 @@ class Observation:
 @dataclass(slots=True)
 class Emission:
     """One emission of a frame as its listeners take it in: who sent it,
-    when, what each listener pays to receive it, and the fixed parts of
-    their `rx` trace lines.  Those parts split `Trace.log`'s format around
-    the listener's ID and the outcome; `Channel._emission` builds them once
-    per emission, however many listeners there are."""
-    t: float
+    what each listener pays to receive it, and the fixed parts of their
+    `rx` trace lines, the time stamp among them.  Those parts split
+    `Trace.log`'s format around the listener's ID and the outcome;
+    `Channel._emission` builds them once per emission, however many
+    listeners there are."""
     sender_id: int
     frame: Frame
     rx_joules: float
@@ -370,7 +370,7 @@ class Channel:
         if rx is None:
             joules = self.energy.energy_rx(bits)
             rx = self._rx_parts[bits] = (joules, f" | {joules:.12g}")
-        return Emission(now, sender_id, frame, rx[0], self._stamp[1],
+        return Emission(sender_id, frame, rx[0], self._stamp[1],
                         f"<-{sender_id}:{type_name} | ", rx[1])
 
     def _take_in(self, listener: NodeState, emission: Emission, how: str) -> None:
