@@ -35,8 +35,8 @@ CASES = {
                    "73a5e75eb020d860b24e2aa7a55e8a4c08bebe23"),
     # false-data relays on session-keyed legs: in the baseline 4 altered DATA
     # frames reach their far end and fail to open there (4 `rc5_decrypt`
-    # calls, 4 `tamper_detected`); with the defense on the nested MAC
-    # rejects the same 4 first (4 `auth_rejects`) and nothing is opened
+    # calls, 4 `tamper_detected`); with the defense on 4 altered DATA frames
+    # fail the nested MAC at their far end (4 `auth_rejects`), none is opened
     "false_data_leg": ("scaled_ieee14.conf",
                        (AttackSpec(kind="FALSE_DATA", name="fd", count=12),), 14,
                        "12c0c89fdd7f476878e66dbd48a870a25d680567",

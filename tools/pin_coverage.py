@@ -1,21 +1,18 @@
 """List the `src/sermt` statements that no pinned run executes.
 
-    python3 tools/pin_coverage.py [CASE ...] [--duration SECONDS]
+    python3 tools/pin_coverage.py [CASE ...]
 
 Runs each named case of `tests/test_digests.py` (every case by default)
 with the defense on and off, as its pin does, under `sys.settrace`, and
 takes each trace's digest, and prints every statement in a `src/sermt`
 function body that none of those runs executed, one per line as
 `module:line  function  statement`, then a count. Only the standard
-library is used. `--duration` cuts each run to that many simulated
-seconds (default: the pins' own duration); a shorter run no longer
-matches its pin, so only use it to try the tool out.
+library is used.
 
 A simple statement counts as run when a line event lands on any of its
 lines; a compound one (`if`, `for`, `try`, ...) when one lands on its
 header or any statement inside it ran. A docstring is not a statement.
-The exit code is 1 if a run at the pins' duration does not give its
-pinned digest, else 0.
+The exit code is 1 if a run does not give its pinned digest, else 0.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,9 +86,10 @@ def function_statements(tree: ast.Module) -> list[tuple[str, ast.stmt, list[ast.
     return out
 
 
-def unexecuted(source: str, hit: set[int]) -> list[tuple[str, ast.stmt]]:
-    """The function-body statements of `source` that ran on no line in
-    `hit`, in line order."""
+def unexecuted(found, hit: set[int]) -> list[tuple[str, ast.stmt]]:
+    """The statements of `found` (as `function_statements` gives them)
+    that ran on no line in `hit`, in line order."""
+    index = {id(stmt): nested for _name, stmt, nested in found}
     ran: dict[int, bool] = {}
 
     def runs(stmt, nested):
@@ -107,17 +104,14 @@ def unexecuted(source: str, hit: set[int]) -> list[tuple[str, ast.stmt]]:
                                     for line in range(stmt.lineno, stmt.end_lineno + 1))
         return ran[id(stmt)]
 
-    found = function_statements(ast.parse(source))
-    index = {id(stmt): nested for _name, stmt, nested in found}
     return sorted(((name, stmt) for name, stmt, nested in found if not runs(stmt, nested)),
                   key=lambda item: item[1].lineno)
 
 
-def trace_pins(cases: list[str], duration: float | None) -> tuple[dict[str, set[int]], list[str]]:
+def trace_pins(cases: list[str]) -> tuple[dict[str, set[int]], list[str]]:
     """Run each case with the defense on and off; the lines of each
     `src/sermt` file that raised a line event, and a message for each run
-    whose digest is not its pin (none is checked under `duration`).
-    Tracing starts before
+    whose digest is not its pin.  Tracing starts before
     `tests/test_digests.py` is imported, so what its module level runs
     (building `CASES`) and each case's config load are seen too."""
     prefix = str(PACKAGE) + "/"
@@ -145,11 +139,8 @@ def trace_pins(cases: list[str], duration: float | None) -> tuple[dict[str, set[
         for case in cases or sorted(test_digests.CASES):
             for defense, pinned in ((True, test_digests.CASES[case][3]),
                                     (False, test_digests.CASES[case][4])):
-                config = test_digests.case_config(case, defense)
-                if duration is not None:
-                    config = replace(config, duration=duration)
-                digest = run_scenario(config).trace.digest()
-                if duration is None and digest != pinned:
+                digest = run_scenario(test_digests.case_config(case, defense)).trace.digest()
+                if digest != pinned:
                     moved.append(f"{case} defense={defense}: digest {digest}, pinned {pinned}")
     finally:
         sys.settrace(None)
@@ -159,16 +150,15 @@ def trace_pins(cases: list[str], duration: float | None) -> tuple[dict[str, set[
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cases", nargs="*", help="cases of tests/test_digests.py (default: all)")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per run (default: the pins' own)")
     args = parser.parse_args(argv)
-    hits, moved = trace_pins(args.cases, args.duration)
+    hits, moved = trace_pins(args.cases)
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
-        total += len(function_statements(ast.parse(source)))
-        for name, stmt in unexecuted(source, hits.get(str(path), set())):
+        found = function_statements(ast.parse(source))
+        total += len(found)
+        for name, stmt in unexecuted(found, hits.get(str(path), set())):
             missed += 1
             print(f"{path.name}:{stmt.lineno}  {name}  {lines[stmt.lineno - 1].strip()}")
     print(f"{missed} of {total} function-body statements in src/sermt never ran")
