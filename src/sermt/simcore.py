@@ -147,11 +147,14 @@ class Trace:
     Only `log` seals, so the open chunk can exceed `CHUNK` by the `rx`
     lines added between two `log` calls.  Every emission writes a `log`
     line: `broadcast` and a wormhole's re-emit before any listener's `rx`
-    line, `transmit` after its eavesdroppers' and its receiver's.  So
-    between two `log` calls come at most one emission's trailing listeners
-    (fewer than N, the network's node count) and the next `transmit`'s
-    leading ones (at most E + 1, E the eavesdroppers), and the open chunk
-    never holds more than CHUNK + N + E lines.
+    line, `transmit` after its eavesdroppers' and its receiver's.  A
+    broadcast's listeners around one origin (the sender or a far end) are
+    its kind-screened spies and its listeners of the kinds, which are
+    distinct nodes other than the origin.  So between two `log` calls come
+    at most one origin's trailing listeners (fewer than N, the network's
+    node count) and the next `transmit`'s leading ones (at most E + 1, E
+    the eavesdroppers), and the open chunk never holds more than
+    CHUNK + N + E lines.
 
     `lines` rebuilds the whole list on every read: take it once per
     reader.  `digest` and `chunks` read the chunks as they are."""
@@ -343,10 +346,13 @@ class Channel:
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays
     # (`_pay_tx`), a listener takes it in (`_take_in`), or it is lost
-    # (`_lose`, the one place a loss is counted).  `transmit`, `broadcast`,
-    # the eavesdrop sweep and each wormhole's far end share one listener
-    # step (`_receive_leg`, `_take_in`); it takes the frame's constants from
-    # an `Emission` built once per emission, and pays through `debit`.
+    # (`_lose`, the one place a loss is counted).  `transmit`, `broadcast`
+    # and the eavesdrop sweep share one listener step (`_receive_leg`,
+    # `_take_in`); it takes the frame's constants from an `Emission` built
+    # once per emission, and pays through `debit`.  A broadcast reaches its
+    # listeners through one reception step, `_spread`, run once around the
+    # sender and once around each wormhole far end, so a lost leg writes
+    # one `drop` line wherever it was emitted.
 
     def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
         """Debit one emission of `frame`: over `dist` to an in-range
@@ -386,13 +392,14 @@ class Channel:
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         return f"dropped({reason})"
 
-    def _eavesdrop_sweep(self, sender: NodeState, receiver_id: int, emission: Emission,
+    def _eavesdrop_sweep(self, origin: NodeState, emission: Emission, skip,
                          screened: tuple[str, ...] | None = None) -> None:
-        """`screened`: a broadcast's kind filter — spies matching it already
-        hear the frame as ordinary receivers, not here."""
-        heard = self.hears(sender)
+        """Every live spy in `origin`'s range and not in `skip` (IDs)
+        overhears `emission`.  `screened`: a broadcast's kind filter — spies
+        matching it already hear the frame as ordinary receivers, not here."""
+        heard = self.hears(origin)
         for node_id in self.eavesdroppers:
-            if node_id in (sender.id, receiver_id) or node_id not in heard:
+            if node_id in skip or node_id not in heard:
                 continue
             spy = self.network.nodes[node_id]
             if not spy.alive or (screened is not None and spy.kind in screened):
@@ -410,7 +417,7 @@ class Channel:
         dist = self.hears(sender).get(receiver.id)     # None: out of range
         tx_joules = self._pay_tx(sender, frame, None if control else dist)
         emission = self._emission(sender.id, frame, type_name)
-        self._eavesdrop_sweep(sender, receiver.id, emission)
+        self._eavesdrop_sweep(sender, emission, (sender.id, receiver.id))
         if control or dist is not None:
             outcome = self._receive_leg(receiver, emission)
         else:
@@ -442,7 +449,13 @@ class Channel:
 
     def broadcast(self, sender: NodeState, frame: Frame, control: bool = False,
                   kinds: tuple[str, ...] | None = None) -> list[int]:
-        """One transmit burst to every in-range listener; returns delivered IDs."""
+        """One transmit burst to every in-range listener; returns delivered IDs.
+        Each live wormhole end that hears the burst tunnels it to its far
+        end, which pays a transmit and spreads the sender's own emission:
+        its listeners hear `sender`, as the returned list says they did.
+        The far end skips the sender, both tunnel ends and every node the
+        sender delivered to directly; a node that hears both ends of a
+        tunnel takes in both copies."""
         type_name = frame.msg_type.name
         sender_id = sender.id
         ids = f"{sender_id}->*:{type_name}"
@@ -450,16 +463,41 @@ class Channel:
             self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
             return []
         tx_joules = self._pay_tx(sender, frame)
-        now = self.queue.now
         emission = self._emission(sender_id, frame, type_name)
-        self.trace.log(now, "tx", ids, "broadcast", tx_joules)
+        self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
+        nodes = self.network.nodes
+        heard = self.hears(sender)
+        delivered = self._spread(sender, emission, nodes if control else heard, (sender_id,),
+                                 kinds)
+        reached = {sender_id, *delivered} if self.wormholes else None
+        for end_a, end_b in self.wormholes:
+            for near, far in ((end_a, end_b), (end_b, end_a)):
+                far_node = nodes[far]
+                if (sender_id in (near, far) or not nodes[near].alive or not far_node.alive
+                        or not (control or near in heard)):
+                    continue
+                far_tx = self._pay_tx(far_node, frame)
+                self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
+                               "tunneled", far_tx)
+                delivered += self._spread(far_node, emission, self.hears(far_node),
+                                          reached | {near, far}, kinds)
+        return delivered
+
+    def _spread(self, origin: NodeState, emission: Emission, listeners, skip,
+                kinds: tuple[str, ...] | None) -> list[int]:
+        """`emission` reaching `listeners` (IDs) from `origin`'s radio: the
+        sender's own or a wormhole's far end.  Spies around `origin` outside
+        `kinds` overhear it; each listener not in `skip` and of `kinds`
+        takes it in, and each lost leg writes one `drop` line.  Returns the
+        IDs it was delivered to."""
         if kinds is not None:
-            self._eavesdrop_sweep(sender, -1, emission, screened=kinds)
+            self._eavesdrop_sweep(origin, emission, skip, screened=kinds)
         nodes = self.network.nodes
         receive = self._receive_leg
+        type_name = emission.frame.msg_type.name
         delivered = []
-        for node_id in nodes if control else self.hears(sender):
-            if node_id == sender_id:
+        for node_id in listeners:
+            if node_id in skip:
                 continue
             receiver = nodes[node_id]
             if kinds is not None and receiver.kind not in kinds:
@@ -468,38 +506,9 @@ class Channel:
             if outcome == DELIVERED:
                 delivered.append(node_id)
             else:
-                self.trace.log(now, "drop", f"{sender_id}->{node_id}:{type_name}", outcome)
-        delivered.extend(self._wormhole_relay(sender, emission, type_name, control, kinds,
-                                              delivered))
+                self.trace.log(self.queue.now, "drop",
+                               f"{emission.sender_id}->{node_id}:{type_name}", outcome)
         return delivered
-
-    def _wormhole_relay(self, sender: NodeState, emission: Emission, type_name: str,
-                        control: bool, kinds, already: list[int]) -> list[int]:
-        """Replay an overheard broadcast at the far end of each wormhole.
-        The far end pays the transmit, but its listeners take in the
-        sender's own emission: they hear `sender`, as the returned delivered
-        list says they did.  A tunnelled leg that fails is counted but
-        writes no trace line."""
-        extra: list[int] = []
-        for end_a, end_b in self.wormholes:
-            for near, far in ((end_a, end_b), (end_b, end_a)):
-                near_node, far_node = self.network.nodes[near], self.network.nodes[far]
-                if sender.id in (near, far) or not near_node.alive or not far_node.alive:
-                    continue
-                if not (control or near in self.hears(sender)):
-                    continue
-                far_tx = self._pay_tx(far_node, emission.frame)
-                self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
-                               "tunneled", far_tx)
-                for node_id in self.hears(far_node):
-                    receiver = self.network.nodes[node_id]
-                    if receiver.id in (sender.id, near) or node_id in already:
-                        continue
-                    if kinds is not None and receiver.kind not in kinds:
-                        continue
-                    if self._receive_leg(receiver, emission) == DELIVERED:
-                        extra.append(receiver.id)
-        return extra
 
     # -- checks ------------------------------------------------------------
 

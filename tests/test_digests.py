@@ -73,8 +73,8 @@ CASES = {
     "wormhole_spy": ("scaled_ieee14.conf",
                      (AttackSpec(kind="WORMHOLE", name="wh", count=2),
                       AttackSpec(kind="EAVESDROP", name="spy", count=2)), 5,
-                     "4be1b5f015232b93fbbc56615b879566901c9d0b",
-                     "e3e1da178fb24189eab768d067c0f6335c567d03"),
+                     "da1e751b08d69f3121e3bb9a3dba5723710ee5aa",
+                     "1e88525db9aed04799ead45d2108848b7318f183"),
     # a planted device heads a cluster in the baseline and, holding no server
     # keys, cannot seal to the servers: its cluster's readings stop with it
     "foreign_spy": ("scaled_ieee14.conf",
@@ -107,7 +107,7 @@ AUDITS = {
     "pdc_drop": ((((0, 0),), 0), (((0, 8),), 0)),
     "sybil": ((((0, 0),), 0), (((0, 0),), 0)),
     "wormhole": ((((0, 0),), 0), (((0, 0),), 0)),
-    "wormhole_spy": ((((0, 0), (1174, 0)), 0), (((0, 0), (82, 0)), 0)),
+    "wormhole_spy": ((((0, 0), (1180, 0)), 0), (((0, 0), (87, 0)), 0)),
 }
 
 

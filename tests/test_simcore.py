@@ -357,18 +357,35 @@ def tunnel_world(radio=None):
     return network, channel, trace
 
 
-def test_failed_tunnelled_leg_is_counted_without_a_trace_line():
+def test_each_failed_tunnelled_leg_writes_one_drop_line():
     network, channel, trace = tunnel_world()
     network.nodes[8].alive = False
     assert channel.broadcast(network.nodes[5], frame_of(5), kinds=("N",)) == [6]
     assert channel.drop_counts == {"dead_receiver": 1}
-    assert not any("8<-" in line or "->8" in line for line in trace.lines)
+    assert [line.split(" | ")[1:4] for line in trace.lines if "->8" in line] == [
+        ["drop", "5->8:TEST", "dropped(dead_receiver)"]]
 
     network, channel, trace = tunnel_world(RadioModel(loss_probability=1.0))
     assert channel.broadcast(network.nodes[5], frame_of(5), kinds=("N",)) == []
-    # the ordinary leg to 6 logs its drop; the tunnelled leg to 8 only counts
+    # the ordinary leg to 6 and the tunnelled leg to 8 each log their drop
     assert channel.drop_counts == {"loss": 2}
-    assert dropped_lines(trace) == 1
+    assert dropped_lines(trace) == 2
+
+
+def test_spies_near_a_far_end_overhear_the_replay():
+    """A broadcast limited to N nodes is overheard by a spy of another kind
+    near the sender and by one near a wormhole's far end; both hear the
+    sender, and neither is in the delivered list."""
+    network, channel, _, trace = make_world(
+        [("N", (2000, 0), 1), ("N", (2100, 0), 1), ("N", (5000, 0), 2),
+         ("N", (5100, 0), 2), ("ES", (1950, 0), 1), ("ES", (5050, 0), 2)])
+    channel.wormholes = [(6, 7)]
+    channel.eavesdroppers = [9, 10]
+    channel.audited.update((9, 10))
+    assert channel.broadcast(network.nodes[5], frame_of(5), kinds=("N",)) == [6, 8]
+    assert [o.observer_id for o in channel.observations] == [9, 10]
+    assert [line.split(" | ")[2] for line in trace.lines
+            if line.split(" | ")[3] == "overheard"] == ["9<-5:TEST", "10<-5:TEST"]
 
 
 # A clock reading, or None to emit again at the reading before.  -0.0 is no
@@ -412,7 +429,8 @@ def test_rx_lines_from_emission_parts_are_trace_logs_lines(e_lna, emits):
        loss=st.sampled_from([0.0, 0.3, 1.0]),
        data=st.data())
 def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data):
-    """No wormholes: a failed tunnelled leg writes no trace line by design."""
+    """Each lost leg, a wormhole far end's included, writes one `dropped(...)`
+    line, and each `rx` line is one listener's receive debit, in order."""
     extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
              for i, pos in enumerate(positions)]
     network, channel, _, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
@@ -420,12 +438,23 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
     for node_id in data.draw(st.sets(st.sampled_from(ids)), label="dead"):
         network.nodes[node_id].alive = False
     channel.eavesdroppers = sorted(data.draw(st.sets(st.sampled_from(ids)), label="spies"))
-    debits = []
+    tunnel = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(ids), min_size=2,
+                                                     max_size=2, unique=True)), label="tunnel")
+    channel.wormholes = [] if tunnel is None else [tuple(tunnel)]
+    debits, paying = [], []
 
     def recording_debit(node, joules):
-        debits.append((node.id, joules))
+        if not paying:                  # a transmit is not a listener's debit
+            debits.append((node.id, joules))
         Channel.debit(channel, node, joules)
-    channel.debit = recording_debit
+
+    def recording_pay_tx(*args):
+        paying.append(True)
+        try:
+            return Channel._pay_tx(channel, *args)
+        finally:
+            paying.pop()
+    channel.debit, channel._pay_tx = recording_debit, recording_pay_tx
 
     em = channel.energy
     calls = st.tuples(st.sampled_from(["transmit", "broadcast", "phantom"]),
@@ -444,9 +473,8 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
                                      control=control)
         rx_lines = [line.split(" | ")[2] for line in trace.lines[before:]
                     if line.split(" | ")[1] == "rx"]
-        rx_debits = [(node_id, joules) for node_id, joules in debits if node_id != src]
-        assert [int(who.split("<-")[0]) for who in rx_lines] == [n for n, _ in rx_debits]
-        assert all(joules == em.energy_rx(frame.wire_bits) for _, joules in rx_debits)
+        assert [int(who.split("<-")[0]) for who in rx_lines] == [n for n, _ in debits]
+        assert all(joules == em.energy_rx(frame.wire_bits) for _, joules in debits)
     assert sum(channel.drop_counts.values()) == dropped_lines(trace)
 
 
