@@ -147,14 +147,14 @@ class Trace:
     Only `log` seals, so the open chunk can exceed `CHUNK` by the `rx`
     lines added between two `log` calls.  Every emission writes a `log`
     line: `broadcast` and a wormhole's re-emit before any listener's `rx`
-    line, `transmit` after its eavesdroppers' and its receiver's.  A
-    broadcast's listeners around one origin (the sender or a far end) are
-    its kind-screened spies and its listeners of the kinds, which are
-    distinct nodes other than the origin.  So between two `log` calls come
-    at most one origin's trailing listeners (fewer than N, the network's
-    node count) and the next `transmit`'s leading ones (at most E + 1, E
-    the eavesdroppers), and the open chunk never holds more than
-    CHUNK + N + E lines.
+    line, `transmit` and `transmit_phantom` after their eavesdroppers' and
+    `transmit`'s receiver's.  A broadcast's listeners around one origin
+    (the sender or a far end) are its kind-screened spies and its
+    listeners of the kinds: distinct nodes, none of them the origin.  So
+    between two `log` calls come at most one origin's trailing listeners
+    (fewer than N, the network's node count) and the next send's leading
+    ones (at most E + 1, E the eavesdroppers), and the open chunk never
+    holds more than CHUNK + N + E lines.
 
     `lines` rebuilds the whole list on every read: take it once per
     reader.  `digest` and `chunks` read the chunks as they are."""
@@ -429,11 +429,13 @@ class Channel:
                          position: tuple[float, float], frame: Frame,
                          control: bool = False) -> None:
         """A send toward a fake identity advertised at `position`: no radio
-        answers, but the sender still pays to transmit."""
+        answers, but the sender still pays to transmit, and spies in its
+        range overhear the frame."""
+        type_name = frame.msg_type.name
         tx_joules = self._pay_tx(sender, frame,
                                  None if control else distance(sender.position, position))
-        self.trace.log(self.queue.now, "tx",
-                       f"{sender.id}->{persona_id}:{frame.msg_type.name}",
+        self._eavesdrop_sweep(sender, self._emission(sender.id, frame, type_name), (sender.id,))
+        self.trace.log(self.queue.now, "tx", f"{sender.id}->{persona_id}:{type_name}",
                        self._lose("phantom"), tx_joules)
 
     def _receive_leg(self, receiver: NodeState, emission: Emission) -> str:

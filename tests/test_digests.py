@@ -60,6 +60,14 @@ CASES = {
               (AttackSpec(kind="SYBIL", name="sy", count=4),), 3,
               "6b36f66e569dff40910b3df7ef1b9754735af430",
               "d3a64c3416791c3b374df81e505c1f13d793445a"),
+    # spies in a prober's range overhear its sends to Sybil personas: 32 of
+    # 122 phantom sends with the defense on, 4 of 4 off, give the spies 64
+    # of their 4,236 overheard frames on and 8 of 315 off
+    "sybil_spy": ("scaled_ieee14.conf",
+                  (AttackSpec(kind="SYBIL", name="sy", count=4),
+                   AttackSpec(kind="EAVESDROP", name="spy", count=4)), 10,
+                  "a847287225e71f0c17571dc17f7931e850660cc2",
+                  "ea38ce0993755fb4fc620837b7b1175cafcd8df9"),
     "flood1": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
                "2949fead5698191416c5afad45b999f27b96a24a",
                "9a8851422e8314db0ea179f650025aaec611ea52"),
@@ -106,6 +114,7 @@ AUDITS = {
     "malicious35": ((((0, 0), (0, 16)), 0), (((0, 16), (0, 28)), 0)),
     "pdc_drop": ((((0, 0),), 0), (((0, 8),), 0)),
     "sybil": ((((0, 0),), 0), (((0, 0),), 0)),
+    "sybil_spy": ((((0, 2), (4236, 8)), 0), (((0, 4), (315, 8)), 0)),
     "wormhole": ((((0, 0),), 0), (((0, 0),), 0)),
     "wormhole_spy": ((((0, 0), (1180, 0)), 0), (((0, 0), (87, 0)), 0)),
 }

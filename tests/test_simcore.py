@@ -330,6 +330,21 @@ def test_eavesdropper_observes_in_range_traffic():
     assert network.nodes[8].debited_mah == 0.0
 
 
+def test_spies_overhear_a_phantom_send():
+    """A send to a Sybil persona leaves the sender's radio: a spy in range
+    overhears it before the send's own line; a spy out of range does not."""
+    network, channel, _, trace = make_world(
+        [("N", (0, 0), 1), ("N", (50, 0), 1), ("N", (2000, 0), 2)])
+    channel.eavesdroppers = [6, 7]
+    channel.audited.update((6, 7))
+    channel.transmit_phantom(network.nodes[5], 99, (100.0, 0.0), frame_of(5))
+    assert [o.observer_id for o in channel.observations] == [6]
+    assert [line.split(" | ")[1:4] for line in trace.lines] == [
+        ["rx", "6<-5:TEST", "overheard"], ["tx", "5->99:TEST", "dropped(phantom)"]]
+    assert network.nodes[6].debited_mah > 0
+    assert network.nodes[7].debited_mah == 0.0
+
+
 def test_unaudited_receiver_pays_and_is_traced_but_not_observed():
     network, channel, _, trace = make_world(
         [("N", (0, 0), 1), ("N", (50, 0), 1), ("N", (100, 0), 1), ("N", (2000, 0), 2)])
