@@ -130,7 +130,7 @@ def replay_trace(lines: list[str], *, initial_battery: dict[int, float],
         if kinds[nid] in MAINS_POWERED or joules == 0.0:
             return
         recharge_to(nid, t)
-        spend = min(joules / (energy.volts * 3.6), battery[nid])
+        spend = min(energy.to_mah(joules), battery[nid])
         consumed[nid] += spend
         battery[nid] -= spend
 
