@@ -76,6 +76,20 @@ CASES = {
     "flood1_lossy": ("scaled_ieee14.conf", _sweep_attacks("interval", 1.0), 7,
                      "a8a59ade69cc437bd9e0dd6f05e764d369eeefa9",
                      "2d4a95b5451185f892a2fcddfa8b52449f10eae6"),
+    # `wormhole` on a lossy radio (see LOSS): tunnelled legs that are lost
+    # write their `dropped(loss)` lines like the sender's own legs; 326
+    # `dropped(loss)` lines with defense on, 53 off
+    "wormhole_lossy": ("scaled_ieee14.conf",
+                       (AttackSpec(kind="WORMHOLE", name="wh", count=2),), 7,
+                       "a9c3871124e9662b2070ddc8241f8a60b7929285",
+                       "0a3e8a937c44b83744c3384ecf7e72ac7b13667d"),
+    # hash chains of 4 keys and batteries of 0.005 mAh (see SETTINGS): servers
+    # re-anchor, N nodes die, and regions go stale; with the defense on 3
+    # deaths, 3 `stale` lines, 2 ANCHOR_BCAST broadcasts, 584 `dead_sender`
+    # and 26 `dead_receiver` drops; off, 3 deaths, 1 and 4
+    "drained": ("scaled_ieee14.conf", (), 7,
+                "40ab21cad67aa207c79fd4126056c6afbc7f8bc6",
+                "18e5b5299bf73b3c85c396c93c9d1ccdf19b391d"),
     # a count draw listed after a WORMHOLE skips the tunnel ends 58 and 79:
     # the spies are 40 and 85 (40 and 83 when the pool still held the ends)
     "wormhole_spy": ("scaled_ieee14.conf",
@@ -98,13 +112,18 @@ CASES = {
 }
 
 # radio.loss_probability of a case, where it is not the config file's
-LOSS = {"flood1_lossy": 0.05}
+LOSS = {"flood1_lossy": 0.05, "wormhole_lossy": 0.05}
+
+# protocol and energy settings of a case, where they are not the config file's
+SETTINGS = {"drained": {"protocol": {"chain_length": 4, "chain_low_water": 2},
+                        "energy": {"initial_battery": 0.005}}}
 
 # what the post-run audit reports: per attack log (frames_overheard,
 # payloads_decrypted), then plaintext_exposures; (defense on, defense off)
 AUDITS = {
     "attacked": ((((0, 0), (0, 0), (791, 0)), 0), (((0, 4), (0, 0), (111, 0)), 0)),
     "clean": (((), 0), ((), 0)),
+    "drained": (((), 0), ((), 0)),
     "false_data": ((((0, 4),), 0), (((0, 4),), 0)),
     "false_data_leg": ((((0, 26),), 0), (((0, 24),), 0)),
     "flood1": ((((0, 0),), 0), (((0, 0),), 0)),
@@ -116,6 +135,7 @@ AUDITS = {
     "sybil": ((((0, 0),), 0), (((0, 0),), 0)),
     "sybil_spy": ((((0, 2), (4236, 8)), 0), (((0, 4), (315, 8)), 0)),
     "wormhole": ((((0, 0),), 0), (((0, 0),), 0)),
+    "wormhole_lossy": ((((0, 0),), 0), (((0, 0),), 0)),
     "wormhole_spy": ((((0, 0), (1180, 0)), 0), (((0, 0), (87, 0)), 0)),
 }
 
@@ -125,10 +145,12 @@ def case_config(case, defense):
     conf, attacks, seed, _, _ = CASES[case]
     config = load_config(DATA_DIR / conf)
     # None keeps the attacks the config file declares
-    return replace(config, duration=DURATION, seed=seed, defense=defense,
-                   attacks=config.attacks if attacks is None else attacks,
-                   radio=replace(config.radio, loss_probability=LOSS.get(
-                       case, config.radio.loss_probability)))
+    config = replace(config, duration=DURATION, seed=seed, defense=defense,
+                     attacks=config.attacks if attacks is None else attacks,
+                     radio=replace(config.radio, loss_probability=LOSS.get(
+                         case, config.radio.loss_probability)))
+    return replace(config, **{part: replace(getattr(config, part), **values)
+                              for part, values in SETTINGS.get(case, {}).items()})
 
 
 def audit_of(result):
@@ -177,8 +199,7 @@ def test_trace_digest_pinned(case, defense):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_every_traced_loss_is_counted(case, defense):
     """Channel.drop_counts holds one count per `dropped(...)` outcome in the
-    trace (a tunnelled leg that fails is counted and writes no line; none
-    of these runs has one)."""
+    trace."""
     _, counted, traced, _, _, _, _ = pinned_run(case, defense)
     assert counted == traced
 
