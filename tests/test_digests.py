@@ -86,7 +86,8 @@ CASES = {
     # hash chains of 4 keys and batteries of 0.005 mAh (see SETTINGS): servers
     # re-anchor, N nodes die, and regions go stale; with the defense on 3
     # deaths, 3 `stale` lines, 2 ANCHOR_BCAST broadcasts, 584 `dead_sender`
-    # and 26 `dead_receiver` drops; off, 3 deaths, 1 and 4
+    # and 26 `dead_receiver` drops; off, 3 deaths, 1 `dead_sender` and 4
+    # `dead_receiver` drops
     "drained": ("scaled_ieee14.conf", (), 7,
                 "40ab21cad67aa207c79fd4126056c6afbc7f8bc6",
                 "18e5b5299bf73b3c85c396c93c9d1ccdf19b391d"),
