@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 TAG_LEN = 20        # SHA-1 HMAC tag length, fixed by the wire format
+HASH_LEN = 20       # SHA-1 digest length: one hash-chain key
 RC5_ROUNDS = 12
 RC5_BLOCK = 8       # RC5-32 operates on two 32-bit words
 RC5_KEY_LEN = 16    # reference configuration RC5-32/12/16
@@ -472,20 +473,27 @@ class HashChain:
 
     Keys are released in reverse generation order (K_{n-1} first) and each
     at most once; the anchor itself is never released as a proof key.
+
+    The keys are held as one `bytes` blob, K_1 to K_n, 20 bytes each, not
+    one object per key; `next_key` slices its key out.  `anchor` is kept
+    as one object of its own, handed as it is to every receiver.
     """
 
     def __init__(self, seed: bytes, length: int):
         if length < 1:
             raise ValueError("chain length must be >= 1")
-        keys = [sha1_digest(seed)]
+        key = sha1_digest(seed)
+        keys = [key]
         for _ in range(length - 1):
-            keys.append(sha1_digest(keys[-1]))
-        self._keys = keys            # keys[i] holds K_{i+1}
+            key = sha1_digest(key)
+            keys.append(key)
+        self._blob = b"".join(keys)  # K_i at [HASH_LEN * (i - 1), HASH_LEN * i)
+        self._anchor = key
         self._cursor = length - 1    # 1-based index of the next key to release
 
     @property
     def anchor(self) -> bytes:
-        return self._keys[-1]
+        return self._anchor
 
     @property
     def exhausted(self) -> bool:
@@ -498,9 +506,9 @@ class HashChain:
     def next_key(self) -> bytes:
         if self.exhausted:
             raise ChainExhaustedError("hash chain exhausted")
-        key = self._keys[self._cursor - 1]
+        end = HASH_LEN * self._cursor
         self._cursor -= 1
-        return key
+        return self._blob[end - HASH_LEN:end]
 
 
 def verify_chain_key(candidate: bytes, anchor: bytes, max_steps: int) -> tuple[bool, int]:
@@ -542,6 +550,8 @@ class ChainAnchorState:
     by every receiver in turn, so they share one walk instead of each
     hashing it up to max_steps times. Decisions are the same as walking it.
     """
+
+    __slots__ = ("head", "max_steps")
 
     def __init__(self, anchor: bytes, max_steps: int = 64):
         if max_steps < 1:

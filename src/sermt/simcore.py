@@ -24,8 +24,10 @@ The channel keeps those parts per clock reading and per frame size, so
 the frames of one event reuse them.
 
 The trace holds its text in chunks of joined lines, in about half the
-memory of one `str` per line; its `lines` are rebuilt on each read, so a
-reader takes them once.
+memory of one `str` per line, with at most one small chunk still open as
+a list of lines; `finalize` seals that one too, so a finished run holds
+only joined text.  Its `lines` are rebuilt on each read, so a reader
+takes them once.
 
 `observations` is the attackers' view of the air, not a log of every
 reception (the trace is that log): a frame is recorded only when its
@@ -156,10 +158,14 @@ class Trace:
     ones (at most E + 1, E the eavesdroppers), and the open chunk never
     holds more than CHUNK + N + E lines.
 
+    At the end of a run `Channel.finalize` calls `seal`, which closes the
+    open chunk whatever its size, so a finished run holds only sealed
+    text: no line of it is a `str` of its own.
+
     `lines` rebuilds the whole list on every read: take it once per
     reader.  `digest` and `chunks` read the chunks as they are."""
 
-    CHUNK = 8192
+    CHUNK = 256
 
     def __init__(self):
         self._sealed: list[str] = []
@@ -170,6 +176,13 @@ class Trace:
         lines = self._open
         lines.append(f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}")
         if len(lines) >= self.CHUNK:
+            self.seal()
+
+    def seal(self) -> None:
+        """Join the open chunk onto the sealed ones and open a new one,
+        rebinding `append`; an empty open chunk adds nothing."""
+        lines = self._open
+        if lines:
             lines.append("")            # the last line's "\n"
             self._sealed.append("\n".join(lines))
             self._open = []
@@ -337,11 +350,13 @@ class Channel:
 
     def finalize(self) -> None:
         """Bring all harvesting batteries up to the queue's clock at the end
-        of a run, and drop the neighbourhood maps (finished results are kept
-        around).  A zero spend through `debit` moves only a harvester."""
+        of a run, then drop the neighbourhood maps and seal the trace's open
+        chunk (finished results are kept around).  A zero spend through
+        `debit` moves only a harvester."""
         for node in self.network.nodes.values():
             self.debit(node, 0.0)
         self._hears.clear()
+        self.trace.seal()
 
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays

@@ -525,6 +525,36 @@ def test_nested_hmac_requires_outer_key():
     assert crypto.nested_hmac(b"not-gbk", b"xk", b"data") != tag
 
 
+def chain_keys(seed, length):
+    """The reference chain K_1..K_n, built as a list one hash at a time."""
+    keys = [hashlib.sha1(seed).digest()]
+    while len(keys) < length:
+        keys.append(hashlib.sha1(keys[-1]).digest())
+    return keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=24), st.integers(1, 70))
+def test_hash_chain_releases_the_reference_chain(seed, length):
+    """The anchor is K_n; `next_key` hands out K_{n-1} down to K_1, with
+    `remaining` counting down, and then raises."""
+    keys = chain_keys(seed, length)
+    chain = HashChain(seed, length)
+    assert chain.anchor == keys[-1]
+    assert chain.anchor is chain.anchor          # one object, however often it is read
+    for index in range(length - 1, 0, -1):
+        assert chain.remaining == index and not chain.exhausted
+        assert chain.next_key() == keys[index - 1]
+    assert chain.remaining == 0 and chain.exhausted
+    with pytest.raises(crypto.ChainExhaustedError):
+        chain.next_key()
+    assert chain.anchor == keys[-1]
+
+
+def test_anchor_state_has_no_instance_dict():
+    assert not hasattr(ChainAnchorState(b"\0" * 20), "__dict__")
+
+
 def test_chain_structure():
     chain = HashChain(b"seed", 8)
     keys = [chain.next_key() for _ in range(7)]
@@ -561,9 +591,8 @@ def test_anchor_state_accepts_exactly_the_unconsumed_suffix():
     # Exhaustive over a short chain: at each state, exactly the strictly
     # earlier keys are acceptable, and each acceptance advances the head.
     for length in (2, 5, 9):
-        chain = HashChain(b"suffix", length)
-        all_keys = list(chain._keys)  # K_1..K_n
-        state = ChainAnchorState(chain.anchor, max_steps=64)
+        all_keys = chain_keys(b"suffix", length)  # K_1..K_n
+        state = ChainAnchorState(HashChain(b"suffix", length).anchor, max_steps=64)
         for release in range(length - 2, -1, -1):  # indices of K_{n-1}..K_1
             candidate = all_keys[release]
             # everything at or after the current head must be rejected
@@ -588,7 +617,7 @@ def offer_all(state, candidates):
 @settings(max_examples=80, deadline=None)
 @given(st.binary(min_size=1, max_size=8), st.integers(1, 150), st.integers(1, 80), st.data())
 def test_cached_accept_matches_reference_walk(seed, length, max_steps, data):
-    keys = HashChain(seed, length)._keys  # K_1..K_n
+    keys = chain_keys(seed, length)  # K_1..K_n
     state = ChainAnchorState(data.draw(st.sampled_from(keys)), max_steps)
     key_or_forgery = st.one_of(st.sampled_from(keys), st.binary(min_size=20, max_size=20))
     candidates = data.draw(st.lists(key_or_forgery, max_size=40))
@@ -599,7 +628,7 @@ def test_cached_accept_matches_reference_walk(seed, length, max_steps, data):
 @given(st.binary(min_size=1, max_size=8), st.integers(1, 80), st.data())
 def test_cached_accept_matches_reference_walk_past_eviction(seed, max_steps, data):
     capacity = crypto._chain_walk.cache_info().maxsize
-    keys = HashChain(seed, 150)._keys
+    keys = chain_keys(seed, 150)
     forgeries = data.draw(st.lists(st.binary(min_size=20, max_size=20),
                                    min_size=capacity + 1, max_size=2 * capacity, unique=True))
     genuine = data.draw(st.lists(st.sampled_from(keys), max_size=capacity))
@@ -617,7 +646,7 @@ def counted_sha1(monkeypatch):
 
 
 def test_genuine_next_key_costs_one_hash(monkeypatch):
-    keys = HashChain(b"one-hash", 8)._keys
+    keys = chain_keys(b"one-hash", 8)
     state = ChainAnchorState(keys[-1])
     calls = counted_sha1(monkeypatch)
     assert state.accept(keys[-2])

@@ -477,6 +477,42 @@ def test_unreachable_region_goes_stale_and_keeps_its_scores():
     assert {table.records[i] for i in region3} == {0.0}
 
 
+class RefuseReportsFrom(Behavior):
+    """A server that refuses every BLOCKED_LIST sent from one region."""
+
+    def __init__(self, network, region_id):
+        self.network, self.region_id = network, region_id
+
+    def accept_frame(self, receiver, sender_id, frame):
+        return not (frame.msg_type is MsgType.BLOCKED_LIST
+                    and self.network.nodes[sender_id].region_id == self.region_id)
+
+
+def test_stale_region_carries_over_only_the_scores_it_lacks():
+    """Region 3's evaluator sweeps it, but its report never reaches the
+    server: the region goes stale.  The evaluator itself was probed in the
+    handoff, which the relay reported, so it keeps this round's score; the
+    targets only the lost sweep probed keep the last round's."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    queue.run_until(1.0)
+    main = net.nodes[net.main_server]
+    region3 = [n.id for n in net.region_trust_targets(3)]
+    # mark the last round's region-3 scores, so a carried score shows
+    eng.tables[main.id].records.update(dict.fromkeys(region3, 77.0))
+    main.behavior = RefuseReportsFrom(net, 3)
+    mark = len(trace.lines)
+    table = eng.run_trust_round(main)
+    refused = [f[2] for f in (ln.split(" | ") for ln in trace.lines[mark:])
+               if f[3] == "dropped(adversarial)"]
+    evaluator = int(refused[0].split("->")[0])
+    # the sweep's report and its one retry
+    assert refused == [f"{evaluator}->{main.id}:BLOCKED_LIST"] * 2
+    assert net.nodes[evaluator].region_id == 3 and table.stale_regions == {3}
+    assert table.records[evaluator] == 100.0
+    assert {i: table.records[i] for i in region3 if i != evaluator} == \
+        dict.fromkeys(set(region3) - {evaluator}, 77.0)
+
+
 def test_forwarder_and_head_tiebreak_prefers_lower_id():
     # selection in isolation, before any probing spends battery asymmetrically
     net, chan, queue, trace, eng = make_sim(twins_world)

@@ -464,6 +464,16 @@ def test_sweep_rows_follow_sweep_order(tmp_path, monkeypatch):
     assert results[0].config.defense and not results[1].config.defense
 
 
+def test_finished_runs_hold_only_sealed_trace_text(tmp_path, monkeypatch):
+    """`finish` seals the trace's open chunk: a `run_scenario` result and
+    every result of a sweep hold no line as a `str` of its own."""
+    monkeypatch.setattr(scenario, "ATTACK_INTERVALS", (2.0,))
+    config = small_config(tmp_path, duration=30)
+    _rows, results = sweep(config, "interval")
+    for result in [run_scenario(config), *results]:
+        assert result.trace._open == [] and result.trace._sealed
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError, match="axis"):
         sweep(small_config(tmp_path), "voltage")
@@ -559,7 +569,8 @@ def test_cli_run_stdout_pinned(attacked_60s, capsys):
 
 
 # SHA-1 of the `--trace-out` file of 60 s of the shipped attacked scenario:
-# 24,660 trace lines (two sealed chunks and the open one), 3 attack rows
+# 24,660 trace lines (several sealed chunks, the last sealed at the run's
+# end), 3 attack rows
 ATTACKED_60S_TRACE_OUT_SHA1 = "2758aeeee920c9626ba80141e666000337c1d06c"
 
 
@@ -575,7 +586,8 @@ def test_cli_trace_out_is_the_per_line_join(attacked_60s, tmp_path, capsys):
             + " ".join(f"{key}={value}" for key, value in sorted(log.counters().items()))
             for log in result.attack_logs]
     joined = ("\n".join(result.trace.lines + rows) + "\n").encode("utf-8")
-    assert len(rows) == 3 and len(result.trace._sealed) == 2
+    assert len(rows) == 3
+    assert len(result.trace._sealed) >= 2 and result.trace._open == []
     assert out.read_bytes() == joined
     assert result.trace_export().encode("utf-8") == joined
     assert hashlib.sha1(joined).hexdigest() == ATTACKED_60S_TRACE_OUT_SHA1

@@ -403,6 +403,22 @@ def test_spies_near_a_far_end_overhear_the_replay():
             if line.split(" | ")[3] == "overheard"] == ["9<-5:TEST", "10<-5:TEST"]
 
 
+def test_dead_senders_broadcast_writes_one_drop_line_and_moves_nothing():
+    """A dead sender's broadcast is one `dead_sender` drop: no battery
+    moves, no listener or wormhole end takes it in, nobody is reached."""
+    network, channel, trace = tunnel_world()
+    sender = network.nodes[5]
+    sender.alive = False
+    channel.audited.update(network.nodes)
+    batteries = {node_id: node.battery_mah for node_id, node in network.nodes.items()}
+    assert channel.broadcast(sender, frame_of(5)) == []
+    assert [line.split(" | ")[1:4] for line in trace.lines] == [
+        ["drop", "5->*:TEST", "dropped(dead_sender)"]]
+    assert channel.drop_counts == {"dead_sender": 1}
+    assert {node_id: node.battery_mah for node_id, node in network.nodes.items()} == batteries
+    assert channel.ledger == {} and channel.observations == []
+
+
 # A clock reading, or None to emit again at the reading before.  -0.0 is no
 # queue time, but equals 0.0 and prints differently.
 _clock = st.one_of(st.none(), st.just(0.0), st.just(-0.0), st.floats(0.0, 1e6))
@@ -520,15 +536,17 @@ _text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
 _trace_call = st.one_of(
     st.tuples(st.just("log"), st.floats(-1e6, 1e6), _text, _text, _text,
               st.floats(allow_nan=False)),
-    st.tuples(st.just("append"), _text))
+    st.tuples(st.just("append"), _text),
+    st.tuples(st.just("seal")))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chunk=st.integers(1, 4), calls=st.lists(_trace_call, max_size=30))
 def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
-    """Any run of `log` and `append` calls, with the chunk shrunk so that
-    chunks seal often: `lines`, `digest` and `chunks` read as a plain list
-    of the same lines would, whether or not the open chunk just sealed."""
+    """Any run of `log`, `append` and `seal` calls, with the chunk shrunk
+    so that chunks seal often: `lines`, `digest` and `chunks` read as a
+    plain list of the same lines would, whether or not the open chunk just
+    sealed, and a `seal` of an empty open chunk adds no chunk."""
     trace, reference = Trace(), []
     trace.CHUNK = chunk
     for call in calls:
@@ -536,9 +554,13 @@ def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
             trace.log(*call[1:])
             reference.append(logged(*call[1:]))
             assert len(trace._open) < chunk         # `log` sealed a full open chunk
-        else:
+        elif call[0] == "append":
             trace.append(call[1])
             reference.append(call[1])
+        else:
+            sealed = len(trace._sealed) + bool(trace._open)
+            trace.seal()
+            assert (trace._open, len(trace._sealed)) == ([], sealed)
     assert_same_trace(trace, reference)
 
 
