@@ -565,10 +565,12 @@ def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
 
 
 @pytest.mark.parametrize("count", [0, Trace.CHUNK - 1, Trace.CHUNK, Trace.CHUNK + 1,
-                                   3 * Trace.CHUNK + 5])
+                                   3 * Trace.CHUNK + 5, 8191, 8192, 8193, 24581])
 def test_chunked_trace_around_the_real_chunk_size(count):
     """Every other line is an `rx`-style `append`, and the CHUNK-th line of
-    each chunk is a `log` line, which seals it."""
+    each chunk is a `log` line, which seals it.  8192 is a multiple of
+    CHUNK, so the fixed counts also end one line short of, on, one line
+    past and five lines past a chunk boundary, many chunks in."""
     trace, reference = Trace(), []
     for i in range(count):
         if i % 2:
