@@ -141,6 +141,31 @@ AUDITS = {
 }
 
 
+# what the engine counted: (isolation_alarms, undeliverable_alarms,
+# auth_rejects, tamper_detected, forged_accepts); (defense on, defense off).
+# No trace line records an alarm, so these rows are the only pin on them.
+COUNTS = {
+    "attacked": ((0, 0, 16742, 0, 0), (0, 0, 16740, 0, 0)),
+    "clean": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "drained": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "false_data": ((0, 0, 0, 22, 0), (0, 0, 0, 24, 0)),
+    "false_data_leg": ((0, 0, 4, 0, 0), (0, 0, 0, 4, 0)),
+    "flood1": ((0, 0, 31110, 0, 0), (0, 0, 31110, 0, 0)),
+    "flood1_lossy": ((0, 0, 29555, 0, 0), (0, 0, 29558, 0, 0)),
+    "foreign_spy": ((0, 0, 2, 0, 0), (0, 0, 0, 0, 0)),
+    "insider_spy": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "malicious35": ((0, 0, 14213, 0, 0), (0, 0, 14213, 0, 0)),
+    "pdc_drop": ((0, 8, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "sybil": ((6, 0, 0, 0, 0), (5, 0, 0, 0, 0)),
+    "sybil_spy": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "wormhole": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    "wormhole_lossy": ((0, 0, 2, 0, 0), (0, 0, 0, 0, 0)),
+    "wormhole_spy": ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+    # the 118-bus world of IEEE118_DIGESTS
+    "ieee118": ((76, 0, 0, 0, 0), (76, 0, 0, 0, 0)),
+}
+
+
 def case_config(case, defense):
     """The config of one case, cut to DURATION."""
     conf, attacks, seed, _, _ = CASES[case]
@@ -160,13 +185,25 @@ def audit_of(result):
                   for log in result.attack_logs), result.metrics.plaintext_exposures)
 
 
-@functools.cache
+def counts_of(result):
+    """A run's row of COUNTS."""
+    m = result.metrics
+    return (m.isolation_alarms, m.undeliverable_alarms, m.auth_rejects, m.tamper_detected,
+            m.forged_accepts)
+
+
 def pinned_run(case, defense):
     """(digest, counted losses, `dropped(...)` trace outcomes, audit report,
     kept observations, `rx` trace lines of attack targets, replay check) of
-    one case; only this summary is kept between the tests that read it.
-    The replay check is ((sent, delivered) replayed, the same live, and
-    (node, replayed, live) consumed charge per node)."""
+    one case. The replay check is ((sent, delivered) replayed, the same
+    live, and (node, replayed, live) consumed charge per node)."""
+    return pinned_summary(case, defense)[0]
+
+
+@functools.cache
+def pinned_summary(case, defense):
+    """`pinned_run`'s tuple and the COUNTS row of one case; only this
+    summary is kept between the tests that read it."""
     config = case_config(case, defense)
     result = run_scenario(config)
     lines = result.trace.lines                      # rebuilt on every read: read once
@@ -185,8 +222,9 @@ def pinned_run(case, defense):
               (live.packets_sent, live.packets_delivered),
               tuple((row.node_id, replayed.consumed_mah[row.node_id], row.consumed_mah)
                     for row in live.node_ledger))
-    return (result.trace.digest(), sum(result.channel.drop_counts.values()), dropped,
-            audit_of(result), len(result.channel.observations), target_rx, replay)
+    return ((result.trace.digest(), sum(result.channel.drop_counts.values()), dropped,
+             audit_of(result), len(result.channel.observations), target_rx, replay),
+            counts_of(result))
 
 
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
@@ -210,6 +248,18 @@ def test_every_traced_loss_is_counted(case, defense):
 def test_audit_report_pinned(case, defense):
     on_audit, off_audit = AUDITS[case]
     assert pinned_run(case, defense)[3] == (on_audit if defense else off_audit)
+
+
+@pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])
+@pytest.mark.parametrize("case", sorted(CASES) + ["ieee118"])
+def test_outcome_counts_pinned(case, defense):
+    """Every case's alarm, reject, tamper and forgery counts, the 118-bus
+    world's included."""
+    if case == "ieee118":
+        counts = counts_of(run_scenario(ieee118_config(defense)))
+    else:
+        counts = pinned_summary(case, defense)[1]
+    assert counts == COUNTS[case][not defense]
 
 
 @pytest.mark.parametrize("defense", [True, False], ids=["sermt", "baseline"])

@@ -617,6 +617,145 @@ def test_a_concentrator_with_no_route_counts_an_alarm_without_sealing(monkeypatc
     assert eng.delivery.undeliverable_alarms == alarms + 1
 
 
+# -- alarms ------------------------------------------------------------------------
+# Each branch that counts an alarm, reached in a hand-placed world. In
+# `mini_world` gateway 25 acks N 7 and 8 and hears ES 9, 10 and 28; its two
+# MUs and the PMU read at 15 s. Each test asserts the exact count, so a
+# branch that counts more or fewer than one alarm fails it.
+
+def alarms(eng):
+    """(isolation, undeliverable) alarms counted so far."""
+    return eng.delivery.isolation_alarms, eng.delivery.undeliverable_alarms
+
+
+class RefusePubkeysFrom(Behavior):
+    """Swallows every PUBKEY frame one sender sends it, so no session key
+    with that sender is ever agreed."""
+
+    def __init__(self, sender_id):
+        self.sender_id = sender_id
+
+    def accept_frame(self, receiver, sender_id, frame):
+        return not (frame.msg_type is MsgType.PUBKEY and sender_id == self.sender_id)
+
+
+def test_a_gateway_with_no_trusted_es_raises_an_alarm_at_selection_and_per_reading():
+    """ES 9, 10 and 28 fail gateway 25's probes: the ES selection at 0 s
+    picks none and counts an alarm, and the PMU reading at 15 s, with no
+    ES to go to, counts another."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    for es_id in (9, 10, 28):
+        net.nodes[es_id].behavior = DropProbes()
+    queue.run_until(1.0)
+    assert eng.es_choice == {25: None}
+    assert alarms(eng) == (1, 0)
+    queue.run_until(16.0)
+    assert eng.es_choice == {25: None}
+    assert alarms(eng) == (2, 0)
+
+
+def test_a_gateway_with_no_forwarder_raises_an_alarm_at_selection_and_per_flush():
+    """N 7 and 8 fail the round's probes, so gateway 25 keeps no
+    forwarder (an alarm), and its MU readings at 15 s stay queued with a
+    second alarm."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    for node_id in (7, 8):
+        net.nodes[node_id].behavior = DropProbes()
+    queue.run_until(1.0)
+    assert eng.forwarder_of == {23: 1, 24: 5, 25: None}
+    assert alarms(eng) == (1, 0)
+    queue.run_until(16.0)
+    assert alarms(eng) == (2, 0)
+    assert [unit for unit, _ in eng.gw_queue[25]] == [20, 21]
+
+
+def test_a_gateway_with_no_session_key_to_its_forwarder_raises_an_alarm():
+    """Forwarder 8 swallows gateway 25's PUBKEY: it is still picked, but
+    no key is agreed, so the flush at 15 s counts an alarm and seals
+    nothing."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    net.nodes[8].behavior = RefusePubkeysFrom(25)
+    queue.run_until(1.0)
+    assert eng.forwarder_of == {23: 1, 24: 5, 25: 8}
+    assert (8, 25) not in eng.sessions
+    assert alarms(eng) == (0, 0)
+    queue.run_until(16.0)
+    assert alarms(eng) == (1, 0)
+    assert [unit for unit, _ in eng.gw_queue[25]] == [20, 21]
+
+
+def test_a_pmu_gateway_whose_es_died_raises_an_alarm():
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    queue.run_until(1.0)
+    assert eng.es_choice == {25: 9}
+    net.nodes[9].alive = False
+    queue.run_until(16.0)
+    assert eng.es_choice == {25: 9}          # the next probe is at 60 s
+    assert alarms(eng) == (1, 0)
+
+
+def test_a_pmu_gateway_with_no_session_key_to_its_es_raises_an_alarm():
+    """ES 9 swallows gateway 25's PUBKEY: it is still picked, and the PMU
+    reading at 15 s counts an alarm."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    net.nodes[9].behavior = RefusePubkeysFrom(25)
+    queue.run_until(1.0)
+    assert eng.es_choice == {25: 9}
+    assert (9, 25) not in eng.sessions
+    assert alarms(eng) == (0, 0)
+    queue.run_until(16.0)
+    assert alarms(eng) == (1, 0)
+
+
+def test_a_cluster_head_that_reaches_neither_control_center_raises_one_alarm(monkeypatch):
+    """Head 7 tries the main center, then the backup; with every other
+    sensing-tier entity threat-listed it reaches neither, counts one
+    alarm and seals nothing."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    queue.run_until(1.0)
+    assert eng.cluster_head == {1: 3, 5: 6, 8: 7}
+    table = eng.current_table()
+    for node in net.nodes.values():
+        if node.kind in ("N", "ES", "PDC") and node.id != 7:
+            table.records[node.id] = 0.0
+    eng.route_cache.clear()
+    seals = []
+    monkeypatch.setattr(protocol, "ecc_encrypt", lambda *args: seals.append(args))
+    eng._send_aggregate(net.nodes[7], [(20, bytes(64))])
+    assert eng.route_cache == {(7, 24): None, (7, 23): None}
+    assert seals == []
+    assert alarms(eng) == (0, 1)
+
+
+def test_an_es_that_cannot_reach_its_pdc_raises_an_alarm():
+    """ES 10, ES 9's one way to PDC 15, fails the round's probes: ES 9
+    is still gateway 25's pick, and its leg at 15 s finds no route."""
+    net, chan, queue, trace, eng = make_sim(relay_world)
+    net.nodes[10].behavior = DropProbes()
+    queue.run_until(1.0)
+    assert eng.es_choice == {25: 9}
+    assert alarms(eng) == (0, 0)
+    queue.run_until(16.0)
+    assert eng.route_cache[(9, 15)] is None
+    assert eng.acting_pdc == {}
+    assert alarms(eng) == (0, 1)
+
+
+def test_a_failover_with_no_candidate_raises_an_alarm():
+    """PDC 15 dies and region 3's ES 9 and 10 are threat-listed: the round
+    at 200 s finds no stand-in and counts one alarm."""
+    net, chan, queue, trace, eng = make_sim(mini_world)
+    for es_id in (9, 10):
+        net.nodes[es_id].behavior = DropProbes()
+    queue.run_until(1.0)
+    net.nodes[15].alive = False
+    queue.run_until(205.0)
+    assert {9, 10, 15} <= eng.current_table().threat_list
+    assert eng.acting_pdc == {}
+    assert eng._region_pdc(3).id == 15
+    assert alarms(eng) == (0, 1)
+
+
 # -- cadence -----------------------------------------------------------------------
 
 def select_es_times(eng):
