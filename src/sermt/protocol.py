@@ -27,6 +27,23 @@ decision reads the switch in one place:
 - ciphertext tag: `_server_open`;
 - ES probing: `_select_es`;
 - link weight: `_link_weight` (plain distance).
+
+Every pick (a forwarder, an ES, a cluster head, a round's relay, a stand-in
+PDC) is ranked by `best_id`: highest score, lower ID on a tie. Every alarm
+is raised in one of five steps:
+
+- `_choose`: a gateway's forwarder or ES selection finds no trusted
+  candidate (isolation);
+- `_keyed`: a gateway has readings but no next hop, or no session key with
+  it (isolation);
+- `_seal_to_cc`: a cluster head or PDC has no route to a control center
+  (undeliverable);
+- `_es_to_pdc`: a storage node has no route to its PDC (undeliverable);
+- `pdc_failover`: a region's concentrator failed and no ES can stand in
+  (undeliverable).
+
+A tamper is counted where a sealed frame fails to open: at a leg's far end
+(`_sealed_leg`) or at a server (`_server_open`).
 """
 
 from __future__ import annotations
@@ -91,6 +108,12 @@ def selection_score(bp: float, tv: float, c: int) -> float:
     if bp < 0 or tv < 0 or c < 0:
         raise ValueError("score inputs must be nonnegative")
     return bp * tv * c
+
+
+def best_id(scores: dict[int, float]) -> int | None:
+    """The ID with the highest score, the lower ID on a tie; None if there
+    is none. Every pick the engine makes is ranked by this rule."""
+    return max(scores, key=lambda i: (scores[i], -i), default=None)
 
 
 # -- trust table ---------------------------------------------------------------
@@ -509,13 +532,10 @@ class ProtocolEngine:
         return records
 
     def _pick_relay(self, region_id: int, table: TrustTable) -> NodeState | None:
-        candidates = [
-            n for n in self.network.region_trust_targets(region_id)
-            if n.alive and n.id in table.records and is_trusted(table.records[n.id])
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda n: (table.records[n.id], -n.id))
+        relay_id = best_id({
+            n.id: table.records[n.id] for n in self.network.region_trust_targets(region_id)
+            if n.alive and n.id in table.records and is_trusted(table.records[n.id])})
+        return None if relay_id is None else self.network.nodes[relay_id]
 
     def _handoff(self, relay: NodeState, region_id: int, table: TrustTable,
                  initiator: NodeState) -> tuple[NodeState | None, dict[int, float]]:
@@ -632,29 +652,33 @@ class ProtocolEngine:
     def _select_forwarders(self) -> None:
         net = self.network
         gateways = net.gateways
-        # (node_id, bp, c, position) per gateway, from ACKs it can verify
-        acks: dict[int, list[tuple[int, float, int, tuple[float, float]]]] = {}
+        # (node_id, bp, c) per gateway, from ACKs it can verify
+        acks: dict[int, list[tuple[int, float, int]]] = {}
         for node, heard in self._solicit(gateways, MsgType.FORW_RQM, lambda gw: b""):
             closest = net.nearest(node.position, heard)
             bp, c = node.behavior.advertised(
                 node, node.battery_mah, self.channel.connectivity_counts(node)[0])
             if not self._answer(node, closest, struct.pack(">dHdd", bp, c, *node.position)):
                 continue
-            acks.setdefault(closest.id, []).append((node.id, bp, c, node.position))
+            acks.setdefault(closest.id, []).append((node.id, bp, c))
             self._advertise_personas(node, gateways, acks)
 
         table = self.current_table()
         for gw in gateways:
-            candidates = [c for c in acks.get(gw.id, []) if table.trusted(c[0])]
-            if not candidates:
-                self.forwarder_of[gw.id] = None
-                self.delivery.isolation_alarms += 1
-                continue
-            best = max(candidates,
-                       key=lambda c: (selection_score(c[1], table.tv(c[0]), c[2]), -c[0]))
-            self.forwarder_of[gw.id] = best[0]
-            if best[0] in net.nodes:
-                self._ensure_session((gw.id, best[0]))
+            self._choose(self.forwarder_of, gw, {
+                node_id: selection_score(bp, table.tv(node_id), c)
+                for node_id, bp, c in acks.get(gw.id, []) if table.trusted(node_id)})
+
+    def _choose(self, choices: dict[int, int | None], gw: NodeState,
+                scores: dict[int, float]) -> None:
+        """Record `gw`'s pick among `scores` in `choices`: with none to pick,
+        an isolation alarm; else a session key with the pick, unless it is
+        a persona, which has no keys."""
+        choices[gw.id] = chosen = best_id(scores)
+        if chosen is None:
+            self.delivery.isolation_alarms += 1
+        elif chosen in self.network.nodes:
+            self._ensure_session((gw.id, chosen))
 
     def _advertise_personas(self, host: NodeState, gateways: Iterable[NodeState],
                             acks: dict) -> None:
@@ -668,8 +692,7 @@ class ProtocolEngine:
                 continue
             if not self.current_table().trusted(persona_id):
                 continue
-            acks.setdefault(closest.id, []).append(
-                (persona_id, host.battery_mah, 8, fake_pos))
+            acks.setdefault(closest.id, []).append((persona_id, host.battery_mah, 8))
 
     def _form_clusters(self) -> None:
         """Every real forwarder (a carrier) solicits a cluster of the N nodes
@@ -700,11 +723,10 @@ class ProtocolEngine:
             announce = self._gbk_frame(MsgType.CLUSTER_ID, solicitor,
                                        cluster_id.encode())
             channel.broadcast(solicitor, announce, kinds=("N",))
-            head_id = max(
-                cluster,
-                key=lambda i: (selection_score(net.nodes[i].battery_mah, table.tv(i),
-                                               channel.connectivity_counts(net.nodes[i])[1]),
-                               -i))
+            head_id = best_id({
+                i: selection_score(net.nodes[i].battery_mah, table.tv(i),
+                                   channel.connectivity_counts(net.nodes[i])[1])
+                for i in cluster})
             self.clusters[solicitor.id] = cluster
             self.cluster_head[solicitor.id] = head_id
             if head_id != solicitor.id:
@@ -811,19 +833,10 @@ class ProtocolEngine:
                 continue                      # monitored locally, no WSN leg
             gw = net.nodes[net.gateway_of_substation[substation_id]]
             heard = self.channel.hears(gw)
-            candidates = [es for es in storage if es.id in heard]
-            scored = []
-            for es in candidates:
-                tv = self._probe(gw, es) if self.defense else self.current_table().tv(es.id)
-                if is_trusted(tv):
-                    scored.append((tv, -es.id, es))
-            if not scored:
-                self.es_choice[gw.id] = None
-                self.delivery.isolation_alarms += 1
-                continue
-            best = max(scored)[2]
-            self.es_choice[gw.id] = best.id
-            self._ensure_session((gw.id, best.id))
+            tvs = {es.id: self._probe(gw, es) if self.defense else self.current_table().tv(es.id)
+                   for es in storage if es.id in heard}
+            self._choose(self.es_choice, gw,
+                         {es_id: tv for es_id, tv in tvs.items() if is_trusted(tv)})
 
     # -- readings ---------------------------------------------------------------
 
@@ -866,18 +879,15 @@ class ProtocolEngine:
             try:
                 plain = ecc_decrypt(keypair.private, blob, SIM_CURVE,
                                     verify_tag=self.defense)
-                break
             except (AuthenticationError, CipherFormatError, InvalidKeyError,
                     ValueError):
                 continue
-        else:
-            self.delivery.tamper_detected += 1
-            return None
-        try:
-            return unpack_records(plain)
-        except (ValueError, struct.error):
-            self.delivery.tamper_detected += 1
-            return None
+            try:
+                return unpack_records(plain)
+            except (ValueError, struct.error):
+                break                   # the first key that decrypts decides
+        self.delivery.tamper_detected += 1
+        return None
 
     # -- MU data path -------------------------------------------------------------
 
@@ -902,10 +912,7 @@ class ProtocolEngine:
         if not queue:
             return
         forwarder_id = self.forwarder_of.get(gw.id)
-        if forwarder_id is None:
-            self.delivery.isolation_alarms += 1
-            return
-        if forwarder_id not in self.network.nodes:
+        if forwarder_id in self.known_personas:
             # a phantom: frames vanish toward the advertised location
             _host, fake_pos = self.known_personas[forwarder_id]
             for source_id, reading in queue:
@@ -914,12 +921,19 @@ class ProtocolEngine:
                 self.channel.transmit_phantom(gw, forwarder_id, fake_pos, husk)
             queue.clear()
             return
-        if self._ensure_session((gw.id, forwarder_id)) is None:
-            self.delivery.isolation_alarms += 1
+        if not self._keyed(gw, forwarder_id):
             return
         for record in queue:
             self._hand_over((gw.id, forwarder_id), MsgType.EMD, [record], carry)
         queue.clear()
+
+    def _keyed(self, gw: NodeState, hop_id: int | None) -> bool:
+        """Whether `gw` can seal to its next hop `hop_id`: with no hop, or no
+        session key agreed with it, an isolation alarm and False."""
+        if hop_id is not None and self._ensure_session((gw.id, hop_id)) is not None:
+            return True
+        self.delivery.isolation_alarms += 1
+        return False
 
     def _flush_clusters(self, carry: dict[int, list[tuple[int, bytes]]]) -> None:
         """Each solicitor hands what it carries to its cluster's head, and
@@ -939,10 +953,18 @@ class ProtocolEngine:
     def _send_aggregate(self, head: NodeState, records: list[tuple[int, bytes]]) -> None:
         # heads prefer the main control center; a severed relay graph falls
         # back to the backup center rather than stranding the whole cluster
-        for main in (True, False):
-            path = self._route_to_cc(head, main=main)
+        self._seal_to_cc(head, (True, False), self._route_to_cc, records)
+
+    def _seal_to_cc(self, origin: NodeState, mains: tuple[bool, ...],
+                    route: Callable[[NodeState, bool], tuple[int, ...] | None],
+                    records: list[tuple[int, bytes]]) -> None:
+        """Seal `records` to the first control center of `mains` (True: the
+        main one) that `route(origin, main)` reaches; if none, an
+        undeliverable alarm."""
+        for main in mains:
+            path = route(origin, main)
             if path is not None:
-                self._seal_to_server(head, main, path, records)
+                self._seal_to_server(origin, main, path, records)
                 return
         self.delivery.undeliverable_alarms += 1
 
@@ -1040,11 +1062,9 @@ class ProtocolEngine:
             if not readings:
                 continue
             es_id = self.es_choice.get(gw.id)
-            if es_id is None or not net.nodes[es_id].alive:
-                self.delivery.isolation_alarms += 1
-                continue
-            if self._ensure_session((gw.id, es_id)) is None:
-                self.delivery.isolation_alarms += 1
+            if es_id is not None and not net.nodes[es_id].alive:
+                es_id = None                # a dead ES is no next hop
+            if not self._keyed(gw, es_id):
                 continue
             opened = self._sealed_leg((gw.id, es_id), MsgType.EMD, readings)
             if opened:
@@ -1076,11 +1096,7 @@ class ProtocolEngine:
         """Aggregate and deliver to both control centers over the static
         concentrator overlay."""
         for main in (True, False):
-            path = self._pdc_route(pdc, main)
-            if path is None:
-                self.delivery.undeliverable_alarms += 1
-            else:
-                self._seal_to_server(pdc, main, path, records)
+            self._seal_to_cc(pdc, (main,), self._pdc_route, records)
 
     def _pdc_route(self, pdc: NodeState, main: bool) -> tuple[int, ...] | None:
         net = self.network
@@ -1105,14 +1121,14 @@ class ProtocolEngine:
         """Promote the most trusted ES of the region to acting concentrator."""
         table = self.current_table()
         old = self._region_pdc(region_id)
-        candidates = [es for es in self.network.members(kind="ES", region=region_id)
-                      if table.trusted(es.id) and es.id != old.id]
-        if not candidates:
+        chosen = best_id({es.id: table.tv(es.id)
+                          for es in self.network.members(kind="ES", region=region_id)
+                          if table.trusted(es.id) and es.id != old.id})
+        if chosen is None:
             self.acting_pdc.pop(region_id, None)
             self.delivery.undeliverable_alarms += 1
             return None
-        chosen = max(candidates, key=lambda es: (table.tv(es.id), -es.id))
-        self.acting_pdc[region_id] = chosen.id
+        self.acting_pdc[region_id] = chosen
         self.trace.log(self.queue.now, "failover", f"region:{region_id}",
-                       f"acting_pdc:{chosen.id}")
-        return chosen.id
+                       f"acting_pdc:{chosen}")
+        return chosen
