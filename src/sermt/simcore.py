@@ -98,6 +98,9 @@ class EnergyModel:
                      "initial_battery"):
             if not getattr(self, name) >= 0:        # NaN too
                 raise ValueError(f"{name} must not be negative")
+        # a harvester above its capacity would book a negative recharge
+        if self.initial_battery > self.battery_capacity_es:
+            raise ValueError("initial_battery must not exceed battery_capacity_es")
 
     def energy_tx(self, bits: int, dist: float) -> float:
         return bits * (self.e_amp * dist * dist + self.e_baseband + self.e_frontend)

@@ -152,7 +152,8 @@ def test_malformed_configs_rejected(tmp_path):
                        ("loss_probability", "nan")):
         bad.append(BASE + f"[radio]\n{key} = {value}\n")
     for key, value in (("e_amp", -1e-12), ("e_lna", "nan"), ("recharge_rate", -1),
-                       ("battery_capacity_es", 0), ("initial_battery", -1)):
+                       ("battery_capacity_es", 0), ("initial_battery", -1),
+                       ("initial_battery", 2001)):     # above battery_capacity_es
         bad.append(BASE + f"[energy]\n{key} = {value}\n")
     for key, value in (("test_messages", 0), ("chain_length", 0),
                        ("mu_reading_bytes", 8), ("pmu_reading_bytes", 15),
@@ -650,6 +651,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                                 ("protocol", "pmu_reading_bytes", 70000),
                                 ("radio", "loss_probability", 2), ("radio", "range_n", -5),
                                 ("energy", "initial_battery", -1),
+                                # every harvester booked a negative recharge
+                                ("energy", "initial_battery", 2500),
                                 ("energy", "recharge_rate", -1)):
         out_of_range = write_config(tmp_path, BASE + f"[{section}]\n{key} = {value}\n",
                                     name=f"{key}.conf")
