@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from sermt import grid
+from sermt import crypto, grid
 from sermt.entities import Network
 from sermt.grid import Deployment, EntitySeed
 from sermt.rng import substream
@@ -47,6 +47,19 @@ def make_world(extra_nodes=(), radio=None, energy=None, seed=1, initial_battery=
 @pytest.fixture
 def two_sub_world():
     return make_world
+
+
+def affine_oracle(k, point, curve, fixed_base=False):
+    """k * point, for k >= 0, by double-and-add over the affine
+    `crypto.point_add` alone. It takes `crypto.scalar_mult`'s arguments, so
+    it can stand in for it, but it reads no window table, whatever
+    `fixed_base` says, and it does not reduce k modulo the curve order."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = crypto.point_add(acc, acc, curve)
+        if bit == "1":
+            acc = crypto.point_add(acc, point, curve)
+    return acc
 
 
 def reference_dijkstra(adjacency, source, targets):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import affine_oracle
 from sermt import crypto
 from sermt.crypto import (
     ChainAnchorState,
@@ -203,16 +204,6 @@ def test_scalar_two_matches_hand_doubling():
     x2 = (s * s - 2 * x) % curve.p
     y2 = (s * (x - x2) - y) % curve.p
     assert crypto.scalar_mult(2, curve.g, curve) == (x2, y2)
-
-
-def affine_oracle(k, point, curve):
-    """k * point by double-and-add on the affine point_add alone."""
-    acc = None
-    for bit in bin(k)[2:]:
-        acc = crypto.point_add(acc, acc, curve)
-        if bit == "1":
-            acc = crypto.point_add(acc, point, curve)
-    return acc
 
 
 @settings(max_examples=60, deadline=None)

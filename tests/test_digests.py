@@ -11,7 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import brute_force_hears, copying_relay, eager_adjacency, reference_dijkstra
+from conftest import (affine_oracle, brute_force_hears, copying_relay, eager_adjacency,
+                      reference_dijkstra)
 from sermt import crypto, protocol
 from sermt.adversary import AttackSpec
 from sermt.metrics import replay_trace
@@ -318,17 +319,6 @@ def test_wormhole_listeners_hear_the_broadcast_sender(defense, monkeypatch):
     assert tunnelled and checked
 
 
-def affine_mult(k, point, curve, fixed_base=False):
-    """k * point by double-and-add over the affine point_add alone; no
-    window table is read, whatever fixed_base says."""
-    acc = None
-    for bit in bin(k % curve.n)[2:]:
-        acc = crypto.point_add(acc, acc, curve)
-        if bit == "1":
-            acc = crypto.point_add(acc, point, curve)
-    return acc
-
-
 @pytest.mark.parametrize(("case", "defense"), [
     ("attacked", True), ("false_data", True), ("malicious35", True),
     ("false_data", False),      # opens without the tag check
@@ -348,7 +338,7 @@ def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
 
     def counted_mult(*args):
         mults.append(args)
-        return affine_mult(*args)
+        return affine_oracle(*args)
 
     monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
     for lru in lrus[:3]:
