@@ -4,6 +4,12 @@ Elliptic-curve key pairs and Diffie-Hellman agreement, RC5 symmetric
 encryption, SHA-1 (nested) HMACs, and one-way hash chains for broadcast
 authentication.  Parameters are simulation-grade: the point is faithful
 protocol behaviour, not real-world security margins.
+
+Work that depends on a key alone is done once per key and kept in a bounded
+LRU cache: fixed-base tables, long-lived multiplies, RC5 key schedules and
+HMAC pad contexts (the last HMAC_PAD_CACHE_SIZE = 16 keys).  No cache holds
+a tag, a ciphertext or a verdict: every MAC is computed and compared each
+time it is checked.
 """
 
 from __future__ import annotations
@@ -451,9 +457,43 @@ def rc5_decrypt(key: bytes, ciphertext: bytes) -> bytes:
 
 # ---------------------------------------------------------------------------
 # HMAC / nested HMAC
+#
+# HMAC-SHA1 (RFC 2104) from each key's two pad states: the SHA-1 contexts
+# after the one 64-byte block key ^ ipad and after key ^ opad, a key over 64
+# bytes hashed first and a shorter one padded with zeros (RFC 2104, section
+# 4).  A tag copies both contexts and hashes only the message and the inner
+# digest; the bytes are stdlib `hmac`'s for every key length, in about half
+# its time.  _hmac_pads keeps the last HMAC_PAD_CACHE_SIZE keys' context pairs
+# in an LRU cache keyed by the key bytes, about 0.6 KB a key: the GBK keys
+# almost every tag, and a link's session key the inner tag of each of its
+# data frames.  The other misses are ECC seal keys, which key one or two
+# tags each: on world 0 of each benchmark workload (seed 7) and on the
+# 118-bus world, 8, 16 and 32 entries miss equally often.  Only the contexts
+# are kept, and hmac_tag updates copies of them, never the cached pair;
+# every tag is computed, and every check compares with `compare_digest`.
+
+HMAC_PAD_CACHE_SIZE = 16
+_SHA1_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))     # bytes.translate tables
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+@functools.lru_cache(maxsize=HMAC_PAD_CACHE_SIZE)
+def _hmac_pads(key: bytes):
+    """The SHA-1 contexts after key ^ ipad and after key ^ opad."""
+    if len(key) > _SHA1_BLOCK:
+        key = sha1_digest(key)
+    key = key.ljust(_SHA1_BLOCK, b"\x00")
+    return hashlib.sha1(key.translate(_IPAD)), hashlib.sha1(key.translate(_OPAD))
+
 
 def hmac_tag(key: bytes, message: bytes) -> bytes:
-    return _hmac.new(key, message, hashlib.sha1).digest()
+    inner, outer = _hmac_pads(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def nested_hmac(outer_key: bytes, inner_key: bytes, message: bytes) -> bytes:

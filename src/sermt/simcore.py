@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 
 from .entities import MAINS_POWERED, RECHARGEABLE, Network, NodeState, distance
-from .wire import Frame
+from .wire import TYPE_NAME, Frame
 
 
 # the RadioModel field that holds each kind's range
@@ -426,7 +426,7 @@ class Channel:
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
-        type_name = frame.msg_type.name
+        type_name = TYPE_NAME[frame.msg_type]
         ids = f"{sender.id}->{receiver.id}:{type_name}"
         if not sender.alive:
             outcome = self._lose("dead_sender")
@@ -449,7 +449,7 @@ class Channel:
         """A send toward a fake identity advertised at `position`: no radio
         answers, but the sender still pays to transmit, and spies in its
         range overhear the frame."""
-        type_name = frame.msg_type.name
+        type_name = TYPE_NAME[frame.msg_type]
         tx_joules = self._pay_tx(sender, frame,
                                  None if control else distance(sender.position, position))
         self._eavesdrop_sweep(sender, self._emission(sender.id, frame, type_name), (sender.id,))
@@ -476,7 +476,7 @@ class Channel:
         The far end skips the sender, both tunnel ends and every node the
         sender delivered to directly; a node that hears both ends of a
         tunnel takes in both copies."""
-        type_name = frame.msg_type.name
+        type_name = TYPE_NAME[frame.msg_type]
         sender_id = sender.id
         ids = f"{sender_id}->*:{type_name}"
         if not sender.alive:
@@ -514,7 +514,7 @@ class Channel:
             self._eavesdrop_sweep(origin, emission, skip, screened=kinds)
         nodes = self.network.nodes
         receive = self._receive_leg
-        type_name = emission.frame.msg_type.name
+        type_name = TYPE_NAME[emission.frame.msg_type]
         delivered = []
         for node_id in listeners:
             if node_id in skip:

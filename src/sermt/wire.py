@@ -6,19 +6,28 @@ type || payload || sender_id || chain_key; what varies per message type is
 the keying: data frames (EMD, DATA) use the nested construction
 HMAC(GBK, HMAC(session_key, base)), everything else is keyed with the
 global key GBK directly.
+
+A `Frame` is an immutable tuple: its five fields, then its size on the
+wire in bytes, computed once when it is made.  Every way of making one
+(the constructor, `_replace`, `decode_frame`, copy and pickle) goes
+through `Frame.__new__`, which checks that each field fits the wire.
+A message type's byte and name are read from the tables `TYPE_BYTE` and
+`TYPE_NAME`, not through the Enum, whose `name` property costs about five
+table reads.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 
 from . import crypto
 
 HEADER_LEN = 1 + 4 + 2          # type + sender_id + payload_len
 MAX_PAYLOAD = 0xFFFF
 MAX_CHAIN_KEY = 0xFF
+_FIXED_LEN = HEADER_LEN + 1 + crypto.TAG_LEN   # header, chain_key_len and mac
 
 
 class FrameFormatError(ValueError):
@@ -45,61 +54,90 @@ NESTED_MAC_TYPES = frozenset({MsgType.EMD, MsgType.DATA})
 DATA_TYPES = NESTED_MAC_TYPES | {MsgType.AGG_DATA}
 
 
-@dataclass(frozen=True)
-class Frame:
-    msg_type: MsgType
-    sender_id: int
-    payload: bytes
-    chain_key: bytes = b""
-    mac: bytes = b"\x00" * crypto.TAG_LEN
+# A type's byte in the MAC base and its name in the trace, by type value.
+TYPE_BYTE = {t: bytes((t,)) for t in MsgType}
+TYPE_NAME = {t: t.name for t in MsgType}
 
-    def __post_init__(self):
+_new_tuple = tuple.__new__
+_sender_bytes = struct.Struct(">I").pack
+
+
+class Frame(tuple):
+    """(msg_type, sender_id, payload, chain_key, mac), and last the frame's
+    wire size in bytes (a small int, shared, for every frame under 257
+    bytes).  Fields read by name; a frame compares and hashes by value and
+    cannot be changed once made."""
+
+    __slots__ = ()
+    _fields = ("msg_type", "sender_id", "payload", "chain_key", "mac")
+
+    def __new__(cls, msg_type: MsgType, sender_id: int, payload: bytes,
+                chain_key: bytes = b"", mac: bytes = b"\x00" * crypto.TAG_LEN) -> Frame:
         # every field fits its wire field: no frame the wire cannot carry is ever made
-        if len(self.payload) > MAX_PAYLOAD:
-            raise FrameFormatError(f"payload of {len(self.payload)} bytes exceeds {MAX_PAYLOAD}")
-        if not 0 <= self.sender_id <= 0xFFFFFFFF:
-            raise FrameFormatError(f"sender_id {self.sender_id} out of range")
-        if len(self.chain_key) > MAX_CHAIN_KEY:
+        if len(payload) > MAX_PAYLOAD:
+            raise FrameFormatError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+        if not 0 <= sender_id <= 0xFFFFFFFF:
+            raise FrameFormatError(f"sender_id {sender_id} out of range")
+        if len(chain_key) > MAX_CHAIN_KEY:
             raise FrameFormatError("chain key too long")
-        if len(self.mac) != crypto.TAG_LEN:
+        if len(mac) != crypto.TAG_LEN:
             raise FrameFormatError(f"mac must be {crypto.TAG_LEN} bytes")
+        return _new_tuple(cls, (msg_type, sender_id, payload, chain_key, mac,
+                                _FIXED_LEN + len(payload) + len(chain_key)))
 
-    @property
-    def wire_len(self) -> int:
-        return HEADER_LEN + len(self.payload) + 1 + len(self.chain_key) + crypto.TAG_LEN
+    msg_type = property(itemgetter(0))
+    sender_id = property(itemgetter(1))
+    payload = property(itemgetter(2))
+    chain_key = property(itemgetter(3))
+    mac = property(itemgetter(4))
+    wire_len = property(itemgetter(5))
 
     @property
     def wire_bits(self) -> int:
-        return 8 * self.wire_len
+        return 8 * self[5]
+
+    def _replace(self, **changes) -> Frame:
+        """This frame with the named fields changed, checked as a new one."""
+        return Frame(**dict(zip(self._fields, self), **changes))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]         # copy and pickle make the frame through __new__
+
+    def __repr__(self) -> str:
+        return "Frame(" + ", ".join(f"{name}={value!r}"
+                                    for name, value in zip(self._fields, self)) + ")"
 
 
 def mac_base(msg_type: int, sender_id: int, payload: bytes, chain_key: bytes) -> bytes:
-    return bytes([msg_type]) + payload + struct.pack(">I", sender_id) + chain_key
+    return TYPE_BYTE[msg_type] + payload + _sender_bytes(sender_id) + chain_key
 
 
 def make_frame(msg_type: MsgType, sender_id: int, payload: bytes, *,
                gbk: bytes, session_key: bytes | None = None,
                chain_key: bytes = b"") -> Frame:
     """Build a frame with the correct MAC for its type."""
+    if type(msg_type) is not MsgType:
+        msg_type = MsgType(msg_type)
     base = mac_base(msg_type, sender_id, payload, chain_key)
     if msg_type in NESTED_MAC_TYPES:
         if session_key is None:
-            raise ValueError(f"{MsgType(msg_type).name} frames need a session key")
+            raise ValueError(f"{TYPE_NAME[msg_type]} frames need a session key")
         mac = crypto.nested_hmac(gbk, session_key, base)
     else:
         mac = crypto.hmac_tag(gbk, base)
-    return Frame(MsgType(msg_type), sender_id, payload, chain_key, mac)
+    return Frame(msg_type, sender_id, payload, chain_key, mac)
 
 
 def verify_frame(frame: Frame, *, gbk: bytes, session_key: bytes | None = None) -> bool:
-    base = mac_base(frame.msg_type, frame.sender_id, frame.payload, frame.chain_key)
-    if frame.msg_type in NESTED_MAC_TYPES:
+    msg_type, sender_id, payload, chain_key, mac, _wire_len = frame
+    base = mac_base(msg_type, sender_id, payload, chain_key)
+    if msg_type in NESTED_MAC_TYPES:
         if session_key is None:
             return False
         expected = crypto.nested_hmac(gbk, session_key, base)
     else:
         expected = crypto.hmac_tag(gbk, base)
-    return crypto.tags_equal(expected, frame.mac)
+    return crypto.tags_equal(expected, mac)
 
 
 def encode_frame(frame: Frame) -> bytes:

@@ -3,7 +3,6 @@ and the plain reference paths that stand in for the engine's exactness
 shortcuts, in unit tests and in whole runs with each shortcut off."""
 
 import heapq
-from dataclasses import replace
 
 import pytest
 
@@ -112,5 +111,5 @@ def copying_relay(relay_chain):
     opens every frame it relayed by the full RC5 or ECC path."""
     def relay(engine, *args, **kwargs):
         frame = relay_chain(engine, *args, **kwargs)
-        return frame and replace(frame, payload=bytes(bytearray(frame.payload)))
+        return frame and frame._replace(payload=bytes(bytearray(frame.payload)))
     return relay

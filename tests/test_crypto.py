@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import affine_oracle
 from sermt import crypto
@@ -491,6 +491,38 @@ def test_hmac_deterministic_and_sensitive():
 def test_hmac_tag_matches_hmac_module(key, message):
     # keys over the 64-byte SHA-1 block are hashed first; empty messages are fine
     assert crypto.hmac_tag(key, message) == hmac.new(key, message, hashlib.sha1).digest()
+
+
+def stdlib_tag(key, message):
+    return hmac.new(key, message, hashlib.sha1).digest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 130).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       st.binary(max_size=200), st.binary(max_size=130))
+@example(bytes(63), b"m", b"k" * 64)
+@example(b"\x36" * 64, b"", b"\x5c" * 65)
+@example(b"\xff" * 65, b"x" * 200, b"")
+def test_hmac_tags_equal_stdlib_for_every_key_length(key, message, inner_key):
+    """hmac_tag from cached pad contexts is stdlib HMAC-SHA1 for keys of 0
+    to 130 bytes (63, 64 and 65 in the examples), and nested_hmac is
+    stdlib HMAC of stdlib HMAC."""
+    assert crypto.hmac_tag(key, message) == stdlib_tag(key, message)
+    assert (crypto.nested_hmac(key, inner_key, message)
+            == stdlib_tag(key, stdlib_tag(inner_key, message)))
+
+
+def test_hmac_tag_every_key_length_past_the_pad_cache():
+    """Each key length 0-130 twice, each pass more keys than the pad cache
+    holds, so the second pass recomputes evicted contexts: every tag still
+    equals stdlib's, and a reused context never carries a message over."""
+    assert crypto.HMAC_PAD_CACHE_SIZE < 131
+    rng = random.Random(5)
+    keys = [rng.randbytes(n) for n in range(131)]
+    for _ in range(2):
+        for key in keys:
+            for message in (b"", rng.randbytes(rng.randrange(1, 150))):
+                assert crypto.hmac_tag(key, message) == stdlib_tag(key, message)
 
 
 def test_hmac_tag_rfc2202_vectors():

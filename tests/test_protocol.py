@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import copying_relay
 from sermt import protocol
 from sermt.adversary import AttackOutcomeLog, AttackSpec, FalseDataBehavior
 from sermt.entities import Behavior
@@ -16,6 +17,7 @@ from sermt.protocol import (
     ClusterId,
     DeliveryLog,
     ProtocolConfig,
+    ProtocolEngine,
     TrustTable,
     UndefinedTrustError,
     compute_trust,
@@ -615,6 +617,47 @@ def test_a_concentrator_with_no_route_counts_an_alarm_without_sealing(monkeypatc
     eng._pdc_dispatch(pdc, [(22, bytes(128))])
     assert seals == [pdc.server_pubkeys[net.main_server]]
     assert eng.delivery.undeliverable_alarms == alarms + 1
+
+
+def test_an_aggregate_that_decrypts_to_no_records_counts_one_tamper(monkeypatch):
+    """With the defense off no ciphertext tag is checked, so an aggregate
+    sealed to the server's newest key decrypts without error whatever it
+    holds. PDC 15 seals one that is not records: the server opens it with
+    that key alone, not the older one (the first key that decrypts
+    decides), counts exactly one tamper and ingests nothing. The same seal of real records is
+    ingested, so the relay does reach the server."""
+    net, chan, queue, trace, eng = make_sim(mini_world, defense=False)
+    queue.run_until(1.0)
+    pdc, main = net.nodes[15], net.main_server
+    eng._regenerate_server_keys()           # an older key the server could try next
+    pdc.server_pubkeys[main] = net.nodes[main].keypair.public
+    assert len(eng.server_key_history[main]) == 2
+    path = eng._pdc_route(pdc, main=True)
+    assert path is not None
+    # a copied payload is opened by the full ECC path, never taken unopened
+    monkeypatch.setattr(ProtocolEngine, "_relay_chain",
+                        copying_relay(ProtocolEngine._relay_chain))
+    decrypts, ecc_decrypt = [], protocol.ecc_decrypt
+
+    def spy(private, *args, **kwargs):
+        decrypts.append(private)
+        return ecc_decrypt(private, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "ecc_decrypt", spy)
+    ingested = []
+    monkeypatch.setattr(eng, "ingest_reading", ingested.append)
+    reading = eng._new_reading(64)
+
+    eng._seal_to_server(pdc, True, path, [(22, reading)])
+    assert ingested == [reading] and eng.delivery.tamper_detected == 0
+
+    decrypts.clear()
+    ingested.clear()
+    monkeypatch.setattr(protocol, "pack_records", lambda records: b"\x00\x07not records")
+    eng._seal_to_server(pdc, True, path, [(22, reading)])
+    assert decrypts == [eng.server_key_history[main][-1].private]
+    assert ingested == []
+    assert eng.delivery.tamper_detected == 1
 
 
 # -- alarms ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in `tools/`."""
 
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -9,6 +10,16 @@ from sermt.protocol import ProtocolEngine
 from sermt.simcore import Channel
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs = _load_tool("pairs")
 
 # statements the `drained` pin runs and the 60 s pins before it did not:
 # (function as the listing names it, the function, a fragment of the statement)
@@ -44,3 +55,56 @@ def test_pin_coverage_lists_what_one_pin_never_runs():
         assert fragment in inspect.getsource(function), (name, fragment)
         assert not any(listed_name == name and fragment in text
                        for _, listed_name, text in listed), (name, fragment)
+
+
+# -- tools/pairs.py verdicts, on fixed numbers --------------------------------------
+# PARENT's quartiles are 1.0175 and 1.0725 (spread 0.055), its median 1.045.
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def test_pairs_quartiles():
+    q1, q3 = pairs.quartiles(PARENT)
+    assert round(q1, 10) == 1.0175 and round(q3, 10) == 1.0725
+    assert pairs.quartiles([3.0]) == (3.0, 3.0)
+    assert pairs.quartiles([1.0, 2.0]) == (0.75, 2.25)
+
+
+def test_pairs_bound_verdict():
+    bound = {"bound": 0.25}
+    assert pairs.bound_verdict({}, 1.0, 0.0, False) == ""
+    assert pairs.bound_verdict(bound, 0.26, 0.0, True) == "  OVER bound 25%"
+    assert pairs.bound_verdict(bound, 0.25, 0.0, False) == "  within bound 25%"
+    assert pairs.bound_verdict(bound, -0.5, 0.1, False) == "  within bound 25%"
+    assert pairs.bound_verdict(bound, 0.1, 0.3, False) == (
+        "  unresolved: parent IQR wider than the bound 25%")
+    assert pairs.bound_verdict(bound, 0.1, 0.3, True) == "  within bound 25%"
+
+
+def paired_with(change):
+    return list(zip(PARENT, change))
+
+
+def test_pairs_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_spread():
+    better = [p - 0.1 for p in PARENT]
+    assert pairs.wins(paired_with(better), 1) == 10
+    assert pairs.claim_met(paired_with(better), 1)
+    # 10 of 10 pairs, but the medians differ by 0.05, inside the 0.055 spread
+    assert not pairs.claim_met(paired_with([p - 0.05 for p in PARENT]), 1)
+    # 9 of 10 pairs is enough; 8 is not
+    one_worse = better[:9] + [PARENT[9] + 0.1]
+    assert pairs.wins(paired_with(one_worse), 1) == 9
+    assert pairs.claim_met(paired_with(one_worse), 1)
+    two_worse = better[:8] + [p + 0.1 for p in PARENT[8:]]
+    assert pairs.wins(paired_with(two_worse), 1) == 8
+    assert not pairs.claim_met(paired_with(two_worse), 1)
+    # a tie counts for neither side
+    one_tie = better[:9] + PARENT[9:]
+    two_ties = better[:8] + PARENT[8:]
+    assert pairs.claim_met(paired_with(one_tie), 1)
+    assert pairs.wins(paired_with(two_ties), 1) == 8
+    assert not pairs.claim_met(paired_with(two_ties), 1)
+    # higher is better: the same gain upward
+    higher = [p + 0.1 for p in PARENT]
+    assert pairs.claim_met(paired_with(higher), -1)
+    assert not pairs.claim_met(paired_with(higher), 1)
+    assert not pairs.claim_met(paired_with(better), -1)

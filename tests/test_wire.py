@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -73,6 +75,53 @@ def test_frame_rejects_fields_the_wire_cannot_carry():
         fields = dict(msg_type=MsgType.ACK, sender_id=1, payload=b"") | bad
         with pytest.raises(FrameFormatError):
             Frame(**fields)
+
+
+def test_frame_is_an_immutable_value():
+    frame = wire.make_frame(MsgType.ACK, 7, b"payload", gbk=GBK, chain_key=b"\x01" * 20)
+    for name in (*Frame._fields, "wire_len", "wire_bits", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(frame, name, b"x")
+    with pytest.raises(TypeError):
+        frame[2] = b"x"
+    twin = Frame(MsgType.ACK, 7, b"payload", b"\x01" * 20, frame.mac)
+    assert twin == frame and twin is not frame and hash(twin) == hash(frame)
+    assert len({frame, twin}) == 1
+    for changed in (dict(msg_type=MsgType.TEST), dict(sender_id=8), dict(payload=b"payloaD"),
+                    dict(chain_key=b""), dict(mac=bytes(crypto.TAG_LEN))):
+        assert frame._replace(**changed) != frame
+    for made in (copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame)),
+                 frame._replace()):
+        assert type(made) is Frame and made == frame and hash(made) == hash(frame)
+    assert repr(frame).startswith("Frame(msg_type=<MsgType.ACK: 5>, sender_id=7, ")
+
+
+def test_every_way_of_making_a_frame_checks_its_sizes():
+    frame = Frame(MsgType.ACK, 1, b"")
+    grown = frame._replace(payload=b"x" * 10, chain_key=b"k" * 3)
+    assert grown.wire_len == frame.wire_len + 13 == len(wire.encode_frame(grown))
+    assert grown.wire_bits == 8 * grown.wire_len
+    for bad in (dict(payload=b"x" * (wire.MAX_PAYLOAD + 1)), dict(sender_id=2**32),
+                dict(sender_id=-1), dict(chain_key=b"k" * (wire.MAX_CHAIN_KEY + 1)),
+                dict(mac=b"m" * (crypto.TAG_LEN - 1))):
+        with pytest.raises(FrameFormatError):
+            frame._replace(**bad)
+        with pytest.raises(FrameFormatError):
+            Frame(**dict(msg_type=MsgType.ACK, sender_id=1, payload=b"") | bad)
+    with pytest.raises(TypeError):
+        frame._replace(wire_len=3)      # the size is the frame's, not a field
+    with pytest.raises(FrameFormatError):
+        wire.make_frame(MsgType.ACK, 1, b"", gbk=GBK, chain_key=b"k" * 256)
+
+
+def test_make_frame_takes_a_plain_type_value():
+    frame = wire.make_frame(5, 9, b"ack", gbk=GBK)
+    assert frame.msg_type is MsgType.ACK
+    assert frame == wire.make_frame(MsgType.ACK, 9, b"ack", gbk=GBK)
+    with pytest.raises(ValueError):
+        wire.make_frame(99, 9, b"ack", gbk=GBK)
+    assert wire.TYPE_NAME == {t: t.name for t in MsgType}
+    assert all(wire.TYPE_BYTE[t] == bytes([t]) for t in MsgType)
 
 
 def test_gbk_mac_verification():

@@ -72,6 +72,22 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def wins(paired: list[tuple[float, float]], sign: int) -> int:
+    """The (parent, change) pairs in which CHANGE is better; `sign` is -1
+    when higher is better, else 1. A tie counts for neither side."""
+    return sum(sign * (c - p) < 0 for p, c in paired)
+
+
+def claim_met(paired: list[tuple[float, float]], sign: int) -> bool:
+    """A gain: CHANGE better in at least nine tenths of all pairs, and its
+    median better than the parent's by more than the parent's quartile
+    spread."""
+    parent, change = ([v[i] for v in paired] for i in (0, 1))
+    p1, p3 = quartiles(parent)
+    return (10 * wins(paired, sign) >= 9 * len(paired)
+            and sign * (statistics.median(parent) - statistics.median(change)) > p3 - p1)
+
+
 def benchmark_spec(root: Path) -> dict:
     try:
         return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -125,17 +141,14 @@ def compare(sides: dict[str, Path], workload: str, args: argparse.Namespace) -> 
         parent, change = ([v[i] for v in paired] for i in (0, 1))
         spec = metric_spec(sides["change"], metric)
         sign = -1 if spec.get("better") == "higher" else 1   # lower is the default
-        wins = sum(sign * (c - p) < 0 for p, c in paired)
         (p1, p3), (c1, c3) = quartiles(parent), quartiles(change)
         mp, mc = statistics.median(parent), statistics.median(change)
-        # a gain needs 9/10 of all pairs (ties win for neither side) and a
-        # better median by more than the parent's quartile spread
-        claim = 10 * wins >= 9 * len(paired) and sign * (mp - mc) > p3 - p1
         every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
         print(f"  {metric:12s} parent {mp:.4f} [{p1:.4f}, {p3:.4f}]  "
               f"change {mc:.4f} [{c1:.4f}, {c3:.4f}]  {(mc - mp) / mp:+.1%}  "
-              f"better in {wins}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
-              f"vs parent IQR {p3 - p1:.4f}  {'claim met' if claim else 'not met'}"
+              f"better in {wins(paired, sign)}/{len(paired)}  |median diff| {abs(mc - mp):.4f} "
+              f"vs parent IQR {p3 - p1:.4f}  "
+              f"{'claim met' if claim_met(paired, sign) else 'not met'}"
               f"{bound_verdict(spec, sign * (mc - mp) / mp, (p3 - p1) / mp, every_run_better)}")
     ok = all(out["correct"] and out["failed"] == 0 for side in runs.values() for out in side)
     print("every run correct, failed 0" if ok else "SOME RUN FAILED OR WAS NOT CORRECT")
