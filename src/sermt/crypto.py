@@ -6,10 +6,11 @@ authentication.  Parameters are simulation-grade: the point is faithful
 protocol behaviour, not real-world security margins.
 
 Work that depends on a key alone is done once per key and kept in a bounded
-LRU cache: fixed-base tables, long-lived multiplies, RC5 key schedules and
-HMAC pad contexts (the last HMAC_PAD_CACHE_SIZE = 16 keys).  No cache holds
-a tag, a ciphertext or a verdict: every MAC is computed and compared each
-time it is checked.
+LRU cache: fixed-base tables, long-lived multiplies, RC5 key schedules,
+HMAC pad contexts (the last HMAC_PAD_CACHE_SIZE = 16 keys) and hash-chain
+keys (the last CHAIN_CACHE_SIZE = 4 chains, about 20 KB each at the
+shipped length of 1,024).  No cache holds a tag, a ciphertext or a
+verdict: every MAC is computed and compared each time it is checked.
 """
 
 from __future__ import annotations
@@ -368,15 +369,10 @@ def cipher_key(secret: bytes) -> bytes:
 # schedules (~80 KB) in an LRU cache keyed by the key bytes; a schedule is a
 # tuple, so no caller can change a cached one.  A message is enciphered as one
 # vector of little-endian words: x * 0x100000001 holds x twice, so a 32-bit
-# window of it is x rotated.  rc5_*_block run the same word loops on a single
-# block.
+# window of it is x rotated; the key schedule rotates the same way.
+# rc5_*_block run the same word loops on a single block.
 
 _TWICE32 = 0x100000001
-
-
-def _rotl32(x: int, s: int) -> int:
-    s &= 31
-    return ((x << s) | (x >> (32 - s))) & _MASK32
 
 
 @functools.lru_cache(maxsize=64)
@@ -391,8 +387,9 @@ def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
         s.append((s[-1] + _Q32) & _MASK32)
     a = b = i = j = 0
     for _ in range(3 * max(t, c)):
-        a = s[i] = _rotl32((s[i] + a + b) & _MASK32, 3)
-        b = lwords[j] = _rotl32((lwords[j] + a + b) & _MASK32, a + b)
+        a = s[i] = ((s[i] + a + b) & _MASK32) * _TWICE32 >> 29 & _MASK32
+        ab = a + b
+        b = lwords[j] = ((lwords[j] + ab) & _MASK32) * _TWICE32 >> (32 - (ab & 31)) & _MASK32
         i = (i + 1) % t
         j = (j + 1) % c
     return tuple(s)
@@ -508,6 +505,21 @@ def tags_equal(a: bytes, b: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # One-way SHA-1 hash chains
 
+CHAIN_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _chain_keys(seed: bytes, length: int) -> bytes:
+    """K_1..K_length of the chain from `seed`, 20 bytes each, as one blob:
+    K_i at [HASH_LEN * (i - 1), HASH_LEN * i)."""
+    key = sha1_digest(seed)
+    keys = [key]
+    for _ in range(length - 1):
+        key = sha1_digest(key)
+        keys.append(key)
+    return b"".join(keys)
+
+
 class HashChain:
     """Chain K_1..K_n with sha1(K_i) = K_{i+1}; the anchor K_n is public.
 
@@ -515,20 +527,21 @@ class HashChain:
     at most once; the anchor itself is never released as a proof key.
 
     The keys are held as one `bytes` blob, K_1 to K_n, 20 bytes each, not
-    one object per key; `next_key` slices its key out.  `anchor` is kept
-    as one object of its own, handed as it is to every receiver.
+    one object per key; `next_key` slices its key out.  The blob depends on
+    (seed, length) alone, so `_chain_keys` keeps the last CHAIN_CACHE_SIZE
+    blobs in an LRU cache: the points of a sweep share one seed, draw the
+    same server chain seeds, and hash each chain once.  A blob is immutable
+    and the release cursor is the chain's own, so chains from one seed
+    share the keys but release them independently.  `anchor` is the blob's
+    last 20 bytes, kept as one object of the chain's own, handed as it is
+    to every receiver.
     """
 
     def __init__(self, seed: bytes, length: int):
         if length < 1:
             raise ValueError("chain length must be >= 1")
-        key = sha1_digest(seed)
-        keys = [key]
-        for _ in range(length - 1):
-            key = sha1_digest(key)
-            keys.append(key)
-        self._blob = b"".join(keys)  # K_i at [HASH_LEN * (i - 1), HASH_LEN * i)
-        self._anchor = key
+        self._blob = _chain_keys(seed, length)
+        self._anchor = self._blob[-HASH_LEN:]
         self._cursor = length - 1    # 1-based index of the next key to release
 
     @property

@@ -201,9 +201,10 @@ def centroid(points: list[tuple[float, float]]) -> tuple[float, float]:
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Euclidean distance; hypot is sign-symmetric, so the argument order
-    never changes the float."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    """Euclidean distance.  `math.dist` takes the norm of the absolute
+    coordinate differences, the same float as `math.hypot(a[0] - b[0],
+    a[1] - b[1])`, so the argument order never changes it."""
+    return math.dist(a, b)
 
 
 def convex_hull_ids(items: list[tuple[int, tuple[float, float]]]) -> set[int]:

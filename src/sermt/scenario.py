@@ -13,6 +13,8 @@ or attack-interval series with the defense both on and off.
 from __future__ import annotations
 
 import configparser
+import functools
+import hashlib
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
@@ -216,18 +218,49 @@ class ScenarioResult(World):
                    f"{log.name}:{log.kind} | targets:{targets} | {counters}\n")
 
 
+LAYOUT_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _cached_layout(path: Path, content_sha1: bytes, radius_threshold: float,
+                   n_nodes: int, es_nodes: int, seed: int) -> tuple:
+    """The layout of the grid file at `path`, whose bytes hash to
+    `content_sha1`, under the four config values `build_layout` reads.  A
+    miss calls `load_grid_file` and `build_layout` through this module's
+    globals, so a wrapper installed on either sees every real build."""
+    topology = load_grid_file(path)
+    return (topology, *build_layout(topology, radius_threshold,
+                                    {"n_nodes": n_nodes, "es_nodes": es_nodes}, seed))
+
+
+def _layout(config: ScenarioConfig) -> tuple:
+    """`config`'s layout, from `_cached_layout`.  The key holds the grid
+    file's content, not just its path, so a file rewritten in place is
+    laid out anew, and a file that can no longer be read fails as
+    `load_grid_file` reports it, whatever the memo holds."""
+    path = config.topology_path
+    try:
+        content_sha1 = hashlib.sha1(Path(path).read_bytes()).digest()
+    except OSError:
+        load_grid_file(path)    # raises the TopologyError that names the file
+        raise
+    return _cached_layout(path, content_sha1, config.radius_threshold, config.n_nodes,
+                          config.es_nodes, config.seed)
+
+
 def build_world(config: ScenarioConfig, *, layout: tuple | None = None) -> World:
     """Wire and start the world of `config`: keys installed, the first
     events and the attacks scheduled, and no event run (t = 0).
 
     `layout` is a hand-placed `(topology, substations, regions, deployment)`;
     by default it is built from `config.topology_path` and `config.seed`.
-    Raises ConfigError if a region has no PDC."""
+    That default is memoised per process (the last LAYOUT_CACHE_SIZE
+    layouts, keyed by the grid file's content and the four values
+    `build_layout` reads), so the points of a sweep, which share one grid
+    and seed, lay it out once.  A world only reads its layout, so worlds
+    can share one.  Raises ConfigError if a region has no PDC."""
     if layout is None:
-        topology = load_grid_file(config.topology_path)
-        layout = (topology, *build_layout(
-            topology, config.radius_threshold,
-            {"n_nodes": config.n_nodes, "es_nodes": config.es_nodes}, config.seed))
+        layout = _layout(config)
     topology, substations, regions, deployment = layout
     network = Network(deployment, substations, regions, topology,
                       initial_battery=config.energy.initial_battery)

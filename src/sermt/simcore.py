@@ -250,6 +250,12 @@ class Channel:
     report flows that in reality ride multi-hop forwarding): delivery is not
     range-limited, but the sender still pays full-range transmit energy and
     the receiver pays receive energy, and loss/behaviours apply as usual.
+
+    The radio and energy models are fixed for the world's life, so the
+    floats each frame step needs from them are formed once, here: joules
+    per mAh (`volts * 3.6`, which `debit` divides by) and each kind's
+    reach (`_pay_tx`'s full-range distance), the same floats the models
+    give per call.
     """
 
     def __init__(self, network: Network, radio: RadioModel, energy: EnergyModel,
@@ -273,6 +279,8 @@ class Channel:
         self._hears: dict[int, dict[int, float]] = {}
         self._stamp: tuple[float | None, str] = (None, "")     # (clock, `rx` line head)
         self._rx_parts: dict[int, tuple[float, str]] = {}      # wire bits -> (joules, tail)
+        self._joules_per_mah = energy.volts * 3.6
+        self._reach = {kind: radio.range_of(kind) for kind in _RANGE_FIELD}
 
     # -- radio geometry ---------------------------------------------------
 
@@ -327,27 +335,31 @@ class Channel:
         at empty.  Mains-powered gear never moves; a zero spend moves
         nothing either, but still brings a harvester up to date."""
         kind = node.kind
+        if kind in MAINS_POWERED:
+            return
+        battery = node.battery_mah
         if kind in RECHARGEABLE:     # harvest, capped, up to the clock
             now = self.queue.now
             dt = now - self._last_recharge.get(node.id, 0.0)
             self._last_recharge[node.id] = now
             gain = self.energy.recharge_rate * dt if dt > 0 else 0.0
             if gain != 0.0:
-                gain = min(gain, self.energy.battery_capacity_es - node.battery_mah)
+                room = self.energy.battery_capacity_es - battery
+                if room < gain:      # min(gain, room), the same float
+                    gain = room
                 node.recharged_mah += gain
-                node.battery_mah += gain
+                node.battery_mah = battery = battery + gain
                 self.ledger[node.id] = (self.ledger.get(node.id, self.initial_battery[node.id])
                                         + gain)
-        elif kind in MAINS_POWERED:
-            return
-        spent = joules / (self.energy.volts * 3.6)   # to_mah, inlined: runs per listener
+        spent = joules / self._joules_per_mah   # to_mah, inlined: runs per listener
         if spent == 0.0:
             return
-        spent = min(spent, node.battery_mah)
+        if battery < spent:          # min(spent, battery), the same float
+            spent = battery
         node.debited_mah += spent
-        node.battery_mah -= spent
+        node.battery_mah = battery = battery - spent
         self.ledger[node.id] = self.ledger.get(node.id, self.initial_battery[node.id]) - spent
-        if kind == "N" and node.battery_mah == 0.0 and node.alive:
+        if kind == "N" and battery == 0.0 and node.alive:
             node.alive = False
             self.trace.log(self.queue.now, "death", str(node.id), "battery_exhausted")
 
@@ -375,7 +387,7 @@ class Channel:
     def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
         """Debit one emission of `frame`: over `dist` to an in-range
         receiver, or else over the sender's full range."""
-        reach = self.radio.range_of(sender.kind)
+        reach = self._reach[sender.kind]
         tx_joules = self.energy.energy_tx(
             frame.wire_bits, dist if dist is not None and dist <= reach else reach)
         self.debit(sender, tx_joules)
@@ -414,7 +426,10 @@ class Channel:
                          screened: tuple[str, ...] | None = None) -> None:
         """Every live spy in `origin`'s range and not in `skip` (IDs)
         overhears `emission`.  `screened`: a broadcast's kind filter — spies
-        matching it already hear the frame as ordinary receivers, not here."""
+        matching it already hear the frame as ordinary receivers, not here.
+        With no spy registered it returns before asking for a neighbourhood."""
+        if not self.eavesdroppers:
+            return
         heard = self.hears(origin)
         for node_id in self.eavesdroppers:
             if node_id in skip or node_id not in heard:

@@ -185,6 +185,15 @@ def test_rc5_schedule_is_a_cached_tuple():
     assert crypto.rc5_key_schedule.cache_info().maxsize is not None  # bounded
 
 
+def test_rc5_schedule_equals_the_reference_for_random_keys():
+    """The schedule's window rotations give the reference's explicit ones,
+    computed cold, for keys of 0 to 40 bytes."""
+    rng = random.Random(34)
+    for length in [0, 1, 4, 15, 16, 17, 40] + [rng.randrange(41) for _ in range(43)]:
+        key = rng.randbytes(length)
+        assert list(crypto.rc5_key_schedule.__wrapped__(key)) == ref_key_schedule(key)
+
+
 def test_generator_on_both_curves():
     assert crypto.SIM_CURVE.contains(crypto.SIM_CURVE.g)
     assert TOY.contains(TOY.g)
@@ -375,7 +384,8 @@ def test_generator_table_not_built_at_import():
 
 def test_import_fills_no_crypto_cache():
     assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk", "_long_lived_mult",
-                                    "_base_table") == [0, 0, 0, 0]
+                                    "_base_table", "_hmac_pads",
+                                    "_chain_keys") == [0, 0, 0, 0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -572,6 +582,42 @@ def test_hash_chain_releases_the_reference_chain(seed, length):
     with pytest.raises(crypto.ChainExhaustedError):
         chain.next_key()
     assert chain.anchor == keys[-1]
+
+
+def test_chains_from_one_seed_share_keys_but_not_a_cursor():
+    """Two chains from one (seed, length) hold one blob, computed once, and
+    each releases every key itself: releasing from or exhausting one
+    leaves the other where it was."""
+    crypto._chain_keys.cache_clear()
+    first, second = HashChain(b"one-seed", 6), HashChain(b"one-seed", 6)
+    assert first._blob is second._blob
+    assert crypto._chain_keys.cache_info().misses == 1
+    assert first.anchor == second.anchor == chain_keys(b"one-seed", 6)[-1]
+    released = [first.next_key(), first.next_key()]
+    assert first.remaining == 3 and second.remaining == 5
+    for _ in range(3):
+        first.next_key()
+    assert first.exhausted and not second.exhausted
+    with pytest.raises(crypto.ChainExhaustedError):
+        first.next_key()
+    assert [second.next_key() for _ in range(5)][:2] == released
+    assert second.exhausted
+    with pytest.raises(crypto.ChainExhaustedError):
+        second.next_key()
+    assert HashChain(b"one-seed", 5).anchor == chain_keys(b"one-seed", 5)[-1]
+
+
+def test_chain_key_cache_is_bounded():
+    bound = crypto._chain_keys.cache_info().maxsize
+    assert bound == crypto.CHAIN_CACHE_SIZE == 4
+    crypto._chain_keys.cache_clear()
+    for i in range(bound + 3):
+        chain = HashChain(bytes([i]) * 20, 64)
+        assert chain.anchor == chain_keys(bytes([i]) * 20, 64)[-1]
+        assert crypto._chain_keys.cache_info().currsize == min(i + 1, bound)
+    with pytest.raises(ValueError):
+        HashChain(b"seed", 0)
+    assert crypto._chain_keys.cache_info().currsize == bound
 
 
 def test_anchor_state_has_no_instance_dict():

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (affine_oracle, brute_force_hears, copying_relay, eager_adjacency,
                       reference_dijkstra)
-from sermt import crypto, protocol
+from sermt import crypto, protocol, scenario
 from sermt.adversary import AttackSpec
 from sermt.metrics import replay_trace
 from sermt.protocol import ProtocolEngine
@@ -326,14 +326,15 @@ def test_wormhole_listeners_hear_the_broadcast_sender(defense, monkeypatch):
 ], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline",
         "false_data_leg-baseline"])
 def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
-    """Every multiply is affine with no window table, the key memo and the
-    RC5 schedule and chain-walk caches call through to their functions, and
-    every relayed frame arrives as a copy of its bytes, so the engine opens
-    each one by the full ECDH, RC5 and padding path: the trace and the
-    audit must still be the pinned ones."""
+    """Every multiply is affine with no window table, the key memo, the RC5
+    schedule, chain-walk, HMAC pad and chain-key caches call through to
+    their functions, and every relayed frame arrives as a copy of its
+    bytes, so the engine opens each one by the full ECDH, RC5 and padding
+    path: the trace and the audit must still be the pinned ones."""
     lrus = [crypto._long_lived_mult, crypto.rc5_key_schedule, crypto._chain_walk,
-            crypto._base_table]
-    before = [lru.cache_info() for lru in lrus]
+            crypto._hmac_pads, crypto._chain_keys]
+    unused = [crypto._base_table]       # the affine multiply reads no table
+    before = [lru.cache_info() for lru in lrus + unused]
     mults = []
 
     def counted_mult(*args):
@@ -341,14 +342,14 @@ def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
         return affine_oracle(*args)
 
     monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
-    for lru in lrus[:3]:
+    for lru in lrus:
         monkeypatch.setattr(crypto, lru.__name__, lru.__wrapped__)
     arrived, opened = record_opens(monkeypatch, copying_relay(ProtocolEngine._relay_chain))
     result = run_scenario(case_config(case, defense))
     _, _, _, on_digest, off_digest = CASES[case]
     assert result.trace.digest() == (on_digest if defense else off_digest)
     assert audit_of(result) == AUDITS[case][not defense]
-    assert mults and [lru.cache_info() for lru in lrus] == before
+    assert mults and [lru.cache_info() for lru in lrus + unused] == before
     assert opened["rc5"] and opened["ecc"]
     assert opened_in_turn(opened, [frame for _, frame in arrived])
 
@@ -440,9 +441,12 @@ def test_the_engine_opens_only_altered_frames_and_seals_to_older_keys(
 @pytest.mark.parametrize("case", ["attacked", "malicious35", "ieee118"])
 def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch):
     """Every route graph is built eagerly, every route search pushes each
-    relaxed edge, and each radio neighbourhood is scanned from its own node
-    alone: the trace and the audit must still be the pinned ones."""
+    relaxed edge, each radio neighbourhood is scanned from its own node
+    alone, and the layout is built cold, past its memo: the trace and the
+    audit must still be the pinned ones."""
     calls = {"adjacency": 0, "dijkstra": 0, "hears": 0}
+    layout_memo = scenario._cached_layout
+    layouts = layout_memo.cache_info()
 
     def eager(nodes, hears, weight_of):
         calls["adjacency"] += 1
@@ -459,6 +463,7 @@ def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch
     monkeypatch.setattr(protocol, "build_adjacency", eager)
     monkeypatch.setattr(protocol, "dijkstra", pushing_every_edge)
     monkeypatch.setattr(Channel, "_fill_hears", fill_each_on_its_own)
+    monkeypatch.setattr(scenario, "_cached_layout", layout_memo.__wrapped__)
     if case == "ieee118":
         assert run_scenario(ieee118_config(True)).trace.digest() == IEEE118_DIGESTS[0]
     else:
@@ -466,6 +471,7 @@ def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch
         assert result.trace.digest() == CASES[case][3]
         assert audit_of(result) == AUDITS[case][0]
     assert all(calls.values())
+    assert layout_memo.cache_info() == layouts
 
 
 # The paper's scale: `scaled_ieee14.conf` moved onto the 118-bus grid with

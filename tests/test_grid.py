@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sermt import grid
 from sermt.grid import TopologyError
@@ -157,6 +158,36 @@ def test_select_control_centers_ranking_and_ties():
     assert (main, backup) == (ranked[0].id, ranked[1].id)
     with pytest.raises(TopologyError):
         grid.select_control_centers(subs[:1])
+
+
+_M = grid.MAX_COORD_M
+_coords = st.floats(-_M, _M)        # no NaN or inf; both zeros
+_points = st.tuples(_coords, _coords)
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_points, _points, st.integers(-3, 3), st.integers(-3, 3))
+@example((0.0, -0.0), (-0.0, 0.0), 0, 0)
+@example((-0.0, -0.0), (0.0, 0.0), 1, -1)
+@example((_M, -_M), (-_M, _M), 0, 0)
+@example((_M, _M), (_M, _M), -1, -1)
+@example((5e-324, 0.0), (0.0, -5e-324), 2, 0)
+@example((1.0, 368.71), (1.0, 368.71), 1, 1)
+def test_distance_is_the_hypot_of_the_differences(a, b, dx, dy):
+    """`distance` gives the float `math.hypot(a[0] - b[0], a[1] - b[1])`
+    gives, bit for bit, in either argument order: for any two points in
+    the coordinate bound, and for a point and one a few ulps from it."""
+    near = (_ulps_from(a[0], dx), _ulps_from(a[1], dy))
+    for p, q in ((a, b), (a, near)):
+        want = math.hypot(p[0] - q[0], p[1] - q[1]).hex()
+        assert grid.distance(p, q).hex() == want
+        assert grid.distance(q, p).hex() == want
 
 
 def test_convex_hull_square_with_center():

@@ -1,6 +1,7 @@
 """Scenario config parsing, deterministic runs, trace replay, sweep
 artifacts, and the command-line front end."""
 
+import copy
 import hashlib
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import copying_relay
 from sermt import cli, crypto, grid, protocol, scenario
+from sermt.adversary import AttackSpec
 from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
 from sermt.protocol import ProtocolEngine
 from sermt.scenario import (
@@ -360,6 +362,118 @@ def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
     assert mults.count("key") == held          # each entry multiplied once
     assert made["seal"] and made["seal"] == [2] * len(made["seal"])
     assert made["open"] and made["open"] == [1] * len(made["open"])
+
+
+def local_grid(tmp_path, name="local.grid", scale_x=1.0):
+    """The shipped 14-bus grid written to `tmp_path`, each bus's x scaled."""
+    lines = []
+    for line in (scenario.DATA_DIR / "ieee14.grid").read_text(encoding="utf-8").splitlines():
+        if line.startswith("BUS "):
+            _, bus, x, y = line.split()
+            line = f"BUS {bus} {float(x) * scale_x:.2f} {y}"
+        lines.append(line)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_a_grid_file_rewritten_in_place_is_laid_out_anew(tmp_path):
+    """The layout memo is keyed by the grid file's content: the same path
+    with new bytes runs the new layout, as a fresh run of the new file
+    does, and the same bytes again are a memo hit."""
+    grid_path = local_grid(tmp_path)
+    config = replace(small_config(tmp_path), topology_path=grid_path, duration=20.0)
+    first = run_scenario(config)
+    local_grid(tmp_path, scale_x=1.1)
+    misses = scenario._cached_layout.cache_info().misses
+    second = run_scenario(config)
+    assert scenario._cached_layout.cache_info().misses == misses + 1
+    fresh = run_scenario(replace(config, topology_path=local_grid(tmp_path, "fresh.grid",
+                                                                  scale_x=1.1)))
+    assert second.trace.digest() == fresh.trace.digest() != first.trace.digest()
+    assert second.metrics == fresh.metrics
+    hits = scenario._cached_layout.cache_info().hits
+    assert run_scenario(config).trace.digest() == second.trace.digest()
+    assert scenario._cached_layout.cache_info().hits == hits + 1
+
+
+def test_an_unreadable_grid_file_fails_after_a_memo_hit(tmp_path, capsys):
+    """A grid file that is no longer UTF-8, or is gone, fails the run as a
+    config error (exit 2) although the memo holds its old layout; put
+    back, it is served from the memo again."""
+    grid_path = local_grid(tmp_path)
+    shipped = grid_path.read_bytes()
+    conf = write_config(tmp_path, BASE.replace("ieee14.grid", "local.grid")
+                        .replace("duration = 60", "duration = 10"))
+    config = load_config(conf)
+    run_scenario(config)
+    assert cli.main(["run", str(conf)]) == cli.EXIT_OK         # a memo hit
+    for spoil, fragment in ((lambda: grid_path.write_bytes(shipped + b"# caf\xe9\n"),
+                             "cannot read"),
+                            (grid_path.unlink, "no such grid file")):
+        spoil()
+        with pytest.raises(grid.TopologyError, match=fragment):
+            run_scenario(config)
+        capsys.readouterr()
+        assert cli.main(["run", str(conf)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+    grid_path.write_bytes(shipped)
+    hits = scenario._cached_layout.cache_info().hits
+    run_scenario(config)
+    assert scenario._cached_layout.cache_info().hits == hits + 1
+
+
+def test_a_run_leaves_its_memoised_layout_as_built():
+    """Worlds share the memoised layout, so none may change it: after an
+    attacked run (Sybil personas and a foreign spy added to the network)
+    the memo's layout equals a copy taken before the run and a cold
+    `build_layout`, and every entity seed's position is its node's."""
+    base = load_config(scenario.DATA_DIR / "attacked_ieee14.conf")
+    config = replace(base, duration=30.0,
+                     attacks=base.attacks + (AttackSpec(kind="SYBIL", name="sy", count=2),))
+    scenario._cached_layout.cache_clear()
+    layout = scenario._layout(config)
+    snapshot = copy.deepcopy(layout)
+    result = run_scenario(config)
+    assert scenario._layout(config) is layout
+    assert layout == snapshot
+    topology = grid.load_grid_file(config.topology_path)
+    assert layout == (topology, *grid.build_layout(
+        topology, config.radius_threshold,
+        {"n_nodes": config.n_nodes, "es_nodes": config.es_nodes}, config.seed))
+    seeds = layout[3].entities
+    assert len(result.network.nodes) > len(seeds)
+    for seed in seeds:
+        assert result.network.nodes[seed.id].position == seed.position
+
+
+def test_layout_memo_is_bounded(tmp_path):
+    assert scenario._cached_layout.cache_info().maxsize == scenario.LAYOUT_CACHE_SIZE == 4
+    config = small_config(tmp_path)
+    scenario._cached_layout.cache_clear()
+    for seed in range(scenario.LAYOUT_CACHE_SIZE + 2):
+        scenario._layout(replace(config, seed=seed))
+    assert scenario._cached_layout.cache_info().currsize == scenario.LAYOUT_CACHE_SIZE
+
+
+def test_sweep_lays_out_and_hashes_its_chains_once(tmp_path, monkeypatch):
+    """The points of a sweep share grid, seed and server chain seeds: the
+    first point builds the layout (through the module global a wrapper
+    would replace) and both servers' chains, and the rest build neither."""
+    monkeypatch.setattr(scenario, "ATTACK_INTERVALS", (1.0, 2.0, 3.0))
+    builds = []
+    build_layout = scenario.build_layout
+
+    def counted_build(*args):
+        builds.append(args)
+        return build_layout(*args)
+
+    monkeypatch.setattr(scenario, "build_layout", counted_build)
+    scenario._cached_layout.cache_clear()
+    crypto._chain_keys.cache_clear()
+    _rows, results = sweep(replace(small_config(tmp_path), duration=10.0), "interval")
+    assert len(results) == 6 and len(builds) == 1
+    assert crypto._chain_keys.cache_info().misses == 2
 
 
 @pytest.fixture(scope="module")
