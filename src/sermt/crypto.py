@@ -6,11 +6,13 @@ authentication.  Parameters are simulation-grade: the point is faithful
 protocol behaviour, not real-world security margins.
 
 Work that depends on a key alone is done once per key and kept in a bounded
-LRU cache: fixed-base tables, long-lived multiplies, RC5 key schedules,
-HMAC pad contexts (the last HMAC_PAD_CACHE_SIZE = 16 keys) and hash-chain
-keys (the last CHAIN_CACHE_SIZE = 4 chains, about 20 KB each at the
-shipped length of 1,024).  No cache holds a tag, a ciphertext or a
-verdict: every MAC is computed and compared each time it is checked.
+LRU cache: fixed-base tables, long-lived multiplies, the two multiplies of
+an ECC seal (the last SEAL_CACHE_SIZE = 2048 seals, keyed by ephemeral
+scalar and recipient), RC5 key schedules, HMAC pad contexts (the last
+HMAC_PAD_CACHE_SIZE = 16 keys) and hash-chain keys (the last
+CHAIN_CACHE_SIZE = 4 chains, about 20 KB each at the shipped length of
+1,024).  No cache holds a tag, a ciphertext or a verdict: every MAC is
+computed and compared each time it is checked.
 """
 
 from __future__ import annotations
@@ -98,29 +100,10 @@ SIM_CURVE = CurveParams(
 )
 
 
-def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    p = curve.p
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        s = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p) % p
-    else:
-        s = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (s * s - x1 - x2) % p
-    y3 = (s * (x1 - x3) - y1) % p
-    return (x3, y3)
-
-
 # scalar_mult returns an affine point but works in Jacobian coordinates, so
-# each multiply costs one modular inversion at the end; point_add above stays
-# affine as the independent oracle the tests compare both paths against.
-# Which path serves a point:
+# each multiply costs one modular inversion at the end; the tests keep an
+# affine point addition as the independent oracle they compare both paths
+# against.  Which path serves a point:
 #
 # - k*P through a fixed-base table (Brickell, Gordon, McCurley and Wilson,
 #   EUROCRYPT 1992) for the one fixed generator G (every public key read and
@@ -170,10 +153,23 @@ def point_add(p1: Point, p2: Point, curve: CurveParams) -> Point:
 # 0 of the `clean` benchmark at seed 7) and each pairwise session's ECDH.  The
 # points of a sweep share one seed and layout, so they draw the same key pairs
 # and agree the same secrets, and all but the first point read them from the
-# memo.  A run's long-lived set is a few dozen multiplies.  The ephemeral k*G
-# of ecc_encrypt and both ephemeral ECDHs are used once, and they are most of
-# a long run's multiplies, so they bypass the memo: caching them would only
-# evict the long-lived entries and grow a run's memory.
+# memo.  A run's long-lived set is a few dozen multiplies.
+#
+# An ECC seal's two multiplies, the ephemeral v*G and the ECDH v*Q with the
+# recipient Q, are used once in a run and are most of a long run's
+# multiplies, so they stay out of that memo, where they would evict the
+# long-lived entries.  They recur across a sweep's points, though: every
+# point draws the same ephemeral scalars from the shared seed and seals to
+# the same server keys.  Of the 260 seals of perfbench's `sweep_interval`
+# (seed 7), 234 repeat an earlier run's (26 distinct, all made in the
+# first point's two runs), and 9,360 of the 600 s interval sweep's 10,400.
+# So _seal_keys keeps both results of a seal, the encoded v*G and the RC5
+# key from v*Q, for the last SEAL_CACHE_SIZE (v, Q): that sweep alternates
+# a defended and an undefended run of 520 seals each, which a 1,024-entry
+# LRU evicts before they recur (no hit in 10,400 seals).  A full memo holds
+# about 0.6 MB (tracemalloc: about 300 bytes an entry).  The receiver's ECDH
+# in ecc_decrypt multiplies the ephemeral point the frame carries, with no
+# memo.
 
 def _jac_double(q: tuple[int, int, int], p: int, a: int) -> tuple[int, int, int] | None:
     x1, y1, z1 = q
@@ -340,9 +336,13 @@ def generate_keypair(curve: CurveParams, rng) -> KeyPair:
     return KeyPair(rng.randrange(1, curve.n), curve)
 
 
-def _ecdh(private: int, peer_public: Point, curve: CurveParams, mult) -> bytes:
+def _check_peer(peer_public: Point, curve: CurveParams) -> None:
     if peer_public is None or not curve.contains(peer_public):
         raise InvalidKeyError("peer public key is not a valid curve point")
+
+
+def _ecdh(private: int, peer_public: tuple[int, int], curve: CurveParams, mult) -> bytes:
+    """x of private * peer_public, fixed-width big-endian, for a checked peer key."""
     shared = mult(private, peer_public, curve)
     if shared is None:
         raise InvalidKeyError("degenerate shared point")
@@ -353,6 +353,7 @@ def derive_shared_secret(private: int, peer_public: Point, curve: CurveParams) -
     """ECDH: x-coordinate of private * peer_public, fixed-width big-endian.
     The peer key is checked before the memo is read, so a rejected key is
     rejected on every call."""
+    _check_peer(peer_public, curve)
     return _ecdh(private, peer_public, curve, _long_lived_mult)
 
 
@@ -564,21 +565,6 @@ class HashChain:
         return self._blob[end - HASH_LEN:end]
 
 
-def verify_chain_key(candidate: bytes, anchor: bytes, max_steps: int) -> tuple[bool, int]:
-    """Accept iff repeated hashing of candidate reaches anchor within max_steps.
-
-    Returns (accepted, steps_used); candidate == anchor accepts in 0 steps.
-    """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    current = candidate
-    for steps in range(max_steps + 1):
-        if current == anchor:
-            return True, steps
-        current = sha1_digest(current)
-    return False, 0
-
-
 @functools.lru_cache(maxsize=32)
 def _chain_walk(candidate: bytes, max_steps: int) -> frozenset[bytes]:
     """{sha1^1(candidate), ..., sha1^max_steps(candidate)}."""
@@ -623,13 +609,29 @@ class ChainAnchorState:
 # ---------------------------------------------------------------------------
 # Hybrid public-key encryption: ephemeral ECDH + RC5 + HMAC
 
+SEAL_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=SEAL_CACHE_SIZE)
+def _seal_keys(v: int, recipient_public: tuple[int, int], curve: CurveParams) -> tuple[bytes, bytes]:
+    """(encoded v * G, RC5 key from v * recipient_public) for a checked
+    recipient key (see the comment above _jac_double).  It calls
+    scalar_mult and _sealing_mult through the module globals, so a wrapper
+    installed on scalar_mult sees every real multiply."""
+    return (encode_point(scalar_mult(v, curve.g, curve), curve),
+            cipher_key(_ecdh(v, recipient_public, curve, _sealing_mult)))
+
+
 def ecc_encrypt(recipient_public: Point, plaintext: bytes, curve: CurveParams, rng) -> bytes:
-    """ephemeral_public || rc5(plaintext) || hmac — only the private-key holder recovers it."""
-    v = rng.randrange(1, curve.n)       # the ephemeral key pair, used once: no memo
-    ephemeral_public = scalar_mult(v, curve.g, curve)
-    key = cipher_key(_ecdh(v, recipient_public, curve, _sealing_mult))
+    """ephemeral_public || rc5(plaintext) || hmac — only the private-key holder recovers it.
+    The ephemeral scalar is drawn and the recipient key checked before the
+    seal memo is read, so every call draws once and a rejected key is
+    rejected on every call."""
+    v = rng.randrange(1, curve.n)
+    _check_peer(recipient_public, curve)
+    ephemeral_public, key = _seal_keys(v, recipient_public, curve)
     body = rc5_encrypt(key, plaintext)
-    return encode_point(ephemeral_public, curve) + body + hmac_tag(key, body)
+    return ephemeral_public + body + hmac_tag(key, body)
 
 
 def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *,
@@ -638,7 +640,7 @@ def ecc_decrypt(recipient_private: int, ciphertext: bytes, curve: CurveParams, *
     header = 2 * curve.coord_bytes
     if len(ciphertext) < header + RC5_BLOCK + TAG_LEN:
         raise CipherFormatError("ciphertext too short for header + block + tag")
-    ephemeral_public = decode_point(ciphertext[:header], curve)
+    ephemeral_public = decode_point(ciphertext[:header], curve)     # checks the point
     body = ciphertext[header:-TAG_LEN]
     tag = ciphertext[-TAG_LEN:]
     key = cipher_key(_ecdh(recipient_private, ephemeral_public, curve, scalar_mult))

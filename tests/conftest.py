@@ -1,6 +1,7 @@
 """Shared helpers: a minimal two-substation world for engine-level tests,
-and the plain reference paths that stand in for the engine's exactness
-shortcuts, in unit tests and in whole runs with each shortcut off."""
+and the plain reference paths (affine point addition, the hash-chain walk
+among them) that stand in for the engine's exactness shortcuts, in unit
+tests and in whole runs with each shortcut off."""
 
 import heapq
 
@@ -48,17 +49,52 @@ def two_sub_world():
     return make_world
 
 
+def point_add(p1, p2, curve):
+    """p1 + p2 on `curve` in affine coordinates, None the point at infinity:
+    the chord-and-tangent rule with one inversion per add."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    p = curve.p
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        s = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p) % p
+    else:
+        s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (s * s - x1 - x2) % p
+    y3 = (s * (x1 - x3) - y1) % p
+    return (x3, y3)
+
+
 def affine_oracle(k, point, curve, fixed_base=False):
     """k * point, for k >= 0, by double-and-add over the affine
-    `crypto.point_add` alone. It takes `crypto.scalar_mult`'s arguments, so
-    it can stand in for it, but it reads no window table, whatever
-    `fixed_base` says, and it does not reduce k modulo the curve order."""
+    `point_add` alone. It takes `crypto.scalar_mult`'s arguments, so it can
+    stand in for it, but it reads no window table, whatever `fixed_base`
+    says, and it does not reduce k modulo the curve order."""
     acc = None
     for bit in bin(k)[2:]:
-        acc = crypto.point_add(acc, acc, curve)
+        acc = point_add(acc, acc, curve)
         if bit == "1":
-            acc = crypto.point_add(acc, point, curve)
+            acc = point_add(acc, point, curve)
     return acc
+
+
+def verify_chain_key(candidate, anchor, max_steps):
+    """Accept iff repeated hashing of candidate reaches anchor within
+    max_steps: the plain walk `crypto.ChainAnchorState` must agree with.
+    Returns (accepted, steps_used); candidate == anchor accepts in 0 steps."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    current = candidate
+    for steps in range(max_steps + 1):
+        if current == anchor:
+            return True, steps
+        current = crypto.sha1_digest(current)
+    return False, 0
 
 
 def reference_dijkstra(adjacency, source, targets):

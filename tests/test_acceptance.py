@@ -20,7 +20,6 @@ from sermt.crypto import (
     generate_keypair,
     rc5_decrypt,
     rc5_encrypt,
-    verify_chain_key,
     SIM_CURVE,
 )
 from sermt.grid import load_grid_file, partition_substations, select_control_centers
@@ -28,6 +27,7 @@ from sermt.protocol import compute_trust, is_trusted, selection_score
 from sermt.routing import dijkstra, route_weight
 from sermt.scenario import DATA_DIR, MALICIOUS_COUNTS, load_config, run_scenario, sweep
 
+from conftest import verify_chain_key
 from test_crypto import RC5_VECTORS, TOY
 from test_routing import all_simple_paths_min, random_graph
 

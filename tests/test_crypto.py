@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import affine_oracle
+from conftest import affine_oracle, point_add, verify_chain_key
 from sermt import crypto
 from sermt.crypto import (
     ChainAnchorState,
@@ -19,7 +19,6 @@ from sermt.crypto import (
     InvalidKeyError,
     CipherFormatError,
     AuthenticationError,
-    verify_chain_key,
 )
 
 # Reference vectors for RC5-32/12/16 (Rivest's chained set: each ciphertext
@@ -296,9 +295,9 @@ def reference_table(point, curve):
     for _ in range((curve.n.bit_length() + 3) // 4 + 1):
         row = [None, base]
         for _ in range(7):
-            row.append(crypto.point_add(row[-1], base, curve))
+            row.append(point_add(row[-1], base, curve))
         rows.append(row)
-        base = crypto.point_add(row[-1], row[-1], curve)
+        base = point_add(row[-1], row[-1], curve)
     return rows
 
 
@@ -384,8 +383,8 @@ def test_generator_table_not_built_at_import():
 
 def test_import_fills_no_crypto_cache():
     assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk", "_long_lived_mult",
-                                    "_base_table", "_hmac_pads",
-                                    "_chain_keys") == [0, 0, 0, 0, 0, 0]
+                                    "_base_table", "_hmac_pads", "_chain_keys",
+                                    "_seal_keys") == [0, 0, 0, 0, 0, 0, 0]
 
 
 def test_keypair_deterministic_and_distinct():
@@ -754,6 +753,60 @@ def test_ecc_encrypt_uses_fresh_ephemeral_keys():
     ct1 = crypto.ecc_encrypt(kp.public, b"same", curve, random.Random(2))
     ct2 = crypto.ecc_encrypt(kp.public, b"same", curve, random.Random(3))
     assert ct1[:header] != ct2[:header]
+
+
+def test_seal_memo_hit_gives_the_bytes_of_a_cold_seal(monkeypatch):
+    """A seal whose (ephemeral scalar, recipient) the memo holds gives the
+    same ciphertext as one computed through `__wrapped__`, and the memo's
+    entry is exactly what the cold function returns."""
+    curve = crypto.SIM_CURVE
+    kp = crypto.generate_keypair(curve, random.Random(51))
+    crypto._seal_keys.cache_clear()
+    first = crypto.ecc_encrypt(kp.public, b"reading", curve, random.Random(52))
+    again = crypto.ecc_encrypt(kp.public, b"reading", curve, random.Random(52))
+    info = crypto._seal_keys.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    v = random.Random(52).randrange(1, curve.n)
+    assert crypto._seal_keys(v, kp.public, curve) == \
+        crypto._seal_keys.__wrapped__(v, kp.public, curve)
+    monkeypatch.setattr(crypto, "_seal_keys", crypto._seal_keys.__wrapped__)
+    cold = crypto.ecc_encrypt(kp.public, b"reading", curve, random.Random(52))
+    assert first == again == cold
+    assert crypto.ecc_decrypt(kp.private, again, curve) == b"reading"
+
+
+def test_seal_memo_is_bounded():
+    curve = crypto.SIM_CURVE
+    bound = crypto._seal_keys.cache_info().maxsize
+    assert bound == crypto.SEAL_CACHE_SIZE
+    recipient = crypto.generate_keypair(curve, random.Random(53)).public
+    crypto._seal_keys.cache_clear()
+    for seed in range(bound + 4):
+        crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(seed))
+    info = crypto._seal_keys.cache_info()
+    assert (info.misses, info.currsize) == (bound + 4, bound)
+    crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(bound + 3))  # newest: held
+    assert crypto._seal_keys.cache_info().hits == 1
+    crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(0))  # oldest: evicted
+    assert crypto._seal_keys.cache_info().misses == bound + 5
+    crypto._seal_keys.cache_clear()
+
+
+def test_seal_to_a_bad_key_draws_once_and_is_rejected_every_time(monkeypatch):
+    """The recipient key is checked after the ephemeral draw and before the
+    seal memo is read: each call draws exactly one scalar, multiplies
+    nothing and reads no memo entry, however often the key is offered."""
+    curve = crypto.SIM_CURVE
+    mults = []
+    monkeypatch.setattr(crypto, "scalar_mult", lambda *args: mults.append(args))
+    before = crypto._seal_keys.cache_info()
+    rng, reference = random.Random(54), random.Random(54)
+    for bad in [(1, 1), (1, 1), None]:
+        with pytest.raises(InvalidKeyError):
+            crypto.ecc_encrypt(bad, b"reading", curve, rng)
+        reference.randrange(1, curve.n)
+        assert rng.getstate() == reference.getstate()
+    assert mults == [] and crypto._seal_keys.cache_info() == before
 
 
 def test_ecc_tamper_detected():

@@ -326,13 +326,13 @@ def test_wormhole_listeners_hear_the_broadcast_sender(defense, monkeypatch):
 ], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline",
         "false_data_leg-baseline"])
 def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
-    """Every multiply is affine with no window table, the key memo, the RC5
-    schedule, chain-walk, HMAC pad and chain-key caches call through to
-    their functions, and every relayed frame arrives as a copy of its
+    """Every multiply is affine with no window table, the key and seal
+    memos, the RC5 schedule, chain-walk, HMAC pad and chain-key caches call
+    through to their functions, and every relayed frame arrives as a copy of its
     bytes, so the engine opens each one by the full ECDH, RC5 and padding
     path: the trace and the audit must still be the pinned ones."""
-    lrus = [crypto._long_lived_mult, crypto.rc5_key_schedule, crypto._chain_walk,
-            crypto._hmac_pads, crypto._chain_keys]
+    lrus = [crypto._long_lived_mult, crypto._seal_keys, crypto.rc5_key_schedule,
+            crypto._chain_walk, crypto._hmac_pads, crypto._chain_keys]
     unused = [crypto._base_table]       # the affine multiply reads no table
     before = [lru.cache_info() for lru in lrus + unused]
     mults = []

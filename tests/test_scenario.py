@@ -329,6 +329,7 @@ def test_key_memo_holds_only_long_lived_keys(tmp_path, monkeypatch):
     key memo entry, two per ECC seal and one per ECC open. Each frame
     arrives as a copy of its bytes, so the server opens every aggregate."""
     crypto._long_lived_mult.cache_clear()
+    crypto._seal_keys.cache_clear()
     mults = []                  # the phase of each real multiply
     phase = ["key"]
     made = {"seal": [], "open": []}     # multiplies per call
@@ -474,6 +475,43 @@ def test_sweep_lays_out_and_hashes_its_chains_once(tmp_path, monkeypatch):
     _rows, results = sweep(replace(small_config(tmp_path), duration=10.0), "interval")
     assert len(results) == 6 and len(builds) == 1
     assert crypto._chain_keys.cache_info().misses == 2
+
+
+def test_sweep_multiplies_for_its_seals_in_its_first_point_only(tmp_path, monkeypatch):
+    """The runs of a sweep draw the same ephemeral scalars from the shared
+    seed and seal to the same server keys, so after the first point's two
+    runs (defense on and off, two multiplies per seal) every seal is read
+    from the seal memo and multiplies nothing."""
+    monkeypatch.setattr(scenario, "ATTACK_INTERVALS", (1.0, 2.0, 3.0))
+    sealing, counts, per_run = [False], {"seals": 0, "mults": 0}, []
+    scalar_mult, ecc_encrypt, run = crypto.scalar_mult, protocol.ecc_encrypt, scenario.run_scenario
+
+    def counted_mult(*args):
+        counts["mults"] += sealing[0]
+        return scalar_mult(*args)
+
+    def counted_seal(*args):
+        sealing[0] = True
+        counts["seals"] += 1
+        try:
+            return ecc_encrypt(*args)
+        finally:
+            sealing[0] = False
+
+    def counted_run(config):
+        counts.update(seals=0, mults=0)
+        result = run(config)
+        per_run.append((counts["seals"], counts["mults"]))
+        return result
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
+    monkeypatch.setattr(protocol, "ecc_encrypt", counted_seal)
+    monkeypatch.setattr(scenario, "run_scenario", counted_run)
+    crypto._seal_keys.cache_clear()
+    sweep(replace(small_config(tmp_path), duration=20.0), "interval")
+    seals = [s for s, _ in per_run]
+    assert len(per_run) == 6 and min(seals) > 0
+    assert [m for _, m in per_run] == [2 * seals[0], 2 * seals[1], 0, 0, 0, 0]
 
 
 @pytest.fixture(scope="module")
