@@ -6,13 +6,10 @@ authentication.  Parameters are simulation-grade: the point is faithful
 protocol behaviour, not real-world security margins.
 
 Work that depends on a key alone is done once per key and kept in a bounded
-LRU cache: fixed-base tables, long-lived multiplies, the two multiplies of
-an ECC seal (the last SEAL_CACHE_SIZE = 2048 seals, keyed by ephemeral
-scalar and recipient), RC5 key schedules, HMAC pad contexts (the last
-HMAC_PAD_CACHE_SIZE = 16 keys) and hash-chain keys (the last
-CHAIN_CACHE_SIZE = 4 chains, about 20 KB each at the shipped length of
-1,024).  No cache holds a tag, a ciphertext or a verdict: every MAC is
-computed and compared each time it is checked.
+LRU cache; README's "Process-wide memos" table lists each one with its key,
+bound and hits, and the comments at each say why it pays.  No cache holds a
+tag, a ciphertext or a verdict: every MAC is computed and compared each time
+it is checked.
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
 """Shared helpers: a minimal two-substation world for engine-level tests,
-and the plain reference paths (affine point addition, the hash-chain walk
+the plain reference paths (affine point addition, the hash-chain walk
 among them) that stand in for the engine's exactness shortcuts, in unit
-tests and in whole runs with each shortcut off."""
+tests and in whole runs with each shortcut off, and the walk that finds
+the process-wide memos and runs them cold."""
 
 import heapq
+import importlib
+import pkgutil
+import sys
 
 import pytest
 
+import sermt
 from sermt import crypto, grid
 from sermt.entities import Network
 from sermt.grid import Deployment, EntitySeed
@@ -47,6 +52,36 @@ def make_world(extra_nodes=(), radio=None, energy=None, seed=1, initial_battery=
 @pytest.fixture
 def two_sub_world():
     return make_world
+
+
+def process_memos():
+    """Every process-wide memo, by the dotted name of each module global of
+    a `sermt` module bound to it: an object with `cache_info` and
+    `__wrapped__` (an `lru_cache` wrapper) whose function `sermt` defines.
+    Every module of the package is imported first, so a memo is found
+    whether or not anything has loaded its module yet."""
+    for info in pkgutil.iter_modules(sermt.__path__, "sermt."):
+        importlib.import_module(info.name)
+    return {f"{module_name}.{name}": value
+            for module_name, module in sorted(sys.modules.items())
+            if module_name.startswith("sermt.")
+            for name, value in sorted(vars(module).items())
+            if hasattr(value, "cache_info") and hasattr(value, "__wrapped__")
+            and getattr(value, "__module__", "").startswith("sermt.")}
+
+
+def cold_memos(monkeypatch, prefix="sermt"):
+    """Rebind every binding of each memo defined under `prefix` to the
+    function it wraps, so every call computes. Returns a check: the names
+    of the memos whose `cache_info()` has moved since, which only a call
+    through a binding the walk cannot rebind (an alias taken at import)
+    can do."""
+    memos = {name: memo for name, memo in process_memos().items()
+             if f"{memo.__module__}.".startswith(f"{prefix}.")}
+    before = {name: memo.cache_info() for name, memo in memos.items()}
+    for name, memo in memos.items():
+        monkeypatch.setattr(name, memo.__wrapped__)
+    return lambda: [name for name, memo in memos.items() if memo.cache_info() != before[name]]
 
 
 def point_add(p1, p2, curve):

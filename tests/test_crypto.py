@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import hmac
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import affine_oracle, point_add, verify_chain_key
+from conftest import affine_oracle, point_add, process_memos, verify_chain_key
 from sermt import crypto
 from sermt.crypto import (
     ChainAnchorState,
@@ -181,7 +183,6 @@ def test_rc5_schedule_is_a_cached_tuple():
     assert isinstance(schedule, tuple)
     assert list(schedule) == ref_key_schedule(key)
     assert crypto.rc5_key_schedule(bytes(key)) is schedule
-    assert crypto.rc5_key_schedule.cache_info().maxsize is not None  # bounded
 
 
 def test_rc5_schedule_equals_the_reference_for_random_keys():
@@ -367,24 +368,34 @@ def test_table_cache_stays_bounded_when_sealing_to_more_keys_than_it_holds():
     assert crypto.ecc_decrypt(pairs[0].private, blob, curve) == b"again"
 
 
-def cache_sizes_after_import(*names):
-    code = ("import sermt.cli, sermt.scenario, sermt.crypto as c; "
-            f"print(*(getattr(c, name).cache_info().currsize for name in {names!r}))")
+def test_import_fills_no_crypto_cache():
+    """Importing every module of the package, in a fresh interpreter, fills
+    no process-wide memo: a run that multiplies G, derives a key or lays out
+    a grid pays for it itself, inside its own time."""
+    code = ("from conftest import process_memos; print({name: memo.cache_info().currsize "
+            "for name, memo in process_memos().items()})")
     env = {**os.environ, "PYTHONPATH": str(Path(crypto.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    return [int(size) for size in out.stdout.split()]
+                         check=True, env=env, cwd=Path(__file__).parent)
+    assert ast.literal_eval(out.stdout) == dict.fromkeys(process_memos(), 0)
 
 
-def test_generator_table_not_built_at_import():
-    # A run that multiplies G pays for the table itself, inside its own time.
-    assert cache_sizes_after_import("_base_table") == [0]
+def test_every_memo_is_bounded():
+    """A memo holds its keys and values for the life of the process, so
+    each one has a finite `maxsize`, and an LRU memo holds no more."""
+    assert [name for name, memo in process_memos().items()
+            if memo.cache_info().maxsize is None] == []
 
 
-def test_import_fills_no_crypto_cache():
-    assert cache_sizes_after_import("rc5_key_schedule", "_chain_walk", "_long_lived_mult",
-                                    "_base_table", "_hmac_pads", "_chain_keys",
-                                    "_seal_keys") == [0, 0, 0, 0, 0, 0, 0]
+def test_readme_memo_table_gives_every_memo_and_its_bound():
+    """README's memo table names each memo the walk finds, once, with its
+    `maxsize` as the bound, so the docs cannot fall behind the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Process-wide memos\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| [^|]* \| ([\d,]+)", section, re.MULTILINE)
+    assert sorted((name, int(bound.replace(",", ""))) for name, bound in rows) == sorted(
+        (f"{memo.__module__}.{memo.__qualname__}".removeprefix("sermt."),
+         memo.cache_info().maxsize) for memo in set(process_memos().values()))
 
 
 def test_keypair_deterministic_and_distinct():
@@ -606,19 +617,6 @@ def test_chains_from_one_seed_share_keys_but_not_a_cursor():
     assert HashChain(b"one-seed", 5).anchor == chain_keys(b"one-seed", 5)[-1]
 
 
-def test_chain_key_cache_is_bounded():
-    bound = crypto._chain_keys.cache_info().maxsize
-    assert bound == crypto.CHAIN_CACHE_SIZE == 4
-    crypto._chain_keys.cache_clear()
-    for i in range(bound + 3):
-        chain = HashChain(bytes([i]) * 20, 64)
-        assert chain.anchor == chain_keys(bytes([i]) * 20, 64)[-1]
-        assert crypto._chain_keys.cache_info().currsize == min(i + 1, bound)
-    with pytest.raises(ValueError):
-        HashChain(b"seed", 0)
-    assert crypto._chain_keys.cache_info().currsize == bound
-
-
 def test_anchor_state_has_no_instance_dict():
     assert not hasattr(ChainAnchorState(b"\0" * 20), "__dict__")
 
@@ -634,6 +632,8 @@ def test_chain_structure():
         rolling = key
     with pytest.raises(crypto.ChainExhaustedError):
         chain.next_key()
+    with pytest.raises(ValueError):
+        HashChain(b"seed", 0)
 
 
 def test_verify_chain_key_step_counts():
@@ -773,23 +773,6 @@ def test_seal_memo_hit_gives_the_bytes_of_a_cold_seal(monkeypatch):
     cold = crypto.ecc_encrypt(kp.public, b"reading", curve, random.Random(52))
     assert first == again == cold
     assert crypto.ecc_decrypt(kp.private, again, curve) == b"reading"
-
-
-def test_seal_memo_is_bounded():
-    curve = crypto.SIM_CURVE
-    bound = crypto._seal_keys.cache_info().maxsize
-    assert bound == crypto.SEAL_CACHE_SIZE
-    recipient = crypto.generate_keypair(curve, random.Random(53)).public
-    crypto._seal_keys.cache_clear()
-    for seed in range(bound + 4):
-        crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(seed))
-    info = crypto._seal_keys.cache_info()
-    assert (info.misses, info.currsize) == (bound + 4, bound)
-    crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(bound + 3))  # newest: held
-    assert crypto._seal_keys.cache_info().hits == 1
-    crypto.ecc_encrypt(recipient, b"reading", curve, random.Random(0))  # oldest: evicted
-    assert crypto._seal_keys.cache_info().misses == bound + 5
-    crypto._seal_keys.cache_clear()
 
 
 def test_seal_to_a_bad_key_draws_once_and_is_rejected_every_time(monkeypatch):

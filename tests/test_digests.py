@@ -11,9 +11,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import (affine_oracle, brute_force_hears, copying_relay, eager_adjacency,
-                      reference_dijkstra)
-from sermt import crypto, protocol, scenario
+from conftest import (affine_oracle, brute_force_hears, cold_memos, copying_relay,
+                      eager_adjacency, reference_dijkstra)
+from sermt import crypto, protocol
 from sermt.adversary import AttackSpec
 from sermt.metrics import replay_trace
 from sermt.protocol import ProtocolEngine
@@ -326,15 +326,10 @@ def test_wormhole_listeners_hear_the_broadcast_sender(defense, monkeypatch):
 ], ids=["attacked-sermt", "false_data-sermt", "malicious35-sermt", "false_data-baseline",
         "false_data_leg-baseline"])
 def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
-    """Every multiply is affine with no window table, the key and seal
-    memos, the RC5 schedule, chain-walk, HMAC pad and chain-key caches call
-    through to their functions, and every relayed frame arrives as a copy of its
-    bytes, so the engine opens each one by the full ECDH, RC5 and padding
-    path: the trace and the audit must still be the pinned ones."""
-    lrus = [crypto._long_lived_mult, crypto._seal_keys, crypto.rc5_key_schedule,
-            crypto._chain_walk, crypto._hmac_pads, crypto._chain_keys]
-    unused = [crypto._base_table]       # the affine multiply reads no table
-    before = [lru.cache_info() for lru in lrus + unused]
+    """Every multiply is affine with no window table, every process-wide
+    memo calls through to its function, and every relayed frame arrives as
+    a copy of its bytes, so the engine opens each one by the full ECDH, RC5
+    and padding path: the trace and the audit must still be the pinned ones."""
     mults = []
 
     def counted_mult(*args):
@@ -342,14 +337,13 @@ def test_pins_hold_with_every_crypto_shortcut_off(case, defense, monkeypatch):
         return affine_oracle(*args)
 
     monkeypatch.setattr(crypto, "scalar_mult", counted_mult)
-    for lru in lrus:
-        monkeypatch.setattr(crypto, lru.__name__, lru.__wrapped__)
+    moved = cold_memos(monkeypatch)
     arrived, opened = record_opens(monkeypatch, copying_relay(ProtocolEngine._relay_chain))
     result = run_scenario(case_config(case, defense))
     _, _, _, on_digest, off_digest = CASES[case]
     assert result.trace.digest() == (on_digest if defense else off_digest)
     assert audit_of(result) == AUDITS[case][not defense]
-    assert mults and [lru.cache_info() for lru in lrus + unused] == before
+    assert moved() == [] and mults
     assert opened["rc5"] and opened["ecc"]
     assert opened_in_turn(opened, [frame for _, frame in arrived])
 
@@ -442,11 +436,10 @@ def test_the_engine_opens_only_altered_frames_and_seals_to_older_keys(
 def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch):
     """Every route graph is built eagerly, every route search pushes each
     relaxed edge, each radio neighbourhood is scanned from its own node
-    alone, and the layout is built cold, past its memo: the trace and the
-    audit must still be the pinned ones."""
+    alone, and `scenario`'s memo calls through to its function, so the
+    layout is built cold: the trace and the audit must still be the pinned
+    ones."""
     calls = {"adjacency": 0, "dijkstra": 0, "hears": 0}
-    layout_memo = scenario._cached_layout
-    layouts = layout_memo.cache_info()
 
     def eager(nodes, hears, weight_of):
         calls["adjacency"] += 1
@@ -463,15 +456,14 @@ def test_pins_hold_with_the_routing_and_geometry_shortcuts_off(case, monkeypatch
     monkeypatch.setattr(protocol, "build_adjacency", eager)
     monkeypatch.setattr(protocol, "dijkstra", pushing_every_edge)
     monkeypatch.setattr(Channel, "_fill_hears", fill_each_on_its_own)
-    monkeypatch.setattr(scenario, "_cached_layout", layout_memo.__wrapped__)
+    moved = cold_memos(monkeypatch, "sermt.scenario")
     if case == "ieee118":
         assert run_scenario(ieee118_config(True)).trace.digest() == IEEE118_DIGESTS[0]
     else:
         result = run_scenario(case_config(case, True))
         assert result.trace.digest() == CASES[case][3]
         assert audit_of(result) == AUDITS[case][0]
-    assert all(calls.values())
-    assert layout_memo.cache_info() == layouts
+    assert all(calls.values()) and moved() == []
 
 
 # The paper's scale: `scaled_ieee14.conf` moved onto the 118-bus grid with

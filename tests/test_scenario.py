@@ -448,15 +448,6 @@ def test_a_run_leaves_its_memoised_layout_as_built():
         assert result.network.nodes[seed.id].position == seed.position
 
 
-def test_layout_memo_is_bounded(tmp_path):
-    assert scenario._cached_layout.cache_info().maxsize == scenario.LAYOUT_CACHE_SIZE == 4
-    config = small_config(tmp_path)
-    scenario._cached_layout.cache_clear()
-    for seed in range(scenario.LAYOUT_CACHE_SIZE + 2):
-        scenario._layout(replace(config, seed=seed))
-    assert scenario._cached_layout.cache_info().currsize == scenario.LAYOUT_CACHE_SIZE
-
-
 def test_sweep_lays_out_and_hashes_its_chains_once(tmp_path, monkeypatch):
     """The points of a sweep share grid, seed and server chain seeds: the
     first point builds the layout (through the module global a wrapper

@@ -57,6 +57,22 @@ def test_pin_coverage_lists_what_one_pin_never_runs():
                        for _, listed_name, text in listed), (name, fragment)
 
 
+def test_code_lines_counts_code_lines_only(tmp_path):
+    """Docstring, comment-only and blank lines do not count; each line of a
+    statement over several lines does."""
+    (tmp_path / "mod.py").write_text('''"""A module docstring."""
+
+# a comment-only line
+def join(x):
+    """A function docstring."""
+    return (x +
+            "/")
+''')
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["     3  mod.py", "     3  total"]
+
+
 # -- tools/pairs.py verdicts, on fixed numbers --------------------------------------
 # PARENT's quartiles are 1.0175 and 1.0725 (spread 0.055), its median 1.045.
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
