@@ -6,10 +6,13 @@ authentication.  Parameters are simulation-grade: the point is faithful
 protocol behaviour, not real-world security margins.
 
 Work that depends on a key alone is done once per key and kept in a bounded
-LRU cache; README's "Process-wide memos" table lists each one with its key,
-bound and hits, and the comments at each say why it pays.  No cache holds a
-tag, a ciphertext or a verdict: every MAC is computed and compared each time
-it is checked.
+LRU cache, and so is each RC5 body, a function of its key and plaintext
+alone; README's "Process-wide memos" table lists each cache with its key,
+bound and hits, and the comments at each say why it pays.  A cache keeps
+only what every caller would compute alike and what decides nothing.  No
+cache keeps a tag or a verdict, since both are about bytes that arrived,
+which an attacker may have made: every MAC is computed and compared each
+time it is checked, and every decryption runs its padding check.
 """
 
 from __future__ import annotations
@@ -369,8 +372,25 @@ def cipher_key(secret: bytes) -> bytes:
 # vector of little-endian words: x * 0x100000001 holds x twice, so a 32-bit
 # window of it is x rotated; the key schedule rotates the same way.
 # rc5_*_block run the same word loops on a single block.
+#
+# An RC5 body is ECB under a length prefix, so it is a function of (key,
+# plaintext) alone, and rc5_encrypt keeps the last RC5_CACHE_SIZE bodies in
+# an LRU cache keyed by both: every session-leg seal, every ECC seal body
+# and every phantom husk goes through it.  A single run repeats almost no
+# body (none on world 0 of any benchmark workload at seed 7), but the points
+# of a sweep share one seed and seal the same readings under the same keys:
+# of the 720 bodies of perfbench's `sweep_interval` (seed 7), 648 repeat
+# one of the first point's two runs.  The 600 s interval sweep seals 1,440
+# distinct bodies a run, and alternates a defended and an undefended run,
+# so the cache must hold two runs: 2,048 entries hit none of its 28,800
+# bodies, 4,096 hit 25,920.  An entry is about 0.4-0.5 KB (tracemalloc), so a
+# full cache holds about 2 MB.  A body may be kept because keeping it
+# decides nothing: the tag over it is still computed and compared on every
+# check, and rc5_decrypt, whose padding check is a verdict on the bytes a
+# frame carried, is not memoised.
 
 _TWICE32 = 0x100000001
+RC5_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=64)
@@ -429,6 +449,7 @@ def rc5_decrypt_block(schedule: tuple[int, ...], block: bytes) -> bytes:
     return struct.pack("<2L", *_rc5_decrypt_words(schedule, struct.unpack("<2L", block)))
 
 
+@functools.lru_cache(maxsize=RC5_CACHE_SIZE)
 def rc5_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Length-prefixed, zero-padded to the block size, ECB across blocks."""
     framed = struct.pack(">I", len(plaintext)) + plaintext

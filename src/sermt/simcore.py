@@ -21,7 +21,10 @@ A frame's per-emission constants (what a listener pays, the fixed parts
 of its `rx` line) are built once per emission, in an `Emission`, not once
 per listener; each listener still pays through `debit`, once per listener.
 The channel keeps those parts per clock reading and per frame size, so
-the frames of one event reuse them.
+the frames of one event reuse them.  A point-to-point send's own constants
+(what the sender pays, whether the receiver is reached, its `tx` line's
+parts) are kept per `Link`, so the frames a probe sends back and forth
+reuse them too.
 
 The trace holds its text in chunks of joined lines, in about half the
 memory of one `str` per line, with at most one small chunk still open as
@@ -137,29 +140,32 @@ class EventQueue:
 
 class Trace:
     """Text event log; the run hash is the SHA-1 of its lines, each ended
-    by "\\n".  `log` formats every line but the `rx` lines, which
-    `Channel._take_in` joins from an `Emission`'s parts in `log`'s exact
-    format and adds through `append`.  No line may hold a "\\n".
+    by "\\n".  `log` formats a line and adds it through `write`.  Two
+    kinds of line are joined from parts kept for many lines instead, each
+    in `log`'s exact format: `Channel._take_in` joins each `rx` line from
+    an `Emission`'s parts and adds it through `append`, and
+    `Channel.transmit` joins its `tx` line from a `Link`'s parts and adds it
+    through `write`.  No line may hold a "\\n".
 
     The lines are held in chunks, not one `str` each (a `str` object costs
     about as much again as a 60-byte line's text): the sealed chunks, each
     one `str` of the lines it held joined with a "\\n" after every line,
     and one open chunk, a plain list.  `append` is the open list's own
-    bound `append`, so an `rx` line costs one list append; `log` seals the
-    open chunk once it holds `CHUNK` lines or more, and rebinds `append` to
-    the new one.
+    bound `append`, so an `rx` line costs one list append; `write` seals
+    the open chunk once it holds `CHUNK` lines or more, and rebinds
+    `append` to the new one.
 
-    Only `log` seals, so the open chunk can exceed `CHUNK` by the `rx`
-    lines added between two `log` calls.  Every emission writes a `log`
-    line: `broadcast` and a wormhole's re-emit before any listener's `rx`
-    line, `transmit` and `transmit_phantom` after their eavesdroppers' and
-    `transmit`'s receiver's.  A broadcast's listeners around one origin
-    (the sender or a far end) are its kind-screened spies and its
-    listeners of the kinds: distinct nodes, none of them the origin.  So
-    between two `log` calls come at most one origin's trailing listeners
-    (fewer than N, the network's node count) and the next send's leading
-    ones (at most E + 1, E the eavesdroppers), and the open chunk never
-    holds more than CHUNK + N + E lines.
+    Only `write` seals, so the open chunk can exceed `CHUNK` by the `rx`
+    lines added between two `write` calls.  Every emission writes a line
+    through `write`: `broadcast` and a wormhole's re-emit before any
+    listener's `rx` line, `transmit` and `transmit_phantom` after their
+    eavesdroppers' and `transmit`'s receiver's.  A broadcast's listeners
+    around one origin (the sender or a far end) are its kind-screened spies
+    and its listeners of the kinds: distinct nodes, none of them the
+    origin.  So between two `write` calls come at most one origin's
+    trailing listeners (fewer than N, the network's node count) and the
+    next send's leading ones (at most E + 1, E the eavesdroppers), and the
+    open chunk never holds more than CHUNK + N + E lines.
 
     At the end of a run `Channel.finalize` calls `seal`, which closes the
     open chunk whatever its size, so a finished run holds only sealed
@@ -176,8 +182,13 @@ class Trace:
         self.append = self._open.append
 
     def log(self, t: float, kind: str, ids: str, outcome: str, joules: float = 0.0):
+        self.write(f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}")
+
+    def write(self, line: str) -> None:
+        """Add one line in `log`'s format, and seal the open chunk once it
+        holds `CHUNK` lines or more."""
         lines = self._open
-        lines.append(f"{t:.6f} | {kind} | {ids} | {outcome} | {joules:.12g}")
+        lines.append(line)
         if len(lines) >= self.CHUNK:
             self.seal()
 
@@ -240,6 +251,26 @@ class Emission:
     tail: str       # f" | {rx_joules:.12g}"
 
 
+@dataclass(slots=True)
+class Link:
+    """What every `transmit` from one sender to one receiver shares while
+    the clock holds one object, for frames of one type and size on one
+    plane (radio or control): the two ends, which no spy sweep takes in,
+    whether the receiver is reached, what the sender pays, the parts of
+    the `tx` line around the outcome, and an `Emission`'s fields after the
+    frame.  A probe's test frames and their ACKs each go over one link.
+    `Channel._link` builds it with `_tx_joules` and `_emission_parts`,
+    which price and label every other emission too."""
+    clock: float                # the clock object it was built at
+    ids: str                    # f"{sender_id}->{receiver_id}:{type_name}"
+    skip: tuple[int, int]       # (sender_id, receiver_id)
+    reached: bool               # control, or the receiver is in the sender's range
+    tx_joules: float
+    tx_head: str                # f"{t:.6f} | tx | {ids} | "
+    tx_tail: str                # f" | {tx_joules:.12g}"
+    parts: tuple[float, str, str, str]      # Emission's rx_joules, head, mid, tail
+
+
 DELIVERED = "delivered"
 
 
@@ -257,6 +288,8 @@ class Channel:
     reach (`_pay_tx`'s full-range distance), the same floats the models
     give per call.
     """
+
+    LINKS = 2
 
     def __init__(self, network: Network, radio: RadioModel, energy: EnergyModel,
                  trace: Trace, queue: EventQueue, loss_rng):
@@ -279,6 +312,7 @@ class Channel:
         self._hears: dict[int, dict[int, float]] = {}
         self._stamp: tuple[float | None, str] = (None, "")     # (clock, `rx` line head)
         self._rx_parts: dict[int, tuple[float, str]] = {}      # wire bits -> (joules, tail)
+        self._links: dict[tuple, Link] = {}     # the last LINKS links `transmit` built
         self._joules_per_mah = energy.volts * 3.6
         self._reach = {kind: radio.range_of(kind) for kind in _RANGE_FIELD}
 
@@ -375,39 +409,55 @@ class Channel:
 
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays
-    # (`_pay_tx`), a listener takes it in (`_take_in`), or it is lost
-    # (`_lose`, the one place a loss is counted).  `transmit`, `broadcast`
-    # and the eavesdrop sweep share one listener step (`_receive_leg`,
-    # `_take_in`); it takes the frame's constants from an `Emission` built
-    # once per emission, and pays through `debit`.  A broadcast reaches its
-    # listeners through one reception step, `_spread`, run once around the
-    # sender and once around each wormhole far end, so a lost leg writes
-    # one `drop` line wherever it was emitted.
+    # (`_pay_tx`, what `_tx_joules` says), a listener takes it in
+    # (`_take_in`), or it is lost (`_lose`, the one place a loss is
+    # counted).  `transmit`, `broadcast` and the eavesdrop sweep share one
+    # listener step (`_receive_leg`, `_take_in`); it takes the frame's
+    # constants from an `Emission` built once per emission, and pays through
+    # `debit`.  A broadcast reaches its listeners through one reception step,
+    # `_spread`, run once around the sender and once around each wormhole
+    # far end, so a lost leg writes one `drop` line wherever it was emitted.
+    #
+    # A probe sends its test frames and their ACKs back and forth between
+    # one pair at one clock reading, so `transmit` takes each send's
+    # constants from a `Link`, kept for the clock object, both ends, the
+    # frame's type and size, and the plane, and keeps the last LINKS links:
+    # a probe alternates two.  The clock goes by identity, as the `rx` head
+    # does.  Every send still runs each step: the `alive` checks, the
+    # sender's and the receiver's `debit`, the loss draw, the eavesdrop
+    # sweep, `accept_frame`, and its `tx` line through `Trace.write`.
 
-    def _pay_tx(self, sender: NodeState, frame: Frame, dist: float | None = None) -> float:
-        """Debit one emission of `frame`: over `dist` to an in-range
-        receiver, or else over the sender's full range."""
+    def _tx_joules(self, sender: NodeState, bits: int, dist: float | None = None) -> float:
+        """What one emission of `bits` costs `sender`: over `dist` to an
+        in-range receiver, or else over the sender's full range."""
         reach = self._reach[sender.kind]
-        tx_joules = self.energy.energy_tx(
-            frame.wire_bits, dist if dist is not None and dist <= reach else reach)
+        return self.energy.energy_tx(bits, dist if dist is not None and dist <= reach else reach)
+
+    def _pay_tx(self, sender: NodeState, tx_joules: float) -> float:
+        """The sender pays for one emission, `tx_joules` from `_tx_joules`."""
         self.debit(sender, tx_joules)
         return tx_joules
 
-    def _emission(self, sender_id: int, frame: Frame, type_name: str) -> Emission:
-        """`frame` leaving `sender_id` now.  Events send many frames at one
-        clock reading, and frames come in few sizes, so the head is kept
-        for the clock object it was made from (by identity: -0.0 == 0.0,
-        but they print differently) and the joules and tail per size."""
+    def _emission_parts(self, sender_id: int, bits: int,
+                        type_name: str) -> tuple[float, str, str, str]:
+        """An `Emission`'s fields after the frame, for `bits` leaving
+        `sender_id` now.  Events send many frames at one clock reading, and
+        frames come in few sizes, so the head is kept for the clock object
+        it was made from (by identity: -0.0 == 0.0, but they print
+        differently) and the joules and tail per size."""
         now = self.queue.now
         if now is not self._stamp[0]:
             self._stamp = (now, f"{now:.6f} | rx | ")
-        bits = frame.wire_bits
         rx = self._rx_parts.get(bits)
         if rx is None:
             joules = self.energy.energy_rx(bits)
             rx = self._rx_parts[bits] = (joules, f" | {joules:.12g}")
-        return Emission(sender_id, frame, rx[0], self._stamp[1],
-                        f"<-{sender_id}:{type_name} | ", rx[1])
+        return rx[0], self._stamp[1], f"<-{sender_id}:{type_name} | ", rx[1]
+
+    def _emission(self, sender_id: int, frame: Frame, type_name: str) -> Emission:
+        """`frame` leaving `sender_id` now."""
+        return Emission(sender_id, frame,
+                        *self._emission_parts(sender_id, frame.wire_bits, type_name))
 
     def _take_in(self, listener: NodeState, emission: Emission, how: str) -> None:
         """A listener receives or overhears an emission: it pays, it is
@@ -439,23 +489,41 @@ class Channel:
                 continue
             self._take_in(spy, emission, "overheard")
 
-    def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
-                 control: bool = False) -> str:
+    def _link(self, sender: NodeState, receiver: NodeState, frame: Frame, control: bool,
+              key: tuple) -> Link:
+        """A new link for `frame` from `sender` to `receiver` now, kept
+        under `key` in place of the oldest of the LINKS kept."""
+        now = self.queue.now
         type_name = TYPE_NAME[frame.msg_type]
         ids = f"{sender.id}->{receiver.id}:{type_name}"
+        dist = self.hears(sender).get(receiver.id)     # None: out of range
+        bits = frame.wire_bits
+        tx_joules = self._tx_joules(sender, bits, None if control else dist)
+        link = Link(now, ids, (sender.id, receiver.id), control or dist is not None, tx_joules,
+                    f"{now:.6f} | tx | {ids} | ", f" | {tx_joules:.12g}",
+                    self._emission_parts(sender.id, bits, type_name))
+        links = self._links
+        links.pop(key, None)
+        if len(links) >= self.LINKS:
+            del links[next(iter(links))]
+        links[key] = link
+        return link
+
+    def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
+                 control: bool = False) -> str:
+        key = (sender.id, receiver.id, frame.msg_type, frame.wire_len, control)
+        link = self._links.get(key)
+        if link is None or link.clock is not self.queue.now:
+            link = self._link(sender, receiver, frame, control, key)
         if not sender.alive:
             outcome = self._lose("dead_sender")
-            self.trace.log(self.queue.now, "drop", ids, outcome)
+            self.trace.log(self.queue.now, "drop", link.ids, outcome)
             return outcome
-        dist = self.hears(sender).get(receiver.id)     # None: out of range
-        tx_joules = self._pay_tx(sender, frame, None if control else dist)
-        emission = self._emission(sender.id, frame, type_name)
-        self._eavesdrop_sweep(sender, emission, (sender.id, receiver.id))
-        if control or dist is not None:
-            outcome = self._receive_leg(receiver, emission)
-        else:
-            outcome = self._lose("range")
-        self.trace.log(self.queue.now, "tx", ids, outcome, tx_joules)
+        self._pay_tx(sender, link.tx_joules)
+        emission = Emission(sender.id, frame, *link.parts)
+        self._eavesdrop_sweep(sender, emission, link.skip)
+        outcome = self._receive_leg(receiver, emission) if link.reached else self._lose("range")
+        self.trace.write(link.tx_head + outcome + link.tx_tail)
         return outcome
 
     def transmit_phantom(self, sender: NodeState, persona_id: int,
@@ -465,8 +533,8 @@ class Channel:
         answers, but the sender still pays to transmit, and spies in its
         range overhear the frame."""
         type_name = TYPE_NAME[frame.msg_type]
-        tx_joules = self._pay_tx(sender, frame,
-                                 None if control else distance(sender.position, position))
+        tx_joules = self._pay_tx(sender, self._tx_joules(
+            sender, frame.wire_bits, None if control else distance(sender.position, position)))
         self._eavesdrop_sweep(sender, self._emission(sender.id, frame, type_name), (sender.id,))
         self.trace.log(self.queue.now, "tx", f"{sender.id}->{persona_id}:{type_name}",
                        self._lose("phantom"), tx_joules)
@@ -497,7 +565,7 @@ class Channel:
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
             return []
-        tx_joules = self._pay_tx(sender, frame)
+        tx_joules = self._pay_tx(sender, self._tx_joules(sender, frame.wire_bits))
         emission = self._emission(sender_id, frame, type_name)
         self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
         nodes = self.network.nodes
@@ -511,7 +579,7 @@ class Channel:
                 if (sender_id in (near, far) or not nodes[near].alive or not far_node.alive
                         or not (control or near in heard)):
                     continue
-                far_tx = self._pay_tx(far_node, frame)
+                far_tx = self._pay_tx(far_node, self._tx_joules(far_node, frame.wire_bits))
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
                 delivered += self._spread(far_node, emission, self.hears(far_node),

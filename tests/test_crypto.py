@@ -151,6 +151,26 @@ def ref_rc5_decrypt_blocks(key, ciphertext):
                     for i in range(0, len(ciphertext), 8))
 
 
+def test_an_rc5_body_from_the_memo_is_the_cold_body():
+    """A memo hit returns the bytes a cold call computes, and they open
+    with `rc5_decrypt`; a body under another key or of another plaintext
+    is not served from the same entry."""
+    rng = random.Random(0x5EA1)
+    key, other_key = rng.randbytes(16), rng.randbytes(16)
+    msg, other_msg = rng.randbytes(45), rng.randbytes(45)
+    crypto.rc5_encrypt.cache_clear()
+    cold = crypto.rc5_encrypt.__wrapped__(key, msg)
+    assert crypto.rc5_encrypt(key, msg) == cold           # a miss fills the entry
+    assert crypto.rc5_encrypt(key, msg) == cold           # and a hit reads it
+    assert crypto.rc5_encrypt.cache_info()[:2] == (1, 1)
+    assert crypto.rc5_decrypt(key, crypto.rc5_encrypt(key, msg)) == msg
+    assert crypto.rc5_encrypt(key, other_msg) == crypto.rc5_encrypt.__wrapped__(key, other_msg)
+    assert crypto.rc5_encrypt(other_key, msg) == crypto.rc5_encrypt.__wrapped__(other_key, msg)
+    assert crypto.rc5_decrypt(key, crypto.rc5_encrypt(key, other_msg)) == other_msg
+    assert crypto.rc5_decrypt(other_key, crypto.rc5_encrypt(other_key, msg)) == msg
+    assert crypto.rc5_encrypt.cache_info()[:2] == (4, 3)
+
+
 def test_reference_rc5_meets_the_vectors():
     for key_hex, pt_hex, ct_hex in RC5_VECTORS:
         s = ref_key_schedule(bytes.fromhex(key_hex))

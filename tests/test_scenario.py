@@ -19,7 +19,6 @@ from sermt.metrics import SweepRow, emit_csv, render_line_chart, replay_trace
 from sermt.protocol import ProtocolEngine
 from sermt.scenario import (
     ConfigError,
-    ScenarioConfig,
     SimulationFault,
     _sweep_attacks,
     build_world,
@@ -503,6 +502,30 @@ def test_sweep_multiplies_for_its_seals_in_its_first_point_only(tmp_path, monkey
     seals = [s for s, _ in per_run]
     assert len(per_run) == 6 and min(seals) > 0
     assert [m for _, m in per_run] == [2 * seals[0], 2 * seals[1], 0, 0, 0, 0]
+
+
+def test_sweep_enciphers_its_rc5_bodies_in_its_first_point_only(tmp_path, monkeypatch):
+    """The runs of a sweep seal the same readings under the same session
+    and seal keys, so after the first point's two runs every RC5 body is
+    read from the body memo and runs no word loop."""
+    monkeypatch.setattr(scenario, "ATTACK_INTERVALS", (1.0, 2.0, 3.0))
+    per_run, words, run = [], crypto._rc5_encrypt_words, scenario.run_scenario
+
+    def counted_words(*args):
+        per_run[-1] += 1
+        return words(*args)
+
+    def counted_run(config):
+        per_run.append(0)
+        return run(config)
+
+    monkeypatch.setattr(crypto, "_rc5_encrypt_words", counted_words)
+    monkeypatch.setattr(scenario, "run_scenario", counted_run)
+    crypto.rc5_encrypt.cache_clear()
+    sweep(replace(small_config(tmp_path), duration=20.0), "interval")
+    assert len(per_run) == 6 and min(per_run[:2]) > 0
+    assert per_run[2:] == [0, 0, 0, 0]
+    assert crypto.rc5_encrypt.cache_info().misses == sum(per_run)
 
 
 @pytest.fixture(scope="module")

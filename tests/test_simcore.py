@@ -9,7 +9,9 @@ from conftest import TWO_SUB_DOC, brute_force_hears, make_world
 from sermt import grid
 from sermt.entities import Behavior, Network, NodeState
 from sermt.grid import Deployment, EntitySeed
+from sermt.protocol import compute_trust
 from sermt.rng import substream
+from sermt.scenario import DATA_DIR, build_world, load_config
 from sermt.simcore import (
     Channel, EnergyModel, EventQueue, RadioModel, SchedulingFault, Trace,
 )
@@ -509,6 +511,150 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
     assert sum(channel.drop_counts.values()) == dropped_lines(trace)
 
 
+# -- links: the constants of a run of sends ---------------------------------------
+
+
+def cold_transmit(channel, *args, **kwargs):
+    """`transmit` with no link kept from an earlier send."""
+    channel._links.clear()
+    return channel.transmit(*args, **kwargs)
+
+
+def test_sends_over_one_link_write_what_cold_sends_write():
+    """A probe's pattern, test and ACK twice at one clock reading and a
+    test after the clock moves: the sends at one reading reuse two links,
+    and every send writes the lines and pays the floats a cold `transmit`
+    does, which are the model's floats in `Trace.log`'s format."""
+    results = []
+    for send in (Channel.transmit, cold_transmit):
+        network, channel, queue, trace = make_world([("N", (0, 0), 1), ("N", (100, 0), 1)])
+        a, b = network.nodes[5], network.nodes[6]
+        test, ack = frame_of(5), make_frame(MsgType.ACK, 6, b"x" * 10, gbk=GBK)
+        probe = [(a, b, test), (b, a, ack)]
+        queue.now = 1.0
+        outcomes = [send(channel, *hop, control=True) for hop in probe]
+        built = list(channel._links.values())
+        outcomes += [send(channel, *hop, control=True) for hop in probe]
+        if send is Channel.transmit:        # the second pair reused the first pair's links
+            kept = list(channel._links.values())
+            assert len(kept) == 2 and all(x is y for x, y in zip(kept, built))
+        queue.now = 2.5
+        outcomes.append(send(channel, a, b, test, control=True))
+        assert outcomes == ["delivered"] * 5
+        results.append((trace.lines, a.battery_mah.hex(), b.battery_mah.hex(), channel.ledger))
+    assert results[0] == results[1]
+    em, bits = channel.energy, frame_of(5).wire_bits
+    tx, rx = em.energy_tx(bits, channel.radio.range_n), em.energy_rx(bits)  # control: full range
+    expected = []
+    for t, (src, dst, kind) in zip((1.0, 1.0, 1.0, 1.0, 2.5),
+                                   [(5, 6, "TEST"), (6, 5, "ACK")] * 2 + [(5, 6, "TEST")]):
+        expected += [logged(t, "rx", f"{dst}<-{src}:{kind}", "received", rx),
+                     logged(t, "tx", f"{src}->{dst}:{kind}", "delivered", tx)]
+    assert results[0][0] == expected
+
+
+def test_a_link_is_kept_for_the_clock_object_not_its_value():
+    """-0.0 == 0.0, but they print differently: a send at -0.0 right after
+    one at 0.0 builds its own link and prints its own time stamp."""
+    network, channel, queue, trace = make_world([("N", (0, 0), 1), ("N", (100, 0), 1)])
+    a, b = network.nodes[5], network.nodes[6]
+    queue.now = 0.0
+    channel.transmit(a, b, frame_of(5))
+    queue.now = -0.0
+    channel.transmit(a, b, frame_of(5))
+    assert [line.split(" | ")[:2] for line in trace.lines] == [
+        ["0.000000", "rx"], ["0.000000", "tx"], ["-0.000000", "rx"], ["-0.000000", "tx"]]
+
+
+def test_a_sender_that_drains_between_two_sends_of_one_link_drops_the_second():
+    network, channel, queue, trace = make_world([("N", (0, 0), 1), ("N", (100, 0), 1)])
+    a, b = network.nodes[5], network.nodes[6]
+    queue.now = 3.0
+    assert channel.transmit(a, b, frame_of(5)) == "delivered"
+    channel.debit(a, 1e6)                   # floors at empty: 5 dies
+    spent = (a.debited_mah, b.debited_mah)
+    assert channel.transmit(a, b, frame_of(5)) == "dropped(dead_sender)"
+    assert (a.debited_mah, b.debited_mah) == spent
+    assert channel.drop_counts == {"dead_sender": 1}
+    assert trace.lines[-2:] == [logged(3.0, "death", "5", "battery_exhausted", 0.0),
+                                logged(3.0, "drop", "5->6:TEST", "dropped(dead_sender)", 0.0)]
+
+
+_link_step = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 5), st.integers(0, 5),
+              st.sampled_from([MsgType.TEST, MsgType.ACK]), st.sampled_from([4, 4, 30]),
+              st.booleans()),
+    st.tuples(st.just("clock"), st.sampled_from([0.0, -0.0, 2.0, 7.5])),
+    st.tuples(st.just("same reading, new object")),
+    st.tuples(st.just("kill"), st.integers(0, 5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(positions=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 300)),
+                          min_size=2, max_size=6),
+       loss=st.sampled_from([0.0, 0.3]), data=st.data())
+def test_sends_over_kept_links_are_cold_sends(positions, loss, data):
+    """Any run of sends, deaths and clock steps, 0.0 and -0.0 among them,
+    with spies, a swallower and loss: through kept links and through cold
+    sends it gives the same trace, drops, batteries, ledger and loss draws,
+    bit for bit, and never more than LINKS links are kept."""
+    extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
+             for i, pos in enumerate(positions)]
+    ids = list(range(5, 5 + len(extra)))
+    spies = sorted(data.draw(st.sets(st.sampled_from(ids)), label="spies"))
+    swallower = data.draw(st.sampled_from(ids), label="swallower")
+    steps = data.draw(st.lists(_link_step, max_size=24), label="steps")
+    results = []
+    for send in (Channel.transmit, cold_transmit):
+        network, channel, queue, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
+        channel.eavesdroppers = spies
+        channel.audited.update(ids)
+        network.nodes[swallower].behavior = Swallower()
+        outcomes = []
+        for step in steps:
+            if step[0] == "send":
+                _, src, dst, msg_type, size, control = step
+                sender = network.nodes[ids[src % len(ids)]]
+                receiver = network.nodes[ids[dst % len(ids)]]
+                frame = make_frame(msg_type, sender.id, b"p" * size, gbk=GBK)
+                outcomes.append(send(channel, sender, receiver, frame, control=control))
+            elif step[0] == "clock":
+                queue.now = step[1]
+            elif step[0] == "kill":
+                network.nodes[ids[step[1] % len(ids)]].alive = False
+            else:
+                queue.now = queue.now * 1.0
+            assert len(channel._links) <= Channel.LINKS
+        results.append((outcomes, trace.lines, channel.drop_counts, channel.ledger,
+                        [node.battery_mah.hex() for node in network.nodes.values()],
+                        [(o.observer_id, o.frame) for o in channel.observations],
+                        channel.loss_rng.getstate()))
+    assert results[0] == results[1]
+
+
+def test_a_probe_sends_each_frame_through_one_transmit(monkeypatch):
+    """A probe's test frames and their ACKs each go through one `transmit`
+    call, each writing its own `tx` line, and the calls alternate between
+    the two links they keep."""
+    world = build_world(load_config(DATA_DIR / "scaled_ieee14.conf"))
+    prober = next(node for node in world.network.nodes.values() if node.kind == "GW")
+    target = next(node for node in world.network.nodes.values() if node.kind == "N")
+    sent, transmit = [], Channel.transmit
+
+    def counted(channel, sender, receiver, frame, control=False):
+        sent.append((sender.id, receiver.id, frame.msg_type))
+        outcome = transmit(channel, sender, receiver, frame, control)
+        assert len(channel._links) == min(len(sent), Channel.LINKS)
+        return outcome
+
+    monkeypatch.setattr(Channel, "transmit", counted)
+    tests = len(world.engine._tests(prober))
+    assert world.engine._probe(prober, target) == compute_trust(tests, tests)
+    assert sent == [(prober.id, target.id, MsgType.TEST),
+                    (target.id, prober.id, MsgType.ACK)] * tests
+    assert sum(line.split(" | ")[1] == "tx" for line in world.trace.lines) == 2 * tests
+
+
 # -- the chunked trace -----------------------------------------------------------
 
 
@@ -537,16 +683,17 @@ _trace_call = st.one_of(
     st.tuples(st.just("log"), st.floats(-1e6, 1e6), _text, _text, _text,
               st.floats(allow_nan=False)),
     st.tuples(st.just("append"), _text),
+    st.tuples(st.just("write"), _text),
     st.tuples(st.just("seal")))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chunk=st.integers(1, 4), calls=st.lists(_trace_call, max_size=30))
 def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
-    """Any run of `log`, `append` and `seal` calls, with the chunk shrunk
-    so that chunks seal often: `lines`, `digest` and `chunks` read as a
-    plain list of the same lines would, whether or not the open chunk just
-    sealed, and a `seal` of an empty open chunk adds no chunk."""
+    """Any run of `log`, `append`, `write` and `seal` calls, with the chunk
+    shrunk so that chunks seal often: `lines`, `digest` and `chunks` read
+    as a plain list of the same lines would, whether or not the open chunk
+    just sealed, and a `seal` of an empty open chunk adds no chunk."""
     trace, reference = Trace(), []
     trace.CHUNK = chunk
     for call in calls:
@@ -554,6 +701,10 @@ def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
             trace.log(*call[1:])
             reference.append(logged(*call[1:]))
             assert len(trace._open) < chunk         # `log` sealed a full open chunk
+        elif call[0] == "write":
+            trace.write(call[1])
+            reference.append(call[1])
+            assert len(trace._open) < chunk
         elif call[0] == "append":
             trace.append(call[1])
             reference.append(call[1])
@@ -612,13 +763,13 @@ def test_chunks_seal_inside_emissions_and_the_open_chunk_stays_bounded(positions
     sealing, unsealed = worlds[0][2], worlds[1][2]
     sealing.CHUNK = chunk
     peak = 0
-    log = sealing.log
+    write = sealing.write             # every sealing line, `log`'s among them
 
-    def watched_log(*args):
+    def watched_write(line):
         nonlocal peak
         peak = max(peak, len(sealing._open) + 1)
-        log(*args)
-    sealing.log = watched_log
+        write(line)
+    sealing.write = watched_write
 
     calls = st.tuples(st.sampled_from(["transmit", "broadcast"]),
                       st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True),
