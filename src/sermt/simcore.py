@@ -285,7 +285,7 @@ class Channel:
     The radio and energy models are fixed for the world's life, so the
     floats each frame step needs from them are formed once, here: joules
     per mAh (`volts * 3.6`, which `debit` divides by) and each kind's
-    reach (`_pay_tx`'s full-range distance), the same floats the models
+    reach (`_tx_joules`'s full-range distance), the same floats the models
     give per call.
     """
 
@@ -409,9 +409,9 @@ class Channel:
 
     # -- frame movement ----------------------------------------------------
     # A frame's life has three steps, each written once: the sender pays
-    # (`_pay_tx`, what `_tx_joules` says), a listener takes it in
-    # (`_take_in`), or it is lost (`_lose`, the one place a loss is
-    # counted).  `transmit`, `broadcast` and the eavesdrop sweep share one
+    # what `_tx_joules` says (`_pay_tx`, or a `Link`'s price), a listener
+    # takes it in (`_take_in`), or it is lost (`_lose`, the one place a loss
+    # is counted).  `transmit`, `broadcast` and the eavesdrop sweep share one
     # listener step (`_receive_leg`, `_take_in`); it takes the frame's
     # constants from an `Emission` built once per emission, and pays through
     # `debit`.  A broadcast reaches its listeners through one reception step,
@@ -433,8 +433,9 @@ class Channel:
         reach = self._reach[sender.kind]
         return self.energy.energy_tx(bits, dist if dist is not None and dist <= reach else reach)
 
-    def _pay_tx(self, sender: NodeState, tx_joules: float) -> float:
-        """The sender pays for one emission, `tx_joules` from `_tx_joules`."""
+    def _pay_tx(self, sender: NodeState, bits: int, dist: float | None = None) -> float:
+        """Debit `sender` what `_tx_joules` says one emission costs."""
+        tx_joules = self._tx_joules(sender, bits, dist)
         self.debit(sender, tx_joules)
         return tx_joules
 
@@ -511,15 +512,16 @@ class Channel:
 
     def transmit(self, sender: NodeState, receiver: NodeState, frame: Frame,
                  control: bool = False) -> str:
+        if not sender.alive:
+            outcome = self._lose("dead_sender")
+            self.trace.log(self.queue.now, "drop",
+                           f"{sender.id}->{receiver.id}:{TYPE_NAME[frame.msg_type]}", outcome)
+            return outcome
         key = (sender.id, receiver.id, frame.msg_type, frame.wire_len, control)
         link = self._links.get(key)
         if link is None or link.clock is not self.queue.now:
             link = self._link(sender, receiver, frame, control, key)
-        if not sender.alive:
-            outcome = self._lose("dead_sender")
-            self.trace.log(self.queue.now, "drop", link.ids, outcome)
-            return outcome
-        self._pay_tx(sender, link.tx_joules)
+        self.debit(sender, link.tx_joules)
         emission = Emission(sender.id, frame, *link.parts)
         self._eavesdrop_sweep(sender, emission, link.skip)
         outcome = self._receive_leg(receiver, emission) if link.reached else self._lose("range")
@@ -533,8 +535,8 @@ class Channel:
         answers, but the sender still pays to transmit, and spies in its
         range overhear the frame."""
         type_name = TYPE_NAME[frame.msg_type]
-        tx_joules = self._pay_tx(sender, self._tx_joules(
-            sender, frame.wire_bits, None if control else distance(sender.position, position)))
+        tx_joules = self._pay_tx(sender, frame.wire_bits,
+                                 None if control else distance(sender.position, position))
         self._eavesdrop_sweep(sender, self._emission(sender.id, frame, type_name), (sender.id,))
         self.trace.log(self.queue.now, "tx", f"{sender.id}->{persona_id}:{type_name}",
                        self._lose("phantom"), tx_joules)
@@ -565,7 +567,7 @@ class Channel:
         if not sender.alive:
             self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
             return []
-        tx_joules = self._pay_tx(sender, self._tx_joules(sender, frame.wire_bits))
+        tx_joules = self._pay_tx(sender, frame.wire_bits)
         emission = self._emission(sender_id, frame, type_name)
         self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
         nodes = self.network.nodes
@@ -579,7 +581,7 @@ class Channel:
                 if (sender_id in (near, far) or not nodes[near].alive or not far_node.alive
                         or not (control or near in heard)):
                     continue
-                far_tx = self._pay_tx(far_node, self._tx_joules(far_node, frame.wire_bits))
+                far_tx = self._pay_tx(far_node, frame.wire_bits)
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
                 delivered += self._spread(far_node, emission, self.hears(far_node),

@@ -765,13 +765,13 @@ def test_a_flood_run_keeps_the_open_trace_chunk_bounded(monkeypatch):
     eavesdroppers: the trace seals several chunks, and its open chunk never
     holds more than Trace.CHUNK + N lines, N the network's node count."""
     peak = 0
-    log = Trace.log
+    write = Trace.write
 
-    def watched_log(trace, *args):
+    def watched_write(trace, line):
         nonlocal peak
         peak = max(peak, len(trace._open) + 1)      # the most it holds, just before a seal
-        log(trace, *args)
-    monkeypatch.setattr(Trace, "log", watched_log)
+        write(trace, line)
+    monkeypatch.setattr(Trace, "write", watched_write)
     config = replace(load_config(scenario.DATA_DIR / "scaled_ieee14.conf"), duration=60.0,
                      attacks=_sweep_attacks("interval", 1.0))
     result = run_scenario(config)

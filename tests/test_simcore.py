@@ -463,7 +463,8 @@ def test_rx_lines_from_emission_parts_are_trace_logs_lines(e_lna, emits):
        data=st.data())
 def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data):
     """Each lost leg, a wormhole far end's included, writes one `dropped(...)`
-    line, and each `rx` line is one listener's receive debit, in order."""
+    line, each `rx` line is one listener's receive debit, in order, and every
+    other debit is the one a `tx` or `wormhole` line names, in order."""
     extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
              for i, pos in enumerate(positions)]
     network, channel, _, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
@@ -474,20 +475,19 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
     tunnel = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(ids), min_size=2,
                                                      max_size=2, unique=True)), label="tunnel")
     channel.wormholes = [] if tunnel is None else [tuple(tunnel)]
-    debits, paying = [], []
+    debits, tx_debits, taking = [], [], []
 
     def recording_debit(node, joules):
-        if not paying:                  # a transmit is not a listener's debit
-            debits.append((node.id, joules))
+        (debits if taking else tx_debits).append((node.id, joules))
         Channel.debit(channel, node, joules)
 
-    def recording_pay_tx(*args):
-        paying.append(True)
+    def recording_take_in(*args):
+        taking.append(True)
         try:
-            return Channel._pay_tx(channel, *args)
+            return Channel._take_in(channel, *args)
         finally:
-            paying.pop()
-    channel.debit, channel._pay_tx = recording_debit, recording_pay_tx
+            taking.pop()
+    channel.debit, channel._take_in = recording_debit, recording_take_in
 
     em = channel.energy
     calls = st.tuples(st.sampled_from(["transmit", "broadcast", "phantom"]),
@@ -496,7 +496,7 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
                       st.integers(0, 40))
     for call, (src, dst), control, kinds, size in data.draw(st.lists(calls, max_size=12)):
         sender, frame = network.nodes[src], frame_of(src, b"p" * size)
-        before, debits[:] = len(trace.lines), []
+        before, debits[:], tx_debits[:] = len(trace.lines), [], []
         if call == "transmit":
             channel.transmit(sender, network.nodes[dst], frame, control=control)
         elif call == "broadcast":
@@ -504,10 +504,13 @@ def test_every_loss_is_counted_and_every_listener_pays_rx(positions, loss, data)
         else:
             channel.transmit_phantom(sender, 99, network.nodes[dst].position, frame,
                                      control=control)
-        rx_lines = [line.split(" | ")[2] for line in trace.lines[before:]
-                    if line.split(" | ")[1] == "rx"]
+        fields = [line.split(" | ") for line in trace.lines[before:]]
+        rx_lines = [ids for _, kind, ids, _, _ in fields if kind == "rx"]
         assert [int(who.split("<-")[0]) for who in rx_lines] == [n for n, _ in debits]
         assert all(joules == em.energy_rx(frame.wire_bits) for _, joules in debits)
+        payers = [(int(ids.split("->")[0] if kind == "tx" else ids.split("=>")[1].split(":")[0]),
+                   joules) for _, kind, ids, _, joules in fields if kind in ("tx", "wormhole")]
+        assert [(n, f"{joules:.12g}") for n, joules in tx_debits] == payers
     assert sum(channel.drop_counts.values()) == dropped_lines(trace)
 
 
