@@ -21,10 +21,11 @@ A frame's per-emission constants (what a listener pays, the fixed parts
 of its `rx` line) are built once per emission, in an `Emission`, not once
 per listener; each listener still pays through `debit`, once per listener.
 The channel keeps those parts per clock reading and per frame size, so
-the frames of one event reuse them.  A point-to-point send's own constants
-(what the sender pays, whether the receiver is reached, its `tx` line's
-parts) are kept per `Link`, so the frames a probe sends back and forth
-reuse them too.
+the frames of one event reuse them.  An emission's own constants (what
+the sender pays, its `tx` line's parts, and its screened listeners, each
+with its ready `rx` line) are kept per `Link`, for a point-to-point send
+and a broadcast alike, so the frames a probe sends back and forth and the
+frames of a flood burst reuse them too.
 
 The trace holds its text in chunks of joined lines, in about half the
 memory of one `str` per line, with at most one small chunk still open as
@@ -142,10 +143,11 @@ class Trace:
     """Text event log; the run hash is the SHA-1 of its lines, each ended
     by "\\n".  `log` formats a line and adds it through `write`.  Two
     kinds of line are joined from parts kept for many lines instead, each
-    in `log`'s exact format: `Channel._take_in` joins each `rx` line from
-    an `Emission`'s parts and adds it through `append`, and
-    `Channel.transmit` joins its `tx` line from a `Link`'s parts and adds it
-    through `write`.  No line may hold a "\\n".
+    in `log`'s exact format: each `rx` line is joined from an `Emission`'s
+    parts (a listener's once per `Link`, a spy's once per frame) and
+    `Channel._take_in` adds it through `append`, and `Channel.transmit`
+    and `Channel.broadcast` join their `tx` lines from a `Link`'s parts and
+    add them through `write`.  No line may hold a "\\n".
 
     The lines are held in chunks, not one `str` each (a `str` object costs
     about as much again as a 60-byte line's text): the sealed chunks, each
@@ -250,25 +252,33 @@ class Emission:
     mid: str        # f"<-{sender_id}:{type_name} | "
     tail: str       # f" | {rx_joules:.12g}"
 
+    def line(self, listener_id: int, how: str) -> str:
+        """The `rx` line of `listener_id` taking this emission in `how`."""
+        return f"{self.head}{listener_id}{self.mid}{how}{self.tail}"
+
 
 @dataclass(slots=True)
 class Link:
-    """What every `transmit` from one sender to one receiver shares while
-    the clock holds one object, for frames of one type and size on one
-    plane (radio or control): the two ends, which no spy sweep takes in,
-    whether the receiver is reached, what the sender pays, the parts of
-    the `tx` line around the outcome, and an `Emission`'s fields after the
-    frame.  A probe's test frames and their ACKs each go over one link.
-    `Channel._link` builds it with `_tx_joules` and `_emission_parts`,
-    which price and label every other emission too."""
+    """What every emission of one kind from one sender shares while the
+    clock holds one object, for frames of one type and size on one plane
+    (radio or control): a `transmit` to one receiver, or a `broadcast` to
+    the listeners of some kinds.  It holds the IDs no spy sweep around the
+    sender takes in, what the sender pays, the parts of the `tx` line
+    around the outcome, an `Emission`'s fields after the frame, and the
+    screened listeners, each with its ready `rx` line: a send's receiver,
+    or none when it is out of range; a broadcast's every listener not the
+    sender and of its kinds, in ID order.  Screening reads no `alive`:
+    each frame checks that per listener.  A probe's test frames and their
+    ACKs each go over one link, and so does a flood burst.  `Channel._link`
+    builds it with `_tx_joules`, `_emission_parts` and `_listeners`, which
+    price, label and screen every other emission too."""
     clock: float                # the clock object it was built at
-    ids: str                    # f"{sender_id}->{receiver_id}:{type_name}"
-    skip: tuple[int, int]       # (sender_id, receiver_id)
-    reached: bool               # control, or the receiver is in the sender's range
+    skip: tuple[int, ...]       # (sender_id, receiver_id), or a broadcast's (sender_id,)
     tx_joules: float
     tx_head: str                # f"{t:.6f} | tx | {ids} | "
     tx_tail: str                # f" | {tx_joules:.12g}"
     parts: tuple[float, str, str, str]      # Emission's rx_joules, head, mid, tail
+    listeners: tuple[tuple[NodeState, str], ...]    # (listener, its `rx` line)
 
 
 DELIVERED = "delivered"
@@ -312,7 +322,7 @@ class Channel:
         self._hears: dict[int, dict[int, float]] = {}
         self._stamp: tuple[float | None, str] = (None, "")     # (clock, `rx` line head)
         self._rx_parts: dict[int, tuple[float, str]] = {}      # wire bits -> (joules, tail)
-        self._links: dict[tuple, Link] = {}     # the last LINKS links `transmit` built
+        self._links: dict[tuple, Link] = {}     # the last LINKS links built
         self._joules_per_mah = energy.volts * 3.6
         self._reach = {kind: radio.range_of(kind) for kind in _RANGE_FIELD}
 
@@ -323,6 +333,7 @@ class Channel:
         self.network.add(node)
         self.initial_battery[node.id] = node.battery_mah
         self._hears.clear()
+        self._links.clear()             # a link's listeners are screened from the old set
 
     def hears(self, node: NodeState) -> dict[int, float]:
         """ID -> distance of every other entity inside `node`'s own radio
@@ -399,12 +410,13 @@ class Channel:
 
     def finalize(self) -> None:
         """Bring all harvesting batteries up to the queue's clock at the end
-        of a run, then drop the neighbourhood maps and seal the trace's open
-        chunk (finished results are kept around).  A zero spend through
-        `debit` moves only a harvester."""
+        of a run, then drop the neighbourhood maps and the links and seal the
+        trace's open chunk (finished results are kept around).  A zero spend
+        through `debit` moves only a harvester."""
         for node in self.network.nodes.values():
             self.debit(node, 0.0)
         self._hears.clear()
+        self._links.clear()
         self.trace.seal()
 
     # -- frame movement ----------------------------------------------------
@@ -413,19 +425,25 @@ class Channel:
     # takes it in (`_take_in`), or it is lost (`_lose`, the one place a loss
     # is counted).  `transmit`, `broadcast` and the eavesdrop sweep share one
     # listener step (`_receive_leg`, `_take_in`); it takes the frame's
-    # constants from an `Emission` built once per emission, and pays through
-    # `debit`.  A broadcast reaches its listeners through one reception step,
-    # `_spread`, run once around the sender and once around each wormhole
-    # far end, so a lost leg writes one `drop` line wherever it was emitted.
+    # constants from an `Emission` built once per emission, and a ready
+    # `rx` line, and pays through `debit`.  A broadcast reaches its
+    # listeners through one reception step, `_spread`, run once around the
+    # sender and once around each wormhole far end, so a lost leg writes one
+    # `drop` line wherever it was emitted.
     #
     # A probe sends its test frames and their ACKs back and forth between
-    # one pair at one clock reading, so `transmit` takes each send's
-    # constants from a `Link`, kept for the clock object, both ends, the
-    # frame's type and size, and the plane, and keeps the last LINKS links:
-    # a probe alternates two.  The clock goes by identity, as the `rx` head
-    # does.  Every send still runs each step: the `alive` checks, the
-    # sender's and the receiver's `debit`, the loss draw, the eavesdrop
-    # sweep, `accept_frame`, and its `tx` line through `Trace.write`.
+    # one pair at one clock reading, and a flood burst sends its frames from
+    # one sender at one, so `transmit` and `broadcast` take each emission's
+    # constants from a `Link`, kept for the clock object, the sender, the
+    # receiver (None for a broadcast), the frame's type and size, the plane
+    # and a broadcast's kinds, and keep the last LINKS links: a probe
+    # alternates two.  The clock goes by identity, as the `rx` head does.
+    # A link screens its listeners (`_listeners`) and formats their `rx`
+    # lines once; a far end's listeners hang on who was reached, so each
+    # far end screens and formats its own.  Every emission still runs each
+    # step: the `alive` checks, the sender's and each listener's `debit`,
+    # the loss draw, the eavesdrop sweep, `accept_frame`, and its `tx` line
+    # through `Trace.write`.
 
     def _tx_joules(self, sender: NodeState, bits: int, dist: float | None = None) -> float:
         """What one emission of `bits` costs `sender`: over `dist` to an
@@ -460,11 +478,23 @@ class Channel:
         return Emission(sender_id, frame,
                         *self._emission_parts(sender_id, frame.wire_bits, type_name))
 
-    def _take_in(self, listener: NodeState, emission: Emission, how: str) -> None:
-        """A listener receives or overhears an emission: it pays, it is
-        traced, and an audited listener's view is recorded."""
+    def _listeners(self, emission: Emission, candidates, skip,
+                   kinds: tuple[str, ...] | None) -> tuple[tuple[NodeState, str], ...]:
+        """Each of `candidates` (IDs) not in `skip` and of `kinds`, in their
+        order, with the `rx` line it writes on receiving `emission`."""
+        nodes = self.network.nodes
+        listeners = []
+        for node_id in candidates:
+            node = nodes[node_id]
+            if node_id not in skip and (kinds is None or node.kind in kinds):
+                listeners.append((node, emission.line(node_id, "received")))
+        return tuple(listeners)
+
+    def _take_in(self, listener: NodeState, emission: Emission, line: str) -> None:
+        """A listener receives or overhears an emission: it pays, its `rx`
+        line is traced, and an audited listener's view is recorded."""
         self.debit(listener, emission.rx_joules)
-        self.trace.append(f"{emission.head}{listener.id}{emission.mid}{how}{emission.tail}")
+        self.trace.append(line)
         if listener.id in self.audited:
             self.observations.append(Observation(listener.id, emission.frame))
 
@@ -488,21 +518,31 @@ class Channel:
             spy = self.network.nodes[node_id]
             if not spy.alive or (screened is not None and spy.kind in screened):
                 continue
-            self._take_in(spy, emission, "overheard")
+            self._take_in(spy, emission, emission.line(node_id, "overheard"))
 
-    def _link(self, sender: NodeState, receiver: NodeState, frame: Frame, control: bool,
-              key: tuple) -> Link:
-        """A new link for `frame` from `sender` to `receiver` now, kept
-        under `key` in place of the oldest of the LINKS kept."""
+    def _link(self, sender: NodeState, receiver: NodeState | None, frame: Frame,
+              control: bool, kinds: tuple[str, ...] | None, key: tuple) -> Link:
+        """A new link for `frame` leaving `sender` now, to `receiver` or, if
+        it is None, to every listener of `kinds`, kept under `key` in place
+        of the oldest of the LINKS kept."""
         now = self.queue.now
         type_name = TYPE_NAME[frame.msg_type]
-        ids = f"{sender.id}->{receiver.id}:{type_name}"
-        dist = self.hears(sender).get(receiver.id)     # None: out of range
+        heard = self.hears(sender)
         bits = frame.wire_bits
+        parts = self._emission_parts(sender.id, bits, type_name)
+        emission = Emission(sender.id, frame, *parts)
+        if receiver is None:
+            ids, skip, dist = f"{sender.id}->*:{type_name}", (sender.id,), None
+            listeners = self._listeners(emission, self.network.nodes if control else heard,
+                                        skip, kinds)
+        else:
+            ids, skip = f"{sender.id}->{receiver.id}:{type_name}", (sender.id, receiver.id)
+            dist = heard.get(receiver.id)           # None: out of range
+            listeners = (((receiver, emission.line(receiver.id, "received")),)
+                         if control or dist is not None else ())
         tx_joules = self._tx_joules(sender, bits, None if control else dist)
-        link = Link(now, ids, (sender.id, receiver.id), control or dist is not None, tx_joules,
-                    f"{now:.6f} | tx | {ids} | ", f" | {tx_joules:.12g}",
-                    self._emission_parts(sender.id, bits, type_name))
+        link = Link(now, skip, tx_joules, f"{now:.6f} | tx | {ids} | ", f" | {tx_joules:.12g}",
+                    parts, listeners)
         links = self._links
         links.pop(key, None)
         if len(links) >= self.LINKS:
@@ -520,11 +560,14 @@ class Channel:
         key = (sender.id, receiver.id, frame.msg_type, frame.wire_len, control)
         link = self._links.get(key)
         if link is None or link.clock is not self.queue.now:
-            link = self._link(sender, receiver, frame, control, key)
+            link = self._link(sender, receiver, frame, control, None, key)
         self.debit(sender, link.tx_joules)
         emission = Emission(sender.id, frame, *link.parts)
         self._eavesdrop_sweep(sender, emission, link.skip)
-        outcome = self._receive_leg(receiver, emission) if link.reached else self._lose("range")
+        if link.listeners:
+            outcome = self._receive_leg(receiver, emission, link.listeners[0][1])
+        else:
+            outcome = self._lose("range")
         self.trace.write(link.tx_head + outcome + link.tx_tail)
         return outcome
 
@@ -541,13 +584,14 @@ class Channel:
         self.trace.log(self.queue.now, "tx", f"{sender.id}->{persona_id}:{type_name}",
                        self._lose("phantom"), tx_joules)
 
-    def _receive_leg(self, receiver: NodeState, emission: Emission) -> str:
-        """Delivery to a receiver already known to be within reach."""
+    def _receive_leg(self, receiver: NodeState, emission: Emission, line: str) -> str:
+        """Delivery to a receiver already known to be within reach; `line`
+        is its `rx` line."""
         if not receiver.alive:
             return self._lose("dead_receiver")
         if self.loss_rng.random() < self.radio.loss_probability:
             return self._lose("loss")
-        self._take_in(receiver, emission, "received")
+        self._take_in(receiver, emission, line)
         if not receiver.behavior.accept_frame(receiver, emission.sender_id, emission.frame):
             return self._lose("adversarial")
         return DELIVERED
@@ -563,17 +607,20 @@ class Channel:
         tunnel takes in both copies."""
         type_name = TYPE_NAME[frame.msg_type]
         sender_id = sender.id
-        ids = f"{sender_id}->*:{type_name}"
         if not sender.alive:
-            self.trace.log(self.queue.now, "drop", ids, self._lose("dead_sender"))
+            self.trace.log(self.queue.now, "drop", f"{sender_id}->*:{type_name}",
+                           self._lose("dead_sender"))
             return []
-        tx_joules = self._pay_tx(sender, frame.wire_bits)
-        emission = self._emission(sender_id, frame, type_name)
-        self.trace.log(self.queue.now, "tx", ids, "broadcast", tx_joules)
+        key = (sender_id, None, frame.msg_type, frame.wire_len, control, kinds)
+        link = self._links.get(key)
+        if link is None or link.clock is not self.queue.now:
+            link = self._link(sender, None, frame, control, kinds, key)
+        self.debit(sender, link.tx_joules)
+        emission = Emission(sender_id, frame, *link.parts)
+        self.trace.write(link.tx_head + "broadcast" + link.tx_tail)
         nodes = self.network.nodes
         heard = self.hears(sender)
-        delivered = self._spread(sender, emission, nodes if control else heard, (sender_id,),
-                                 kinds)
+        delivered = self._spread(sender, emission, link.listeners, link.skip, kinds)
         reached = {sender_id, *delivered} if self.wormholes else None
         for end_a, end_b in self.wormholes:
             for near, far in ((end_a, end_b), (end_b, end_a)):
@@ -584,35 +631,29 @@ class Channel:
                 far_tx = self._pay_tx(far_node, frame.wire_bits)
                 self.trace.log(self.queue.now, "wormhole", f"{near}=>{far}:{type_name}",
                                "tunneled", far_tx)
-                delivered += self._spread(far_node, emission, self.hears(far_node),
-                                          reached | {near, far}, kinds)
+                skip = reached | {near, far}
+                listeners = self._listeners(emission, self.hears(far_node), skip, kinds)
+                delivered += self._spread(far_node, emission, listeners, skip, kinds)
         return delivered
 
     def _spread(self, origin: NodeState, emission: Emission, listeners, skip,
                 kinds: tuple[str, ...] | None) -> list[int]:
-        """`emission` reaching `listeners` (IDs) from `origin`'s radio: the
-        sender's own or a wormhole's far end.  Spies around `origin` outside
-        `kinds` overhear it; each listener not in `skip` and of `kinds`
-        takes it in, and each lost leg writes one `drop` line.  Returns the
-        IDs it was delivered to."""
+        """`emission` reaching `listeners`, screened (listener, `rx` line)
+        pairs, from `origin`'s radio: the sender's own or a wormhole's far
+        end.  Spies around `origin` not in `skip` and outside `kinds`
+        overhear it; each listener takes it in, and each lost leg writes one
+        `drop` line.  Returns the IDs it was delivered to."""
         if kinds is not None:
             self._eavesdrop_sweep(origin, emission, skip, screened=kinds)
-        nodes = self.network.nodes
         receive = self._receive_leg
-        type_name = TYPE_NAME[emission.frame.msg_type]
         delivered = []
-        for node_id in listeners:
-            if node_id in skip:
-                continue
-            receiver = nodes[node_id]
-            if kinds is not None and receiver.kind not in kinds:
-                continue
-            outcome = receive(receiver, emission)
+        for listener, line in listeners:
+            outcome = receive(listener, emission, line)
             if outcome == DELIVERED:
-                delivered.append(node_id)
+                delivered.append(listener.id)
             else:
-                self.trace.log(self.queue.now, "drop",
-                               f"{emission.sender_id}->{node_id}:{type_name}", outcome)
+                self.trace.log(self.queue.now, "drop", f"{emission.sender_id}->{listener.id}:"
+                               f"{TYPE_NAME[emission.frame.msg_type]}", outcome)
         return delivered
 
     # -- checks ------------------------------------------------------------

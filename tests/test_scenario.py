@@ -27,7 +27,7 @@ from sermt.scenario import (
     run_scenario,
     sweep,
 )
-from sermt.simcore import Trace
+from sermt.simcore import Channel, Trace
 
 BASE = """\
 [scenario]
@@ -639,6 +639,23 @@ def test_finished_runs_hold_only_sealed_trace_text(tmp_path, monkeypatch):
     _rows, results = sweep(config, "interval")
     for result in [run_scenario(config), *results]:
         assert result.trace._open == [] and result.trace._sealed
+
+
+def test_a_finished_flood_run_keeps_no_channel_link(tmp_path, monkeypatch):
+    """A flood burst's broadcast link holds its listeners and their ready
+    `rx` lines; `finish` drops every link, as it drops the neighbourhood
+    maps, so a finished result keeps none though the run ends with some."""
+    kept, finalize = [], Channel.finalize
+
+    def watched_finalize(channel):
+        kept.append(list(channel._links))
+        finalize(channel)
+    monkeypatch.setattr(Channel, "finalize", watched_finalize)
+    config = replace(small_config(tmp_path, duration=30),
+                     attacks=_sweep_attacks("interval", 2.0))
+    result = run_scenario(config)
+    assert len(kept) == 1 and any(key[1] is None for key in kept[0])     # a broadcast's
+    assert result.channel._links == {} and result.channel._hears == {}
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

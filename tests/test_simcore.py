@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TWO_SUB_DOC, brute_force_hears, make_world
 from sermt import grid
@@ -436,10 +436,11 @@ _emit = st.tuples(_clock, st.integers(0, 40), st.integers(0, 2**31), st.integers
 @settings(deadline=None)
 @given(e_lna=_per_bit, emits=st.lists(_emit, min_size=1, max_size=6))
 def test_rx_lines_from_emission_parts_are_trace_logs_lines(e_lna, emits):
-    """The listener step joins its `rx` line from the emission's parts, which
-    the channel keeps per clock reading and per frame size; byte for byte,
-    each line is the one `Trace.log` would write, and each listener pays
-    the model's receive joules for its frame, bit for bit."""
+    """A listener's `rx` line is joined from the emission's parts, which the
+    channel keeps per clock reading and per frame size, and the listener
+    step adds it; byte for byte, each line is the one `Trace.log` would
+    write, and each listener pays the model's receive joules for its frame,
+    bit for bit."""
     energy = EnergyModel(e_baseband=0.0, e_frontend=0.0, e_lna=e_lna)
     network, channel, queue, trace = make_world(energy=energy)
     reference = Trace()
@@ -450,7 +451,7 @@ def test_rx_lines_from_emission_parts_are_trace_logs_lines(e_lna, emits):
         emission = channel._emission(sender_id, frame, type_name)
         assert emission.rx_joules.hex() == energy.energy_rx(frame.wire_bits).hex()
         listener = NodeState(id=listener_id, kind="GW", position=(0.0, 0.0), region_id=1)
-        channel._take_in(listener, emission, how)     # mains-powered: pays nothing
+        channel._take_in(listener, emission, emission.line(listener_id, how))  # pays nothing
         reference.log(queue.now, "rx", f"{listener_id}<-{sender_id}:{type_name}", how,
                       emission.rx_joules)
     assert trace.lines == reference.lines
@@ -625,6 +626,110 @@ def test_sends_over_kept_links_are_cold_sends(positions, loss, data):
                 queue.now = step[1]
             elif step[0] == "kill":
                 network.nodes[ids[step[1] % len(ids)]].alive = False
+            else:
+                queue.now = queue.now * 1.0
+            assert len(channel._links) <= Channel.LINKS
+        results.append((outcomes, trace.lines, channel.drop_counts, channel.ledger,
+                        [node.battery_mah.hex() for node in network.nodes.values()],
+                        [(o.observer_id, o.frame) for o in channel.observations],
+                        channel.loss_rng.getstate()))
+    assert results[0] == results[1]
+
+
+def cold_broadcast(channel, *args, **kwargs):
+    """`broadcast` with no link kept from an earlier emission."""
+    channel._links.clear()
+    return channel.broadcast(*args, **kwargs)
+
+
+_burst = st.tuples(st.just("burst"), st.integers(0, 2), st.integers(1, 4),
+                   st.sampled_from([4, 4, 30]), st.booleans(),
+                   st.sampled_from([None, ("N",), ("ES", "GW"), ("N", "ES")]))
+_fan_step = st.one_of(_burst, st.one_of(        # half of the steps are bursts
+    st.tuples(st.just("send"), st.integers(0, 7), st.integers(0, 7),
+              st.sampled_from([MsgType.TEST, MsgType.ACK]), st.sampled_from([4, 30]),
+              st.booleans()),
+    st.tuples(st.just("clock"), st.sampled_from([0.0, -0.0, 2.0, 7.5])),
+    st.tuples(st.just("same reading, new object")),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+    st.tuples(st.just("add"), st.integers(0, 700), st.integers(0, 300),
+              st.sampled_from(["N", "ES"]))))
+# one world that takes every path a kept broadcast link can go wrong on, at
+# one clock object: listener 6 dies to its second receive debit mid-burst,
+# the kinds change, the plane changes (8 and 9 are out of 5's range), a
+# node joins in 5's range, a send cuts in, -0.0 then 0.0, and 5 dies; spy 7
+# sits outside ("N",), and the tunnel 6 => 9 reaches gateway 2 and server 4
+_FAN_WORLD = dict(
+    positions=[(0, 0), (100, 0), (200, 0), (300, 0), (600, 100), (100, 100)], loss=0.0,
+    chunk=1, spies=[2], tunnel=(1, 4), frail=(1, 5e-6),
+    steps=[("clock", 2.0), ("burst", 0, 3, 4, False, None), ("burst", 0, 1, 4, False, ("N",)),
+           ("burst", 0, 1, 4, True, ("N",)), ("add", 50, 0, "N"),
+           ("burst", 0, 1, 4, True, ("N",)), ("send", 0, 3, MsgType.TEST, 4, False),
+           ("burst", 0, 2, 4, True, ("N",)), ("clock", -0.0), ("burst", 2, 2, 4, False, None),
+           ("clock", 0.0), ("burst", 2, 2, 4, False, None), ("kill", 0),
+           ("burst", 0, 2, 4, False, None)])
+
+
+@settings(max_examples=80, deadline=None)
+@example(**_FAN_WORLD)
+@given(positions=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 300)),
+                          min_size=2, max_size=6),
+       loss=st.sampled_from([0.0, 0.3]), chunk=st.sampled_from([1, 3, Trace.CHUNK]),
+       spies=st.lists(st.integers(0, 7), max_size=3),
+       tunnel=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(0, 7))),
+       frail=st.one_of(st.none(), st.tuples(st.integers(0, 7),
+                                            st.sampled_from([5e-6, 1.2e-5, 3e-5]))),
+       steps=st.lists(_fan_step, min_size=2, max_size=16))
+def test_broadcasts_over_kept_links_are_cold_broadcasts(positions, loss, chunk, spies, tunnel,
+                                                        frail, steps):
+    """Any run of flood-like bursts (one sender, several frames of one size
+    at one clock object) among sends, deaths, clock steps and late nodes,
+    with kinds, both planes, spies, a wormhole, loss and a listener that
+    dies to its own receive debit mid-burst: through kept links, on a trace
+    that seals every few lines, and through cold emissions, on one that
+    never seals, it gives the same delivered lists, trace, drops, batteries,
+    ledger, observations and loss draws, bit for bit, and never more than
+    LINKS links are kept."""
+    extra = [("ES" if i % 3 == 2 else "N", pos, 1 + (pos[0] > 300))
+             for i, pos in enumerate(positions)]
+    first = list(range(5, 5 + len(extra)))
+    results = []
+    for send, fan in ((Channel.transmit, Channel.broadcast), (cold_transmit, cold_broadcast)):
+        network, channel, queue, trace = make_world(extra, radio=RadioModel(loss_probability=loss))
+        trace.CHUNK = chunk if send is Channel.transmit else 10**9
+        ids = list(first)
+        channel.eavesdroppers = sorted({ids[i % len(ids)] for i in spies})
+        if tunnel is not None and tunnel[0] % len(ids) != tunnel[1] % len(ids):
+            channel.wormholes = [(ids[tunnel[0] % len(ids)], ids[tunnel[1] % len(ids)])]
+        if frail is not None:
+            node_id = ids[frail[0] % len(ids)]
+            network.nodes[node_id].battery_mah = channel.initial_battery[node_id] = frail[1]
+        channel.audited.update(network.nodes)
+        outcomes = []
+        for step in steps:
+            if step[0] == "burst":
+                _, src, frames, size, control, kinds = step
+                sender = network.nodes[ids[src % len(ids)]]
+                for seq in range(frames):
+                    frame = make_frame(MsgType.BLOCKED_LIST, sender.id, bytes([seq]) * size,
+                                       gbk=GBK)
+                    outcomes.append(fan(channel, sender, frame, control=control, kinds=kinds))
+            elif step[0] == "send":
+                _, src, dst, msg_type, size, control = step
+                sender = network.nodes[ids[src % len(ids)]]
+                frame = make_frame(msg_type, sender.id, b"p" * size, gbk=GBK)
+                outcomes.append(send(channel, sender, network.nodes[ids[dst % len(ids)]],
+                                     frame, control=control))
+            elif step[0] == "clock":
+                queue.now = step[1]
+            elif step[0] == "kill":
+                network.nodes[ids[step[1] % len(ids)]].alive = False
+            elif step[0] == "add":
+                ids.append(network.allocate_id())
+                channel.add_node(NodeState(id=ids[-1], kind=step[3],
+                                           position=(float(step[1]), float(step[2])),
+                                           region_id=1))
+                channel.audited.add(ids[-1])
             else:
                 queue.now = queue.now * 1.0
             assert len(channel._links) <= Channel.LINKS
