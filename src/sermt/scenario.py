@@ -279,9 +279,12 @@ def finish(world: World) -> ScenarioResult:
     """Close a world at the time its queue was run to: settle and check the
     energy ledger, audit confidentiality, and collect the metrics over that
     span. `run_scenario` runs it to `config.duration`; a hand-placed world
-    may stop anywhere."""
+    may stop anywhere.  The world is over, so its pending events are
+    dropped: a result holds no cycle through them, and a dropped result
+    frees its world by reference count alone."""
     channel = world.channel
     now = channel.queue.now
+    channel.queue.clear()
     channel.finalize()
     errors = channel.conservation_errors()
     if errors:
@@ -315,7 +318,13 @@ def _sweep_attacks(vary: str, value: float) -> tuple[AttackSpec, ...]:
 
 
 def sweep(config: ScenarioConfig, vary: str) -> tuple[list[SweepRow], list[ScenarioResult]]:
-    """One run per sweep point per defense toggle, in sweep order."""
+    """One run per sweep point per defense toggle, in sweep order.
+
+    The points share one seed and one layout, so their traces repeat whole
+    sealed chunks.  Each result's trace is shared into one pool made for
+    this call (`Trace.share`), so the results keep one copy of each chunk
+    they share; the pool is dropped when the call returns, and the text
+    lives only as long as the results that hold it."""
     if vary == "malicious":
         values: tuple = MALICIOUS_COUNTS
     elif vary == "interval":
@@ -325,11 +334,13 @@ def sweep(config: ScenarioConfig, vary: str) -> tuple[list[SweepRow], list[Scena
                           "(expected 'malicious' or 'interval')")
     rows: list[SweepRow] = []
     results: list[ScenarioResult] = []
+    pool: dict[str, str] = {}
     for value in values:
         for defense in (True, False):
             run_config = replace(config, defense=defense,
                                  attacks=_sweep_attacks(vary, value))
             result = run_scenario(run_config)
+            result.trace.share(pool)
             rows.append(SweepRow.from_metrics(float(value), result.metrics))
             results.append(result)
     return rows, results

@@ -138,6 +138,12 @@ class EventQueue:
     def pending(self) -> int:
         return len(self._heap)
 
+    def clear(self) -> None:
+        """Drop every pending event.  Their actions are bound methods of the
+        protocol engine and the attacks, which hold this queue, so a
+        finished world's pending events would hold it in a cycle."""
+        self._heap.clear()
+
 
 class Trace:
     """Text event log; the run hash is the SHA-1 of its lines, each ended
@@ -174,7 +180,13 @@ class Trace:
     text: no line of it is a `str` of its own.
 
     `lines` rebuilds the whole list on every read: take it once per
-    reader.  `digest` and `chunks` read the chunks as they are."""
+    reader.  `digest` and `chunks` read the chunks as they are.
+
+    Traces that repeat stretches of one another (the points of a sweep,
+    which share a seed and a layout) repeat whole sealed chunks, because a
+    chunk seals at the first `write` after CHUNK lines, so equal stretches
+    of lines realign its boundaries.  `share` lets such traces hold one
+    object per distinct chunk; their text reads the same."""
 
     CHUNK = 256
 
@@ -203,6 +215,13 @@ class Trace:
             self._sealed.append("\n".join(lines))
             self._open = []
             self.append = self._open.append
+
+    def share(self, pool: dict[str, str]) -> None:
+        """Swap each sealed chunk for the equal chunk already in `pool`, or
+        add it to `pool` if none is there.  The text is unchanged; the
+        traces shared through one `pool` keep one copy of each chunk, and
+        `pool` holds them only as long as its owner keeps it."""
+        self._sealed = [pool.setdefault(chunk, chunk) for chunk in self._sealed]
 
     def chunks(self):
         """The trace text, in order, as `str` parts that each end with a

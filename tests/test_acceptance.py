@@ -3,6 +3,7 @@ reproduction, formula and crypto conformance, the routing oracle, defense
 efficacy and energy trends on the scaled scenario, determinism, and the
 security invariants. Each test prints one `criterion N ... PASS/FAIL` line."""
 
+import hashlib
 import math
 import random
 import time
@@ -35,6 +36,15 @@ from test_routing import all_simple_paths_min, random_graph
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {num} [{label}]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} [{label}] failed: {detail}"
+
+
+# SHA-1 of the shipped sweeps' per-point trace digests joined in sweep order
+INTERVAL_SWEEP_SHA1 = "c7b57b2b99ecf43e4235af45ee61b2ffa521539d"
+MALICIOUS_SWEEP_SHA1 = "bf0a751ba61f033bb053109247ca794d49245364"
+
+
+def joined_digest(results) -> str:
+    return hashlib.sha1("".join(r.trace.digest() for r in results).encode()).hexdigest()
 
 
 def rel_err(got: float, want: float) -> float:
@@ -203,12 +213,13 @@ def test_criterion_6_defense_efficacy(capsys):
                 ",".join(f"{v}:{drop[(v, True)]:.1f}/{drop[(v, False)]:.1f}"
                          for v in MALICIOUS_COUNTS) +
                 f" elapsed={elapsed:.0f}s")
+    assert joined_digest(results) == MALICIOUS_SWEEP_SHA1
 
 
 @pytest.mark.slow
 def test_criterion_7_energy_trend(capsys):
     config = load_config(DATA_DIR / "scaled_ieee14.conf")
-    rows, _results = sweep(config, "interval")
+    rows, results = sweep(config, "interval")
     bp = {(row.sweep_value, row.defense): row.avg_bp for row in rows}
     intervals = sorted({row.sweep_value for row in rows})
     above = all(bp[(v, True)] >= bp[(v, False)] for v in intervals)
@@ -219,6 +230,7 @@ def test_criterion_7_energy_trend(capsys):
         verdict(7, "energy trend", ok,
                 f"sermt>=baseline={above} non_increasing={non_increasing} "
                 f"curve={[round(v, 3) for v in sermt_curve]}")
+    assert joined_digest(results) == INTERVAL_SWEEP_SHA1
 
 
 def test_criterion_8_conservation_and_determinism(capsys, tmp_path):

@@ -2,11 +2,13 @@
 artifacts, and the command-line front end."""
 
 import copy
+import gc
 import hashlib
 import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -656,6 +658,67 @@ def test_a_finished_flood_run_keeps_no_channel_link(tmp_path, monkeypatch):
     result = run_scenario(config)
     assert len(kept) == 1 and any(key[1] is None for key in kept[0])     # a broadcast's
     assert result.channel._links == {} and result.channel._hears == {}
+
+
+def test_a_sweep_keeps_one_copy_of_each_chunk_its_results_share(tmp_path, monkeypatch):
+    """Equal sealed chunks across a sweep's results are one object, each
+    point's trace reads as a lone run of that point, and two sweeps share
+    no chunk: the pool lives only for its call."""
+    monkeypatch.setattr(scenario, "ATTACK_INTERVALS", (2.0, 5.0))
+    config = small_config(tmp_path, duration=30)
+    _rows, results = sweep(config, "interval")
+    chunks = [chunk for result in results for chunk in result.trace._sealed]
+    assert len({id(chunk) for chunk in chunks}) == len(set(chunks)) < len(chunks)
+    for result in results:
+        assert result.trace.digest() == run_scenario(result.config).trace.digest()
+    _rows, again = sweep(config, "interval")
+    assert not ({id(chunk) for chunk in chunks}
+                & {id(chunk) for result in again for chunk in result.trace._sealed})
+
+
+ATTACKED_EVERY_WAY = """\
+[attack:sybil]
+kind = SYBIL
+targets = 1
+[attack:flood]
+kind = FLOOD
+count = 1
+attack_interval = 2
+[attack:sinkhole]
+kind = SINKHOLE
+count = 1
+[attack:tunnel]
+kind = WORMHOLE
+count = 2
+[attack:spy]
+kind = EAVESDROP
+count = 1
+[attack:plant]
+kind = EAVESDROP
+foreign = yes
+position = 300, 300
+"""
+
+
+@pytest.mark.parametrize("defense", [True, False])
+def test_a_dropped_result_frees_its_world_by_reference_count(tmp_path, defense):
+    """`finish` drops the pending events, whose actions point back at the
+    engine and the attacks; with the cycle collector off, a dropped result
+    of a world attacked every way frees its engine, channel and network."""
+    config = replace(small_config(tmp_path, extra=ATTACKED_EVERY_WAY, duration=30),
+                     defense=defense)
+    result = run_scenario(config)
+    sybil, flood, _sinkhole, _tunnel, *spies = result.attack_logs
+    assert sybil.fake_locations_advertised and flood.bogus_frames_sent
+    assert all(spy.frames_overheard for spy in spies)
+    assert " | wormhole | " in "".join(result.trace.chunks())
+    refs = [weakref.ref(part) for part in (result.engine, result.channel, result.network)]
+    gc.disable()
+    try:
+        del result
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

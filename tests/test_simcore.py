@@ -792,17 +792,19 @@ _trace_call = st.one_of(
               st.floats(allow_nan=False)),
     st.tuples(st.just("append"), _text),
     st.tuples(st.just("write"), _text),
-    st.tuples(st.just("seal")))
+    st.tuples(st.just("seal")),
+    st.tuples(st.just("share")))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chunk=st.integers(1, 4), calls=st.lists(_trace_call, max_size=30))
 def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
-    """Any run of `log`, `append`, `write` and `seal` calls, with the chunk
-    shrunk so that chunks seal often: `lines`, `digest` and `chunks` read
-    as a plain list of the same lines would, whether or not the open chunk
-    just sealed, and a `seal` of an empty open chunk adds no chunk."""
-    trace, reference = Trace(), []
+    """Any run of `log`, `append`, `write`, `seal` and `share` calls, with
+    the chunk shrunk so that chunks seal often: `lines`, `digest` and
+    `chunks` read as a plain list of the same lines would, whether or not
+    the open chunk just sealed, and a `seal` of an empty open chunk adds no
+    chunk.  After a `share`, every sealed chunk is its pool's entry."""
+    trace, reference, pool = Trace(), [], {}
     trace.CHUNK = chunk
     for call in calls:
         if call[0] == "log":
@@ -816,11 +818,34 @@ def test_chunked_trace_is_a_plain_list_of_its_lines(chunk, calls):
         elif call[0] == "append":
             trace.append(call[1])
             reference.append(call[1])
+        elif call[0] == "share":
+            trace.share(pool)
+            assert all(pool[chunk] is chunk for chunk in trace._sealed)
         else:
             sealed = len(trace._sealed) + bool(trace._open)
             trace.seal()
             assert (trace._open, len(trace._sealed)) == ([], sealed)
     assert_same_trace(trace, reference)
+
+
+def test_share_swaps_a_chunk_for_its_pool_entry_and_pools_a_new_one():
+    """A sealed chunk equal to a pool entry becomes that entry; one the
+    pool lacks joins it.  The open chunk is left as it is, and `digest`,
+    `lines` and `chunks` read as before."""
+    trace = Trace()
+    trace.CHUNK = 2
+    for line in ("a", "b", "c", "d", "e"):
+        trace.write(line)
+    entry = "".join(["a\n", "b\n"])           # equal to the first chunk, another object
+    assert entry == trace._sealed[0] and entry is not trace._sealed[0]
+    new = trace._sealed[1]
+    before = (trace.digest(), trace.lines, list(trace.chunks()))
+    pool = {entry: entry}
+    trace.share(pool)
+    assert trace._sealed[0] is entry and trace._sealed[1] is new
+    assert pool == {entry: entry, new: new} and pool[new] is new
+    assert trace._open == ["e"]
+    assert (trace.digest(), trace.lines, list(trace.chunks())) == before
 
 
 @pytest.mark.parametrize("count", [0, Trace.CHUNK - 1, Trace.CHUNK, Trace.CHUNK + 1,

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts in `tools/`."""
 
+import hashlib
 import importlib.util
 import inspect
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 from sermt.protocol import ProtocolEngine
+from sermt.scenario import DATA_DIR, load_config, sweep
 from sermt.simcore import Channel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,3 +126,22 @@ def test_pairs_claim_needs_nine_pairs_in_ten_and_a_gap_past_the_spread():
     assert pairs.claim_met(paired_with(higher), -1)
     assert not pairs.claim_met(paired_with(higher), 1)
     assert not pairs.claim_met(paired_with(better), -1)
+
+
+def test_sweep_peak_prints_each_axis_sweep_of_a_fresh_process(tmp_path):
+    """On the shipped config cut to 10 s: one line per axis, whose SHA-1 is
+    that of the in-process `sweep`'s point digests joined in order."""
+    text = (DATA_DIR / "scaled_ieee14.conf").read_text(encoding="utf-8")
+    path = tmp_path / "scaled_10s.conf"
+    path.write_text(text.replace("duration = 600", "duration = 10"), encoding="utf-8")
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_peak.py"), str(path)],
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    lines = [line.split("  ") for line in out.splitlines()]
+    assert [fields[0] for fields in lines] == ["interval", "malicious"]
+    config = load_config(path)
+    for axis, wall, peak, sha1 in lines:
+        assert float(wall.removeprefix("wall_s=")) > 0
+        assert float(peak.removeprefix("peak_rss_mb=")) > 0
+        _rows, results = sweep(config, axis)
+        joined = "".join(result.trace.digest() for result in results)
+        assert sha1 == "sha1=" + hashlib.sha1(joined.encode()).hexdigest()
